@@ -2,10 +2,11 @@
 
 Two scalar types realize the same abstract complex field:
 
-* exact backend -- :class:`GaussianRational`, a complex number with
-  ``fractions.Fraction`` real and imaginary parts.  Every ring identity
-  holds bit-exactly, so it serves as the ground-truth oracle: a verified
-  identity either cancels to zero or it does not.
+* exact backend -- :class:`GaussianRational`, a complex number stored as
+  three integers ``(a + b*i) / d`` in canonical form (``d > 0``,
+  ``gcd(a, b, d) == 1``).  Every ring identity holds bit-exactly, so it
+  serves as the ground-truth oracle: a verified identity either cancels
+  to zero or it does not.
 * float backend -- the builtin ``complex``.  Fast, but a failed check may
   be cancellation rather than a genuine discrepancy, so comparisons are
   scale-aware (see :func:`approx_eq`).
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 # Library-wide numeric policy knobs (all overridable per call site).
 REL_TOL = 1e-10
@@ -53,78 +55,113 @@ class UnitModulusQ(GuardViolation):
 
 
 _EXACT_PARTS = (int, Fraction)
+_new = object.__new__
 
 
 class GaussianRational:
-    """Exact complex scalar ``re + im*i`` with rational components.
+    """Exact complex scalar ``(a + b*i) / d`` with integers ``a``, ``b``, ``d``.
+
+    The stored triple is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``,
+    and zero is ``(0, 0, 1)``.  Equal values therefore have equal
+    triples.  Each of ``+ - * /`` does its integer arithmetic and then at
+    most one gcd normalisation; negation and conjugation need none.
+    :attr:`re` and :attr:`im` read the parts back as reduced ``Fraction``
+    values.
 
     Supports +, -, *, /, ** (integer exponents) and mixes freely with
-    ``int`` and ``Fraction``.  Mixing with ``float``/``complex`` is a
-    deliberate TypeError: the exact backend must never silently absorb
-    rounding error.
+    ``int`` and ``Fraction``; ``==`` and ``hash`` agree with them on real
+    values.  Mixing with ``float``/``complex`` is a deliberate TypeError:
+    the exact backend must never silently absorb rounding error.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        if not isinstance(re, _EXACT_PARTS):
+            re = Fraction(re)
+        if not isinstance(im, _EXACT_PARTS):
+            im = Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        if s == 1:
+            self._a, self._b, self._d = p, r * q, q
+        elif q == s:
+            self._a, self._b, self._d = p, r, q
+        else:
+            a, b, d = p * s, r * q, q * s
+            g = gcd(a, b, d)
+            self._a, self._b, self._d = a // g, b // g, d // g
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, _EXACT_PARTS):
-            return GaussianRational(x)
-        return None
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = o._a, o._b, o._d
+        # with a unit denominator on either side the sum is already canonical
+        if d2 == 1:
+            return _make(a1 + a2 * d1, b1 + b2 * d1, d1)
+        if d1 == 1:
+            return _make(a1 * d2 + a2, b1 * d2 + b2, d2)
+        if d1 == d2:
+            return _reduced(a1 + a2, b1 + b2, d1)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _difference(self, o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _difference(o, self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        a1, b1 = self._a, self._b
+        a2, b2 = o._a, o._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = o._a, o._b, o._d
+        # multiply by the conjugate: x/y = x*conj(y)*d2 / (d1*(a2^2 + b2^2))
+        n = a2 * a2 + b2 * b2
+        if not n:
             raise ZeroDivisionError("division by zero scalar")
-        return GaussianRational((self.re * o.re + self.im * o.im) / d,
-                                (self.im * o.re - self.re * o.im) / d)
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o.__truediv__(self)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
@@ -135,33 +172,36 @@ class GaussianRational:
         return pow_int(self, k)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, so this equals float(self.re) etc.
+        return complex(self._a / self._d, self._b / self._d)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __abs__(self) -> float:
-        a2 = self.abs2()
+        a, b, d = self._a, self._b, self._d
         try:
-            return math.sqrt(a2.numerator / a2.denominator)
+            return math.sqrt((a * a + b * b) / (d * d))
         except OverflowError:
             return math.inf
 
@@ -172,9 +212,57 @@ class GaussianRational:
         return format_scalar(self)
 
 
+def _make(a, b, d):
+    """A GaussianRational from a triple that is already canonical."""
+    z = _new(GaussianRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _reduced(a, b, d):
+    """A GaussianRational from ``(a + b*i) / d`` with ``d > 0``."""
+    g = gcd(a, b, d)
+    z = _new(GaussianRational)
+    if g == 1:
+        z._a, z._b, z._d = a, b, d
+    else:
+        z._a, z._b, z._d = a // g, b // g, d // g
+    return z
+
+
+def _difference(x, y):
+    """``x - y``; like ``__add__``, it skips the gcd when a denominator is 1."""
+    a1, b1, d1 = x._a, x._b, x._d
+    a2, b2, d2 = y._a, y._b, y._d
+    if d2 == 1:
+        return _make(a1 - a2 * d1, b1 - b2 * d1, d1)
+    if d1 == 1:
+        return _make(a1 * d2 - a2, b1 * d2 - b2, d2)
+    if d1 == d2:
+        return _reduced(a1 - a2, b1 - b2, d1)
+    return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+
+
+def _coerce(x):
+    """``x`` as a GaussianRational, or None if it is not an exact scalar."""
+    t = type(x)
+    if t is int:
+        return _make(x, 0, 1)
+    if t is Fraction:
+        return _make(x.numerator, 0, x.denominator)
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, _EXACT_PARTS):
+        return GaussianRational(x)
+    return None
+
+
+_EXACT_SCALARS = (GaussianRational, *_EXACT_PARTS)
+
+
 def is_exact(x) -> bool:
     """True for scalars of the exact backend (including plain rationals)."""
-    return isinstance(x, (GaussianRational, *_EXACT_PARTS))
+    return isinstance(x, _EXACT_SCALARS)
 
 
 def as_scalar(x, exact: bool):
@@ -183,14 +271,11 @@ def as_scalar(x, exact: bool):
     Exact backend refuses floats: there is no faithful representation.
     """
     if exact:
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, _EXACT_PARTS):
-            return GaussianRational(x)
-        raise TypeError(f"cannot represent {type(x).__name__} exactly; "
-                        "pass int, Fraction or GaussianRational")
-    if isinstance(x, GaussianRational):
-        return complex(x)
+        o = _coerce(x)
+        if o is None:
+            raise TypeError(f"cannot represent {type(x).__name__} exactly; "
+                            "pass int, Fraction or GaussianRational")
+        return o
     return complex(x)
 
 
@@ -211,8 +296,6 @@ def is_zero(x) -> bool:
 
 def abs_float(x) -> float:
     """|x| as a machine float, robust against huge exact values."""
-    if isinstance(x, GaussianRational):
-        return abs(x)
     return abs(x)
 
 
@@ -254,9 +337,7 @@ def approx_eq(x, y, scale: float = 1.0, *, rel_tol: float = REL_TOL,
     the series that produced the values).
     """
     if is_exact(x) and is_exact(y):
-        gx = GaussianRational._coerce(x)
-        gy = GaussianRational._coerce(y)
-        return gx == gy
+        return _coerce(x) == _coerce(y)
     x = complex(x)
     y = complex(y)
     bound = rel_tol * max(scale, abs(x), abs(y)) + abs_tol
@@ -340,10 +421,6 @@ def get_backend(name: str) -> Backend:
         return _BACKENDS[name]
     except KeyError:
         raise ValueError(f"unknown backend {name!r}; choose rational or float") from None
-
-
-def backend_of(x) -> Backend:
-    return RATIONAL if is_exact(x) else FLOAT
 
 
 def _format_part(v) -> str:

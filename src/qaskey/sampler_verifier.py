@@ -143,12 +143,17 @@ def _rand_scalar(rng, cfg, exact: bool):
 def _rand_q(rng, cfg, exact: bool) -> QBase:
     lo, hi = cfg.q_range
     if exact:
-        while True:
+        # a window may hold no p/d with p, d <= 40 at all, e.g. (0.5, 0.501)
+        for _ in range(cfg.max_rejects):
             num = rng.randint(1, 40)
             den = rng.randint(1, 40)
             q = Fraction(num, den)
             if lo < q < hi:
                 break
+        else:
+            raise SamplerExhausted(
+                f"no exact base q = p/d with p, d <= 40 in {cfg.q_range} "
+                f"within {cfg.max_rejects} candidates")
         q = Fraction(1, 1) / q if cfg.q_big else q
         return QBase(GaussianRational(q))
     q = rng.uniform(lo, hi)

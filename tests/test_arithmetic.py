@@ -1,5 +1,7 @@
 """Backend scalar behavior: exact field laws, tolerances, wire formats."""
 
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -94,13 +96,35 @@ def test_float_backend_tracks_exact_backend():
 
 
 def test_division_by_zero_is_reported():
-    with pytest.raises(ZeroDivisionError):
-        G(1) / G(0)
+    for zero in (G(0), 0, Fraction(0), G(Fraction(0), 0)):
+        with pytest.raises(ZeroDivisionError):
+            G(1) / zero
+        with pytest.raises(ZeroDivisionError):
+            G(Fraction(2, 3), -1) / zero
+        with pytest.raises(ZeroDivisionError):
+            zero / G(0)
 
 
 def test_exact_backend_rejects_floats():
+    for inexact in (0.5, 1.0, 2 + 0j, 1j):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(G(1, 1), inexact)
+            with pytest.raises(TypeError):
+                op(inexact, G(1, 1))
+        assert G(1) != inexact
+
+
+def test_constructor_accepts_what_fraction_accepts():
+    assert G() == 0
+    assert G(re=Fraction(1, 2), im=3) == G(Fraction(1, 2), 3)
+    assert G("3/4", "-1/6") == G(Fraction(3, 4), Fraction(-1, 6))
+    assert G(0.5) == Fraction(1, 2)
+    assert G(True, False) == 1
     with pytest.raises(TypeError):
-        G(1) * 0.5
+        G(G(1))
+    with pytest.raises(ValueError):
+        G("one")
 
 
 def test_qbase_guards():
@@ -145,3 +169,125 @@ def test_backend_objects():
         get_backend("decimal")
     with pytest.raises(TypeError):
         rat.convert(0.5)
+
+
+# ---------------------------------------------------------------------------
+# differential check against the Fraction-pair form (the oracle)
+# ---------------------------------------------------------------------------
+# An operand is drawn either as a Fraction pair (re, im), which stands for
+# GaussianRational(re, im), or as a plain int or Fraction.  The ref_*
+# functions are the arithmetic of the pair form that GaussianRational
+# replaced; they never read a GaussianRational.
+
+def scalar(v):
+    return G(*v) if isinstance(v, tuple) else v
+
+
+def ref(v):
+    return v if isinstance(v, tuple) else (Fraction(v), Fraction(0))
+
+
+def ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def ref_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_div(x, y):
+    d = y[0] * y[0] + y[1] * y[1]
+    if d == 0:
+        raise ZeroDivisionError
+    return (x[0] * y[0] + x[1] * y[1]) / d, (x[1] * y[0] - x[0] * y[1]) / d
+
+
+def assert_canonical(z, pair):
+    """``z`` stores the canonical triple of the value ``pair``."""
+    assert type(z) is G
+    a, b, d = z._a, z._b, z._d
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == pair
+    assert (z.re, z.im) == pair
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+
+
+SMALL = st.fractions(min_value=-40, max_value=40, max_denominator=40)
+BIG = st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200))
+PARTS = st.one_of(st.just(Fraction(0)), SMALL, BIG)
+PAIRS = st.tuples(PARTS, PARTS)
+OPERANDS = st.one_of(PAIRS, st.integers(-50, 50), st.integers(-2 ** 100, 2 ** 100),
+                     SMALL, BIG)
+
+BINARY = [(operator.add, ref_add), (operator.sub, ref_sub),
+          (operator.mul, ref_mul), (operator.truediv, ref_div)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAIRS, OPERANDS)
+def test_binary_ops_match_fraction_pair_reference(xv, yv):
+    x, y = scalar(xv), scalar(yv)
+    for op, ref_op in BINARY:
+        # forward (GaussianRational on the left) and reflected forms
+        for (left, lv), (right, rv) in (((x, xv), (y, yv)), ((y, yv), (x, xv))):
+            try:
+                expected = ref_op(ref(lv), ref(rv))
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            assert_canonical(op(left, right), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS)
+def test_unary_ops_match_fraction_pair_reference(xv):
+    x = scalar(xv)
+    re, im = xv
+    assert_canonical(x, xv)
+    assert_canonical(-x, (-re, -im))
+    assert_canonical(x.conjugate(), (re, -im))
+    assert +x is x
+    a2 = x.abs2()
+    assert type(a2) is Fraction and a2 == re * re + im * im
+    try:
+        expected_abs = math.sqrt(a2.numerator / a2.denominator)
+    except OverflowError:
+        expected_abs = math.inf
+    assert abs(x) == expected_abs
+    assert complex(x) == complex(float(re), float(im))
+    assert bool(x) == (re != 0 or im != 0)
+    assert repr(x) == f"GaussianRational({re!r}, {im!r})"
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS, PAIRS)
+def test_equality_and_hash_agree_with_values(xv, yv):
+    x, y = scalar(xv), scalar(yv)
+    re, im = xv
+    # the same value built another way: (re*k + im*k*i) / k
+    twin = G(re * 7, im * 7) / 7
+    assert x == twin and hash(x) == hash(twin)
+    assert (x == y) == (xv == yv)
+    assert (x != y) == (xv != yv)
+    if im == 0:
+        # real values compare and hash like the rationals they equal
+        assert x == re and re == x and hash(x) == hash(re)
+        if re.denominator == 1:
+            assert x == re.numerator and hash(x) == hash(re.numerator)
+    else:
+        assert x != re
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS)
+def test_wire_format_round_trip_property(xv):
+    re, im = xv
+    expected = str(re) if im == 0 else f"{re}{'+' if im >= 0 else '-'}{abs(im)} i"
+    assert format_scalar(scalar(xv)) == expected
+    assert_canonical(parse_scalar(expected, exact=True), xv)

@@ -1,5 +1,6 @@
 """Draw generation, determinism, and sweep aggregation."""
 
+import dataclasses
 import json
 import random
 
@@ -78,6 +79,22 @@ def test_sampler_exhausted_on_impossible_target():
                     lambda d, cfg, exact: None)
     with pytest.raises(SamplerExhausted):
         draw_params(DrawConfig(max_rejects=10), target)
+
+
+def test_exact_q_window_without_candidates_is_exhausted():
+    # no p/d with p, d <= 40 lies in (0.5, 0.501): |p/d - 1/2| >= 1/80
+    cfg = DrawConfig(seed=3, q_range=(0.5, 0.501), draws_per_record=2)
+    with pytest.raises(SamplerExhausted):
+        draw_params(cfg, "cor3.5/r7")
+    with pytest.raises(SamplerExhausted):
+        run_sweep(cfg, ["aw/seven-way"])
+    # the float backend draws q from the continuous window
+    report = run_sweep(dataclasses.replace(cfg, backend="float"), ["cor3.5/r7"])
+    assert report.entries[0].passed == cfg.draws_per_record
+    # a narrow window that holds candidates still yields its draws
+    cfg = DrawConfig(seed=3, q_range=(0.5, 0.52))
+    for i in range(5):
+        assert 0.5 < draw_params(cfg, "cor3.5/r7", i).q.q.re < 0.52
 
 
 def test_skip_rate_of_raw_draws_is_low():
