@@ -11,9 +11,12 @@ Two scalar types realize the same abstract complex field:
   be cancellation rather than a genuine discrepancy, so comparisons are
   scale-aware (see :func:`approx_eq`).
 
-All higher modules use ordinary Python operators only, which keeps them
-generic over the two backends.  Values are immutable after construction
-and safe to share between threads.
+Higher modules settle the backend once per call, from ``q`` or the
+first operand (``QBase.exact``, :func:`is_exact`, :func:`one_like`), and
+then run their loops on ordinary Python operators only: no loop calls a
+dispatch helper per iteration, and a zero test is ``not x``.  Values are
+immutable after construction and safe to share between threads, so
+:func:`one_like` hands out one shared constant per backend.
 """
 
 from __future__ import annotations
@@ -258,10 +261,17 @@ def _coerce(x):
 
 
 _EXACT_SCALARS = (GaussianRational, *_EXACT_PARTS)
+_ONE = GaussianRational(1)
+_ONE_FLOAT = complex(1.0)
 
 
 def is_exact(x) -> bool:
     """True for scalars of the exact backend (including plain rationals)."""
+    t = type(x)
+    if t is GaussianRational or t is int or t is Fraction:
+        return True
+    if t is complex or t is float:
+        return False
     return isinstance(x, _EXACT_SCALARS)
 
 
@@ -280,23 +290,13 @@ def as_scalar(x, exact: bool):
 
 
 def one_like(x):
-    return GaussianRational(1) if is_exact(x) else complex(1.0)
-
-
-def zero_like(x):
-    return GaussianRational(0) if is_exact(x) else complex(0.0)
+    """The shared one of ``x``'s backend."""
+    return _ONE if is_exact(x) else _ONE_FLOAT
 
 
 def is_zero(x) -> bool:
     """Exact zero test (floats: literal 0; tolerances live elsewhere)."""
-    if isinstance(x, GaussianRational):
-        return not bool(x)
-    return x == 0
-
-
-def abs_float(x) -> float:
-    """|x| as a machine float, robust against huge exact values."""
-    return abs(x)
+    return not x
 
 
 def pow_int(x, k: int):
@@ -305,12 +305,13 @@ def pow_int(x, k: int):
     Bit-exact in the exact backend.  Raises ZeroToNegativePower for
     0**k with k < 0.
     """
+    one = one_like(x)
     if k < 0:
-        if is_zero(x):
+        if not x:
             raise ZeroToNegativePower("0 cannot be raised to a negative power")
-        x = one_like(x) / x
+        x = one / x
         k = -k
-    result = one_like(x)
+    result = one
     base = x
     while k:
         if k & 1:
@@ -357,12 +358,10 @@ class QBase:
 
     def __post_init__(self):
         q = self.q
-        if isinstance(q, _EXACT_PARTS):
-            q = GaussianRational(q)
-        elif not isinstance(q, GaussianRational):
-            q = complex(q)
+        if not isinstance(q, GaussianRational):
+            q = GaussianRational(q) if is_exact(q) else complex(q)
         object.__setattr__(self, "q", q)
-        if is_zero(q):
+        if not q:
             raise ZeroQ("q must be nonzero")
         if isinstance(q, GaussianRational):
             if q.abs2() == 1:

@@ -22,7 +22,6 @@ from .arithmetic import (
     GuardViolation,
     QBase,
     QError,
-    abs_float,
     as_scalar,
     binom2,
     is_zero,
@@ -100,13 +99,12 @@ class AWParams:
             raise ValueError("exactly four parameters required")
         if self.n < 0:
             raise ValueError("degree n must be >= 0")
-        object.__setattr__(self, "a",
-                           tuple(as_scalar(v, self.q.exact) for v in self.a))
-        object.__setattr__(self, "w", as_scalar(self.w, self.q.exact))
-        for v in self.a:
-            if is_zero(v):
-                raise ZeroParameter("all four parameters must be nonzero")
-        if is_zero(self.w):
+        exact = self.q.exact
+        object.__setattr__(self, "a", tuple(as_scalar(v, exact) for v in self.a))
+        object.__setattr__(self, "w", as_scalar(self.w, exact))
+        if not all(self.a):
+            raise ZeroParameter("all four parameters must be nonzero")
+        if not self.w:
             raise ZeroParameter("the spectral point w must be nonzero")
 
     def ak(self, k: int):
@@ -367,7 +365,7 @@ class EvalReport:
     def rel_deviation(self) -> float:
         if not self.values:
             return 0.0
-        m = max(abs_float(v) for v in self.values.values())
+        m = max(abs(v) for v in self.values.values())
         return self.max_deviation / m if m > 0 else self.max_deviation
 
 
@@ -390,9 +388,9 @@ def _report(params, reps, evaluator) -> EvalReport:
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
             d = vals[i] - vals[j]
-            if not is_zero(d):
+            if d:
                 all_agree = False
-                max_dev = max(max_dev, abs_float(d))
+                max_dev = max(max_dev, abs(d))
     return EvalReport(values, skipped, max_dev, scale, params.q.exact, all_agree)
 
 

@@ -37,7 +37,6 @@ from .arithmetic import (
     QBase,
     QError,
     REL_TOL,
-    abs_float,
     binom2,
     is_zero,
     one_like,
@@ -119,7 +118,7 @@ class Side:
             pref = pref * self.power(s)
         spec = self.series(s)
         value, trace = (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec)
-        return pref * value, abs_float(pref) * trace.abs_scale
+        return pref * value, abs(pref) * trace.abs_scale
 
     def describe(self) -> str:
         bits = []
@@ -606,13 +605,13 @@ def check(record: IdentityRecord, draw: Draw, *, rel_tol: float = REL_TOL,
         return CheckOutcome(Verdict.SKIPPED, 0.0, 0.0, exact,
                             guard=f"division by zero: {exc}")
     diff = left - right
-    mags = max(abs_float(left), abs_float(right))
+    mags = max(abs(left), abs(right))
     scale = max(scale_l, scale_r, mags)
     if exact:
         if is_zero(diff):
             return CheckOutcome(Verdict.PASS, 0.0, scale, True)
-        return CheckOutcome(Verdict.FAIL, abs_float(diff), scale, True)
-    deviation = abs_float(diff)
+        return CheckOutcome(Verdict.FAIL, abs(diff), scale, True)
+    deviation = abs(diff)
     if deviation <= rel_tol * scale + abs_tol:
         return CheckOutcome(Verdict.PASS, deviation, scale, False)
     condition = scale / max(mags, abs_tol)

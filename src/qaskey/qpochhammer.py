@@ -16,7 +16,6 @@ from .arithmetic import (
     GuardViolation,
     POLE_EPS,
     QBase,
-    abs_float,
     binom2,
     is_exact,
     is_zero,
@@ -42,10 +41,10 @@ def poch(a, q, n: int):
     if n < 0:
         raise ValueError("poch requires n >= 0")
     qv = _qval(q)
-    out = one_like(qv)
+    one = out = one_like(qv)
     x = a
     for _ in range(n):
-        out = out * (one_like(qv) - x)
+        out = out * (one - x)
         x = x * qv
     return out
 
@@ -68,12 +67,11 @@ def omega_contains(a, q, n: int, *, pole_eps: float = POLE_EPS) -> bool:
     """
     qv = _qval(q)
     one = one_like(qv)
+    inexact = not is_exact(qv)
     t = a
     for _ in range(n):
         d = t - one
-        if is_zero(d):
-            return True
-        if not is_exact(d) and abs_float(d) < pole_eps:
+        if not d or (inexact and abs(d) < pole_eps):
             return True
         t = t * qv
     return False

@@ -24,7 +24,6 @@ from .arithmetic import (
     POLE_EPS,
     QBase,
     QError,
-    abs_float,
     as_scalar,
     binom2,
     is_zero,
@@ -70,12 +69,12 @@ class TermTrace:
         return TermTrace(
             tuple(factor * t for t in self.terms),
             tuple(factor * s for s in self.partial_sums),
-            abs_float(factor) * self.abs_scale,
+            abs(factor) * self.abs_scale,
         )
 
 
-def _coerce_all(q: QBase, values):
-    return tuple(as_scalar(v, q.exact) for v in values)
+def _coerce_all(exact: bool, values):
+    return tuple(as_scalar(v, exact) for v in values)
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,10 @@ class SeriesSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("termination degree n must be >= 0")
-        object.__setattr__(self, "num", _coerce_all(self.q, self.num))
-        object.__setattr__(self, "den", _coerce_all(self.q, self.den))
-        object.__setattr__(self, "z", as_scalar(self.z, self.q.exact))
+        exact = self.q.exact
+        object.__setattr__(self, "num", _coerce_all(exact, self.num))
+        object.__setattr__(self, "den", _coerce_all(exact, self.den))
+        object.__setattr__(self, "z", as_scalar(self.z, exact))
         for b in self.den:
             if omega_contains(b, self.q, self.n, pole_eps=self.pole_eps):
                 raise DenominatorPole(
@@ -141,19 +141,19 @@ class VwpSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("termination degree n must be >= 0")
-        object.__setattr__(self, "b", as_scalar(self.b, self.q.exact))
-        object.__setattr__(self, "lower", _coerce_all(self.q, self.lower))
-        object.__setattr__(self, "z", as_scalar(self.z, self.q.exact))
-        b, q, n = self.b, self.q, self.n
-        one = q.one()
-        if is_zero(b):
+        q, n = self.q, self.n
+        exact = q.exact
+        b = as_scalar(self.b, exact)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "lower", _coerce_all(exact, self.lower))
+        object.__setattr__(self, "z", as_scalar(self.z, exact))
+        if not b:
             raise ZeroParameter("special parameter b must be nonzero")
-        d = b - one
-        if is_zero(d) or (not q.exact and abs_float(d) <= self.pole_eps):
+        d = b - q.one()
+        if not d or (not exact and abs(d) <= self.pole_eps):
             raise BEqualsOne("special parameter b = 1 makes the series singular")
-        for a in self.lower:
-            if is_zero(a):
-                raise ZeroParameter("lower parameters must be nonzero")
+        if not all(self.lower):
+            raise ZeroParameter("lower parameters must be nonzero")
         if omega_contains(q.pow(n + 1) * b, q, n, pole_eps=self.pole_eps):
             raise DenominatorPole("q^{n+1} b lies in Omega_q^n")
         for a in self.lower:
@@ -172,7 +172,7 @@ def _trace(terms):
     for t in terms:
         total = t if total is None else total + t
         partial.append(total)
-    scale = sum(abs_float(t) for t in terms)
+    scale = sum(map(abs, terms))
     return total, TermTrace(tuple(terms), tuple(partial), scale)
 
 
@@ -196,7 +196,7 @@ def eval_phi(spec: SeriesSpec):
         rden = one - q * qk
         for b in spec.den:
             rden = rden * (one - b * qk)
-        if is_zero(rden):
+        if not rden:
             raise DenominatorPole("pole encountered inside the summation")
         factor = rnum / rden * spec.z
         if e:
@@ -251,7 +251,7 @@ def eval_w(spec: VwpSpec):
         rden = (one - q * qk) * (one - qn1b * qk)
         for c in ratios_den:
             rden = rden * (one - c * qk)
-        if is_zero(rden):
+        if not rden:
             raise DenominatorPole("pole encountered inside the summation")
         base = base * rnum / rden * spec.z
         qk = qk * q
@@ -388,10 +388,10 @@ def watson_whipple(spec: SeriesSpec):
         if not is_zero(bal):
             raise NotBalanced("balance condition q^{1-n} a b c = d e f fails")
     else:
-        scale = abs_float(d * e * f) + abs_float(pow_int(q, 1 - n) * a * b * c)
-        if abs_float(zq) > 1e-9 * max(abs_float(q), 1.0):
+        scale = abs(d * e * f) + abs(pow_int(q, 1 - n) * a * b * c)
+        if abs(zq) > 1e-9 * max(abs(q), 1.0):
             raise NotBalanced("argument must equal q")
-        if abs_float(bal) > 1e-9 * max(scale, 1.0):
+        if abs(bal) > 1e-9 * max(scale, 1.0):
             raise NotBalanced("balance condition q^{1-n} a b c = d e f fails")
     de = d * e
     pref_den = poch(de / a, q, n) * poch(de / (a * b * c), q, n)

@@ -32,7 +32,6 @@ from .arithmetic import (
     QBase,
     QError,
     REL_TOL,
-    abs_float,
     is_zero,
     one_like,
     pow_int,
@@ -186,10 +185,10 @@ def _outcome(values, scale, exact, cfg) -> CheckOutcome:
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             d = values[i] - values[j]
-            if not is_zero(d):
+            if d:
                 exact_zero = False
-                max_dev = max(max_dev, abs_float(d))
-    mags = max(abs_float(v) for v in values)
+                max_dev = max(max_dev, abs(d))
+    mags = max(abs(v) for v in values)
     scale = max(scale, mags)
     if exact:
         verdict = Verdict.PASS if exact_zero else Verdict.FAIL
@@ -296,7 +295,7 @@ def _suite_targets() -> list:
         except GuardViolation as exc:
             return _skipped(exc)
         zero = ref - ref
-        return _outcome([d1, zero, d2], trace.abs_scale + abs_float(ref),
+        return _outcome([d1, zero, d2], trace.abs_scale + abs(ref),
                         exact, cfg)
 
     add("aw/qinv-scaling", "base-inverted family: reciprocal-parameter scaling",
@@ -318,7 +317,7 @@ def _suite_targets() -> list:
             v2, t2 = eval_phi(spec2)
         except GuardViolation as exc:
             return _skipped(exc)
-        scale = max(t1.abs_scale, abs_float(pref) * t2.abs_scale)
+        scale = max(t1.abs_scale, abs(pref) * t2.abs_scale)
         return _outcome([v1, pref * v2], scale, exact, cfg)
 
     add("ops/invert-series", "summation reversal contract",
@@ -341,7 +340,7 @@ def _suite_targets() -> list:
             v2, t2 = eval_w(spec2)
         except GuardViolation as exc:
             return _skipped(exc)
-        scale = max(t1.abs_scale, abs_float(pref) * t2.abs_scale)
+        scale = max(t1.abs_scale, abs(pref) * t2.abs_scale)
         return _outcome([v1, pref * v2], scale, exact, cfg)
 
     add("ops/invert-w", "very-well-poised summation reversal contract",
@@ -364,7 +363,7 @@ def _suite_targets() -> list:
             v2, t2 = eval_w(w)
         except GuardViolation as exc:
             return _skipped(exc)
-        scale = max(t1.abs_scale, abs_float(pref) * t2.abs_scale)
+        scale = max(t1.abs_scale, abs(pref) * t2.abs_scale)
         return _outcome([v1, pref * v2], scale, exact, cfg)
 
     add("ops/watson-whipple", "Watson q-Whipple map: balanced 4phi3 vs 8W7",
@@ -379,7 +378,7 @@ def _suite_targets() -> list:
         except GuardViolation as exc:
             return _skipped(exc)
         scale = max(v[1].abs_scale, vi[1].abs_scale,
-                    abs_float(pref) * vr[1].abs_scale)
+                    abs(pref) * vr[1].abs_scale)
         return _outcome([v[0], vi[0], pref * vr[0]], scale, exact, cfg)
 
     add("ops/connect-qinv", "base connection: three-way equality",

@@ -6,19 +6,24 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaskey import GaussianRational, QBase, approx_eq, binom2, pow_int
 from qaskey.arithmetic import (
+    POLE_EPS,
     UnitModulusQ,
     ZeroQ,
     ZeroToNegativePower,
+    as_scalar,
     format_scalar,
     get_backend,
+    is_exact,
+    is_zero,
+    one_like,
     parse_scalar,
 )
-from qaskey.qpochhammer import poch
+from qaskey.qpochhammer import omega_contains, poch
 
 from util import rand_scalar
 
@@ -113,6 +118,80 @@ def test_exact_backend_rejects_floats():
             with pytest.raises(TypeError):
                 op(inexact, G(1, 1))
         assert G(1) != inexact
+
+
+class _SubFraction(Fraction):
+    """A Fraction subclass: dispatch must still see an exact scalar."""
+
+
+# (value, is_exact, is_zero) for every scalar type the helpers meet
+DISPATCH_CASES = [
+    (3, True, False), (0, True, True),
+    (True, True, False), (False, True, True),
+    (Fraction(-2, 3), True, False), (Fraction(0), True, True),
+    (_SubFraction(1, 3), True, False), (_SubFraction(0), True, True),
+    (G(1, -2), True, False), (G(0), True, True),
+    (0.5, False, False), (0.0, False, True), (-0.0, False, True),
+    (1 - 2j, False, False), (0j, False, True), (complex(-0.0, -0.0), False, True),
+    (complex(math.nan, 0.0), False, False),
+]
+
+
+@pytest.mark.parametrize("x, exact, zero", DISPATCH_CASES)
+def test_dispatch_helpers_agree_on_every_scalar_type(x, exact, zero):
+    assert is_exact(x) is exact
+    assert is_zero(x) is zero
+    one = one_like(x)
+    assert type(one) is (G if exact else complex)
+    assert one == 1
+    # the shared one survives arithmetic with it
+    _ = one - x, one * x, -one
+    assert one_like(x) == 1
+
+
+def test_exact_backend_still_rejects_floats_after_dispatch():
+    one = one_like(G(2, 1))
+    for inexact in (0.5, 2 + 0j):
+        with pytest.raises(TypeError):
+            one - inexact
+        with pytest.raises(TypeError):
+            as_scalar(inexact, True)
+        with pytest.raises(TypeError):
+            poch(inexact, QBase(G(Fraction(1, 2))), 2)
+        with pytest.raises(TypeError):
+            omega_contains(inexact, QBase(G(Fraction(1, 3))), 2)
+
+
+def _ref_poch(a, q, n):
+    out = 1 + 0j
+    x = a
+    for _ in range(n):
+        out = out * ((1 + 0j) - x)
+        x = x * q
+    return out
+
+
+def _ref_omega(a, q, n):
+    t = a
+    for _ in range(n):
+        d = t - (1 + 0j)
+        if d == 0 or abs(d) < POLE_EPS:
+            return True
+        t = t * q
+    return False
+
+
+COMPLEX = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COMPLEX, COMPLEX, st.integers(0, 12))
+@example(1 + 0j, 0.5 + 0j, 3)              # the first factor vanishes
+@example(4 + 0j, 0.5 + 0j, 4)              # a = q^{-2}: a pole at k = 2
+@example(1 + 1e-10j, 0.3 + 0.1j, 2)        # within pole_eps of a pole
+def test_float_poch_and_omega_match_a_plain_loop(a, q, n):
+    assert poch(a, q, n) == _ref_poch(a, q, n)
+    assert omega_contains(a, q, n) is _ref_omega(a, q, n)
 
 
 def test_constructor_accepts_what_fraction_accepts():
