@@ -17,6 +17,7 @@ knows suite targets ``aw/*`` (representation consistency) and ``ops/*``
 from __future__ import annotations
 
 import fnmatch
+import itertools
 import json
 import random
 import time
@@ -249,27 +250,26 @@ def _suite_targets() -> list:
     def run_permutation(params, cfg, exact):
         try:
             base, trace = aw.eval_rep(params, aw.RepTag.PHI_STD)
-            values = [base]
-            import itertools
-
+            values, scale = [base], trace.abs_scale
             for perm in itertools.permutations((1, 2, 3, 4)):
                 v, t = aw.eval_rep(params.permuted(perm), aw.RepTag.PHI_STD)
                 values.append(v)
+                scale = max(scale, t.abs_scale)
         except GuardViolation as exc:
             return _skipped(exc)
-        return _outcome(values, trace.abs_scale, exact, cfg)
+        return _outcome(values, scale, exact, cfg)
 
     add("aw/permutation", "parameter-interchange invariance",
         _draw_aw, run_permutation)
 
     def run_theta_flip(params, cfg, exact):
         try:
-            v1, trace = aw.eval_rep(params, aw.RepTag.PHI_STD)
-            v2, _ = aw.eval_rep(params.with_w(one_like(params.w) / params.w),
-                                aw.RepTag.PHI_STD)
+            v1, t1 = aw.eval_rep(params, aw.RepTag.PHI_STD)
+            v2, t2 = aw.eval_rep(params.with_w(one_like(params.w) / params.w),
+                                 aw.RepTag.PHI_STD)
         except GuardViolation as exc:
             return _skipped(exc)
-        return _outcome([v1, v2], trace.abs_scale, exact, cfg)
+        return _outcome([v1, v2], max(t1.abs_scale, t2.abs_scale), exact, cfg)
 
     add("aw/theta-flip", "invariance under w -> 1/w",
         _draw_aw, run_theta_flip)

@@ -184,3 +184,14 @@ def test_float_sweep_never_fails_any_record():
     for entry in report.entries:
         assert entry.failed == 0, entry.record_id
         assert entry.passed > 0, entry.record_id
+
+
+def test_float_aw_invariances_scale_by_every_evaluation():
+    # the permuted and the flipped evaluations can have far larger term
+    # magnitudes than the first one; a tolerance built from the first
+    # scale alone FAILs these true identities on the default draws
+    cfg = DrawConfig(backend="float")
+    report = run_sweep(cfg, ["aw/permutation", "aw/theta-flip"])
+    for entry in report.entries:
+        assert (entry.failed, entry.inconclusive) == (0, 0), entry.record_id
+        assert entry.passed == cfg.draws_per_record
