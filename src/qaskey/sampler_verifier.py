@@ -19,6 +19,7 @@ from __future__ import annotations
 import fnmatch
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -121,8 +122,6 @@ def _rand_exact(rng, cfg) -> GaussianRational:
 
 
 def _rand_float(rng, cfg) -> complex:
-    import math
-
     lo, hi = cfg.modulus_range
     mod = math.exp(rng.uniform(math.log(lo), math.log(hi)))
     phase = rng.uniform(0.0, 2.0 * math.pi)
@@ -130,8 +129,6 @@ def _rand_float(rng, cfg) -> complex:
 
 
 def _rand_unit(rng) -> complex:
-    import math
-
     phase = rng.uniform(0.0, 2.0 * math.pi)
     return complex(math.cos(phase), math.sin(phase))
 
@@ -434,6 +431,48 @@ def _substream(cfg: DrawConfig, target_id: str, backend: str, index: int):
     return random.Random(f"{cfg.seed}:{target_id}:{backend}:{index}")
 
 
+# a float check that overflowed or produced a non-finite deviation or scale
+_UNRESOLVED = CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
+
+
+def _settle(run_check, exact: bool) -> CheckOutcome:
+    """The outcome of ``run_check()``.  On the float backend an
+    OverflowError, or a deviation or scale that is not finite, makes the
+    check INCONCLUSIVE with deviation 0.0: such a draw says nothing about
+    the identity.  Exact outcomes pass through unchanged."""
+    if exact:
+        return run_check()
+    try:
+        outcome = run_check()
+    except OverflowError:
+        return _UNRESOLVED
+    if math.isfinite(outcome.deviation) and math.isfinite(outcome.scale):
+        return outcome
+    return _UNRESOLVED
+
+
+def _admissible(cfg: DrawConfig, target: Target, backend: str, index: int):
+    """``(draw, outcome)`` for the first candidate of the substream
+    ``index`` whose check is not SKIPPED.
+
+    Candidates whose raw generator raises a guard violation, a division by
+    zero or an overflow are rejected as well; after ``cfg.max_rejects``
+    rejections the target raises SamplerExhausted.
+    """
+    exact = backend == "rational"
+    rng = _substream(cfg, target.id, backend, index)
+    for _ in range(cfg.max_rejects):
+        try:
+            cand = target.draw(rng, cfg, exact)
+        except (GuardViolation, ZeroDivisionError, OverflowError):
+            continue
+        outcome = _settle(lambda: target.run(cand, cfg, exact), exact)
+        if outcome.verdict is not Verdict.SKIPPED:
+            return cand, outcome
+    raise SamplerExhausted(
+        f"{target.id}: no admissible draw within {cfg.max_rejects} rejections")
+
+
 def draw_params(cfg: DrawConfig, target, index: int = 0, backend: str | None = None):
     """One admissible draw for a target (record, suite, or id string).
 
@@ -448,18 +487,7 @@ def draw_params(cfg: DrawConfig, target, index: int = 0, backend: str | None = N
     elif not isinstance(target, Target):
         target = _record_target(target)
     backend = backend or ("rational" if cfg.backend == "both" else cfg.backend)
-    exact = backend == "rational"
-    rng = _substream(cfg, target.id, backend, index)
-    for _ in range(cfg.max_rejects):
-        try:
-            cand = target.draw(rng, cfg, exact)
-        except (GuardViolation, ZeroDivisionError):
-            continue
-        probe = target.run(cand, cfg, exact)
-        if probe.verdict is not Verdict.SKIPPED:
-            return cand
-    raise SamplerExhausted(
-        f"{target.id}: no admissible draw within {cfg.max_rejects} rejections")
+    return _admissible(cfg, target, backend, index)[0]
 
 
 @dataclass
@@ -545,25 +573,12 @@ def _sweep_one(cfg: DrawConfig, target: Target, backend: str,
         info = target.record.quarantine
         printed = RecordTally(entry_id + "#printed", target.ref)
     for i in range(cfg.draws_per_record):
-        rng = _substream(cfg, target.id, backend, i)
-        draw = None
-        for _ in range(cfg.max_rejects):
-            try:
-                cand = target.draw(rng, cfg, exact)
-            except (GuardViolation, ZeroDivisionError):
-                continue
-            outcome = target.run(cand, cfg, exact)
-            if outcome.verdict is not Verdict.SKIPPED:
-                draw = cand
-                break
-        if draw is None:
-            raise SamplerExhausted(
-                f"{target.id}: no admissible draw within {cfg.max_rejects} rejections")
+        draw, outcome = _admissible(cfg, target, backend, i)
         tally.add(outcome)
         if quarantined:
-            printed.add(check(target.record, draw, rel_tol=cfg.rel_tol,
-                              abs_tol=cfg.abs_tol, cond_cap=cfg.cond_cap,
-                              use_printed=True))
+            printed.add(_settle(lambda: check(
+                target.record, draw, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                cond_cap=cfg.cond_cap, use_printed=True), exact))
     if quarantined:
         tally.quarantine = {
             "reason": info.reason,

@@ -2,15 +2,17 @@
 
 import dataclasses
 import json
+import math
 import random
 
 import pytest
 
 from qaskey import DrawConfig, SamplerExhausted, UnknownTarget, run_sweep
 from qaskey.arithmetic import GuardViolation, is_zero, pow_int
-from qaskey.identity_catalog import Verdict
+from qaskey.identity_catalog import CheckOutcome, Verdict
 from qaskey.sampler_verifier import (
     Target,
+    _admissible,
     all_target_ids,
     all_targets,
     draw_params,
@@ -195,3 +197,43 @@ def test_float_aw_invariances_scale_by_every_evaluation():
     for entry in report.entries:
         assert (entry.failed, entry.inconclusive) == (0, 0), entry.record_id
         assert entry.passed == cfg.draws_per_record
+
+
+def test_float_overflow_is_inconclusive_not_a_crash():
+    # at degree 60 with |q| > 1 float terms overflow: those checks end
+    # INCONCLUSIVE with deviation 0.0, and the report stays standard JSON
+    cfg = DrawConfig(seed=14, draws_per_record=3, backend="float",
+                     n_range=(60, 60), q_big=True)
+    report = run_sweep(cfg, ["*"])
+    assert len(report.entries) == len(all_target_ids())
+    for entry in report.entries:
+        total = entry.passed + entry.failed + entry.inconclusive + entry.skipped
+        assert total == cfg.draws_per_record, entry.record_id
+    assert sum(entry.inconclusive for entry in report.entries) > 0
+    # every check here compares true identities; non-finite values once
+    # counted as FAIL on 95 of these 135 draws
+    assert sum(entry.failed for entry in report.entries) == 0
+    json.dumps(report.as_dict(), allow_nan=False)
+
+
+def test_overflow_while_checking_settles_by_backend():
+    def draw(rng, cfg, exact):
+        return rng.random()
+
+    def overflowing_run(d, cfg, exact):
+        raise OverflowError("absolute value too large")
+
+    def non_finite_run(d, cfg, exact):
+        return CheckOutcome(Verdict.FAIL, math.inf, 1.0, exact)
+
+    cfg = DrawConfig()
+    for run in (overflowing_run, non_finite_run):
+        target = Target("test/overflow", "synthetic", draw, run)
+        # a float check cannot decide: INCONCLUSIVE with deviation 0.0
+        _, outcome = _admissible(cfg, target, "float", 0)
+        assert outcome == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
+    # the exact backend hides neither an error nor a FAIL
+    with pytest.raises(OverflowError):
+        draw_params(cfg, Target("test/overflow", "synthetic", draw, overflowing_run))
+    target = Target("test/overflow", "synthetic", draw, non_finite_run)
+    assert _admissible(cfg, target, "rational", 0)[1].verdict is Verdict.FAIL
