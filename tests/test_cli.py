@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from qaskey import cli
 from qaskey.arithmetic import parse_scalar
@@ -224,3 +228,13 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     bad.write_text("not-a-known-key = 1\n")
     code, _, err = run_cli(capsys, "verify", "--config", str(bad))
     assert code == 2 and "unknown config keys" in err
+
+
+def test_module_entry_points_run_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for module in ("qaskey", "qaskey.cli"):
+        out = subprocess.run([sys.executable, "-m", module, "list", "--format", "json"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert len(json.loads(out.stdout)) == 35
