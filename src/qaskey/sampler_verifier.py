@@ -16,6 +16,7 @@ knows suite targets ``aw/*`` (representation consistency) and ``ops/*``
 
 from __future__ import annotations
 
+import cmath
 import fnmatch
 import itertools
 import json
@@ -176,6 +177,10 @@ class Target:
     record: object = None             # IdentityRecord for catalogue targets
 
 
+# a float check that overflowed or met a value that is not finite
+_UNRESOLVED = CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
+
+
 def _outcome(values, scale, exact, cfg) -> CheckOutcome:
     """PASS/FAIL/INCONCLUSIVE from a family of values that must agree."""
     max_dev = 0.0
@@ -191,6 +196,9 @@ def _outcome(values, scale, exact, cfg) -> CheckOutcome:
     if exact:
         verdict = Verdict.PASS if exact_zero else Verdict.FAIL
         return CheckOutcome(verdict, max_dev, scale, True)
+    if not all(map(cmath.isfinite, values)):
+        # max() above skips a NaN, so such values could read as agreeing
+        return _UNRESOLVED
     if max_dev <= cfg.rel_tol * scale + cfg.abs_tol:
         return CheckOutcome(Verdict.PASS, max_dev, scale, False)
     if scale / max(mags, cfg.abs_tol) > cfg.cond_cap:
@@ -429,10 +437,6 @@ def resolve_targets(patterns) -> list:
 
 def _substream(cfg: DrawConfig, target_id: str, backend: str, index: int):
     return random.Random(f"{cfg.seed}:{target_id}:{backend}:{index}")
-
-
-# a float check that overflowed or produced a non-finite deviation or scale
-_UNRESOLVED = CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
 
 
 def _settle(run_check, exact: bool) -> CheckOutcome:

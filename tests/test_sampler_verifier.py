@@ -13,6 +13,7 @@ from qaskey.identity_catalog import CheckOutcome, Verdict
 from qaskey.sampler_verifier import (
     Target,
     _admissible,
+    _outcome,
     all_target_ids,
     all_targets,
     draw_params,
@@ -214,6 +215,15 @@ def test_float_overflow_is_inconclusive_not_a_crash():
     # counted as FAIL on 95 of these 135 draws
     assert sum(entry.failed for entry in report.entries) == 0
     json.dumps(report.as_dict(), allow_nan=False)
+
+
+def test_non_finite_float_value_is_inconclusive():
+    # a NaN difference must not vanish into the maximum deviation
+    cfg = DrawConfig(backend="float")
+    for bad in (complex(math.nan, 0.0), complex(math.inf, 1.0)):
+        outcome = _outcome([1 + 0j, bad, 1 + 0j], 1.0, False, cfg)
+        assert outcome == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
+    assert _outcome([1 + 0j, 1 + 0j], 1.0, False, cfg).verdict is Verdict.PASS
 
 
 def test_overflow_while_checking_settles_by_backend():
