@@ -4,7 +4,10 @@ Two scalar types realize the same abstract complex field:
 
 * exact backend -- :class:`GaussianRational`, a complex number stored as
   three integers ``(a + b*i) / d`` in canonical form (``d > 0``,
-  ``gcd(a, b, d) == 1``).  Every ring identity holds bit-exactly, so it
+  ``gcd(a, b, d) == 1``).  ``*`` and ``/`` normalise with one gcd;
+  ``+`` and ``-`` take the gcd of the two denominators and then at most
+  one gcd on a divisor of it, so many-word operands never meet a gcd of
+  the doubled size.  Every ring identity holds bit-exactly, so it
   serves as the ground-truth oracle: a verified identity either cancels
   to zero or it does not.
 * float backend -- the builtin ``complex``.  Fast, but a failed check may
@@ -66,8 +69,11 @@ class GaussianRational:
 
     The stored triple is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``,
     and zero is ``(0, 0, 1)``.  Equal values therefore have equal
-    triples.  Each of ``+ - * /`` does its integer arithmetic and then at
-    most one gcd normalisation; negation and conjugation need none.
+    triples.  ``*`` and ``/`` do their integer arithmetic and then at most
+    one gcd normalisation.  ``+`` and ``-`` take ``gcd(d1, d2)`` and then
+    at most one gcd on a divisor of it (Knuth's rational addition); with
+    a denominator of 1 they need none, and neither do negation and
+    conjugation.
     :attr:`re` and :attr:`im` read the parts back as reduced ``Fraction``
     values.
 
@@ -117,9 +123,7 @@ class GaussianRational:
             return _make(a1 + a2 * d1, b1 + b2 * d1, d1)
         if d1 == 1:
             return _make(a1 * d2 + a2, b1 * d2 + b2, d2)
-        if d1 == d2:
-            return _reduced(a1 + a2, b1 + b2, d1)
-        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+        return _sum(a1, b1, d1, a2, b2, d2)
 
     __radd__ = __add__
 
@@ -233,6 +237,33 @@ def _reduced(a, b, d):
     return z
 
 
+def _sum(a1, b1, d1, a2, b2, d2):
+    """``(a1 + b1*i)/d1 + (a2 + b2*i)/d2`` for canonical triples.
+
+    Knuth's rational addition (TAOCP vol. 2, 4.5.1): with
+    ``g = gcd(d1, d2)``, ``d1 = g*s`` and ``d2 = g*u``, the sum is
+    ``(a1*u + a2*s + (b1*u + b2*s)*i) / (g*s*u)``.  A prime of ``s`` or
+    ``u`` dividing both numerator parts would divide ``gcd(a1, b1, d1)``
+    or ``gcd(a2, b2, d2)``, so only a divisor of ``g`` can cancel, and
+    coprime denominators need no second gcd at all.  A zero sum has
+    ``d1 == d2``, so ``s == u == 1`` and ``gcd(g, 0, 0) == g`` leave
+    ``(0, 0, 1)``.
+    """
+    g = gcd(d1, d2)
+    if g == 1:
+        return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    s = d1 // g
+    u = d2 // g
+    a = a1 * u + a2 * s
+    b = b1 * u + b2 * s
+    # g first: gcd(g, a) is one cheap remainder on a long a, and gcd
+    # stops as soon as the running value is 1
+    g2 = gcd(g, a, b)
+    if g2 == 1:
+        return _make(a, b, s * d2)
+    return _make(a // g2, b // g2, s * (d2 // g2))
+
+
 def _difference(x, y):
     """``x - y``; like ``__add__``, it skips the gcd when a denominator is 1."""
     a1, b1, d1 = x._a, x._b, x._d
@@ -241,9 +272,7 @@ def _difference(x, y):
         return _make(a1 - a2 * d1, b1 - b2 * d1, d1)
     if d1 == 1:
         return _make(a1 * d2 - a2, b1 * d2 - b2, d2)
-    if d1 == d2:
-        return _reduced(a1 - a2, b1 - b2, d1)
-    return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+    return _sum(a1, b1, d1, -a2, -b2, d2)
 
 
 def _coerce(x):

@@ -367,3 +367,61 @@ def test_wire_format_round_trip_property(xv):
     expected = str(re) if im == 0 else f"{re}{'+' if im >= 0 else '-'}{abs(im)} i"
     assert format_scalar(scalar(xv)) == expected
     assert_canonical(parse_scalar(expected, exact=True), xv)
+
+
+# Knuth's addition: denominators d1 = g*s and d2 = g*u share a factor g made
+# of 2 (ramified in Z[i]), 5 and 13 (split) and 3 (inert).  The second
+# operand is free, the negation of the first (zero sum) or the negation plus
+# a value whose denominator divides g (heavy cancellation, gcd(a, b, g) > 1).
+SHARED = st.builds(lambda i, j, k, m: 2 ** i * 3 ** j * 5 ** k * 13 ** m,
+                   *(st.integers(0, 5),) * 4)
+COFACTOR = st.one_of(st.integers(1, 60), st.integers(1, 2 ** 120))
+NUMERATOR = st.one_of(st.integers(-60, 60), st.integers(-2 ** 160, 2 ** 160))
+
+
+@st.composite
+def shared_denominator_pairs(draw):
+    g, s, u = draw(SHARED), draw(COFACTOR), draw(COFACTOR)
+
+    def value(d):
+        return Fraction(draw(NUMERATOR), d), Fraction(draw(NUMERATOR), d)
+
+    xv = value(g * s)
+    kind = draw(st.sampled_from(["free", "negated", "near-negated"]))
+    if kind == "free":
+        yv = value(g * u)
+    elif kind == "negated":
+        yv = (-xv[0], -xv[1])
+    else:
+        small = value(g)
+        yv = (small[0] - xv[0], small[1] - xv[1])
+    if draw(st.booleans()):
+        # a real second operand, passed as a Fraction, for the reflected forms
+        yv = (yv[0], Fraction(0))
+    return xv, yv
+
+
+@settings(max_examples=500, deadline=None)
+@given(shared_denominator_pairs())
+def test_knuth_addition_matches_fraction_pair_reference(pairs):
+    xv, yv = pairs
+    x = G(*xv)
+    y = yv[0] if yv[1] == 0 else G(*yv)
+    for (left, lv), (right, rv) in (((x, xv), (y, yv)), ((y, yv), (x, xv))):
+        assert_canonical(left + right, ref_add(lv, rv))
+        assert_canonical(left - right, ref_sub(lv, rv))
+
+
+@pytest.mark.parametrize("x, y, total", [
+    # gcd(a, b, g) = g: the shared factor cancels completely
+    (G(Fraction(3, 10), Fraction(1, 10)), G(Fraction(7, 10), Fraction(9, 10)), (1, 1, 1)),
+    (G(Fraction(1, 9), Fraction(1, 9)), G(Fraction(2, 9), Fraction(2, 9)), (1, 1, 3)),
+    (G(Fraction(1, 6)), G(Fraction(1, 3)), (1, 0, 2)),
+    # 1 < gcd(a, b, g) < g, with cofactors s = 7 and u = 11
+    (G(Fraction(1, 8 * 7)), G(Fraction(1, 8 * 11), Fraction(2, 8 * 11)), (9, 7, 4 * 7 * 11)),
+    # zero sum
+    (G(Fraction(5, 26), Fraction(-7, 52)), G(Fraction(-5, 26), Fraction(7, 52)), (0, 0, 1)),
+])
+def test_knuth_addition_examples(x, y, total):
+    for s in (x + y, y + x, x - (-y), -((-x) - y)):
+        assert (s._a, s._b, s._d) == total
