@@ -230,7 +230,10 @@ def eval_w(spec: VwpSpec):
     """Evaluate a terminating very-well-poised series (radical-free).
 
     The +-pair contributes (1 - b q^{2k})/(1 - b) per term; the remaining
-    factors advance by a term-ratio recurrence.  Returns (value, TermTrace).
+    factors advance by a term-ratio recurrence.  Each step forms its small
+    factors first (the ratio with z, then the pair factor) and only then
+    multiplies the running term, so a step does two operations on the
+    long running term instead of five.  Returns (value, TermTrace).
     """
     q = spec.q.q
     one = one_like(q)
@@ -253,10 +256,10 @@ def eval_w(spec: VwpSpec):
             rden = rden * (one - c * qk)
         if not rden:
             raise DenominatorPole("pole encountered inside the summation")
-        base = base * rnum / rden * spec.z
+        base = base * (rnum / rden * spec.z)
         qk = qk * q
         q2k = q2k * q * q
-        terms.append(base * (one - b * q2k) * inv_1mb)
+        terms.append(base * ((one - b * q2k) * inv_1mb))
     return _trace(terms)
 
 

@@ -81,6 +81,32 @@ def test_eval_phi_matches_direct_oracle():
         assert t1.terms == t2.terms
 
 
+@pytest.mark.parametrize("big", [False, True], ids=["q_small", "q_big"])
+@pytest.mark.parametrize("n", [10, 13, 16])
+def test_recurrences_match_direct_oracle_at_deep_degree(n, big):
+    # many-word terms: the recurrences regroup their products, the oracle
+    # rebuilds every term from fresh Pochhammer products
+    rng = random.Random(1000 * n + big)
+
+    def phi(r):
+        return SeriesSpec([rand_scalar(r) for _ in range(3)],
+                          [rand_scalar(r) for _ in range(3)],
+                          rand_scalar(r), rand_qbase(r, big=big), n)
+
+    def w(r):
+        return VwpSpec(rand_scalar(r), [rand_scalar(r) for _ in range(4)],
+                       rand_scalar(r), rand_qbase(r, big=big), n)
+
+    for spec in _draw(phi, rng, 4):
+        v1, t1 = eval_phi(spec)
+        v2, t2 = eval_phi_direct(spec)
+        assert v1 == v2 and t1.terms == t2.terms
+    for spec in _draw(w, rng, 4):
+        v1, t1 = eval_w(spec)
+        v2, t2 = eval_w_direct(spec)
+        assert v1 == v2 and t1.terms == t2.terms
+
+
 def test_series_spec_shape_fields():
     spec = SeriesSpec([G(2), G(3)], [G(5)], G(1, 1), rand_qbase(random.Random(1)), 2)
     assert spec.r == 3 and spec.s == 1 and spec.sign_exponent == -1
