@@ -345,8 +345,10 @@ def pow_int(x, k: int):
     while k:
         if k & 1:
             result = result * base
-        base = base * base
         k >>= 1
+        if k:
+            # the square after the top bit would be the largest, and unused
+            base = base * base
     return result
 
 
