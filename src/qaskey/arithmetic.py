@@ -376,6 +376,28 @@ def approx_eq(x, y, scale: float = 1.0, *, rel_tol: float = REL_TOL,
     return abs(x - y) <= bound
 
 
+def spread(values, exact: bool) -> tuple:
+    """``(all_agree, max_deviation)`` of a family of values that must agree.
+
+    ``max_deviation`` is the largest pairwise ``abs(vi - vj)``.  Exact
+    values are canonical, so the family agrees iff every value ``==`` the
+    first one, which takes m - 1 comparisons; the pairwise differences
+    are formed only when one differs.  Float families always take the
+    pairwise differences.
+    """
+    if exact and all(v == values[0] for v in values):
+        return True, 0.0
+    all_agree = True
+    max_dev = 0.0
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            d = values[i] - values[j]
+            if d:
+                all_agree = False
+                max_dev = max(max_dev, abs(d))
+    return all_agree, max_dev
+
+
 @dataclass(frozen=True)
 class QBase:
     """The deformation base q with its validity guards: q != 0, |q| != 1.

@@ -27,6 +27,7 @@ from .arithmetic import (
     is_zero,
     one_like,
     pow_int,
+    spread,
 )
 from .qpochhammer import poch, poch_list
 from .qseries import SeriesSpec, TermTrace, VwpSpec, ZeroParameter, eval_phi, eval_w
@@ -154,10 +155,9 @@ def _build(params: AWParams, rep: RepId):
     tag = rep.tag
 
     if tag is RepTag.PHI_STD:
-        pref = pow_int(ap, -n) * poch_list(aps, q, n)
         spec = SeriesSpec([pow_int(q, n - 1) * a1234, ap * w, ap * wi],
                           aps, q, params.q, n)
-        return pref, spec
+        return pow_int(ap, -n) * spec.den_poch(), spec
 
     if tag is RepTag.PHI_INV:
         # (a1234/q;q)_{2n} / (a1234/q;q)_n collapses to (a1234 q^{n-1};q)_n
@@ -238,10 +238,9 @@ def _build_qinv(params: AWParams, rep: RepId):
     tag = rep.tag
 
     if tag is RepTag.PHI_STD:
-        pref = c3 * pow_int(-ap * a1234, n) * poch_list([one / x for x in aps], q, n)
         spec = SeriesSpec([pow_int(q, n - 1) / a1234, w / ap, wi / ap],
                           [one / x for x in aps], q, params.q, n)
-        return pref, spec
+        return c3 * pow_int(-ap * a1234, n) * spec.den_poch(), spec
 
     if tag is RepTag.PHI_INV:
         pref = (pow_int(q, -4 * binom2(n)) * pow_int(ap * a1234, n)
@@ -382,16 +381,9 @@ def _report(params, reps, evaluator) -> EvalReport:
             continue
         values[rep.tag.value] = value
         scale = max(scale, trace.abs_scale)
-    vals = list(values.values())
-    max_dev = 0.0
-    all_agree = True
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            d = vals[i] - vals[j]
-            if d:
-                all_agree = False
-                max_dev = max(max_dev, abs(d))
-    return EvalReport(values, skipped, max_dev, scale, params.q.exact, all_agree)
+    exact = params.q.exact
+    all_agree, max_dev = spread(list(values.values()), exact)
+    return EvalReport(values, skipped, max_dev, scale, exact, all_agree)
 
 
 def eval_all(params: AWParams, reps=ALL_REPS) -> EvalReport:
@@ -417,9 +409,9 @@ def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:
     w = params.w
     ap = params.ak(1)
     aps = [ap * params.ak(s) for s in (2, 3, 4)]
-    pref = pow_int(ap, -n) * poch_list(aps, q, n)
     spec = SeriesSpec([pow_int(q, n - 1) * params.a1234, ap * w, ap / w],
                       aps, q, qi, n)
+    pref = pow_int(ap, -n) * spec.den_poch()
     value, trace = eval_phi(spec)
     return pref * value, trace.scaled(pref)
 

@@ -12,12 +12,18 @@ A very-well-poised series is evaluated radical-free: the classical
 factor ``(1 - b q^{2k}) / (1 - b)``, so the exact backend never sees a
 square root.  Every evaluation returns a :class:`TermTrace` whose
 ``abs_scale`` (the summed term magnitudes) is the cancellation scale that
-tolerance-aware comparisons should use.
+tolerance-aware comparisons should use; :meth:`TermTrace.scaled` records
+a prefactor and applies it to the terms only when they are read.
+
+The pole guards of :class:`SeriesSpec` and :class:`VwpSpec` form every
+denominator factor ``1 - x q^k`` of the terminating sum once and keep
+them: the term loops and the prefactor products ``(den;q)_n`` reuse them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .arithmetic import (
     GuardViolation,
@@ -30,7 +36,7 @@ from .arithmetic import (
     one_like,
     pow_int,
 )
-from .qpochhammer import omega_contains, poch, poch_list
+from .qpochhammer import poch, poch_list
 
 
 class DenominatorPole(GuardViolation):
@@ -59,22 +65,61 @@ class TermTrace:
 
     ``abs_scale`` is the sum of the term magnitudes; identity checks scale
     their tolerance by it to distinguish failure from cancellation.
+    :meth:`scaled` records its factor (``factors``, in the order given)
+    and updates ``abs_scale`` at once; ``terms`` and ``partial_sums``
+    apply the recorded factors when they are read.
     """
 
-    terms: tuple
-    partial_sums: tuple
+    unscaled_terms: tuple
+    unscaled_partial_sums: tuple
     abs_scale: float
+    factors: tuple = ()
+
+    def _apply(self, values) -> tuple:
+        for f in self.factors:
+            values = tuple(f * v for v in values)
+        return values
+
+    @property
+    def terms(self) -> tuple:
+        return self._apply(self.unscaled_terms)
+
+    @property
+    def partial_sums(self) -> tuple:
+        return self._apply(self.unscaled_partial_sums)
 
     def scaled(self, factor) -> "TermTrace":
-        return TermTrace(
-            tuple(factor * t for t in self.terms),
-            tuple(factor * s for s in self.partial_sums),
-            abs(factor) * self.abs_scale,
-        )
+        return TermTrace(self.unscaled_terms, self.unscaled_partial_sums,
+                         abs(factor) * self.abs_scale, self.factors + (factor,))
 
 
 def _coerce_all(exact: bool, values):
     return tuple(as_scalar(v, exact) for v in values)
+
+
+def _powers(q, n: int) -> list:
+    """q^k for k < n, by the chain the term loops use."""
+    qks = [one_like(q)]
+    for _ in range(n - 1):
+        qks.append(qks[-1] * q)
+    return qks[:n]
+
+
+def _guard_row(x, qks, exact: bool, pole_eps: float, message: str) -> tuple:
+    """The factors ``1 - x q^k`` over ``qks`` = (q^k, k < n).
+
+    Raises DenominatorPole when x lies in Omega_q^n: a factor is exactly
+    zero, or on the float backend has modulus below ``pole_eps`` (the
+    test of :func:`~qaskey.qpochhammer.omega_contains`).
+    """
+    one = one_like(x)
+    row = []
+    for qk in qks:
+        f = one - x * qk
+        if not f or (not exact and abs(f) < pole_eps):
+            raise DenominatorPole(message)
+        row.append(f)
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -84,7 +129,9 @@ class SeriesSpec:
 
     With r = 1 + len(num) and s = len(den), each term k carries the factor
     ``((-1)^k q^{binom(k,2)})^{1+s-r}``.  Denominator entries must avoid
-    Omega_q^n; violations raise DenominatorPole at construction.
+    Omega_q^n; violations raise DenominatorPole at construction.  The
+    guard keeps what it forms: ``den_factors[j][k]`` is ``1 - den[j] q^k``
+    for k < n, which :func:`eval_phi` and :meth:`den_poch` reuse.
     """
 
     num: tuple
@@ -93,6 +140,7 @@ class SeriesSpec:
     q: QBase
     n: int
     pole_eps: float = field(default=POLE_EPS, compare=False)
+    den_factors: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -101,10 +149,11 @@ class SeriesSpec:
         object.__setattr__(self, "num", _coerce_all(exact, self.num))
         object.__setattr__(self, "den", _coerce_all(exact, self.den))
         object.__setattr__(self, "z", as_scalar(self.z, exact))
-        for b in self.den:
-            if omega_contains(b, self.q, self.n, pole_eps=self.pole_eps):
-                raise DenominatorPole(
-                    "denominator parameter lies in Omega_q^n")
+        qks = _powers(self.q.q, self.n)
+        object.__setattr__(self, "den_factors", tuple(
+            _guard_row(b, qks, exact, self.pole_eps,
+                       "denominator parameter lies in Omega_q^n")
+            for b in self.den))
 
     @property
     def r(self) -> int:
@@ -118,6 +167,10 @@ class SeriesSpec:
     def sign_exponent(self) -> int:
         return 1 + self.s - self.r
 
+    def den_poch(self):
+        """(den;q)_n, the product of the denominator factors."""
+        return _product(chain.from_iterable(self.den_factors), self.q.one())
+
     def with_base(self, q: QBase) -> "SeriesSpec":
         return SeriesSpec(self.num, self.den, self.z, q, self.n, self.pole_eps)
 
@@ -128,7 +181,10 @@ class VwpSpec:
     lower parameter list beyond the q^{-n} slot, argument z, base q, n.
 
     Guards: b nonzero and not 1; q^{n+1} b and q b / a_k outside
-    Omega_q^n and nonzero.
+    Omega_q^n and nonzero.  The guard keeps what it forms:
+    ``den_factors`` holds the rows ``1 - x q^k`` (k < n) for x = q^{n+1} b
+    and then each q b / a_k, which :func:`eval_w` and :meth:`den_poch`
+    reuse.
     """
 
     b: object
@@ -137,6 +193,7 @@ class VwpSpec:
     q: QBase
     n: int
     pole_eps: float = field(default=POLE_EPS, compare=False)
+    den_factors: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -154,16 +211,23 @@ class VwpSpec:
             raise BEqualsOne("special parameter b = 1 makes the series singular")
         if not all(self.lower):
             raise ZeroParameter("lower parameters must be nonzero")
-        if omega_contains(q.pow(n + 1) * b, q, n, pole_eps=self.pole_eps):
-            raise DenominatorPole("q^{n+1} b lies in Omega_q^n")
+        qks = _powers(q.q, n)
+        rows = [_guard_row(q.pow(n + 1) * b, qks, exact, self.pole_eps,
+                           "q^{n+1} b lies in Omega_q^n")]
         for a in self.lower:
-            if omega_contains(q.q * b / a, q, n, pole_eps=self.pole_eps):
-                raise DenominatorPole("q b / a_k lies in Omega_q^n")
+            rows.append(_guard_row(q.q * b / a, qks, exact, self.pole_eps,
+                                   "q b / a_k lies in Omega_q^n"))
+        object.__setattr__(self, "den_factors", tuple(rows))
 
     @property
     def r(self) -> int:
         # the series is an (r+1) phi r with this r
         return len(self.lower) + 3
+
+    def den_poch(self):
+        """(q^{n+1} b, q b / a_1, ...;q)_n, the product of the denominator
+        factors."""
+        return _product(chain.from_iterable(self.den_factors), self.q.one())
 
 
 def _trace(terms):
@@ -189,13 +253,13 @@ def eval_phi(spec: SeriesSpec):
     term = one
     terms = [term]
     qk = one
-    for _ in range(n):
+    for k in range(n):
         rnum = one - qmn * qk
         for a in spec.num:
             rnum = rnum * (one - a * qk)
         rden = one - q * qk
-        for b in spec.den:
-            rden = rden * (one - b * qk)
+        for row in spec.den_factors:
+            rden = rden * row[k]
         if not rden:
             raise DenominatorPole("pole encountered inside the summation")
         factor = rnum / rden * spec.z
@@ -240,20 +304,18 @@ def eval_w(spec: VwpSpec):
     n = spec.n
     b = spec.b
     qmn = pow_int(q, -n)
-    qn1b = pow_int(q, n + 1) * b
-    ratios_den = tuple(q * b / a for a in spec.lower)
     inv_1mb = one / (one - b)
     base = one
     q2k = one
     qk = one
     terms = [one]
-    for _ in range(n):
+    for k in range(n):
         rnum = (one - b * qk) * (one - qmn * qk)
         for a in spec.lower:
             rnum = rnum * (one - a * qk)
-        rden = (one - q * qk) * (one - qn1b * qk)
-        for c in ratios_den:
-            rden = rden * (one - c * qk)
+        rden = one - q * qk
+        for row in spec.den_factors:
+            rden = rden * row[k]
         if not rden:
             raise DenominatorPole("pole encountered inside the summation")
         base = base * (rnum / rden * spec.z)
@@ -329,7 +391,7 @@ def invert_series(spec: SeriesSpec):
     one = one_like(q)
     n = spec.n
     pref = pow_int(-spec.z / q, n) * pow_int(q, -binom2(n))
-    pref = pref * poch_list(spec.num, q, n) / poch_list(spec.den, q, n)
+    pref = pref * poch_list(spec.num, q, n) / spec.den_poch()
     q1n = pow_int(q, 1 - n)
     new_num = [q1n / b for b in spec.den]
     new_den = [q1n / a for a in spec.num]
@@ -354,9 +416,7 @@ def invert_w(spec: VwpSpec):
     r = spec.r
     pair_ratio = (one - b * pow_int(q, 2 * n)) / (one - b)
     pref = pow_int(q, -binom2(n)) * pow_int(-spec.z / q, n) * pair_ratio
-    pref = pref * poch(b, q, n) * poch_list(spec.lower, q, n)
-    pref = pref / (poch(pow_int(q, n + 1) * b, q, n)
-                   * poch_list([q * b / a for a in spec.lower], q, n))
+    pref = pref * poch(b, q, n) * poch_list(spec.lower, q, n) / spec.den_poch()
     new_b = pow_int(q, -2 * n) / b
     new_lower = [pow_int(q, -n) * a / b for a in spec.lower]
     prod_sq = _product(spec.lower, one)

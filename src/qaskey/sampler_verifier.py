@@ -38,6 +38,7 @@ from .arithmetic import (
     is_zero,
     one_like,
     pow_int,
+    spread,
 )
 from . import askey_wilson as aw
 from .identity_catalog import CheckOutcome, Draw, Verdict, catalog, check
@@ -183,14 +184,7 @@ _UNRESOLVED = CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
 
 def _outcome(values, scale, exact, cfg) -> CheckOutcome:
     """PASS/FAIL/INCONCLUSIVE from a family of values that must agree."""
-    max_dev = 0.0
-    exact_zero = True
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            d = values[i] - values[j]
-            if d:
-                exact_zero = False
-                max_dev = max(max_dev, abs(d))
+    exact_zero, max_dev = spread(values, exact)
     mags = max(abs(v) for v in values)
     scale = max(scale, mags)
     if exact:
