@@ -13,6 +13,7 @@ from qaskey import (
     QBase,
     RepId,
     RepTag,
+    TermTrace,
     check_qinv_scaling,
     check_symmetry,
     check_theta_flip,
@@ -24,7 +25,13 @@ from qaskey import (
     invert_series,
     invert_w,
 )
-from qaskey.askey_wilson import InvalidIndices, PoleGuard, qinv_rep_series, rep_series
+from qaskey.askey_wilson import (
+    InvalidIndices,
+    PoleGuard,
+    _report,
+    qinv_rep_series,
+    rep_series,
+)
 from qaskey.qseries import ZeroParameter
 
 from util import divided_differences, rand_aw_params, rand_qbase, rand_scalar
@@ -178,6 +185,30 @@ def test_pole_guard_names_constraint():
     with pytest.raises(PoleGuard) as err:
         eval_rep(params, RepTag.W_DEF5)
     assert "a_r / a_p" in str(err.value)
+
+
+def test_exact_report_deviation_is_the_largest_pairwise_difference():
+    params = rand_aw_params(random.Random(31))
+    reps = ALL_REPS[:4]
+    x, y, z = G(Fraction(1, 3), 2), G(-5, Fraction(1, 7)), G(Fraction(9, 4))
+
+    def report_of(values):
+        by_tag = dict(zip((rep.tag for rep in reps), values))
+
+        def evaluator(params, rep):
+            v = by_tag[rep.tag]
+            return v, TermTrace((v,), (v,), abs(v))
+
+        return _report(params, reps, evaluator)
+
+    families = [[x, x, y, z], [x, x, x, y]]     # one odd value, in any slot
+    for values in {p for f in families for p in itertools.permutations(f)}:
+        report = report_of(values)
+        assert report.exact and not report.all_agree
+        assert report.max_deviation == max(
+            abs(a - b) for a, b in itertools.combinations(values, 2))
+    report = report_of([x, x, x, x])
+    assert report.all_agree and report.max_deviation == 0.0
 
 
 def test_reversal_of_mixed_representation_flips_w_and_swaps_roles():

@@ -18,6 +18,7 @@ from qaskey import (
     invert_series,
     invert_w,
     poch,
+    poch_list,
     qinvert_f,
     vwp_as_phi,
     watson_whipple,
@@ -115,11 +116,40 @@ def test_series_spec_shape_fields():
     assert v1 == v2
 
 
+def _raises_pole(message, build):
+    with pytest.raises(DenominatorPole) as err:
+        build()
+    assert str(err.value) == message
+
+
+_SPEC_POLE = "denominator parameter lies in Omega_q^n"
+_QN1B_POLE = "q^{n+1} b lies in Omega_q^n"
+_RATIO_POLE = "q b / a_k lies in Omega_q^n"
+
+
+def _half(exact):
+    return QBase(G(Fraction(1, 2))) if exact else QBase(0.5 + 0j)
+
+
 def test_series_spec_pole_guard_at_construction():
     q = QBase(G(Fraction(1, 2)))
     with pytest.raises(DenominatorPole):
         SeriesSpec([G(3)], [G(4)], G(1), q, 3)  # 4 = q^{-2} lies in Omega
     SeriesSpec([G(3)], [G(4)], G(1), q, 2)      # n = 2 leaves 4 outside
+    # q = 1/2: the entry 2^k hits the factor 1 - x q^k, in any den slot
+    n = 5
+    for exact in (True, False):
+        q = _half(exact)
+        for k in range(n):
+            for den in ([2 ** k, 5], [5, 2 ** k]):
+                _raises_pole(_SPEC_POLE, lambda: SeriesSpec([3], den, 1, q, n))
+                SeriesSpec([3], den, 1, q, k)   # degree k leaves 2^k outside
+    # the float margin: |x q^k - 1| below pole_eps counts as a pole
+    q = _half(False)
+    for k in range(n):
+        near = 2 ** k * (1 + 1e-11)
+        _raises_pole(_SPEC_POLE, lambda: SeriesSpec([3], [near], 1, q, n))
+        SeriesSpec([3], [2 ** k * (1 + 1e-7)], 1, q, n)
 
 
 def test_eval_w_degree_zero_and_hand_two_terms():
@@ -185,6 +215,53 @@ def test_vwp_guards():
         VwpSpec(G(16), [G(2), G(3), G(5), G(7)], G(1), q, 2)
     with pytest.raises(ValueError):
         vwp_as_phi(VwpSpec(G(3), [G(2), G(3), G(5), G(7)], G(1), q, 1), G(2))
+    # q = 1/2: q^{n+1} b q^k = 1 for b = 2^{n+1+k}, and q b / a q^k = 1
+    # for a = b / 2^{k+1}, in any lower slot
+    n = 4
+    lower = [2, 3, 5, 7]
+    for exact in (True, False):
+        q = _half(exact)
+        for k in range(n):
+            b = 2 ** (n + 1 + k)
+            _raises_pole(_QN1B_POLE, lambda: VwpSpec(b, lower, 1, q, n))
+            VwpSpec(b, lower, 1, q, k)
+            for slot in range(4):
+                bad = list(lower)
+                bad[slot] = Fraction(3, 2 ** (k + 1))
+                _raises_pole(_RATIO_POLE, lambda: VwpSpec(3, bad, 1, q, n))
+                VwpSpec(3, bad, 1, q, k)
+    # the float margin of both guards
+    q = _half(False)
+    for k in range(n):
+        near = 2 ** (n + 1 + k) * (1 + 1e-11)
+        _raises_pole(_QN1B_POLE, lambda: VwpSpec(near, lower, 1, q, n))
+        VwpSpec(2 ** (n + 1 + k) * (1 + 1e-7), lower, 1, q, n)
+        bad = [2, 3, 5, 3 / 2 ** (k + 1) * (1 + 1e-11)]
+        _raises_pole(_RATIO_POLE, lambda: VwpSpec(3, bad, 1, q, n))
+        VwpSpec(3, [2, 3, 5, 3 / 2 ** (k + 1) * (1 + 1e-7)], 1, q, n)
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["q_small", "q_big"])
+def test_guard_factors_give_the_pochhammer_products(big):
+    # the rows the guards keep are the factors 1 - x q^k, and their
+    # product is the (den;q)_n that the prefactors used to form afresh
+    rng = random.Random(83 + big)
+    for n in range(17):
+        spec, = _draw(lambda r: SeriesSpec(
+            [rand_scalar(r) for _ in range(3)], [rand_scalar(r) for _ in range(3)],
+            rand_scalar(r), rand_qbase(r, big=big), n), rng, 1)
+        q = spec.q.q
+        assert spec.den_factors == tuple(
+            tuple(1 - x * pow_int(q, k) for k in range(n)) for x in spec.den)
+        assert spec.den_poch() == poch_list(spec.den, q, n)
+        w, = _draw(lambda r: VwpSpec(
+            rand_scalar(r), [rand_scalar(r) for _ in range(4)],
+            rand_scalar(r), rand_qbase(r, big=big), n), rng, 1)
+        q = w.q.q
+        xs = [pow_int(q, n + 1) * w.b] + [q * w.b / a for a in w.lower]
+        assert w.den_factors == tuple(
+            tuple(1 - x * pow_int(q, k) for k in range(n)) for x in xs)
+        assert w.den_poch() == poch_list(xs, q, n)
 
 
 def test_invert_series_contract_and_involution():
@@ -438,3 +515,21 @@ def test_trace_scale_is_term_magnitude_sum():
     assert len(trace.terms) == 6
     assert trace.partial_sums[-1] == value
     assert trace.abs_scale == pytest.approx(sum(abs(t) for t in trace.terms))
+    # scaled() records its factor; the terms are scaled when read, and
+    # abs_scale at once, bit for bit on float
+    exact_spec = SeriesSpec([G(Fraction(1, 2), Fraction(1, 10))], [G(Fraction(1, 4))],
+                            G(Fraction(7, 10)), QBase(G(Fraction(2, 5))), 5)
+    cases = [(trace, 1.7 - 0.3j, -0.45 + 2.1j),
+             (eval_phi(exact_spec)[1], G(Fraction(17, 10), Fraction(-3, 10)),
+              G(Fraction(-9, 20), Fraction(21, 10)))]
+    for trace, f, g in cases:
+        unscaled = trace.terms
+        once = trace.scaled(f)
+        assert once.terms == tuple(f * t for t in trace.terms)
+        assert once.partial_sums == tuple(f * s for s in trace.partial_sums)
+        assert once.abs_scale == abs(f) * trace.abs_scale
+        twice = once.scaled(g)
+        assert twice.terms == tuple(g * (f * t) for t in trace.terms)
+        assert twice.partial_sums == tuple(g * (f * s) for s in trace.partial_sums)
+        assert twice.abs_scale == abs(g) * (abs(f) * trace.abs_scale)
+        assert trace.terms == unscaled

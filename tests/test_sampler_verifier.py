@@ -1,13 +1,15 @@
 """Draw generation, determinism, and sweep aggregation."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from qaskey import DrawConfig, SamplerExhausted, UnknownTarget, run_sweep
+from qaskey import DrawConfig, GaussianRational, SamplerExhausted, UnknownTarget, run_sweep
 from qaskey.arithmetic import GuardViolation, is_zero, pow_int
 from qaskey.identity_catalog import CheckOutcome, Verdict
 from qaskey.sampler_verifier import (
@@ -224,6 +226,22 @@ def test_non_finite_float_value_is_inconclusive():
         outcome = _outcome([1 + 0j, bad, 1 + 0j], 1.0, False, cfg)
         assert outcome == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
     assert _outcome([1 + 0j, 1 + 0j], 1.0, False, cfg).verdict is Verdict.PASS
+
+
+def test_exact_family_deviation_is_the_largest_pairwise_difference():
+    # an exact family agrees iff every value equals the first; when one
+    # differs, the deviation is still the largest pairwise |vi - vj|
+    G = GaussianRational
+    x, y, z = G(Fraction(1, 3), 2), G(-5, Fraction(1, 7)), G(Fraction(9, 4))
+    cfg = DrawConfig()
+    families = [[x, x, y, z], [x, x, x, y]]     # one odd value, in any slot
+    for values in {p for f in families for p in itertools.permutations(f)}:
+        outcome = _outcome(list(values), 1.0, True, cfg)
+        assert outcome.verdict is Verdict.FAIL and outcome.exact
+        assert outcome.deviation == max(
+            abs(a - b) for a, b in itertools.combinations(values, 2))
+    outcome = _outcome([x, x, x, x], 1.0, True, cfg)
+    assert outcome.verdict is Verdict.PASS and outcome.deviation == 0.0
 
 
 def test_overflow_while_checking_settles_by_backend():
