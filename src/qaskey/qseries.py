@@ -23,7 +23,6 @@ them: the term loops and the prefactor products ``(den;q)_n`` reuse them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .arithmetic import (
     GuardViolation,
@@ -169,7 +168,7 @@ class SeriesSpec:
 
     def den_poch(self):
         """(den;q)_n, the product of the denominator factors."""
-        return _product(chain.from_iterable(self.den_factors), self.q.one())
+        return _rows_product(self.den_factors, self.q.one())
 
     def with_base(self, q: QBase) -> "SeriesSpec":
         return SeriesSpec(self.num, self.den, self.z, q, self.n, self.pole_eps)
@@ -227,7 +226,7 @@ class VwpSpec:
     def den_poch(self):
         """(q^{n+1} b, q b / a_1, ...;q)_n, the product of the denominator
         factors."""
-        return _product(chain.from_iterable(self.den_factors), self.q.one())
+        return _rows_product(self.den_factors, self.q.one())
 
 
 def _trace(terms):
@@ -371,6 +370,12 @@ def _product(values, one):
     for v in values:
         out = out * v
     return out
+
+
+def _rows_product(rows, one):
+    # row by row, as poch_list groups them: on the exact backend one long
+    # running product over every factor costs far more gcd work at high n
+    return _product((_product(row, one) for row in rows), one)
 
 
 def invert_series(spec: SeriesSpec):
