@@ -14,7 +14,6 @@ from .arithmetic import (
     GuardViolation,
     QBase,
     QError,
-    approx_eq,
     binom2,
     format_scalar,
     get_backend,
@@ -44,8 +43,6 @@ from .askey_wilson import (
     RepId,
     RepTag,
     check_qinv_scaling,
-    check_symmetry,
-    check_theta_flip,
     eval_all,
     eval_qinv_all,
     eval_qinv_direct,

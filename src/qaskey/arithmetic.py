@@ -11,8 +11,8 @@ Two scalar types realize the same abstract complex field:
   serves as the ground-truth oracle: a verified identity either cancels
   to zero or it does not.
 * float backend -- the builtin ``complex``.  Fast, but a failed check may
-  be cancellation rather than a genuine discrepancy, so comparisons are
-  scale-aware (see :func:`approx_eq`).
+  be cancellation rather than a genuine discrepancy, so verdicts are
+  scale-aware (see :func:`qaskey.identity_catalog.judge`).
 
 Higher modules settle the backend once per call, from ``q`` or the
 first operand (``QBase.exact``, :func:`is_exact`, :func:`one_like`), and
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 # Library-wide numeric policy knobs (all overridable per call site).
@@ -359,23 +360,6 @@ def binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def approx_eq(x, y, scale: float = 1.0, *, rel_tol: float = REL_TOL,
-              abs_tol: float = ABS_TOL) -> bool:
-    """Backend-aware equality.
-
-    Exact backend: literal equality.  Float backend: ``|x-y|`` within
-    ``rel_tol * max(scale, |x|, |y|) + abs_tol``, where ``scale`` is the
-    caller's cancellation scale (typically the summed term magnitudes of
-    the series that produced the values).
-    """
-    if is_exact(x) and is_exact(y):
-        return _coerce(x) == _coerce(y)
-    x = complex(x)
-    y = complex(y)
-    bound = rel_tol * max(scale, abs(x), abs(y)) + abs_tol
-    return abs(x - y) <= bound
-
-
 def spread(values, exact: bool) -> tuple:
     """``(all_agree, max_deviation)`` of a family of values that must agree.
 
@@ -389,12 +373,11 @@ def spread(values, exact: bool) -> tuple:
         return True, 0.0
     all_agree = True
     max_dev = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            d = values[i] - values[j]
-            if d:
-                all_agree = False
-                max_dev = max(max_dev, abs(d))
+    for x, y in combinations(values, 2):
+        d = x - y
+        if d:
+            all_agree = False
+            max_dev = max(max_dev, abs(d))
     return all_agree, max_dev
 
 

@@ -11,6 +11,12 @@ Three representations are plain terminating 4 phi 3 sums, four are
 very-well-poised series.  All seven agree wherever their pole guards
 admit the parameters; representations whose guard fails report the
 violated constraint instead of a value.
+
+The base-inverted family (the polynomial at base 1/q) is not typed out a
+second time: each of its representations is the plain one at reciprocal
+parameters times q^{-3 binom(n,2)} (-a1234)^n.  :func:`eval_qinv_direct`
+stays an independent oracle for it, substituting 1/q into the standard
+representation.
 """
 
 from __future__ import annotations
@@ -140,8 +146,16 @@ def _guarded_poch(base, q, n, constraint: str):
     return v
 
 
-def _build(params: AWParams, rep: RepId):
-    """(prefactor, series spec) for one representation."""
+def _led(lead, x):
+    """``x``, times the leading factor ``lead`` unless that is None."""
+    return x if lead is None else lead * x
+
+
+def _build(params: AWParams, rep: RepId, lead=None):
+    """(prefactor, series spec) for one representation.
+
+    ``lead``, when given, is multiplied into the prefactor first.
+    """
     q = params.q.q
     n = params.n
     w = params.w
@@ -157,11 +171,11 @@ def _build(params: AWParams, rep: RepId):
     if tag is RepTag.PHI_STD:
         spec = SeriesSpec([pow_int(q, n - 1) * a1234, ap * w, ap * wi],
                           aps, q, params.q, n)
-        return pow_int(ap, -n) * spec.den_poch(), spec
+        return _led(lead, pow_int(ap, -n)) * spec.den_poch(), spec
 
     if tag is RepTag.PHI_INV:
         # (a1234/q;q)_{2n} / (a1234/q;q)_n collapses to (a1234 q^{n-1};q)_n
-        pref = (pow_int(q, -binom2(n)) * pow_int(-ap, -n)
+        pref = (_led(lead, pow_int(q, -binom2(n))) * pow_int(-ap, -n)
                 * poch(a1234 * pow_int(q, n - 1), q, n)
                 * poch(ap * w, q, n) * poch(ap * wi, q, n))
         q1n = pow_int(q, 1 - n)
@@ -172,7 +186,7 @@ def _build(params: AWParams, rep: RepId):
 
     if tag is RepTag.PHI_MIXED:
         q1n = pow_int(q, 1 - n)
-        pref = (pow_int(w, n) * poch(ap * ar, q, n)
+        pref = (_led(lead, pow_int(w, n)) * poch(ap * ar, q, n)
                 * poch(at * wi, q, n) * poch(au * wi, q, n))
         spec = SeriesSpec([ap * w, ar * w, q1n / (at * au)],
                           [ap * ar, q1n * w / at, q1n * w / au], q, params.q, n)
@@ -182,7 +196,7 @@ def _build(params: AWParams, rep: RepId):
         # trailing quotient collapses to 1 / (a1234 q^{n-1} / (ap w);q)_n
         den = _guarded_poch(a1234 * pow_int(q, n - 1) / (ap * w), q, n,
                             "q^{n-1} a1234 / (a_p w)")
-        pref = (pow_int(w, n) * poch(a1234 * pow_int(q, n - 1), q, n)
+        pref = (_led(lead, pow_int(w, n)) * poch(a1234 * pow_int(q, n - 1), q, n)
                 * poch_list([params.ak(s) * wi for s in others], q, n) / den)
         spec = VwpSpec(pow_int(q, 1 - 2 * n) * ap * w / a1234,
                        [pow_int(q, 1 - n) * x / a1234 for x in aps] + [ap * w],
@@ -191,7 +205,7 @@ def _build(params: AWParams, rep: RepId):
 
     if tag is RepTag.W_DEF7:
         den = _guarded_poch(a1234 * w / ap, q, n, "a1234 w / a_p")
-        pref = (pow_int(w, n) * poch(ap * wi, q, n)
+        pref = (_led(lead, pow_int(w, n)) * poch(ap * wi, q, n)
                 * poch_list([a1234 / x for x in aps], q, n) / den)
         spec = VwpSpec(a1234 * w / (q * ap),
                        [params.ak(s) * w for s in others] + [pow_int(q, n - 1) * a1234],
@@ -200,7 +214,7 @@ def _build(params: AWParams, rep: RepId):
 
     if tag is RepTag.W_DEF5:
         den = _guarded_poch(ar / ap, q, n, "a_r / a_p")
-        pref = (pow_int(ap, -n) * poch(ap * at, q, n) * poch(ap * au, q, n)
+        pref = (_led(lead, pow_int(ap, -n)) * poch(ap * at, q, n) * poch(ap * au, q, n)
                 * poch(ar * w, q, n) * poch(ar * wi, q, n) / den)
         q1n = pow_int(q, 1 - n)
         spec = VwpSpec(pow_int(q, -n) * ap / ar,
@@ -210,7 +224,7 @@ def _build(params: AWParams, rep: RepId):
 
     if tag is RepTag.W_DEF4:
         den = _guarded_poch(wi * wi, q, n, "1/w^2")
-        pref = (pow_int(w, n)
+        pref = (_led(lead, pow_int(w, n))
                 * poch_list([v * wi for v in params.a], q, n) / den)
         spec = VwpSpec(pow_int(q, -n) * w * w, [v * w for v in params.a],
                        pow_int(q, 2 - n) / a1234, params.q, n)
@@ -219,88 +233,37 @@ def _build(params: AWParams, rep: RepId):
     raise InvalidIndices(f"unknown representation tag {tag!r}")
 
 
+def _qinv_factor(params: AWParams):
+    """q^{-3 binom(n,2)} (-a1234)^n, the factor of the scaling law."""
+    return pow_int(params.q.q, -3 * binom2(params.n)) * pow_int(-params.a1234, params.n)
+
+
+# tags whose base-inverted build also takes w -> 1/w
+_QINV_FLIPS_W = frozenset((RepTag.PHI_MIXED, RepTag.W_DEF4, RepTag.W_DEF6, RepTag.W_DEF7))
+
+
 def _build_qinv(params: AWParams, rep: RepId):
     """(prefactor, series spec) for one base-inverted representation.
 
-    These evaluate the polynomial at base 1/q using series on base q with
-    reciprocal parameters; each tag mirrors its sibling in :func:`_build`.
+    Derived from :func:`_build` by the reciprocal-parameter scaling law
+
+        p_n(w; a | 1/q) = q^{-3 binom(n,2)} (-a1234)^n p_n(w; 1/a | q),
+
+    where phi-mixed, w-def4, w-def6 and w-def7 also take w -> 1/w, which
+    leaves the polynomial unchanged.  The scaling factor is multiplied in
+    before the Pochhammer products: applied last, it overflows a float
+    prefactor whose final value is finite.  A pole guard names its
+    constraint in the substituted parameters and says so.
     """
-    q = params.q.q
-    n = params.n
-    w = params.w
-    one = one_like(q)
-    wi = one / w
-    ap, ar, at, au = (params.ak(k) for k in rep.roles)
-    a1234 = params.a1234
-    others = rep.roles[1:]
-    aps = [ap * params.ak(s) for s in others]
-    c3 = pow_int(q, -3 * binom2(n))
-    tag = rep.tag
-
-    if tag is RepTag.PHI_STD:
-        spec = SeriesSpec([pow_int(q, n - 1) / a1234, w / ap, wi / ap],
-                          [one / x for x in aps], q, params.q, n)
-        return c3 * pow_int(-ap * a1234, n) * spec.den_poch(), spec
-
-    if tag is RepTag.PHI_INV:
-        pref = (pow_int(q, -4 * binom2(n)) * pow_int(ap * a1234, n)
-                * poch(pow_int(q, n - 1) / a1234, q, n)
-                * poch(w / ap, q, n) * poch(wi / ap, q, n))
-        q1n = pow_int(q, 1 - n)
-        spec = SeriesSpec([q1n * x for x in aps],
-                          [pow_int(q, 2 - 2 * n) * a1234, q1n * ap * w, q1n * ap * wi],
-                          q, params.q, n)
-        return pref, spec
-
-    if tag is RepTag.PHI_MIXED:
-        q1n = pow_int(q, 1 - n)
-        pref = (c3 * pow_int(-a1234 * wi, n) * poch(one / (ap * ar), q, n)
-                * poch(w / at, q, n) * poch(w / au, q, n))
-        spec = SeriesSpec([wi / ap, wi / ar, q1n * at * au],
-                          [one / (ap * ar), q1n * at * wi, q1n * au * wi],
-                          q, params.q, n)
-        return pref, spec
-
-    if tag is RepTag.W_DEF6:
-        den = _guarded_poch(ap * w * pow_int(q, n - 1) / a1234, q, n,
-                            "q^{n-1} a_p w / a1234")
-        pref = (c3 * pow_int(-a1234 * wi, n)
-                * poch(pow_int(q, n - 1) / a1234, q, n)
-                * poch_list([w / params.ak(s) for s in others], q, n) / den)
-        spec = VwpSpec(pow_int(q, 1 - 2 * n) * a1234 * wi / ap,
-                       [pow_int(q, 1 - n) * a1234 / x for x in aps] + [wi / ap],
-                       q * ap * wi, params.q, n)
-        return pref, spec
-
-    if tag is RepTag.W_DEF7:
-        den = _guarded_poch(ap * wi / a1234, q, n, "a_p / (w a1234)")
-        pref = (c3 * pow_int(-a1234 * wi, n) * poch(w / ap, q, n)
-                * poch_list([x / a1234 for x in aps], q, n) / den)
-        spec = VwpSpec(ap * wi / (q * a1234),
-                       [wi / params.ak(s) for s in others] + [pow_int(q, n - 1) / a1234],
-                       q * ap * w, params.q, n)
-        return pref, spec
-
-    if tag is RepTag.W_DEF5:
-        den = _guarded_poch(ap / ar, q, n, "a_p / a_r")
-        pref = (c3 * pow_int(-ap * a1234, n)
-                * poch(one / (ap * at), q, n) * poch(one / (ap * au), q, n)
-                * poch(w / ar, q, n) * poch(wi / ar, q, n) / den)
-        q1n = pow_int(q, 1 - n)
-        spec = VwpSpec(pow_int(q, -n) * ar / ap,
-                       [q1n * ar * at, q1n * ar * au, w / ap, wi / ap],
-                       pow_int(q, n) / (at * au), params.q, n)
-        return pref, spec
-
-    if tag is RepTag.W_DEF4:
-        den = _guarded_poch(w * w, q, n, "w^2")
-        pref = (c3 * pow_int(-a1234 * wi, n)
-                * poch_list([w / v for v in params.a], q, n) / den)
-        spec = VwpSpec(pow_int(q, -n) * wi * wi, [wi / v for v in params.a],
-                       pow_int(q, 2 - n) * a1234, params.q, n)
-        return pref, spec
-
-    raise InvalidIndices(f"unknown representation tag {tag!r}")
+    recip = params.reciprocal()
+    where = "a -> 1/a"
+    if rep.tag in _QINV_FLIPS_W:
+        recip = recip.with_w(one_like(params.w) / params.w)
+        where = "a -> 1/a, w -> 1/w"
+    try:
+        return _build(recip, rep, _qinv_factor(params))
+    except PoleGuard as exc:
+        raise PoleGuard(f"at {where}: {exc}") from exc
 
 
 def _as_rep(rep) -> RepId:
@@ -416,21 +379,6 @@ def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:
     return pref * value, trace.scaled(pref)
 
 
-def check_symmetry(params: AWParams, perm):
-    """Difference p(params) - p(permuted params); contract: zero."""
-    v1, _ = eval_rep(params, RepId(RepTag.PHI_STD))
-    v2, _ = eval_rep(params.permuted(perm), RepId(RepTag.PHI_STD))
-    return v1 - v2
-
-
-def check_theta_flip(params: AWParams):
-    """Difference between the value at w and at 1/w; contract: zero."""
-    v1, _ = eval_rep(params, RepId(RepTag.PHI_STD))
-    v2, _ = eval_rep(params.with_w(one_like(params.w) / params.w),
-                     RepId(RepTag.PHI_STD))
-    return v1 - v2
-
-
 def check_qinv_scaling(params: AWParams):
     """Both equalities of the reciprocal-parameter scaling law.
 
@@ -439,12 +387,11 @@ def check_qinv_scaling(params: AWParams):
         p(w; a | 1/q) - q^{-3 binom(n,2)} (-a1234)^n p(w;    1/a | q)
         p(w; a | 1/q) - q^{-3 binom(n,2)} (-a1234)^n p(1/w; 1/a | q)
 
-    both of which are zero on admissible draws.
+    both of which are zero on admissible draws.  The left side is the
+    independent oracle :func:`eval_qinv_direct`, not the derived family.
     """
-    q = params.q.q
-    n = params.n
-    lhs, _ = eval_qinv_rep(params, RepId(RepTag.PHI_STD))
-    factor = pow_int(q, -3 * binom2(n)) * pow_int(-params.a1234, n)
+    lhs, _ = eval_qinv_direct(params)
+    factor = _qinv_factor(params)
     recip = params.reciprocal()
     v1, _ = eval_rep(recip, RepId(RepTag.PHI_STD))
     v2, _ = eval_rep(recip.with_w(one_like(params.w) / params.w),

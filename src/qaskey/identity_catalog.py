@@ -27,6 +27,7 @@ reported.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -41,6 +42,7 @@ from .arithmetic import (
     is_zero,
     one_like,
     pow_int,
+    spread,
 )
 from .askey_wilson import AWParams, RepId, RepTag
 from .qpochhammer import poch, poch_list
@@ -164,6 +166,37 @@ class CheckOutcome:
     scale: float
     exact: bool
     guard: str | None = None
+
+
+# a float check that overflowed or met a value that is not finite
+_UNRESOLVED = CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
+
+
+def judge(values, scale: float, exact: bool, *, rel_tol: float = REL_TOL,
+          abs_tol: float = ABS_TOL, cond_cap: float = COND_CAP) -> CheckOutcome:
+    """The verdict on a family of values that must agree.
+
+    Exact values PASS iff all are equal.  Float values PASS when their
+    largest pairwise deviation is at most ``rel_tol`` times the
+    cancellation ``scale`` (raised to the values' magnitudes) plus
+    ``abs_tol``; else they are INCONCLUSIVE if the scale exceeds the
+    magnitudes by more than ``cond_cap``, and FAIL.  A value that is not
+    finite makes the check INCONCLUSIVE with deviation 0.0.
+    """
+    exact_zero, max_dev = spread(values, exact)
+    mags = max(map(abs, values))
+    scale = max(scale, mags)
+    if exact:
+        verdict = Verdict.PASS if exact_zero else Verdict.FAIL
+        return CheckOutcome(verdict, max_dev, scale, True)
+    if not all(map(cmath.isfinite, values)):
+        # max() above skips a NaN, so such values could read as agreeing
+        return _UNRESOLVED
+    if max_dev <= rel_tol * scale + abs_tol:
+        return CheckOutcome(Verdict.PASS, max_dev, scale, False)
+    if scale / max(mags, abs_tol) > cond_cap:
+        return CheckOutcome(Verdict.INCONCLUSIVE, max_dev, scale, False)
+    return CheckOutcome(Verdict.FAIL, max_dev, scale, False)
 
 
 def _fac(label: str, fn) -> Factor:
@@ -584,9 +617,8 @@ def check(record: IdentityRecord, draw: Draw, *, rel_tol: float = REL_TOL,
           use_printed: bool = False) -> CheckOutcome:
     """Evaluate both sides of a record on one draw.
 
-    Guard failures give SKIPPED; in the float backend a deviation beyond
-    tolerance is FAIL only when the cancellation scale does not dwarf the
-    values (otherwise INCONCLUSIVE).  ``use_printed`` selects the printed
+    Guard failures give SKIPPED; otherwise :func:`judge` gives the
+    verdict on the two sides.  ``use_printed`` selects the printed
     variant of a quarantined record.
     """
     exact = draw.q.exact
@@ -604,20 +636,8 @@ def check(record: IdentityRecord, draw: Draw, *, rel_tol: float = REL_TOL,
     except ZeroDivisionError as exc:
         return CheckOutcome(Verdict.SKIPPED, 0.0, 0.0, exact,
                             guard=f"division by zero: {exc}")
-    diff = left - right
-    mags = max(abs(left), abs(right))
-    scale = max(scale_l, scale_r, mags)
-    if exact:
-        if is_zero(diff):
-            return CheckOutcome(Verdict.PASS, 0.0, scale, True)
-        return CheckOutcome(Verdict.FAIL, abs(diff), scale, True)
-    deviation = abs(diff)
-    if deviation <= rel_tol * scale + abs_tol:
-        return CheckOutcome(Verdict.PASS, deviation, scale, False)
-    condition = scale / max(mags, abs_tol)
-    if condition > cond_cap:
-        return CheckOutcome(Verdict.INCONCLUSIVE, deviation, scale, False)
-    return CheckOutcome(Verdict.FAIL, deviation, scale, False)
+    return judge([left, right], max(scale_l, scale_r), exact, rel_tol=rel_tol,
+                 abs_tol=abs_tol, cond_cap=cond_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -170,9 +170,6 @@ class SeriesSpec:
         """(den;q)_n, the product of the denominator factors."""
         return _rows_product(self.den_factors, self.q.one())
 
-    def with_base(self, q: QBase) -> "SeriesSpec":
-        return SeriesSpec(self.num, self.den, self.z, q, self.n, self.pole_eps)
-
 
 @dataclass(frozen=True)
 class VwpSpec:
@@ -479,44 +476,30 @@ def connect_qinv(spec: SeriesSpec):
         eval_phi(spec) == eval_phi(base_inverted_spec)
                        == prefactor * eval_phi(reversed_spec)
 
-    The base-inverted spec lives on base 1/q with reciprocal parameters
-    and argument prod(num)/prod(den) * z / q^{n+1}; the reversed form is
-    exactly :func:`invert_series`.
+    The base-inverted spec is :func:`qinvert_f` and the reversed form is
+    :func:`invert_series`.
     """
     if len(spec.num) != len(spec.den):
         raise ShapeMismatch("base connection needs the (r+1) phi r shape")
     _require_nonzero(spec.num + spec.den + (spec.z,), "series parameters and argument")
-    q = spec.q.q
-    one = one_like(q)
-    n = spec.n
-    z_inv = (_product(spec.num, one) / _product(spec.den, one)
-             * spec.z / pow_int(q, n + 1))
-    inv_spec = SeriesSpec([one / a for a in spec.num], [one / b for b in spec.den],
-                          z_inv, spec.q.inverse(), n, spec.pole_eps)
-    return inv_spec, invert_series(spec)
+    return qinvert_f(spec), invert_series(spec)
 
 
-def qinvert_f(spec: SeriesSpec, multiplier=None):
+def qinvert_f(spec: SeriesSpec) -> SeriesSpec:
     """Rewrite a series on base q as one on base 1/q (and vice versa).
 
-    Given a spec on base Q, returns (g, spec2) with spec2 on base 1/Q,
-    reciprocal parameter lists and argument
-    (1/Q)^{n+1} * prod(num) * z / prod(den), such that
+    Given a spec on base Q, returns the spec on base 1/Q with reciprocal
+    parameter lists and argument (1/Q)^{n+1} * prod(num) * z / prod(den),
+    whose series equals the given one with no correction factor:
 
-        eval_phi(spec) == eval_phi(spec2).
+        eval_phi(spec) == eval_phi(qinvert_f(spec)).
 
-    The series itself needs no correction factor; a caller tracking a
-    multiplier function g(base) gets it back evaluated at the new base.
     Applying the map twice returns an equivalent spec.
     """
     _require_nonzero(spec.num + spec.den, "series parameters")
-    q = spec.q.q
-    one = one_like(q)
-    n = spec.n
+    one = one_like(spec.q.q)
     new_base = spec.q.inverse()
-    z2 = (pow_int(new_base.q, n + 1) * _product(spec.num, one) * spec.z
+    z2 = (pow_int(new_base.q, spec.n + 1) * _product(spec.num, one) * spec.z
           / _product(spec.den, one))
-    spec2 = SeriesSpec([one / a for a in spec.num], [one / b for b in spec.den],
-                       z2, new_base, n, spec.pole_eps)
-    g = multiplier(new_base) if callable(multiplier) else one
-    return g, spec2
+    return SeriesSpec([one / a for a in spec.num], [one / b for b in spec.den],
+                      z2, new_base, spec.n, spec.pole_eps)

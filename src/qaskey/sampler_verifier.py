@@ -16,7 +16,6 @@ knows suite targets ``aw/*`` (representation consistency) and ``ops/*``
 
 from __future__ import annotations
 
-import cmath
 import fnmatch
 import itertools
 import json
@@ -38,12 +37,12 @@ from .arithmetic import (
     is_zero,
     one_like,
     pow_int,
-    spread,
 )
 from . import askey_wilson as aw
-from .identity_catalog import CheckOutcome, Draw, Verdict, catalog, check
+from .identity_catalog import _UNRESOLVED, CheckOutcome, Draw, Verdict, catalog, check, judge
 from .qseries import (
     SeriesSpec,
+    VwpSpec,
     connect_qinv,
     eval_phi,
     eval_w,
@@ -178,26 +177,13 @@ class Target:
     record: object = None             # IdentityRecord for catalogue targets
 
 
-# a float check that overflowed or met a value that is not finite
-_UNRESOLVED = CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
+def _judge(values, scale, exact, cfg) -> CheckOutcome:
+    return judge(values, scale, exact, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                 cond_cap=cfg.cond_cap)
 
 
-def _outcome(values, scale, exact, cfg) -> CheckOutcome:
-    """PASS/FAIL/INCONCLUSIVE from a family of values that must agree."""
-    exact_zero, max_dev = spread(values, exact)
-    mags = max(abs(v) for v in values)
-    scale = max(scale, mags)
-    if exact:
-        verdict = Verdict.PASS if exact_zero else Verdict.FAIL
-        return CheckOutcome(verdict, max_dev, scale, True)
-    if not all(map(cmath.isfinite, values)):
-        # max() above skips a NaN, so such values could read as agreeing
-        return _UNRESOLVED
-    if max_dev <= cfg.rel_tol * scale + cfg.abs_tol:
-        return CheckOutcome(Verdict.PASS, max_dev, scale, False)
-    if scale / max(mags, cfg.abs_tol) > cfg.cond_cap:
-        return CheckOutcome(Verdict.INCONCLUSIVE, max_dev, scale, False)
-    return CheckOutcome(Verdict.FAIL, max_dev, scale, False)
+def _eval_spec(spec):
+    return (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec)
 
 
 def _skipped(exc) -> CheckOutcome:
@@ -241,7 +227,7 @@ def _suite_targets() -> list:
             return _skipped(exc)
         if report.skipped or not report.values:
             return _skipped("; ".join(report.skipped.values()) or "no values")
-        return _outcome(list(report.values.values()), report.scale, exact, cfg)
+        return _judge(list(report.values.values()), report.scale, exact, cfg)
 
     add("aw/seven-way", "all seven representations agree",
         _draw_aw, run_seven_way)
@@ -256,7 +242,7 @@ def _suite_targets() -> list:
                 scale = max(scale, t.abs_scale)
         except GuardViolation as exc:
             return _skipped(exc)
-        return _outcome(values, scale, exact, cfg)
+        return _judge(values, scale, exact, cfg)
 
     add("aw/permutation", "parameter-interchange invariance",
         _draw_aw, run_permutation)
@@ -268,7 +254,7 @@ def _suite_targets() -> list:
                                  aw.RepTag.PHI_STD)
         except GuardViolation as exc:
             return _skipped(exc)
-        return _outcome([v1, v2], max(t1.abs_scale, t2.abs_scale), exact, cfg)
+        return _judge([v1, v2], max(t1.abs_scale, t2.abs_scale), exact, cfg)
 
     add("aw/theta-flip", "invariance under w -> 1/w",
         _draw_aw, run_theta_flip)
@@ -282,7 +268,7 @@ def _suite_targets() -> list:
         if report.skipped or not report.values:
             return _skipped("; ".join(report.skipped.values()) or "no values")
         values = list(report.values.values()) + [direct]
-        return _outcome(values, max(report.scale, dtrace.abs_scale), exact, cfg)
+        return _judge(values, max(report.scale, dtrace.abs_scale), exact, cfg)
 
     add("aw/qinverse", "base-inverted representations agree",
         _draw_aw, run_qinverse)
@@ -294,7 +280,7 @@ def _suite_targets() -> list:
         except GuardViolation as exc:
             return _skipped(exc)
         zero = ref - ref
-        return _outcome([d1, zero, d2], trace.abs_scale + abs(ref),
+        return _judge([d1, zero, d2], trace.abs_scale + abs(ref),
                         exact, cfg)
 
     add("aw/qinv-scaling", "base-inverted family: reciprocal-parameter scaling",
@@ -309,41 +295,33 @@ def _suite_targets() -> list:
         z = _rand_scalar(rng, cfg, exact)
         return SeriesSpec(num, den, z, q, n)
 
-    def run_invert_series(spec, cfg, exact):
-        try:
-            pref, spec2 = invert_series(spec)
-            v1, t1 = eval_phi(spec)
-            v2, t2 = eval_phi(spec2)
-        except GuardViolation as exc:
-            return _skipped(exc)
-        scale = max(t1.abs_scale, abs(pref) * t2.abs_scale)
-        return _outcome([v1, pref * v2], scale, exact, cfg)
+    def scaled_contract(transform):
+        """Runner for the contract value(spec) == pref * value(image) of a
+        map ``transform(spec) -> (pref, image)``."""
+        def run(spec, cfg, exact):
+            try:
+                pref, image = transform(spec)
+                v1, t1 = _eval_spec(spec)
+                v2, t2 = _eval_spec(image)
+            except GuardViolation as exc:
+                return _skipped(exc)
+            scale = max(t1.abs_scale, abs(pref) * t2.abs_scale)
+            return _judge([v1, pref * v2], scale, exact, cfg)
+        return run
 
     add("ops/invert-series", "summation reversal contract",
-        draw_phi, run_invert_series)
+        draw_phi, scaled_contract(invert_series))
 
     def draw_w(rng, cfg, exact):
         q = _rand_q(rng, cfg, exact)
         n = _rand_n(rng, cfg)
-        from .qseries import VwpSpec
-
         b = _rand_scalar(rng, cfg, exact)
         lower = [_rand_scalar(rng, cfg, exact) for _ in range(4)]
         z = _rand_scalar(rng, cfg, exact)
         return VwpSpec(b, lower, z, q, n)
 
-    def run_invert_w(spec, cfg, exact):
-        try:
-            pref, spec2 = invert_w(spec)
-            v1, t1 = eval_w(spec)
-            v2, t2 = eval_w(spec2)
-        except GuardViolation as exc:
-            return _skipped(exc)
-        scale = max(t1.abs_scale, abs(pref) * t2.abs_scale)
-        return _outcome([v1, pref * v2], scale, exact, cfg)
-
     add("ops/invert-w", "very-well-poised summation reversal contract",
-        draw_w, run_invert_w)
+        draw_w, scaled_contract(invert_w))
 
     def draw_watson(rng, cfg, exact):
         # balance solved exactly for the last denominator slot
@@ -355,18 +333,8 @@ def _suite_targets() -> list:
             raise GuardViolation("degenerate balance slot")
         return SeriesSpec([a, b, c], [d, e, f], q.q, q, n)
 
-    def run_watson(spec, cfg, exact):
-        try:
-            pref, w = watson_whipple(spec)
-            v1, t1 = eval_phi(spec)
-            v2, t2 = eval_w(w)
-        except GuardViolation as exc:
-            return _skipped(exc)
-        scale = max(t1.abs_scale, abs(pref) * t2.abs_scale)
-        return _outcome([v1, pref * v2], scale, exact, cfg)
-
     add("ops/watson-whipple", "Watson q-Whipple map: balanced 4phi3 vs 8W7",
-        draw_watson, run_watson)
+        draw_watson, scaled_contract(watson_whipple))
 
     def run_connect(spec, cfg, exact):
         try:
@@ -378,19 +346,19 @@ def _suite_targets() -> list:
             return _skipped(exc)
         scale = max(v[1].abs_scale, vi[1].abs_scale,
                     abs(pref) * vr[1].abs_scale)
-        return _outcome([v[0], vi[0], pref * vr[0]], scale, exact, cfg)
+        return _judge([v[0], vi[0], pref * vr[0]], scale, exact, cfg)
 
     add("ops/connect-qinv", "base connection: three-way equality",
         draw_phi, run_connect)
 
     def run_qinvert_f(spec, cfg, exact):
         try:
-            _, spec2 = qinvert_f(spec)
+            spec2 = qinvert_f(spec)
             v1, t1 = eval_phi(spec)
             v2, t2 = eval_phi(spec2)
         except GuardViolation as exc:
             return _skipped(exc)
-        return _outcome([v1, v2], max(t1.abs_scale, t2.abs_scale), exact, cfg)
+        return _judge([v1, v2], max(t1.abs_scale, t2.abs_scale), exact, cfg)
 
     add("ops/qinvert-f", "base-inversion recipe contract",
         draw_phi, run_qinvert_f)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaskey import GaussianRational, QBase, approx_eq, binom2, pow_int
+from qaskey import GaussianRational, QBase, Verdict, binom2, pow_int
 from qaskey.arithmetic import (
     POLE_EPS,
     UnitModulusQ,
@@ -23,6 +23,7 @@ from qaskey.arithmetic import (
     one_like,
     parse_scalar,
 )
+from qaskey.identity_catalog import judge
 from qaskey.qpochhammer import omega_contains, poch
 
 from util import rand_scalar
@@ -45,14 +46,6 @@ def test_binom2():
     assert binom2(5) == 10
     with pytest.raises(ValueError):
         binom2(-1)
-
-
-def test_approx_eq_examples():
-    assert approx_eq(1.0 + 0j, 1.0 + 0j, 1.0)
-    assert approx_eq(0.0 + 0j, 1e-30 + 0j, 1.0)          # below the abs floor
-    assert not approx_eq(1.0 + 0j, 1.0 + 1e-6 + 0j, 1.0)  # above rel_tol
-    assert approx_eq(G(1, 2), G(1, 2), 1.0)
-    assert not approx_eq(G(1), G(1, Fraction(1, 10 ** 20)), 1.0)
 
 
 def test_ring_identities_exact():
@@ -96,7 +89,8 @@ def test_float_backend_tracks_exact_backend():
         if min(factors) < 1e-3 or max(factors) > 40 or abs(exact) > 1e6:
             continue
         approx = poch(af, qf, n)
-        assert approx_eq(approx, complex(exact), abs(approx), rel_tol=1e-12)
+        outcome = judge([approx, complex(exact)], abs(approx), False, rel_tol=1e-12)
+        assert outcome.verdict is Verdict.PASS
         checked += 1
 
 

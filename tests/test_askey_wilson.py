@@ -15,8 +15,6 @@ from qaskey import (
     RepTag,
     TermTrace,
     check_qinv_scaling,
-    check_symmetry,
-    check_theta_flip,
     eval_all,
     eval_qinv_all,
     eval_qinv_direct,
@@ -149,18 +147,24 @@ def test_permutation_invariance_all_24():
     rng = random.Random(17)
     for _ in range(6):
         params = _admissible(rng, n_max=5)
+        value, _ = eval_rep(params, RepTag.PHI_STD)
         for perm in itertools.permutations((1, 2, 3, 4)):
-            assert check_symmetry(params, perm) == G(0)
+            assert value - eval_rep(params.permuted(perm), RepTag.PHI_STD)[0] == G(0)
+
+
+def _theta_flip_difference(params):
+    value, _ = eval_rep(params, RepTag.PHI_STD)
+    return value - eval_rep(params.with_w(G(1) / params.w), RepTag.PHI_STD)[0]
 
 
 def test_theta_flip_invariance():
     rng = random.Random(19)
     for _ in range(15):
         params = _admissible(rng, n_max=5)
-        assert check_theta_flip(params) == G(0)
+        assert _theta_flip_difference(params) == G(0)
     # w = 1 is its own flip (the standard shape has no w-dependent guard)
     params = _admissible(rng, n_max=4)
-    assert check_theta_flip(params.with_w(G(1))) == G(0)
+    assert _theta_flip_difference(params.with_w(G(1))) == G(0)
 
 
 def test_guard_reporting_and_partial_eval():
@@ -185,6 +189,25 @@ def test_pole_guard_names_constraint():
     with pytest.raises(PoleGuard) as err:
         eval_rep(params, RepTag.W_DEF5)
     assert "a_r / a_p" in str(err.value)
+
+
+def test_qinv_w_def4_guard_names_the_substitution():
+    # the base-inverted w-def4 is the plain one at a -> 1/a, w -> 1/w, so
+    # its (1/w^2;q)_n is (w^2;q)_n in the caller's w, which w = -1 zeroes
+    q = rand_qbase(random.Random(29))
+    params = AWParams([G(2), G(3), G(5), G(7)], q, G(-1), 2)
+    with pytest.raises(PoleGuard) as err:
+        eval_qinv_rep(params, RepTag.W_DEF4)
+    assert str(err.value) == "at a -> 1/a, w -> 1/w: pole guard failed: (1/w^2;q)_n = 0"
+
+
+def test_qinv_w_def5_guard_names_the_substitution():
+    # w-def5 keeps w; its (a_r/a_p;q)_n reads a_p/a_r in the caller's a
+    q = rand_qbase(random.Random(29))
+    params = AWParams([G(2), G(2), G(5), G(7)], q, G(3), 2)
+    with pytest.raises(PoleGuard) as err:
+        eval_qinv_rep(params, RepTag.W_DEF5)
+    assert str(err.value) == "at a -> 1/a: pole guard failed: (a_r / a_p;q)_n = 0"
 
 
 def test_exact_report_deviation_is_the_largest_pairwise_difference():

@@ -1,12 +1,15 @@
 """The 35-record catalogue: structure, exactness, quarantine, derivations."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from qaskey import (
+    CheckOutcome,
     Draw,
+    DrawConfig,
     GaussianRational,
     QBase,
     Verdict,
@@ -17,9 +20,10 @@ from qaskey import (
     find_single_factor_correction,
     record_by_id,
 )
-from qaskey.identity_catalog import _S, NotACor33Record
+from qaskey.identity_catalog import _S, NotACor33Record, judge
+from qaskey.sampler_verifier import all_targets
 from qaskey.qseries import SeriesSpec, VwpSpec, eval_phi, eval_w, invert_w
-from qaskey.arithmetic import pow_int
+from qaskey.arithmetic import GuardViolation, pow_int
 
 from util import rand_qbase, rand_scalar
 
@@ -289,3 +293,41 @@ def test_derivation_for_reversed_head_matches_invert_w():
         assert rev == sib_spec
         assert lhs == pref * eval_w(rev)[0] == rhs
         done += 1
+
+
+def test_judge_examples():
+    assert judge([1.0 + 0j, 1.0 + 0j], 1.0, False).verdict is Verdict.PASS
+    # below the absolute floor
+    assert judge([0.0 + 0j, 1e-30 + 0j], 1.0, False).verdict is Verdict.PASS
+    # above rel_tol, on well-conditioned values
+    assert judge([1.0 + 0j, 1.0 + 1e-6 + 0j], 1.0, False).verdict is Verdict.FAIL
+    # the values' own magnitudes raise the scale
+    assert judge([1e6 + 0j, 1e6 + 1e-5 + 0j], 1.0, False).verdict is Verdict.PASS
+    # a scale that dwarfs the values beyond cond_cap cannot decide
+    outcome = judge([1e-3 + 0j, 0j], 1e6, False)
+    assert outcome == CheckOutcome(Verdict.INCONCLUSIVE, 1e-3, 1e6, False)
+    assert judge([G(1, 2), G(1, 2)], 1.0, True).verdict is Verdict.PASS
+    outcome = judge([G(1), G(1, Fraction(1, 10 ** 20))], 1.0, True)
+    assert outcome.verdict is Verdict.FAIL and outcome.deviation == 1e-20
+
+
+def test_check_settles_non_finite_float_values_as_inconclusive():
+    # at degree 40..60 with |q| > 1 most float candidates overflow to a
+    # non-finite side; check() itself, not only a sweep, must not call
+    # that a FAIL with deviation NaN
+    cfg = DrawConfig(seed=14, backend="float", n_range=(40, 60), q_big=True)
+    unresolved = 0
+    for target in all_targets():
+        if target.record is None:
+            continue
+        rng = random.Random(f"14:{target.id}")
+        for _ in range(3):
+            try:
+                draw = target.draw(rng, cfg, False)
+            except (GuardViolation, ZeroDivisionError, OverflowError):
+                continue
+            outcome = check(target.record, draw)
+            assert not math.isnan(outcome.deviation), target.id
+            if outcome == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False):
+                unresolved += 1
+    assert unresolved > 50

@@ -11,11 +11,10 @@ import pytest
 
 from qaskey import DrawConfig, GaussianRational, SamplerExhausted, UnknownTarget, run_sweep
 from qaskey.arithmetic import GuardViolation, is_zero, pow_int
-from qaskey.identity_catalog import CheckOutcome, Verdict
+from qaskey.identity_catalog import CheckOutcome, Verdict, judge
 from qaskey.sampler_verifier import (
     Target,
     _admissible,
-    _outcome,
     all_target_ids,
     all_targets,
     draw_params,
@@ -219,13 +218,20 @@ def test_float_overflow_is_inconclusive_not_a_crash():
     json.dumps(report.as_dict(), allow_nan=False)
 
 
+def test_float_qinverse_tally_with_large_base():
+    # the base-inverted prefactor multiplies its scaling factor in first;
+    # multiplied in last it overflows on float (w-def6, |q| = 2.8, n = 18)
+    cfg = DrawConfig(seed=1, backend="float", q_big=True, n_range=(0, 20))
+    (entry,) = run_sweep(cfg, ["aw/qinverse"]).entries
+    assert (entry.passed, entry.failed, entry.inconclusive) == (99, 0, 1)
+
+
 def test_non_finite_float_value_is_inconclusive():
     # a NaN difference must not vanish into the maximum deviation
-    cfg = DrawConfig(backend="float")
     for bad in (complex(math.nan, 0.0), complex(math.inf, 1.0)):
-        outcome = _outcome([1 + 0j, bad, 1 + 0j], 1.0, False, cfg)
+        outcome = judge([1 + 0j, bad, 1 + 0j], 1.0, False)
         assert outcome == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
-    assert _outcome([1 + 0j, 1 + 0j], 1.0, False, cfg).verdict is Verdict.PASS
+    assert judge([1 + 0j, 1 + 0j], 1.0, False).verdict is Verdict.PASS
 
 
 def test_exact_family_deviation_is_the_largest_pairwise_difference():
@@ -233,14 +239,13 @@ def test_exact_family_deviation_is_the_largest_pairwise_difference():
     # differs, the deviation is still the largest pairwise |vi - vj|
     G = GaussianRational
     x, y, z = G(Fraction(1, 3), 2), G(-5, Fraction(1, 7)), G(Fraction(9, 4))
-    cfg = DrawConfig()
     families = [[x, x, y, z], [x, x, x, y]]     # one odd value, in any slot
     for values in {p for f in families for p in itertools.permutations(f)}:
-        outcome = _outcome(list(values), 1.0, True, cfg)
+        outcome = judge(list(values), 1.0, True)
         assert outcome.verdict is Verdict.FAIL and outcome.exact
         assert outcome.deviation == max(
             abs(a - b) for a, b in itertools.combinations(values, 2))
-    outcome = _outcome([x, x, x, x], 1.0, True, cfg)
+    outcome = judge([x, x, x, x], 1.0, True)
     assert outcome.verdict is Verdict.PASS and outcome.deviation == 0.0
 
 
