@@ -280,8 +280,7 @@ def _suite_targets() -> list:
         except GuardViolation as exc:
             return _skipped(exc)
         zero = ref - ref
-        return _judge([d1, zero, d2], trace.abs_scale + abs(ref),
-                        exact, cfg)
+        return _judge([d1, zero, d2], trace.abs_scale + abs(ref), exact, cfg)
 
     add("aw/qinv-scaling", "base-inverted family: reciprocal-parameter scaling",
         _draw_aw, run_qinv_scaling)
