@@ -14,8 +14,12 @@ violated constraint instead of a value.
 
 The base-inverted family (the polynomial at base 1/q) is not typed out a
 second time: each of its representations is the plain one at reciprocal
-parameters times q^{-3 binom(n,2)} (-a1234)^n.  :func:`eval_qinv_direct`
-stays an independent oracle for it, substituting 1/q into the standard
+parameters times q^{-3 binom(n,2)} (-a1234)^n.  An :class:`AWParams`
+builds that reciprocal point, its w-flipped twin and the factor once, on
+first use, and every base-inverted evaluation at the point shares them:
+the seven representations of :func:`eval_qinv_all`, :func:`eval_qinv_rep`
+and :func:`check_qinv_scaling`.  :func:`eval_qinv_direct` stays an
+independent oracle for the family, substituting 1/q into the standard
 representation.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .arithmetic import (
     GuardViolation,
@@ -89,6 +94,7 @@ class RepId:
 
 
 ALL_REPS = tuple(RepId(tag) for tag in RepTag)
+_DEFAULT_REPS = {rep.tag: rep for rep in ALL_REPS}
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,16 @@ class AWParams:
     def reciprocal(self) -> "AWParams":
         one = one_like(self.w)
         return AWParams(tuple(one / v for v in self.a), self.q, self.w, self.n)
+
+    @cached_property
+    def _qinv_point(self):
+        """(reciprocal point, the same with w -> 1/w, q^{-3 binom(n,2)}
+        (-a1234)^n): what every base-inverted build at this point needs,
+        formed on first use and then shared."""
+        recip = self.reciprocal()
+        flipped = recip.with_w(one_like(self.w) / self.w)
+        factor = pow_int(self.q.q, -3 * binom2(self.n)) * pow_int(-self.a1234, self.n)
+        return recip, flipped, factor
 
 
 def _guarded_poch(base, q, n, constraint: str):
@@ -233,11 +249,6 @@ def _build(params: AWParams, rep: RepId, lead=None):
     raise InvalidIndices(f"unknown representation tag {tag!r}")
 
 
-def _qinv_factor(params: AWParams):
-    """q^{-3 binom(n,2)} (-a1234)^n, the factor of the scaling law."""
-    return pow_int(params.q.q, -3 * binom2(params.n)) * pow_int(-params.a1234, params.n)
-
-
 # tags whose base-inverted build also takes w -> 1/w
 _QINV_FLIPS_W = frozenset((RepTag.PHI_MIXED, RepTag.W_DEF4, RepTag.W_DEF6, RepTag.W_DEF7))
 
@@ -252,16 +263,17 @@ def _build_qinv(params: AWParams, rep: RepId):
     where phi-mixed, w-def4, w-def6 and w-def7 also take w -> 1/w, which
     leaves the polynomial unchanged.  The scaling factor is multiplied in
     before the Pochhammer products: applied last, it overflows a float
-    prefactor whose final value is finite.  A pole guard names its
-    constraint in the substituted parameters and says so.
+    prefactor whose final value is finite.  The substituted points and the
+    factor come from ``params``, which builds them once.  A pole guard
+    names its constraint in the substituted parameters and says so.
     """
-    recip = params.reciprocal()
+    recip, flipped, factor = params._qinv_point
     where = "a -> 1/a"
     if rep.tag in _QINV_FLIPS_W:
-        recip = recip.with_w(one_like(params.w) / params.w)
+        recip = flipped
         where = "a -> 1/a, w -> 1/w"
     try:
-        return _build(recip, rep, _qinv_factor(params))
+        return _build(recip, rep, factor)
     except PoleGuard as exc:
         raise PoleGuard(f"at {where}: {exc}") from exc
 
@@ -269,7 +281,7 @@ def _build_qinv(params: AWParams, rep: RepId):
 def _as_rep(rep) -> RepId:
     if isinstance(rep, RepId):
         return rep
-    return RepId(RepTag(rep))
+    return _DEFAULT_REPS[RepTag(rep)]
 
 
 def _evaluate(params, rep, builder):
@@ -379,6 +391,17 @@ def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:
     return pref * value, trace.scaled(pref)
 
 
+def _qinv_scaling(params: AWParams):
+    """``(d1, d2, ref, trace)``: the two differences of
+    :func:`check_qinv_scaling`, the derived base-inverted standard value
+    ``ref`` that the first one subtracts, and its term trace."""
+    lhs, _ = eval_qinv_direct(params)
+    ref, trace = eval_qinv_rep(params, RepTag.PHI_STD)
+    _, flipped, factor = params._qinv_point
+    v2, _ = eval_rep(flipped, RepTag.PHI_STD)
+    return lhs - ref, lhs - factor * v2, ref, trace
+
+
 def check_qinv_scaling(params: AWParams):
     """Both equalities of the reciprocal-parameter scaling law.
 
@@ -389,11 +412,10 @@ def check_qinv_scaling(params: AWParams):
 
     both of which are zero on admissible draws.  The left side is the
     independent oracle :func:`eval_qinv_direct`, not the derived family.
+    The first right side is the derived standard representation
+    (:func:`eval_qinv_rep`), whose prefactor takes the factor before its
+    Pochhammer products; the second multiplies the factor into the plain
+    value at the w-flipped reciprocal point.
     """
-    lhs, _ = eval_qinv_direct(params)
-    factor = _qinv_factor(params)
-    recip = params.reciprocal()
-    v1, _ = eval_rep(recip, RepId(RepTag.PHI_STD))
-    v2, _ = eval_rep(recip.with_w(one_like(params.w) / params.w),
-                     RepId(RepTag.PHI_STD))
-    return lhs - factor * v1, lhs - factor * v2
+    d1, d2, _, _ = _qinv_scaling(params)
+    return d1, d2

@@ -143,13 +143,30 @@ def test_role_choices_do_not_change_values():
             assert value == base, (tag, roles)
 
 
+def _eval_or_guard(params, rep):
+    try:
+        value, trace = eval_rep(params, rep)
+    except PoleGuard as exc:
+        return type(exc)
+    return value, trace.abs_scale
+
+
 def test_permutation_invariance_all_24():
+    # each permuted standard evaluation is the series of role p = perm[0]
+    # at the unpermuted point, equal in value and in trace scale; so the
+    # four roles are the only distinct series, and they agree
     rng = random.Random(17)
-    for _ in range(6):
-        params = _admissible(rng, n_max=5)
-        value, _ = eval_rep(params, RepTag.PHI_STD)
-        for perm in itertools.permutations((1, 2, 3, 4)):
-            assert value - eval_rep(params.permuted(perm), RepTag.PHI_STD)[0] == G(0)
+    for big in (False, True):
+        for _ in range(6):
+            params = _admissible(rng, n_max=6, big=big)
+            value, _ = eval_rep(params, RepTag.PHI_STD)
+            by_role = {p: _eval_or_guard(params, RepId(RepTag.PHI_STD, p=p))
+                       for p in (1, 2, 3, 4)}
+            for perm in itertools.permutations((1, 2, 3, 4)):
+                permuted = _eval_or_guard(params.permuted(perm), RepTag.PHI_STD)
+                assert permuted == by_role[perm[0]], (big, perm)
+            for role in by_role.values():
+                assert role is PoleGuard or role[0] == value
 
 
 def _theta_flip_difference(params):

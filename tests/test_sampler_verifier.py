@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qaskey import DrawConfig, GaussianRational, SamplerExhausted, UnknownTarget, run_sweep
+from qaskey import askey_wilson as aw
 from qaskey.arithmetic import GuardViolation, is_zero, pow_int
 from qaskey.identity_catalog import CheckOutcome, Verdict, judge
 from qaskey.sampler_verifier import (
@@ -224,6 +225,33 @@ def test_float_qinverse_tally_with_large_base():
     cfg = DrawConfig(seed=1, backend="float", q_big=True, n_range=(0, 20))
     (entry,) = run_sweep(cfg, ["aw/qinverse"]).entries
     assert (entry.passed, entry.failed, entry.inconclusive) == (99, 0, 1)
+
+
+def test_float_qinv_scaling_tallies_with_large_base():
+    # the first difference and the scale read the derived base-inverted
+    # value, whose prefactor takes the factor first; the plain value at the
+    # reciprocal point times the factor overflows on more draws
+    for seed, n_max, tally in ((20260808, 20, (94, 0, 6, 0)), (2, 40, (66, 0, 34, 0))):
+        cfg = DrawConfig(seed=seed, backend="float", q_big=True, n_range=(0, n_max))
+        (entry,) = run_sweep(cfg, ["aw/qinv-scaling"]).entries
+        assert (entry.passed, entry.failed, entry.inconclusive, entry.skipped) == tally
+
+
+def test_permutation_suite_fails_when_one_role_differs(monkeypatch):
+    # the suite compares the four roles of the standard representation; a
+    # wrong value for the last role alone must FAIL every draw
+    eval_rep = aw.eval_rep
+
+    def perturbed(params, rep):
+        value, trace = eval_rep(params, rep)
+        if rep == aw.RepId(aw.RepTag.PHI_STD, p=4):
+            value = value + GaussianRational(1, 1)
+        return value, trace
+
+    monkeypatch.setattr(aw, "eval_rep", perturbed)
+    cfg = DrawConfig(draws_per_record=10)
+    (entry,) = run_sweep(cfg, ["aw/permutation"]).entries
+    assert (entry.passed, entry.failed) == (0, 10)
 
 
 def test_non_finite_float_value_is_inconclusive():
