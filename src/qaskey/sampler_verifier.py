@@ -254,10 +254,13 @@ def _suite_targets() -> list:
         _draw_aw, run_permutation)
 
     def run_theta_flip(params, cfg, exact):
+        # phi-mixed, not phi-std: w -> 1/w only swaps a_p w and a_p / w in
+        # the phi-std numerators, so that series would be compared with
+        # itself; phi-mixed takes w and 1/w into different slots
         try:
-            v1, t1 = aw.eval_rep(params, aw.RepTag.PHI_STD)
+            v1, t1 = aw.eval_rep(params, aw.RepTag.PHI_MIXED)
             v2, t2 = aw.eval_rep(params.with_w(one_like(params.w) / params.w),
-                                 aw.RepTag.PHI_STD)
+                                 aw.RepTag.PHI_MIXED)
         except GuardViolation as exc:
             return _skipped(exc)
         return _judge([v1, v2], max(t1.abs_scale, t2.abs_scale), exact, cfg)

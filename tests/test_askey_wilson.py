@@ -170,8 +170,8 @@ def test_permutation_invariance_all_24():
 
 
 def _theta_flip_difference(params):
-    value, _ = eval_rep(params, RepTag.PHI_STD)
-    return value - eval_rep(params.with_w(G(1) / params.w), RepTag.PHI_STD)[0]
+    value, _ = eval_rep(params, RepTag.PHI_MIXED)
+    return value - eval_rep(params.with_w(G(1) / params.w), RepTag.PHI_MIXED)[0]
 
 
 def test_theta_flip_invariance():
@@ -179,7 +179,7 @@ def test_theta_flip_invariance():
     for _ in range(15):
         params = _admissible(rng, n_max=5)
         assert _theta_flip_difference(params) == G(0)
-    # w = 1 is its own flip (the standard shape has no w-dependent guard)
+    # w = 1 is its own flip
     params = _admissible(rng, n_max=4)
     assert _theta_flip_difference(params.with_w(G(1))) == G(0)
 

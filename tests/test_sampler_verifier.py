@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,30 @@ def test_permutation_suite_fails_when_one_role_differs(monkeypatch):
     cfg = DrawConfig(draws_per_record=10)
     (entry,) = run_sweep(cfg, ["aw/permutation"]).entries
     assert (entry.passed, entry.failed) == (0, 10)
+
+
+def test_theta_flip_suite_compares_different_series(monkeypatch):
+    # the two evaluations of a theta-flip check must be different series
+    # wherever 1/w differs from w, or the check compares a value with
+    # itself and cannot fail
+    calls = []
+    eval_rep = aw.eval_rep
+
+    def recording(params, rep):
+        calls.append((params, rep))
+        return eval_rep(params, rep)
+
+    monkeypatch.setattr(aw, "eval_rep", recording)
+    cfg = DrawConfig(draws_per_record=20, n_range=(1, 6))
+    (entry,) = run_sweep(cfg, ["aw/theta-flip"]).entries
+    assert entry.passed == 20
+    assert len(calls) >= 40
+    for (p1, rep1), (p2, rep2) in zip(calls[::2], calls[1::2]):
+        assert p2.w == GaussianRational(1) / p1.w and rep1 == rep2
+        if p1.w * p1.w == GaussianRational(1):
+            continue                    # w = +-1 is its own flip
+        s1, s2 = (aw.rep_series(p, rep1)[1] for p in (p1, p2))
+        assert (Counter(s1.num), Counter(s1.den)) != (Counter(s2.num), Counter(s2.den))
 
 
 def test_non_finite_float_value_is_inconclusive():
