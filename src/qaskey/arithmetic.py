@@ -9,7 +9,9 @@ Two scalar types realize the same abstract complex field:
   one gcd on a divisor of it, so many-word operands never meet a gcd of
   the doubled size.  Every ring identity holds bit-exactly, so it
   serves as the ground-truth oracle: a verified identity either cancels
-  to zero or it does not.
+  to zero or it does not.  :func:`parts`, :func:`from_parts` and
+  :func:`abs_parts` hand the triple to loops that run on plain ints,
+  such as the exact series kernel of :mod:`qaskey.qseries`.
 * float backend -- the builtin ``complex``.  Fast, but a failed check may
   be cancellation rather than a genuine discrepancy, so verdicts are
   scale-aware (see :func:`qaskey.identity_catalog.judge`).
@@ -146,7 +148,7 @@ class GaussianRational:
             return NotImplemented
         a1, b1 = self._a, self._b
         a2, b2 = o._a, o._b
-        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
+        return from_parts(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -160,7 +162,7 @@ class GaussianRational:
         n = a2 * a2 + b2 * b2
         if not n:
             raise ZeroDivisionError("division by zero scalar")
-        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
+        return from_parts((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -207,11 +209,7 @@ class GaussianRational:
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __abs__(self) -> float:
-        a, b, d = self._a, self._b, self._d
-        try:
-            return math.sqrt((a * a + b * b) / (d * d))
-        except OverflowError:
-            return math.inf
+        return abs_parts(self._a, self._b, self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -227,8 +225,15 @@ def _make(a, b, d):
     return z
 
 
-def _reduced(a, b, d):
-    """A GaussianRational from ``(a + b*i) / d`` with ``d > 0``."""
+def parts(x) -> tuple:
+    """The canonical integer triple ``(a, b, d)`` of an exact scalar
+    ``x = (a + b*i) / d``."""
+    return x._a, x._b, x._d
+
+
+def from_parts(a, b, d):
+    """A GaussianRational from ``(a + b*i) / d`` with ``d > 0``; one gcd
+    reduces the triple."""
     g = gcd(a, b, d)
     z = _new(GaussianRational)
     if g == 1:
@@ -236,6 +241,18 @@ def _reduced(a, b, d):
     else:
         z._a, z._b, z._d = a // g, b // g, d // g
     return z
+
+
+def abs_parts(a, b, d) -> float:
+    """``|(a + b*i) / d|`` for integers with ``d != 0``, reduced or not.
+
+    ``int / int`` rounds the exact rational ``(a^2 + b^2) / d^2``
+    correctly, so every triple of one value gives the same float.
+    """
+    try:
+        return math.sqrt((a * a + b * b) / (d * d))
+    except OverflowError:
+        return math.inf
 
 
 def _sum(a1, b1, d1, a2, b2, d2):

@@ -7,13 +7,26 @@ Two evaluators are kept deliberately independent:
 * :func:`eval_phi_direct` / :func:`eval_w_direct` rebuild every term from
   fresh Pochhammer products (the anti-bug oracle used by the tests).
 
+On the exact backend the recurrence runs fraction-free, on the integer
+triples ``(a, b, d)`` of ``(a + b i) / d``, in the spirit of Bareiss'
+elimination.  Each step's ratio is formed with plain int products from
+the triples of q^k, the parameters, z and the kept guard factors, divided
+by multiplying with the conjugate of its denominator, and reduced by one
+gcd.  The running term and the partial sum stay unreduced over one shared
+denominator; only the value is reduced, once per series.  The direct
+evaluators keep to :class:`~qaskey.arithmetic.GaussianRational`
+operations and stay the independent oracle.
+
 A very-well-poised series is evaluated radical-free: the classical
 ``+-q sqrt(b)`` over ``+-sqrt(b)`` pair contributes the exact per-term
 factor ``(1 - b q^{2k}) / (1 - b)``, so the exact backend never sees a
 square root.  Every evaluation returns a :class:`TermTrace` whose
 ``abs_scale`` (the summed term magnitudes) is the cancellation scale that
 tolerance-aware comparisons should use; :meth:`TermTrace.scaled` records
-a prefactor and applies it to the terms only when they are read.
+a prefactor and applies it to the terms only when they are read.  An
+exact trace keeps the kernel's unreduced triples and reduces them when
+they are read as well; its ``abs_scale`` comes from those triples and is
+the same float as the sum over the reduced terms.
 
 The pole guards of :class:`SeriesSpec` and :class:`VwpSpec` form every
 denominator factor ``1 - x q^k`` of the terminating sum once and keep
@@ -23,16 +36,20 @@ them: the term loops and the prefactor products ``(den;q)_n`` reuse them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .arithmetic import (
     GuardViolation,
     POLE_EPS,
     QBase,
     QError,
+    abs_parts,
     as_scalar,
     binom2,
+    from_parts,
     is_zero,
     one_like,
+    parts,
     pow_int,
 )
 from .qpochhammer import poch, poch_list
@@ -66,7 +83,9 @@ class TermTrace:
     their tolerance by it to distinguish failure from cancellation.
     :meth:`scaled` records its factor (``factors``, in the order given)
     and updates ``abs_scale`` at once; ``terms`` and ``partial_sums``
-    apply the recorded factors when they are read.
+    apply the recorded factors when they are read.  The exact kernel
+    stores its terms and partial sums as unreduced integer triples
+    ``(a, b, d)``; they are reduced when read, too.
     """
 
     unscaled_terms: tuple
@@ -75,6 +94,7 @@ class TermTrace:
     factors: tuple = ()
 
     def _apply(self, values) -> tuple:
+        values = tuple(from_parts(*v) if type(v) is tuple else v for v in values)
         for f in self.factors:
             values = tuple(f * v for v in values)
         return values
@@ -236,11 +256,119 @@ def _trace(terms):
     return total, TermTrace(tuple(terms), tuple(partial), scale)
 
 
+# -- exact kernel ---------------------------------------------------------
+# Integer triples (a, b, d) stand for (a + b i) / d with d > 0.
+
+def _int_powers(q, n: int) -> list:
+    """Triples of q^k for k <= n: ((a + b i)^k, d^k) from q's triple
+    (a, b, d), unreduced."""
+    qa, qb, qd = parts(q)
+    u, v, m = 1, 0, 1
+    out = [(u, v, m)]
+    for _ in range(n):
+        u, v, m = u * qa - v * qb, u * qb + v * qa, m * qd
+        out.append((u, v, m))
+    return out
+
+
+def _one_minus(x, qk) -> tuple:
+    """The triple of 1 - x q^k from the triples of x and q^k."""
+    xa, xb, xd = x
+    u, v, m = qk
+    d = xd * m
+    return d - xa * u + xb * v, -(xa * v + xb * u), d
+
+
+def _int_product(factors) -> tuple:
+    a, b, d = 1, 0, 1
+    for fa, fb, fd in factors:
+        a, b, d = a * fa - b * fb, a * fb + b * fa, d * fd
+    return a, b, d
+
+
+def _step_ratio(num, den) -> tuple:
+    """The reduced triple of prod(num) / prod(den): plain int products,
+    division by multiplying with the conjugate of the denominator, then
+    one gcd, so that powers of q shared by numerator and denominator do
+    not pile up in the running term."""
+    na, nb, nd = _int_product(num)
+    da, db, dd = _int_product(den)
+    norm = da * da + db * db
+    if not norm:
+        raise DenominatorPole("pole encountered inside the summation")
+    a, b, d = (na * da + nb * db) * dd, (nb * da - na * db) * dd, nd * norm
+    g = gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
+def _ratios(spec, xs, pw, e=0) -> list:
+    """Step ratios (-q^k)^e z prod_x (1 - x q^k)
+    / ((1 - q^{k+1}) prod_j den_factors[j][k]) for k < n, from the
+    triples ``xs`` and the powers ``pw`` of :func:`_int_powers`."""
+    z = parts(spec.z)
+    rows = [[parts(f) for f in row] for row in spec.den_factors]
+    ratios = []
+    for k in range(spec.n):
+        u, v, m = qk = pw[k]
+        num = [z] + [_one_minus(x, qk) for x in xs] + [(-u, -v, m)] * e
+        den = [_one_minus((1, 0, 1), pw[k + 1])] + [row[k] for row in rows]
+        den += [(-u, -v, m)] * -e
+        ratios.append(_step_ratio(num, den))
+    return ratios
+
+
+def _accumulate(ratios, weights=None, wd=1):
+    """Value and trace of sum_k t_k, t_0 = 1, t_{k+1} = t_k * ratios[k],
+    each term times ``weights[k] / wd`` when weights are given.
+
+    The running term and the partial sum stay unreduced integer triples
+    over one shared denominator; the value is reduced once, at the end.
+    """
+    a, b, d = 1, 0, 1
+    sa = sb = 0
+    terms, partial = [], []
+    for k, (ra, rb, rd) in enumerate([(1, 0, 1)] + ratios):
+        a, b, d = a * ra - b * rb, a * rb + b * ra, d * rd
+        sa, sb = sa * rd, sb * rd
+        ta, tb = a, b
+        if weights is not None:
+            wa, wb = weights[k]
+            ta, tb = a * wa - b * wb, a * wb + b * wa
+        sa, sb, td = sa + ta, sb + tb, d * wd
+        terms.append((ta, tb, td))
+        partial.append((sa, sb, td))
+    scale = sum(abs_parts(*t) for t in terms)
+    return from_parts(sa, sb, td), TermTrace(tuple(terms), tuple(partial), scale)
+
+
+def _pair_weights(b, pw):
+    """The pair factors (1 - b q^{2k}) / (1 - b), k <= n, from the triple
+    of b and the powers ``pw`` of :func:`_int_powers`: Gaussian integers
+    over the lcm d^{2n} N of their denominators, returned with it, where
+    d is q's denominator and N = |bd (1 - b)|^2."""
+    ba, bb, bd = b
+    ca, cb = bd - ba, -bb                 # 1 - b = (ca + cb i) / bd
+    norm = ca * ca + cb * cb
+    mn = pw[-1][2]
+    weights = []
+    for u, v, m in pw:
+        # (pa + pb i) / (bd m^2) * bd / (ca + cb i), over mn^2 N
+        pa, pb, _ = _one_minus(b, (u * u - v * v, 2 * u * v, m * m))
+        s = (mn // m) ** 2
+        weights.append(((pa * ca + pb * cb) * s, (pb * ca - pa * cb) * s))
+    return weights, mn * mn * norm
+
+
 def eval_phi(spec: SeriesSpec):
-    """Evaluate a terminating series by term-ratio recurrence.
+    """Evaluate a terminating series by term-ratio recurrence, on the
+    exact backend with the fraction-free kernel.
 
     Returns (value, TermTrace).
     """
+    if spec.q.exact:
+        xs = [parts(x) for x in (pow_int(spec.q.q, -spec.n),) + spec.num]
+        pw = _int_powers(spec.q.q, spec.n)
+        return _accumulate(_ratios(spec, xs, pw, spec.sign_exponent))
     q = spec.q.q
     one = one_like(q)
     n = spec.n
@@ -290,11 +418,18 @@ def eval_w(spec: VwpSpec):
     """Evaluate a terminating very-well-poised series (radical-free).
 
     The +-pair contributes (1 - b q^{2k})/(1 - b) per term; the remaining
-    factors advance by a term-ratio recurrence.  Each step forms its small
-    factors first (the ratio with z, then the pair factor) and only then
+    factors advance by a term-ratio recurrence.  The exact backend runs
+    the fraction-free kernel, with the pair factors over one common
+    denominator.  On the float backend each step forms its small factors
+    first (the ratio with z, then the pair factor) and only then
     multiplies the running term, so a step does two operations on the
     long running term instead of five.  Returns (value, TermTrace).
     """
+    if spec.q.exact:
+        b = parts(spec.b)
+        xs = [b, parts(pow_int(spec.q.q, -spec.n))] + [parts(a) for a in spec.lower]
+        pw = _int_powers(spec.q.q, spec.n)
+        return _accumulate(_ratios(spec, xs, pw), *_pair_weights(b, pw))
     q = spec.q.q
     one = one_like(q)
     n = spec.n

@@ -23,6 +23,7 @@ from qaskey import (
     vwp_as_phi,
     watson_whipple,
 )
+from qaskey import qseries
 from qaskey.arithmetic import pow_int
 from qaskey.qseries import (
     BEqualsOne,
@@ -99,13 +100,69 @@ def test_recurrences_match_direct_oracle_at_deep_degree(n, big):
                        rand_scalar(r), rand_qbase(r, big=big), n)
 
     for spec in _draw(phi, rng, 4):
-        v1, t1 = eval_phi(spec)
-        v2, t2 = eval_phi_direct(spec)
-        assert v1 == v2 and t1.terms == t2.terms
+        _assert_matches_oracle(spec)
     for spec in _draw(w, rng, 4):
-        v1, t1 = eval_w(spec)
-        v2, t2 = eval_w_direct(spec)
-        assert v1 == v2 and t1.terms == t2.terms
+        _assert_matches_oracle(spec)
+
+
+def _assert_matches_oracle(spec):
+    fast, direct = ((eval_w, eval_w_direct) if isinstance(spec, VwpSpec)
+                    else (eval_phi, eval_phi_direct))
+    v1, t1 = fast(spec)
+    v2, t2 = direct(spec)
+    assert v1 == v2
+    assert t1.terms == t2.terms and t1.partial_sums == t2.partial_sums
+    # the kernel takes each magnitude from an unreduced triple; int / int
+    # rounds the same rational, so the sum is the same float
+    assert t1.abs_scale == sum(map(abs, t1.terms)) == t2.abs_scale
+
+
+@pytest.mark.parametrize("qv", [G(Fraction(1, 3), Fraction(1, 5)),
+                                G(Fraction(5, 2), Fraction(-3, 2))],
+                         ids=["q_small", "q_big"])
+def test_recurrences_match_direct_oracle_at_gaussian_base(qv):
+    # no sampler draw has a non-real base, so only here do the integer
+    # powers of q carry an imaginary part; the widths (1, 2) and (2, 1)
+    # give the sign factor (-q^k)^e a positive and a negative exponent
+    rng = random.Random(31)
+    q = QBase(qv)
+    for n in range(11):
+        for width_num, width_den in ((3, 3), (1, 2), (2, 1)):
+            for spec in _draw(lambda r: SeriesSpec(
+                    [rand_scalar(r) for _ in range(width_num)],
+                    [rand_scalar(r) for _ in range(width_den)],
+                    rand_scalar(r), q, n), rng, 1):
+                _assert_matches_oracle(spec)
+        for spec in _draw(lambda r: VwpSpec(
+                rand_scalar(r), [rand_scalar(r) for _ in range(4)],
+                rand_scalar(r), q, n), rng, 2):
+            _assert_matches_oracle(spec)
+
+
+def test_exact_kernel_reduces_once_and_traces_on_read(monkeypatch):
+    # the value is the one reduction of a series; scaled() only records
+    # its factor, and the terms are reduced when they are read
+    calls = []
+    reduce = qseries.from_parts
+
+    def counting(*triple):
+        calls.append(triple)
+        return reduce(*triple)
+
+    monkeypatch.setattr(qseries, "from_parts", counting)
+    rng = random.Random(8)
+    for spec in _draw(lambda r: _spec(r, n_max=8), rng, 5):
+        del calls[:]
+        value, trace = eval_phi(spec)
+        assert len(calls) == 1
+        f, g = rand_scalar(rng), rand_scalar(rng)
+        twice = trace.scaled(f).scaled(g)
+        assert len(calls) == 1
+        assert twice.abs_scale == abs(g) * (abs(f) * trace.abs_scale)
+        terms = twice.terms
+        assert len(calls) == 1 + spec.n + 1
+        assert terms == tuple(g * (f * t) for t in eval_phi_direct(spec)[1].terms)
+        assert trace.partial_sums[-1] == value
 
 
 def test_series_spec_shape_fields():
