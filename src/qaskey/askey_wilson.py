@@ -127,12 +127,24 @@ class AWParams:
     def a1234(self):
         return self.a[0] * self.a[1] * self.a[2] * self.a[3]
 
+    @cached_property
+    def wi(self):
+        """1/w, formed on first use."""
+        return one_like(self.w) / self.w
+
     @property
     def x(self):
-        return (self.w + one_like(self.w) / self.w) / 2
+        return (self.w + self.wi) / 2
 
     def with_w(self, w) -> "AWParams":
         return AWParams(self.a, self.q, w, self.n)
+
+    def flip_w(self) -> "AWParams":
+        """The point at 1/w.  Its own 1/w is this w, not 1/(1/w), which
+        on the float backend can differ in the last bit."""
+        flipped = self.with_w(self.wi)
+        flipped.__dict__["wi"] = self.w     # seeds the cached_property
+        return flipped
 
     def permuted(self, perm) -> "AWParams":
         """New params with a_k := a_{perm[k]} (perm is 1-based, length 4)."""
@@ -150,7 +162,7 @@ class AWParams:
         (-a1234)^n): what every base-inverted build at this point needs,
         formed on first use and then shared."""
         recip = self.reciprocal()
-        flipped = recip.with_w(one_like(self.w) / self.w)
+        flipped = recip.flip_w()
         factor = pow_int(self.q.q, -3 * binom2(self.n)) * pow_int(-self.a1234, self.n)
         return recip, flipped, factor
 
@@ -175,8 +187,7 @@ def _build(params: AWParams, rep: RepId, lead=None):
     q = params.q.q
     n = params.n
     w = params.w
-    one = one_like(q)
-    wi = one / w
+    wi = params.wi
     p, r, t, u = rep.roles
     ap, ar, at, au = (params.ak(k) for k in rep.roles)
     a1234 = params.a1234
@@ -392,14 +403,18 @@ def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:
 
 
 def _qinv_scaling(params: AWParams):
-    """``(d1, d2, ref, trace)``: the two differences of
+    """``(d1, d2, ref, scale)``: the two differences of
     :func:`check_qinv_scaling`, the derived base-inverted standard value
-    ``ref`` that the first one subtracts, and its term trace."""
-    lhs, _ = eval_qinv_direct(params)
+    ``ref`` that the first one subtracts, and the cancellation scale: the
+    largest of the three evaluations' scales, plus ``abs(ref)``."""
+    lhs, ltrace = eval_qinv_direct(params)
     ref, trace = eval_qinv_rep(params, RepTag.PHI_STD)
     _, flipped, factor = params._qinv_point
-    v2, _ = eval_rep(flipped, RepTag.PHI_STD)
-    return lhs - ref, lhs - factor * v2, ref, trace
+    # phi-mixed, not phi-std: at 1/w the phi-std series only swaps a_p w
+    # and a_p / w, so the second difference would repeat the first
+    v2, t2 = eval_rep(flipped, RepTag.PHI_MIXED)
+    scale = max(ltrace.abs_scale, trace.abs_scale, abs(factor) * t2.abs_scale) + abs(ref)
+    return lhs - ref, lhs - factor * v2, ref, scale
 
 
 def check_qinv_scaling(params: AWParams):
@@ -415,7 +430,8 @@ def check_qinv_scaling(params: AWParams):
     The first right side is the derived standard representation
     (:func:`eval_qinv_rep`), whose prefactor takes the factor before its
     Pochhammer products; the second multiplies the factor into the plain
-    value at the w-flipped reciprocal point.
+    mixed representation (phi-mixed) at the w-flipped reciprocal point,
+    a different series from the first wherever w^2 != 1.
     """
     d1, d2, _, _ = _qinv_scaling(params)
     return d1, d2

@@ -231,8 +231,13 @@ def test_float_qinverse_tally_with_large_base():
 def test_float_qinv_scaling_tallies_with_large_base():
     # the first difference and the scale read the derived base-inverted
     # value, whose prefactor takes the factor first; the plain value at the
-    # reciprocal point times the factor overflows on more draws
-    for seed, n_max, tally in ((20260808, 20, (94, 0, 6, 0)), (2, 40, (66, 0, 34, 0))):
+    # reciprocal point times the factor overflows on more draws.  The second
+    # difference reads phi-mixed at the w-flipped point; phi-std there left
+    # 6 and 34 of the first two settings' draws INCONCLUSIVE.  The scale
+    # counts every evaluation: without the direct oracle's, one draw of the
+    # last setting FAILs, where the derived value underflows to 0
+    for seed, n_max, tally in ((20260808, 20, (97, 0, 3, 0)), (2, 40, (68, 0, 32, 0)),
+                               (20260808, 40, (69, 0, 31, 0))):
         cfg = DrawConfig(seed=seed, backend="float", q_big=True, n_range=(0, n_max))
         (entry,) = run_sweep(cfg, ["aw/qinv-scaling"]).entries
         assert (entry.passed, entry.failed, entry.inconclusive, entry.skipped) == tally
@@ -276,6 +281,35 @@ def test_theta_flip_suite_compares_different_series(monkeypatch):
         if p1.w * p1.w == GaussianRational(1):
             continue                    # w = +-1 is its own flip
         s1, s2 = (aw.rep_series(p, rep1)[1] for p in (p1, p2))
+        assert (Counter(s1.num), Counter(s1.den)) != (Counter(s2.num), Counter(s2.den))
+
+
+def test_qinv_scaling_suite_compares_different_series(monkeypatch):
+    # the two right-hand sides of a qinv-scaling check must be different
+    # series wherever w^2 != 1; phi-std at the w-flipped point only swaps
+    # a_p w and a_p / w, and its difference would repeat the first one
+    specs, checks = [], []
+    eval_phi, qinv_scaling = aw.eval_phi, aw._qinv_scaling
+
+    def recording_phi(spec):
+        specs.append(spec)
+        return eval_phi(spec)
+
+    def recording(params):
+        start = len(specs)
+        out = qinv_scaling(params)
+        checks.append((params, specs[start:]))
+        return out
+
+    monkeypatch.setattr(aw, "eval_phi", recording_phi)
+    monkeypatch.setattr(aw, "_qinv_scaling", recording)
+    cfg = DrawConfig(draws_per_record=20, n_range=(1, 6))
+    (entry,) = run_sweep(cfg, ["aw/qinv-scaling"]).entries
+    assert entry.passed == 20
+    assert len(checks) >= 20
+    for params, (_, s1, s2) in checks:
+        if params.w * params.w == GaussianRational(1):
+            continue                    # w = +-1 is its own flip
         assert (Counter(s1.num), Counter(s1.den)) != (Counter(s2.num), Counter(s2.den))
 
 
