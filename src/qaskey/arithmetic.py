@@ -459,9 +459,6 @@ class Backend:
     def parse(self, text: str):
         return parse_scalar(text, exact=self.exact)
 
-    def format(self, x) -> str:
-        return format_scalar(x)
-
 
 RATIONAL = Backend("rational", True)
 FLOAT = Backend("float", False)

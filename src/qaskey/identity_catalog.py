@@ -1,8 +1,31 @@
 """The catalogue of terminating-series transformation identities.
 
-Each record equates a head series with one printed sibling expression
-(prefactor times series) over the five free slots b, c, d, e, f plus the
-base q and degree n.  Families:
+A record is a row of printed strings.  Each side is a series label, the
+labels of its index-n Pochhammer prefactor factors and an optional power
+label; a remark's substitution is read from its ``ref`` text.  The strings
+are parsed once, when :func:`catalog` builds, and a check evaluates the
+parse, so the formula ``qaskey list`` prints is the formula that runs.
+A malformed label raises ValueError naming it when the catalogue builds.
+
+Label grammar (spaces between tokens are ignored):
+
+* monomial ``NUM`` or ``NUM/DEN``: each part is a run of tokens, ``q``
+  with an optional exponent affine in n (``q2``, ``q^2``, ``q^n``,
+  ``q^-n``, ``q^-2n``, ``q^{1-n}``, ``q^{-2n-1}``) or a slot letter
+  b..f with an optional ``^2``/``2``.  Examples: ``qb/cd``,
+  ``q^-n c/b``, ``q^{-n-1}cdef/b^2``, ``q2b2/cdef``, ``def/qb``.  The
+  value is the product of the numerator tokens in printed order, divided
+  by the product of the denominator tokens in printed order.
+* series: ``W(B; L1, ..., Lk | q, Z)`` is the very-well-poised series
+  (:class:`VwpSpec`) and ``phi(N1, ...; D1, ... | q, Z)`` the balanced one
+  (:class:`SeriesSpec`, its ``q^-n`` numerator implicit); every entry is
+  a monomial.
+* power: a product of space-separated terms ``X^n`` or ``X^C(n,2)``,
+  where X is ``q``, a slot letter or a parenthesised monomial with an
+  optional leading minus: ``q^C(n,2) (-qb/c)^n``, ``c^n``.
+* substitution: ``(b,c,d,e,f) -> (M1, ..., M5)`` with monomials Mi.
+
+Families:
 
 * ``cor3.3/*``  -- ten siblings of the principal very-well-poised head
   whose argument is coupled to q^{n+2} b^2/(cdef);
@@ -16,20 +39,29 @@ base q and degree n.  Families:
   linking multiplier is 1), so the record checks the transported
   first-interchange identity.
 
-Prefactors are stored as lists of named factors (each a base of an
-index-n Pochhammer product) so that a record suspected of a transcription
-slip can be searched for a minimal single-factor correction.  One record,
-``cor3.8/r6``, ships QUARANTINED: its printed prefactor fails the exact
-sweep systematically and the automated search pins the unique repair
-``qb/de -> qb/cd`` in the denominator.  Both variants are kept and
-reported.
+An interchange family is one series template over the placeholders x, y,
+u, v; each record assigns them a permutation of c, d, e, f, and the head
+is the template at the identity assignment.  To add a record, add its row
+of strings to its family's table (a new family needs a template and a
+``_family`` call in :func:`catalog`).
+
+Prefactors are lists of named factors so that a record suspected of a
+transcription slip can be searched for a minimal single-factor
+correction.  One record, ``cor3.8/r6``, ships QUARANTINED: its printed
+prefactor fails the exact sweep systematically and the automated search
+pins the unique repair ``qb/de -> qb/cd`` in the denominator.  Both
+variants are kept and reported.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import math
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import permutations
 
 from .arithmetic import (
     ABS_TOL,
@@ -40,7 +72,6 @@ from .arithmetic import (
     REL_TOL,
     binom2,
     is_zero,
-    one_like,
     pow_int,
     spread,
 )
@@ -69,34 +100,165 @@ class Draw:
     slots: dict
 
 
-class _S:
-    """Resolved slot view handed to the record evaluators."""
+class _S(dict):
+    """One draw's values, keyed by slot letter, by q-power token and by
+    monomial label.  A missing value is computed on first use and kept,
+    so both sides of a record share it."""
 
-    __slots__ = ("qbase", "n", "q", "b", "c", "d", "e", "f", "one", "qb", "qmn")
+    __slots__ = ("qbase", "n", "q")
 
     def __init__(self, draw: Draw):
+        super().__init__(draw.slots)
         self.qbase = draw.q
         self.n = draw.n
         self.q = draw.q.q
-        for k in "bcdef":
-            setattr(self, k, draw.slots[k])
-        self.one = one_like(self.q)
-        self.qb = self.q * self.b
-        self.qmn = pow_int(self.q, -draw.n)
+        self[0, 1] = self.q
 
-    def qp(self, k: int):
-        return pow_int(self.q, k)
+    def __missing__(self, key):
+        if key.__class__ is tuple:              # the token (a, k) is q^{a n + k}
+            value = pow_int(self.q, key[0] * self.n + key[1])
+        else:
+            fac = _factor(key)
+            value = self._product(fac.num)
+            if fac.den:
+                value = value / self._product(fac.den)
+        self[key] = value
+        return value
+
+    def _product(self, tokens):
+        value = self[tokens[0]]
+        for tok in tokens[1:]:
+            value = value * self[tok]
+        return value
 
 
 @dataclass(frozen=True)
 class Factor:
-    """A named base of an index-n Pochhammer factor."""
+    """A monomial label and its parse: numerator and denominator tokens in
+    printed order, each a slot letter or the pair (a, k) for q^{a n + k}."""
 
     label: str
-    fn: object
+    num: tuple
+    den: tuple = ()
 
     def __repr__(self):
         return f"Factor({self.label!r})"
+
+
+# ---------------------------------------------------------------------------
+# the label parser
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(r"\s*(?:q(?:\^(?:\{([^{}]*)\}|(-?\d*n|-?\d+))|(\d+))?"
+                    r"|([b-f])(?:\^?(\d+))?)")
+_AFFINE = re.compile(r"[+-]?(?:\d+n?|n)(?:[+-](?:\d+n?|n))*")
+_AFFINE_TERM = re.compile(r"([+-]?)(\d*)(n?)")
+_SERIES = re.compile(r"(W|phi)\((.*);(.*)\|\s*q\s*,(.*)\)")
+_POWER_TERM = re.compile(r"\s*(?:\((-?)([^()]+)\)|(q|[b-f]))\^(n|C\(n,2\))")
+_SUBSTITUTION = re.compile(r"\(b,c,d,e,f\) -> \((.*)\)")
+
+
+def _malformed(kind: str, label: str) -> ValueError:
+    return ValueError(f"malformed {kind} label {label!r}")
+
+
+def _exponent(text: str, label: str) -> tuple:
+    """(a, k) for the exponent text a n + k."""
+    text = text.replace(" ", "")
+    if not _AFFINE.fullmatch(text):
+        raise _malformed("monomial", label)
+    a = k = 0
+    for sign, coef, var in _AFFINE_TERM.findall(text):
+        c = -int(coef or 1) if sign == "-" else int(coef or 1)
+        if var:
+            a += c
+        elif coef:
+            k += c
+    return a, k
+
+
+def _tokens(part: str, label: str) -> tuple:
+    part = part.strip()
+    tokens, pos = [], 0
+    while pos < len(part):
+        m = _TOKEN.match(part, pos)
+        if m is None:
+            raise _malformed("monomial", label)
+        braced, bare, digits, letter, power = m.groups()
+        if letter:
+            tokens += [letter] * int(power or 1)
+        else:
+            text = braced if braced is not None else bare or digits or "1"
+            tokens.append(_exponent(text, label))
+        pos = m.end()
+    if not tokens:
+        raise _malformed("monomial", label)
+    return tuple(tokens)
+
+
+@functools.cache
+def _factor(label: str) -> Factor:
+    parts = label.split("/")
+    if len(parts) > 2:
+        raise _malformed("monomial", label)
+    return Factor(label, *(_tokens(part, label) for part in parts))
+
+
+def _factors(labels) -> tuple:
+    return tuple(_factor(label) for label in labels)
+
+
+def _entries(text: str) -> tuple:
+    """The labels of a comma-separated list of monomials, parsed."""
+    return tuple(fac.label for fac in _factors(e.strip() for e in text.split(",")))
+
+
+@functools.cache
+def _series(label: str):
+    m = _SERIES.fullmatch(label)
+    if m is None:
+        raise _malformed("series", label)
+    kind, top, bottom, z = m.groups()
+    top, bottom, (z,) = _entries(top), _entries(bottom), _entries(z)
+    if kind == "phi":
+        return lambda s: SeriesSpec([s[a] for a in top], [s[a] for a in bottom],
+                                    s[z], s.qbase, s.n)
+    if len(top) != 1:
+        raise _malformed("series", label)
+    (head,) = top
+    return lambda s: VwpSpec(s[head], [s[a] for a in bottom], s[z], s.qbase, s.n)
+
+
+@functools.cache
+def _power(label: str):
+    terms, pos = [], 0
+    while pos < len(label):
+        m = _POWER_TERM.match(label, pos)
+        if m is None:
+            raise _malformed("power", label)
+        minus, mono, atom, exp = m.groups()
+        terms.append((_factor(mono or atom).label, bool(minus), exp != "n"))
+        pos = m.end()
+    if not terms:
+        raise _malformed("power", label)
+
+    def power(s):
+        value = None
+        for base, minus, choose in terms:
+            x = pow_int(-s[base] if minus else s[base],
+                        binom2(s.n) if choose else s.n)
+            value = x if value is None else value * x
+        return value
+
+    return power
+
+
+def _substitution(ref: str):
+    m = _SUBSTITUTION.search(ref)
+    items = _entries(m.group(1)) if m else ()
+    if len(items) != 5:
+        raise _malformed("substitution", ref)
+    return lambda s: {k: s[item] for k, item in zip("bcdef", items)}
 
 
 @dataclass(frozen=True)
@@ -104,18 +266,18 @@ class Side:
     """One side of a record: scalar power * Pochhammer ratio * series."""
 
     series_label: str
-    series: object                      # callable (_S) -> SeriesSpec | VwpSpec
+    series: object                      # compiled series_label: (_S) -> spec
     pref_num: tuple = ()
     pref_den: tuple = ()
-    power: object = None                # callable (_S) -> scalar, or None
+    power: object = None                # compiled power_label, or None
     power_label: str = ""
 
     def evaluate(self, s: _S):
         """Return (value, cancellation scale); guard failures raise."""
-        den = poch_list([fac.fn(s) for fac in self.pref_den], s.qbase, s.n)
+        den = poch_list([s[fac.label] for fac in self.pref_den], s.qbase, s.n)
         if is_zero(den):
             raise DenominatorPole("prefactor pole: a denominator Pochhammer vanished")
-        pref = poch_list([fac.fn(s) for fac in self.pref_num], s.qbase, s.n) / den
+        pref = poch_list([s[fac.label] for fac in self.pref_num], s.qbase, s.n) / den
         if self.power is not None:
             pref = pref * self.power(s)
         spec = self.series(s)
@@ -132,6 +294,11 @@ class Side:
             bits.append(f"({num};q)_n/({den};q)_n" if den else f"({num};q)_n")
         bits.append(self.series_label)
         return " * ".join(bits)
+
+
+def _side(series: str, num=(), den=(), power: str = "") -> Side:
+    return Side(series, _series(series), _factors(num), _factors(den),
+                _power(power) if power else None, power)
 
 
 @dataclass(frozen=True)
@@ -153,10 +320,6 @@ class IdentityRecord:
     substitution: object = None         # callable (_S) -> slot dict, or None
     sibling_series: object = None       # head image under the substitution
     quarantine: QuarantineInfo | None = None
-
-    @property
-    def slots(self) -> tuple:
-        return ("b", "c", "d", "e", "f")
 
 
 @dataclass(frozen=True)
@@ -180,8 +343,9 @@ def judge(values, scale: float, exact: bool, *, rel_tol: float = REL_TOL,
     largest pairwise deviation is at most ``rel_tol`` times the
     cancellation ``scale`` (raised to the values' magnitudes) plus
     ``abs_tol``; else they are INCONCLUSIVE if the scale exceeds the
-    magnitudes by more than ``cond_cap``, and FAIL.  A value that is not
-    finite makes the check INCONCLUSIVE with deviation 0.0.
+    magnitudes by more than ``cond_cap``, and FAIL.  A value, deviation
+    or scale that is not finite makes the check INCONCLUSIVE with
+    deviation 0.0.
     """
     exact_zero, max_dev = spread(values, exact)
     mags = max(map(abs, values))
@@ -189,7 +353,8 @@ def judge(values, scale: float, exact: bool, *, rel_tol: float = REL_TOL,
     if exact:
         verdict = Verdict.PASS if exact_zero else Verdict.FAIL
         return CheckOutcome(verdict, max_dev, scale, True)
-    if not all(map(cmath.isfinite, values)):
+    if not (all(map(cmath.isfinite, values)) and math.isfinite(max_dev)
+            and math.isfinite(scale)):
         # max() above skips a NaN, so such values could read as agreeing
         return _UNRESOLVED
     if max_dev <= rel_tol * scale + abs_tol:
@@ -199,390 +364,127 @@ def judge(values, scale: float, exact: bool, *, rel_tol: float = REL_TOL,
     return CheckOutcome(Verdict.FAIL, max_dev, scale, False)
 
 
-def _fac(label: str, fn) -> Factor:
-    return Factor(label, fn)
-
-
-# ---------------------------------------------------------------------------
-# factor vocabulary over the slots
-# ---------------------------------------------------------------------------
-
-_F = {
-    "qb": _fac("qb", lambda s: s.qb),
-    "b": _fac("b", lambda s: s.b),
-    "q^n b": _fac("q^n b", lambda s: s.qp(s.n) * s.b),
-}
-for _x in "cdef":
-    _F[_x] = _fac(_x, lambda s, x=_x: getattr(s, x))
-    _F[f"qb/{_x}"] = _fac(f"qb/{_x}", lambda s, x=_x: s.qb / getattr(s, x))
-    _F[f"q^{{1-n}}/{_x}"] = _fac(
-        f"q^{{1-n}}/{_x}", lambda s, x=_x: s.qp(1 - s.n) / getattr(s, x))
-    _F[f"q^{{-n}}{_x}/b"] = _fac(
-        f"q^{{-n}}{_x}/b", lambda s, x=_x: s.qmn * getattr(s, x) / s.b)
-for _x in "cdef":
-    for _y in "cdef":
-        if _x != _y:
-            _F[f"{_x}/{_y}"] = _fac(
-                f"{_x}/{_y}",
-                lambda s, x=_x, y=_y: getattr(s, x) / getattr(s, y))
-for _x, _y in ("cd", "ce", "cf", "de", "df", "ef", "dc", "ed", "ec", "fd", "fe", "fc"):
-    _F[f"qb/{_x}{_y}"] = _fac(
-        f"qb/{_x}{_y}",
-        lambda s, x=_x, y=_y: s.qb / (getattr(s, x) * getattr(s, y)))
-    _F[f"q^{{-n}}{_x}{_y}/b"] = _fac(
-        f"q^{{-n}}{_x}{_y}/b",
-        lambda s, x=_x, y=_y: s.qmn * getattr(s, x) * getattr(s, y) / s.b)
-
-_F["qb/def"] = _fac("qb/def", lambda s: s.qb / (s.d * s.e * s.f))
-_F["def/qb"] = _fac("def/qb", lambda s: s.d * s.e * s.f / s.qb)
-_F["q2b2/cdef"] = _fac("q2b2/cdef",
-                       lambda s: s.qp(2) * s.b * s.b / (s.c * s.d * s.e * s.f))
-_F["q2b2/def"] = _fac("q2b2/def", lambda s: s.qp(2) * s.b * s.b / (s.d * s.e * s.f))
-_F["qb2/def"] = _fac("qb2/def", lambda s: s.qb * s.b / (s.d * s.e * s.f))
-_F["q^{n+1}b2/def"] = _fac("q^{n+1}b2/def",
-                           lambda s: s.qp(s.n + 1) * s.b * s.b / (s.d * s.e * s.f))
-
-
-def _fs(*labels):
-    return tuple(_F[label] for label in labels)
-
-
-# ---------------------------------------------------------------------------
-# series shapes
-# ---------------------------------------------------------------------------
-
-def _cdef(s):
-    return s.c * s.d * s.e * s.f
-
-
-def _head33_series(s):
-    return VwpSpec(s.b, [s.c, s.d, s.e, s.f],
-                   s.qp(s.n + 2) * s.b * s.b / _cdef(s), s.qbase, s.n)
-
-
-def _w35(x: str, y: str, u: str, v: str):
-    """W(q^-n X/Y; q^-n X/b, qb/YU, qb/YV, X | q, UV/b) over slot names."""
-
-    def series(s):
-        X, Y, U, V = (getattr(s, k) for k in (x, y, u, v))
-        return VwpSpec(s.qmn * X / Y,
-                       [s.qmn * X / s.b, s.qb / (Y * U), s.qb / (Y * V), X],
-                       U * V / s.b, s.qbase, s.n)
-
-    return series
-
-
-def _w36(x: str, o1: str, o2: str, o3: str):
-    """W(qb^2/(O1 O2 O3); qb/O1O2, qb/O1O3, qb/O2O3, X | q, q^{n+1} b/X)."""
-
-    def series(s):
-        X, A, B, C = (getattr(s, k) for k in (x, o1, o2, o3))
-        return VwpSpec(s.qb * s.b / (A * B * C),
-                       [s.qb / (A * B), s.qb / (A * C), s.qb / (B * C), X],
-                       s.qp(s.n + 1) * s.b / X, s.qbase, s.n)
-
-    return series
-
-
-def _p38(x: str, y: str, u: str, v: str):
-    """phi(q^-n, qb/UV, X, Y; q^-n XY/b, qb/U, qb/V | q, q)."""
-
-    def series(s):
-        X, Y, U, V = (getattr(s, k) for k in (x, y, u, v))
-        return SeriesSpec([s.qb / (U * V), X, Y],
-                          [s.qmn * X * Y / s.b, s.qb / U, s.qb / V],
-                          s.q, s.qbase, s.n)
-
-    return series
-
-
-def _p310(x: str, o1: str, o2: str, o3: str):
-    """phi(q^-n, qb/XO1, qb/XO2, qb/XO3; q2b2/cdef, q^{1-n}/X, qb/X | q, q)."""
-
-    def series(s):
-        X, A, B, C = (getattr(s, k) for k in (x, o1, o2, o3))
-        return SeriesSpec([s.qb / (X * A), s.qb / (X * B), s.qb / (X * C)],
-                          [s.qp(2) * s.b * s.b / (X * A * B * C),
-                           s.qp(1 - s.n) / X, s.qb / X],
-                          s.q, s.qbase, s.n)
-
-    return series
-
-
-def _s35a7_series(s):
-    return VwpSpec(s.qp(-s.n - 1) * s.d * s.e * s.f / s.b,
-                   [s.d, s.e, s.f, s.qp(-s.n - 1) * _cdef(s) / (s.b * s.b)],
-                   s.q / s.c, s.qbase, s.n)
-
-
-def _s35a4_series(s):
-    return SeriesSpec([s.qmn * s.c / s.b, s.qmn * s.d / s.b, s.qb / (s.e * s.f)],
-                      [s.qmn * s.c * s.d / s.b, s.qp(1 - s.n) / s.e,
-                       s.qp(1 - s.n) / s.f],
-                      s.q, s.qbase, s.n)
-
-
-def _s35a6b_series(s):
-    return SeriesSpec([s.qp(-s.n - 1) * _cdef(s) / (s.b * s.b),
-                       s.qmn * s.c / s.b, s.c],
-                      [s.qmn * s.c * s.d / s.b, s.qmn * s.c * s.e / s.b,
-                       s.qmn * s.c * s.f / s.b],
-                      s.q, s.qbase, s.n)
-
-
-_HEAD33 = Side("W(b; c,d,e,f | q, q^{n+2}b^2/cdef)", _head33_series)
-_HEAD35 = Side("W(q^-n c/d; q^-n c/b, qb/de, qb/df, c | q, ef/b)",
-               _w35("c", "d", "e", "f"))
-_HEAD36 = Side("W(qb^2/def; qb/de, qb/df, qb/ef, c | q, q^{n+1}b/c)",
-               _w36("c", "d", "e", "f"))
-_HEAD38 = Side("phi(qb/ef, c, d; q^-n cd/b, qb/e, qb/f | q, q)",
-               _p38("c", "d", "e", "f"))
-_HEAD310 = Side("phi(qb/cd, qb/ce, qb/cf; q2b2/cdef, q^{1-n}/c, qb/c | q, q)",
-                _p310("c", "d", "e", "f"))
-
-
 # ---------------------------------------------------------------------------
 # the record table
 # ---------------------------------------------------------------------------
+
+# interchange-family series over the placeholders x, y, u, v
+_W35 = "W(q^-n {x}/{y}; q^-n {x}/b, qb/{y}{u}, qb/{y}{v}, {x} | q, {u}{v}/b)"
+_W36 = "W(qb^2/{y}{u}{v}; qb/{y}{u}, qb/{y}{v}, qb/{u}{v}, {x} | q, q^{{n+1}}b/{x})"
+_P38 = "phi(qb/{u}{v}, {x}, {y}; q^-n {x}{y}/b, qb/{u}, qb/{v} | q, q)"
+_P310 = ("phi(qb/{x}{y}, qb/{x}{u}, qb/{x}{v}; q2b2/cdef, q^{{1-n}}/{x}, qb/{x} "
+         "| q, q)")
+
+
+def _at(template: str, perm: str = "cdef") -> str:
+    return template.format(**dict(zip("xyuv", perm)))
+
 
 _CAT33_SUMMARY = ("head argument coupled to q^{n+2}b^2/(cdef); "
                   "prefactor and series pole sets excluded")
 _INTER_SUMMARY = "free slots b..f, |q| != 1; prefactor and series pole sets excluded"
 
+# (id, ref, series, prefactor numerator, denominator, power)
+_COR33 = [
+    ("3.5a.1", "Cor 3.3 (i)",
+     "W(q^-2n/b; q^-n c/b, q^-n d/b, q^-n e/b, q^-n f/b | q, q^{n+2}b^2/cdef)",
+     ("qb", "b", "c", "d", "e", "f"), ("b", "q^n b", "qb/c", "qb/d", "qb/e", "qb/f"),
+     "q^C(n,2) (-q^2 b^2/cdef)^n"),
+    ("3.5a.2", "Cor 3.3 (ii)", _at(_W35),
+     ("qb/ce", "qb/cf", "qb", "d"), ("qb/c", "qb/e", "qb/f", "d/c"), ""),
+    ("3.5a.7", "Cor 3.3 (iii)",
+     "W(q^{-n-1}def/b; d, e, f, q^{-n-1}cdef/b^2 | q, q/c)",
+     ("qb/de", "qb/df", "qb/ef", "qb"), ("qb/def", "qb/d", "qb/e", "qb/f"), ""),
+    ("3.5a.7b", "Cor 3.3 (iv)",
+     "W(q^{1-n}b/def; q^-n c/b, qb/de, qb/df, qb/ef | q, q/c)",
+     ("q2b2/cdef", "qb", "d", "e", "f"), ("def/qb", "qb/c", "qb/d", "qb/e", "qb/f"),
+     ""),
+    ("3.5a.6", "Cor 3.3 (v)", _at(_W36),
+     ("q2b2/cdef", "qb"), ("qb/c", "q2b2/def"), ""),
+    ("3.5a.7c", "Cor 3.3 (vi)",
+     "W(q^{-2n-1}def/b^2; q^-n d/b, q^-n e/b, q^-n f/b, q^{-n-1}cdef/b^2 "
+     "| q, q^{n+1}b/c)",
+     ("qb2/def", "qb/ef", "qb/de", "qb/df", "qb", "c"),
+     ("qb2/def", "q^{n+1}b2/def", "qb/c", "qb/d", "qb/e", "qb/f"),
+     "q^C(n,2) (-qb/c)^n"),
+    ("3.5a.3", "Cor 3.3 (vii)", _at(_P38),
+     ("qb/cd", "qb"), ("qb/c", "qb/d"), ""),
+    ("3.5a.4", "Cor 3.3 (viii)",
+     "phi(q^-n c/b, q^-n d/b, qb/ef; q^-n cd/b, q^{1-n}/e, q^{1-n}/f | q, q)",
+     ("qb/cd", "qb", "e", "f"), ("qb/c", "qb/d", "qb/e", "qb/f"), "(qb/ef)^n"),
+    ("3.5a.5", "Cor 3.3 (ix)", _at(_P310),
+     ("q2b2/cdef", "qb", "c"), ("qb/d", "qb/e", "qb/f"), ""),
+    ("3.5a.6b", "Cor 3.3 (x)",
+     "phi(q^{-n-1}cdef/b^2, q^-n c/b, c; q^-n cd/b, q^-n ce/b, q^-n cf/b | q, q)",
+     ("qb/cd", "qb/ce", "qb/cf", "qb"), ("qb/c", "qb/d", "qb/e", "qb/f"), "c^n"),
+]
 
-def _records_cor33():
-    recs = []
+# (id, prefactor numerator, denominator, assignment of x, y, u, v)
+_COR35 = [
+    ("r2", ("qb/de", "qb/df", "qb/c", "d/c", "c"),
+     ("qb/ce", "qb/cf", "qb/d", "c/d", "d"), "dcef"),
+    ("r3", ("qb/cd", "qb/e", "d/c", "e"), ("qb/ce", "qb/d", "e/c", "d"), "cedf"),
+    ("r4", ("qb/ed", "qb/ef", "qb/c", "d/c", "c"),
+     ("qb/ce", "qb/cf", "qb/d", "c/e", "d"), "ecdf"),
+    ("r5", ("qb/cd", "qb/f", "d/c", "f"), ("qb/cf", "qb/d", "f/c", "d"), "cfde"),
+    ("r6", ("qb/fd", "qb/fe", "qb/c", "d/c", "c"),
+     ("qb/ce", "qb/cf", "qb/d", "c/f", "d"), "fcde"),
+    ("r7", ("qb/ef", "d/c"), ("qb/cf", "d/e"), "edcf"),
+    ("r8", ("qb/dc", "qb/df", "qb/e", "d/c", "e"),
+     ("qb/ce", "qb/cf", "qb/d", "e/d", "d"), "decf"),
+    ("r9", ("qb/ef", "d/c"), ("qb/ce", "d/f"), "fdce"),
+    ("r10", ("qb/de", "qb/dc", "qb/f", "d/c", "f"),
+     ("qb/ce", "qb/cf", "qb/d", "f/d", "d"), "dfce"),
+    ("r11", ("qb/ed", "qb/f", "d/c", "f"), ("qb/cf", "qb/d", "f/e", "d"), "efcd"),
+    ("r12", ("qb/df", "qb/e", "d/c", "e"), ("qb/ce", "qb/d", "e/f", "d"), "fecd"),
+]
+_COR38 = [
+    ("r2", ("qb/de", "qb/c"), ("qb/cd", "qb/e"), "decf"),
+    ("r3", ("qb/df", "qb/c"), ("qb/cd", "qb/f"), "dfce"),
+    ("r4", ("qb/ce", "qb/d"), ("qb/cd", "qb/e"), "cedf"),
+    ("r5", ("qb/cf", "qb/d"), ("qb/cd", "qb/f"), "cfde"),
+]
+_SOLO = (("r2", "dcef"), ("r3", "ecdf"), ("r4", "fcde"))
+_COR36 = [(rid, ("qb/c", "q2b2/def"), ("qb/{x}", "q2b2/{y}{u}{v}"), perm)
+          for rid, perm in _SOLO]
+_COR310 = [(rid, ("qb/{x}", "{x}"), ("qb/c", "c"), perm) for rid, perm in _SOLO]
 
-    def add(rid, ref, side):
-        recs.append(IdentityRecord(f"cor3.3/{rid}", ref, _HEAD33, side,
-                                   _CAT33_SUMMARY))
-
-    add("3.5a.1", "Cor 3.3 (i)", Side(
-        "W(q^-2n/b; q^-n c/b, q^-n d/b, q^-n e/b, q^-n f/b | q, q^{n+2}b^2/cdef)",
-        lambda s: VwpSpec(s.qp(-2 * s.n) / s.b,
-                          [s.qmn * s.c / s.b, s.qmn * s.d / s.b,
-                           s.qmn * s.e / s.b, s.qmn * s.f / s.b],
-                          s.qp(s.n + 2) * s.b * s.b / _cdef(s), s.qbase, s.n),
-        _fs("qb", "b", "c", "d", "e", "f"),
-        _fs("b", "q^n b", "qb/c", "qb/d", "qb/e", "qb/f"),
-        lambda s: pow_int(s.q, binom2(s.n))
-        * pow_int(-s.qp(2) * s.b * s.b / _cdef(s), s.n),
-        "q^C(n,2) (-q^2 b^2/cdef)^n"))
-
-    add("3.5a.2", "Cor 3.3 (ii)", Side(
-        "W(q^-n c/d; q^-n c/b, qb/de, qb/df, c | q, ef/b)",
-        _w35("c", "d", "e", "f"),
-        _fs("qb/ce", "qb/cf", "qb", "d"),
-        _fs("qb/c", "qb/e", "qb/f", "d/c")))
-
-    add("3.5a.7", "Cor 3.3 (iii)", Side(
-        "W(q^{-n-1}def/b; d, e, f, q^{-n-1}cdef/b^2 | q, q/c)",
-        _s35a7_series,
-        _fs("qb/de", "qb/df", "qb/ef", "qb"),
-        _fs("qb/def", "qb/d", "qb/e", "qb/f")))
-
-    add("3.5a.7b", "Cor 3.3 (iv)", Side(
-        "W(q^{1-n}b/def; q^-n c/b, qb/de, qb/df, qb/ef | q, q/c)",
-        lambda s: VwpSpec(s.qp(1 - s.n) * s.b / (s.d * s.e * s.f),
-                          [s.qmn * s.c / s.b, s.qb / (s.d * s.e),
-                           s.qb / (s.d * s.f), s.qb / (s.e * s.f)],
-                          s.q / s.c, s.qbase, s.n),
-        _fs("q2b2/cdef", "qb", "d", "e", "f"),
-        _fs("def/qb", "qb/c", "qb/d", "qb/e", "qb/f")))
-
-    add("3.5a.6", "Cor 3.3 (v)", Side(
-        "W(qb^2/def; qb/de, qb/df, qb/ef, c | q, q^{n+1}b/c)",
-        _w36("c", "d", "e", "f"),
-        _fs("q2b2/cdef", "qb"),
-        _fs("qb/c", "q2b2/def")))
-
-    add("3.5a.7c", "Cor 3.3 (vi)", Side(
-        "W(q^{-2n-1}def/b^2; q^-n d/b, q^-n e/b, q^-n f/b, q^{-n-1}cdef/b^2 "
-        "| q, q^{n+1}b/c)",
-        lambda s: VwpSpec(s.qp(-2 * s.n - 1) * s.d * s.e * s.f / (s.b * s.b),
-                          [s.qmn * s.d / s.b, s.qmn * s.e / s.b,
-                           s.qmn * s.f / s.b,
-                           s.qp(-s.n - 1) * _cdef(s) / (s.b * s.b)],
-                          s.qp(s.n + 1) * s.b / s.c, s.qbase, s.n),
-        _fs("qb2/def", "qb/ef", "qb/de", "qb/df", "qb", "c"),
-        _fs("qb2/def", "q^{n+1}b2/def", "qb/c", "qb/d", "qb/e", "qb/f"),
-        lambda s: pow_int(s.q, binom2(s.n)) * pow_int(-s.qb / s.c, s.n),
-        "q^C(n,2) (-qb/c)^n"))
-
-    add("3.5a.3", "Cor 3.3 (vii)", Side(
-        "phi(qb/ef, c, d; q^-n cd/b, qb/e, qb/f | q, q)",
-        _p38("c", "d", "e", "f"),
-        _fs("qb/cd", "qb"),
-        _fs("qb/c", "qb/d")))
-
-    add("3.5a.4", "Cor 3.3 (viii)", Side(
-        "phi(q^-n c/b, q^-n d/b, qb/ef; q^-n cd/b, q^{1-n}/e, q^{1-n}/f | q, q)",
-        _s35a4_series,
-        _fs("qb/cd", "qb", "e", "f"),
-        _fs("qb/c", "qb/d", "qb/e", "qb/f"),
-        lambda s: pow_int(s.qb / (s.e * s.f), s.n),
-        "(qb/ef)^n"))
-
-    add("3.5a.5", "Cor 3.3 (ix)", Side(
-        "phi(qb/cd, qb/ce, qb/cf; q2b2/cdef, q^{1-n}/c, qb/c | q, q)",
-        _p310("c", "d", "e", "f"),
-        _fs("q2b2/cdef", "qb", "c"),
-        _fs("qb/d", "qb/e", "qb/f")))
-
-    add("3.5a.6b", "Cor 3.3 (x)", Side(
-        "phi(q^{-n-1}cdef/b^2, q^-n c/b, c; q^-n cd/b, q^-n ce/b, q^-n cf/b "
-        "| q, q)",
-        _s35a6b_series,
-        _fs("qb/cd", "qb/ce", "qb/cf", "qb"),
-        _fs("qb/c", "qb/d", "qb/e", "qb/f"),
-        lambda s: pow_int(s.c, s.n),
-        "c^n"))
-
-    return recs
+# (id, ref with the substitution, host record, cor3.3 record of the sibling series)
+_REMARKS = [
+    ("rem3.6/a7", "Cor 3.6 remark: (b,c,d,e,f) -> (q^{-2n-1}def/b^2, "
+     "q^{-n-1}cdef/b^2, q^-n f/b, q^-n e/b, q^-n d/b)", "cor3.6/r2", "cor3.3/3.5a.7"),
+    ("rem3.8/a4", "Cor 3.8 remark: (b,c,d,e,f) -> (q^{-2n}/b, q^-n c/b, q^-n d/b, "
+     "q^-n e/b, q^-n f/b)", "cor3.8/r2", "cor3.3/3.5a.4"),
+    ("rem3.10/a6b", "Cor 3.10 remark: (b,c,d,e,f) -> (q^-n f/e, qb/ce, qb/de, f, "
+     "q^-n f/b)", "cor3.10/r2", "cor3.3/3.5a.6b"),
+]
+_REMARK_SUMMARY = ("substituted slots must satisfy the host family's guards; "
+                   "head image equals the sibling series with multiplier 1")
 
 
-def _records_cor35():
-    # (id, prefactor num, prefactor den, ordered pair (x,y) with partners u,v)
-    table = [
-        ("r2", ("qb/de", "qb/df", "qb/c", "d/c", "c"),
-         ("qb/ce", "qb/cf", "qb/d", "c/d", "d"), ("d", "c", "e", "f")),
-        ("r3", ("qb/cd", "qb/e", "d/c", "e"),
-         ("qb/ce", "qb/d", "e/c", "d"), ("c", "e", "d", "f")),
-        ("r4", ("qb/ed", "qb/ef", "qb/c", "d/c", "c"),
-         ("qb/ce", "qb/cf", "qb/d", "c/e", "d"), ("e", "c", "d", "f")),
-        ("r5", ("qb/cd", "qb/f", "d/c", "f"),
-         ("qb/cf", "qb/d", "f/c", "d"), ("c", "f", "d", "e")),
-        ("r6", ("qb/fd", "qb/fe", "qb/c", "d/c", "c"),
-         ("qb/ce", "qb/cf", "qb/d", "c/f", "d"), ("f", "c", "d", "e")),
-        ("r7", ("qb/ef", "d/c"), ("qb/cf", "d/e"), ("e", "d", "c", "f")),
-        ("r8", ("qb/dc", "qb/df", "qb/e", "d/c", "e"),
-         ("qb/ce", "qb/cf", "qb/d", "e/d", "d"), ("d", "e", "c", "f")),
-        ("r9", ("qb/ef", "d/c"), ("qb/ce", "d/f"), ("f", "d", "c", "e")),
-        ("r10", ("qb/de", "qb/dc", "qb/f", "d/c", "f"),
-         ("qb/ce", "qb/cf", "qb/d", "f/d", "d"), ("d", "f", "c", "e")),
-        ("r11", ("qb/ed", "qb/f", "d/c", "f"),
-         ("qb/cf", "qb/d", "f/e", "d"), ("e", "f", "c", "d")),
-        ("r12", ("qb/df", "qb/e", "d/c", "e"),
-         ("qb/ce", "qb/d", "e/f", "d"), ("f", "e", "c", "d")),
-    ]
-    recs = []
-    for rid, num, den, (x, y, u, v) in table:
-        side = Side(
-            f"W(q^-n {x}/{y}; q^-n {x}/b, qb/{y}{u}, qb/{y}{v}, {x} "
-            f"| q, {u}{v}/b)",
-            _w35(x, y, u, v), _fs(*num), _fs(*den))
-        recs.append(IdentityRecord(f"cor3.5/{rid}", f"Cor 3.5 ({rid})",
-                                   _HEAD35, side, _INTER_SUMMARY))
-    return recs
+def _family(name: str, template: str, rows) -> list:
+    """The records of an interchange family; a row's prefactor labels may
+    use the placeholders too."""
+    head = _side(_at(template))
+    return [IdentityRecord(
+        f"{name}/{rid}", f"Cor {name[3:]} ({rid})", head,
+        _side(_at(template, perm), [_at(t, perm) for t in num],
+              [_at(t, perm) for t in den]), _INTER_SUMMARY)
+        for rid, num, den, perm in rows]
 
 
-def _records_cor36():
-    table = [("r2", "d", ("c", "e", "f")), ("r3", "e", ("c", "d", "f")),
-             ("r4", "f", ("c", "d", "e"))]
-    recs = []
-    for rid, x, others in table:
-        o = "".join(others)
-        num = _fs("qb/c", "q2b2/def")
-        den = (_F[f"qb/{x}"],
-               _fac(f"q2b2/{o}", lambda s, oo=others: s.qp(2) * s.b * s.b
-                    / (getattr(s, oo[0]) * getattr(s, oo[1]) * getattr(s, oo[2]))))
-        side = Side(
-            f"W(qb^2/{o}; qb/{others[0]}{others[1]}, qb/{others[0]}{others[2]}, "
-            f"qb/{others[1]}{others[2]}, {x} | q, q^{{n+1}}b/{x})",
-            _w36(x, *others), num, den)
-        recs.append(IdentityRecord(f"cor3.6/{rid}", f"Cor 3.6 ({rid})",
-                                   _HEAD36, side, _INTER_SUMMARY))
-    return recs
-
-
-def _records_cor38():
-    table = [
-        ("r2", ("qb/de", "qb/c"), ("qb/cd", "qb/e"), ("d", "e", "c", "f")),
-        ("r3", ("qb/df", "qb/c"), ("qb/cd", "qb/f"), ("d", "f", "c", "e")),
-        ("r4", ("qb/ce", "qb/d"), ("qb/cd", "qb/e"), ("c", "e", "d", "f")),
-        ("r5", ("qb/cf", "qb/d"), ("qb/cd", "qb/f"), ("c", "f", "d", "e")),
-    ]
-    recs = []
-    for rid, num, den, (x, y, u, v) in table:
-        side = Side(
-            f"phi(qb/{u}{v}, {x}, {y}; q^-n {x}{y}/b, qb/{u}, qb/{v} | q, q)",
-            _p38(x, y, u, v), _fs(*num), _fs(*den))
-        recs.append(IdentityRecord(f"cor3.8/{rid}", f"Cor 3.8 ({rid})",
-                                   _HEAD38, side, _INTER_SUMMARY))
-
-    # r6 printed prefactor denominator opens with qb/de; the exact sweep
-    # rejects it and the single-factor search repairs it to qb/cd.
-    series_label = "phi(qb/cd, e, f; q^-n ef/b, qb/c, qb/d | q, q)"
-    printed = Side(series_label, _p38("e", "f", "c", "d"),
-                   _fs("qb/ef", "qb/c", "qb/d"), _fs("qb/de", "qb/e", "qb/f"))
-    corrected = replace(printed, pref_den=_fs("qb/cd", "qb/e", "qb/f"))
-    recs.append(IdentityRecord(
-        "cor3.8/r6", "Cor 3.8 (r6)", _HEAD38, corrected, _INTER_SUMMARY,
+def _quarantined_cor38_r6() -> IdentityRecord:
+    # the printed prefactor denominator opens with qb/de; the exact sweep
+    # rejects it and the single-factor search repairs it to qb/cd
+    series, num = _at(_P38, "efcd"), ("qb/ef", "qb/c", "qb/d")
+    printed = _side(series, num, ("qb/de", "qb/e", "qb/f"))
+    return IdentityRecord(
+        "cor3.8/r6", "Cor 3.8 (r6)", _side(_at(_P38)),
+        _side(series, num, ("qb/cd", "qb/e", "qb/f")), _INTER_SUMMARY,
         quarantine=QuarantineInfo(
             reason="printed prefactor fails the exact sweep for every n >= 1",
             correction="denominator factor qb/de -> qb/cd",
-            printed_rhs=printed)))
-    return recs
-
-
-def _records_cor310():
-    table = [("r2", "d", ("c", "e", "f")), ("r3", "e", ("c", "d", "f")),
-             ("r4", "f", ("c", "d", "e"))]
-    recs = []
-    for rid, x, others in table:
-        side = Side(
-            f"phi(qb/{x}{others[0]}, qb/{x}{others[1]}, qb/{x}{others[2]}; "
-            f"q2b2/cdef, q^{{1-n}}/{x}, qb/{x} | q, q)",
-            _p310(x, *others),
-            (_F[f"qb/{x}"], _F[x]), (_F["qb/c"], _F["c"]))
-        recs.append(IdentityRecord(f"cor3.10/{rid}", f"Cor 3.10 ({rid})",
-                                   _HEAD310, side, _INTER_SUMMARY))
-    return recs
-
-
-def _records_remarks():
-    def sub36(s):
-        return {"b": s.qp(-2 * s.n - 1) * s.d * s.e * s.f / (s.b * s.b),
-                "c": s.qp(-s.n - 1) * _cdef(s) / (s.b * s.b),
-                "d": s.qmn * s.f / s.b,
-                "e": s.qmn * s.e / s.b,
-                "f": s.qmn * s.d / s.b}
-
-    def sub38(s):
-        return {"b": s.qp(-2 * s.n) / s.b,
-                "c": s.qmn * s.c / s.b, "d": s.qmn * s.d / s.b,
-                "e": s.qmn * s.e / s.b, "f": s.qmn * s.f / s.b}
-
-    def sub310(s):
-        return {"b": s.qmn * s.f / s.e,
-                "c": s.qb / (s.c * s.e), "d": s.qb / (s.d * s.e),
-                "e": s.f, "f": s.qmn * s.f / s.b}
-
-    summary = ("substituted slots must satisfy the host family's guards; "
-               "head image equals the sibling series with multiplier 1")
-    rec36 = _records_cor36()[0]
-    rec38 = _records_cor38()[0]
-    rec310 = _records_cor310()[0]
-    return [
-        IdentityRecord(
-            "rem3.6/a7",
-            "Cor 3.6 remark: (b,c,d,e,f) -> (q^{-2n-1}def/b^2, "
-            "q^{-n-1}cdef/b^2, q^-n f/b, q^-n e/b, q^-n d/b)",
-            rec36.lhs, rec36.rhs, summary,
-            substitution=sub36, sibling_series=_s35a7_series),
-        IdentityRecord(
-            "rem3.8/a4",
-            "Cor 3.8 remark: (b,c,d,e,f) -> (q^{-2n}/b, q^-n c/b, q^-n d/b, "
-            "q^-n e/b, q^-n f/b)",
-            rec38.lhs, rec38.rhs, summary,
-            substitution=sub38, sibling_series=_s35a4_series),
-        IdentityRecord(
-            "rem3.10/a6b",
-            "Cor 3.10 remark: (b,c,d,e,f) -> (q^-n f/e, qb/ce, qb/de, f, "
-            "q^-n f/b)",
-            rec310.lhs, rec310.rhs, summary,
-            substitution=sub310, sibling_series=_s35a6b_series),
-    ]
+            printed_rhs=printed))
 
 
 _CATALOG: tuple[IdentityRecord, ...] | None = None
@@ -592,8 +494,19 @@ def catalog() -> tuple[IdentityRecord, ...]:
     """All 35 records, in catalogue order."""
     global _CATALOG
     if _CATALOG is None:
-        recs = (_records_cor33() + _records_cor35() + _records_cor36()
-                + _records_cor38() + _records_cor310() + _records_remarks())
+        head33 = _side("W(b; c,d,e,f | q, q^{n+2}b^2/cdef)")
+        recs = [IdentityRecord(f"cor3.3/{rid}", ref, head33,
+                               _side(series, num, den, power), _CAT33_SUMMARY)
+                for rid, ref, series, num, den, power in _COR33]
+        recs += _family("cor3.5", _W35, _COR35)
+        recs += _family("cor3.6", _W36, _COR36)
+        recs += _family("cor3.8", _P38, _COR38) + [_quarantined_cor38_r6()]
+        recs += _family("cor3.10", _P310, _COR310)
+        by_id = {rec.id: rec for rec in recs}
+        recs += [IdentityRecord(
+            rid, ref, by_id[host].lhs, by_id[host].rhs, _REMARK_SUMMARY,
+            substitution=_substitution(ref), sibling_series=by_id[sibling].rhs.series)
+            for rid, ref, host, sibling in _REMARKS]
         _CATALOG = tuple(recs)
     return _CATALOG
 
@@ -715,13 +628,20 @@ def derive_from_aw(record_id: str) -> AwDerivation:
 # single-factor repair search for suspected transcription slips
 # ---------------------------------------------------------------------------
 
-def _candidate_pool():
-    labels = ["qb"]
-    labels += [f"qb/{x}" for x in "cdef"]
-    labels += [x for x in "cdef"]
-    labels += [f"{x}/{y}" for x in "cdef" for y in "cdef" if x != y]
-    labels += ["qb/cd", "qb/ce", "qb/cf", "qb/de", "qb/df", "qb/ef"]
-    return [_F[label] for label in labels]
+# the shapes of the interchange families' prefactor factors
+_POOL_SHAPES = ("qb", "qb/{x}", "{x}", "{x}/{y}", "qb/{x}{y}")
+
+
+def _candidate_pool() -> list:
+    """Each shape at every ordered pair of distinct letters of c..f, in
+    that order; a factor whose letters only commute is kept once."""
+    pool = {}
+    for shape in _POOL_SHAPES:
+        for perm in permutations("cdef", 2):
+            fac = _factor(_at(shape, perm))
+            key = tuple(sorted(map(repr, fac.num))), tuple(sorted(map(repr, fac.den)))
+            pool.setdefault(key, fac)
+    return list(pool.values())
 
 
 def find_single_factor_correction(record: IdentityRecord, draws):
@@ -737,10 +657,11 @@ def find_single_factor_correction(record: IdentityRecord, draws):
     trial = replace(record, rhs=printed, quarantine=None)
     if all(check(trial, d).verdict is Verdict.PASS for d in draws):
         return None
+    pool = _candidate_pool()
     for attr in ("pref_den", "pref_num"):
         factors = getattr(printed, attr)
         for idx, orig in enumerate(factors):
-            for cand in _candidate_pool():
+            for cand in pool:
                 if cand.label == orig.label:
                     continue
                 new_factors = factors[:idx] + (cand,) + factors[idx + 1:]

@@ -407,18 +407,15 @@ def _substream(cfg: DrawConfig, target_id: str, backend: str, index: int):
 
 def _settle(run_check, exact: bool) -> CheckOutcome:
     """The outcome of ``run_check()``.  On the float backend an
-    OverflowError, or a deviation or scale that is not finite, makes the
-    check INCONCLUSIVE with deviation 0.0: such a draw says nothing about
-    the identity.  Exact outcomes pass through unchanged."""
+    OverflowError makes the check INCONCLUSIVE with deviation 0.0, as
+    :func:`judge` does for a value, deviation or scale that is not
+    finite.  Exact outcomes pass through unchanged."""
     if exact:
         return run_check()
     try:
-        outcome = run_check()
+        return run_check()
     except OverflowError:
         return _UNRESOLVED
-    if math.isfinite(outcome.deviation) and math.isfinite(outcome.scale):
-        return outcome
-    return _UNRESOLVED
 
 
 def _admissible(cfg: DrawConfig, target: Target, backend: str, index: int):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,19 @@ from qaskey import (
     find_single_factor_correction,
     record_by_id,
 )
-from qaskey.identity_catalog import _S, NotACor33Record, judge
+from qaskey.identity_catalog import (
+    _S,
+    NotACor33Record,
+    _candidate_pool,
+    _factor,
+    _power,
+    _series,
+    _substitution,
+    judge,
+)
 from qaskey.sampler_verifier import all_targets
 from qaskey.qseries import SeriesSpec, VwpSpec, eval_phi, eval_w, invert_w
-from qaskey.arithmetic import GuardViolation, pow_int
+from qaskey.arithmetic import GuardViolation, binom2, pow_int
 
 from util import rand_qbase, rand_scalar
 
@@ -331,3 +341,95 @@ def test_check_settles_non_finite_float_values_as_inconclusive():
             if outcome == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False):
                 unresolved += 1
     assert unresolved > 50
+
+
+def test_judge_non_finite_deviation_or_scale_is_unresolved():
+    unresolved = CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
+    # an infinite scale is no evidence that a finite deviation is small
+    assert judge([1 + 0j, 1 + 1e-3j], math.inf, False) == unresolved
+    # two finite values whose difference overflows
+    assert judge([1e308 + 0j, -1e308 + 0j], 1.0, False) == unresolved
+
+
+Q = (0, 1)
+
+
+@pytest.mark.parametrize("label, num, den", [
+    ("qb/cd", (Q, "b"), ("c", "d")),
+    ("q^-n c/b", ((-1, 0), "c"), ("b",)),
+    ("q^{-n}cd/b", ((-1, 0), "c", "d"), ("b",)),
+    ("q^-2n/b", ((-2, 0),), ("b",)),
+    ("q^n b", ((1, 0), "b"), ()),
+    ("q^{-n-1}cdef/b^2", ((-1, -1), "c", "d", "e", "f"), ("b", "b")),
+    ("q^{-2n-1}def/b^2", ((-2, -1), "d", "e", "f"), ("b", "b")),
+    ("q^{n+1}b2/def", ((1, 1), "b", "b"), ("d", "e", "f")),
+    ("q^{1-n}/e", ((-1, 1),), ("e",)),
+    ("q2b2/cdef", ((0, 2), "b", "b"), ("c", "d", "e", "f")),
+    ("q^2 b^2/cdef", ((0, 2), "b", "b"), ("c", "d", "e", "f")),
+    ("qb^2/def", (Q, "b", "b"), ("d", "e", "f")),
+    ("def/qb", ("d", "e", "f"), (Q, "b")),
+    ("d/c", ("d",), ("c",)),
+    ("c", ("c",), ()),
+    ("q", (Q,), ()),
+])
+def test_monomial_label_parses_to_printed_order(label, num, den):
+    # a token is a slot letter or (a, k) for q^{a n + k}
+    fac = _factor(label)
+    assert (fac.label, fac.num, fac.den) == (label, num, den)
+
+
+@pytest.mark.parametrize("parse, label", [
+    (_factor, "qb/cx"),
+    (_factor, "q^{m}"),
+    (_factor, "qb//c"),
+    (_factor, ""),
+    (_series, "W(b; c, d, e, f, q^{n+2}b^2/cdef)"),
+    (_series, "W(b, c; d, e | q, q)"),
+    (_power, "(qb/c)^m"),
+    (_substitution, "Cor 3.6 remark: (b,c,d,e,f) -> (b, c, d)"),
+])
+def test_malformed_label_raises_naming_it(parse, label):
+    with pytest.raises(ValueError, match=re.escape(repr(label))):
+        parse(label)
+
+
+def test_series_power_and_substitution_labels_evaluate_as_printed():
+    rng = random.Random(132)
+    while True:
+        d = _draw(rng, n_min=1)
+        s = _S(d)
+        try:
+            w = _series("W(q^-n c/d; q^-n c/b, qb/de, qb/df, c | q, ef/b)")(s)
+            phi = _series("phi(qb/ef, c, d; q^-n cd/b, qb/e, qb/f | q, q)")(s)
+            break
+        except GuardViolation:
+            continue
+    q, n, qb = d.q.q, d.n, d.q.q * d.slots["b"]
+    b, c, dd, e, f = (d.slots[k] for k in "bcdef")
+    qmn = pow_int(q, -n)
+    assert w == VwpSpec(qmn * c / dd, [qmn * c / b, qb / (dd * e), qb / (dd * f), c],
+                        e * f / b, d.q, n)
+    assert phi == SeriesSpec([qb / (e * f), c, dd], [qmn * c * dd / b, qb / e, qb / f],
+                             q, d.q, n)
+    assert _power("q^C(n,2) (-qb/c)^n")(s) == (pow_int(q, binom2(n))
+                                              * pow_int(-qb / c, n))
+    assert _power("c^n")(s) == pow_int(c, n)
+    assert _substitution("(b,c,d,e,f) -> (q^-n f/e, qb/ce, qb/de, f, q^-n f/b)")(s) == {
+        "b": qmn * f / e, "c": qb / (c * e), "d": qb / (dd * e), "e": f,
+        "f": qmn * f / b}
+
+
+def test_remark_sibling_series_is_its_cor33_record():
+    for rid, sibling in (("rem3.6/a7", "3.5a.7"), ("rem3.8/a4", "3.5a.4"),
+                         ("rem3.10/a6b", "3.5a.6b")):
+        assert (record_by_id(rid).sibling_series
+                is record_by_id(f"cor3.3/{sibling}").rhs.series)
+
+
+def test_candidate_pool_keeps_the_search_order():
+    # the repair search tries candidates in this order, so qb/cd comes
+    # before any other denominator fix of cor3.8/r6
+    assert [fac.label for fac in _candidate_pool()] == (
+        ["qb"] + [f"qb/{x}" for x in "cdef"] + list("cdef")
+        + [f"{x}/{y}" for x in "cdef" for y in "cdef" if x != y]
+        + ["qb/cd", "qb/ce", "qb/cf", "qb/de", "qb/df", "qb/ef"])

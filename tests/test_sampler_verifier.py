@@ -344,7 +344,8 @@ def test_overflow_while_checking_settles_by_backend():
         raise OverflowError("absolute value too large")
 
     def non_finite_run(d, cfg, exact):
-        return CheckOutcome(Verdict.FAIL, math.inf, 1.0, exact)
+        # two finite values whose difference overflows
+        return judge([1e308 + 0j, -1e308 + 0j], 1.0, exact)
 
     cfg = DrawConfig()
     for run in (overflowing_run, non_finite_run):
