@@ -100,35 +100,41 @@ class Draw:
     slots: dict
 
 
-class _S(dict):
-    """One draw's values, keyed by slot letter, by q-power token and by
-    monomial label.  A missing value is computed on first use and kept,
-    so both sides of a record share it."""
+class _S:
+    """One draw.  ``memo`` keeps its values by slot letter, by q-power
+    token and by monomial label, so both sides of a record share them."""
 
-    __slots__ = ("qbase", "n", "q")
+    __slots__ = ("qbase", "n", "q", "memo")
 
     def __init__(self, draw: Draw):
-        super().__init__(draw.slots)
         self.qbase = draw.q
         self.n = draw.n
         self.q = draw.q.q
-        self[0, 1] = self.q
+        self.memo = {k: draw.slots[k] for k in "bcdef"}
+        self.memo[0, 1] = self.q
 
-    def __missing__(self, key):
-        if key.__class__ is tuple:              # the token (a, k) is q^{a n + k}
-            value = pow_int(self.q, key[0] * self.n + key[1])
-        else:
-            fac = _factor(key)
-            value = self._product(fac.num)
-            if fac.den:
-                value = value / self._product(fac.den)
-        self[key] = value
-        return value
+    def values(self, factors) -> list:
+        """The monomials' values, each computed on its first use."""
+        memo, out = self.memo, []
+        for fac in factors:
+            value = memo.get(fac.label)
+            if value is None:
+                value = self._product(fac.num)
+                if fac.den:
+                    value = value / self._product(fac.den)
+                memo[fac.label] = value
+            out.append(value)
+        return out
 
     def _product(self, tokens):
-        value = self[tokens[0]]
-        for tok in tokens[1:]:
-            value = value * self[tok]
+        """The tokens multiplied in printed order; the token (a, k) is
+        q^{a n + k}."""
+        memo, value = self.memo, None
+        for tok in tokens:
+            x = memo.get(tok)
+            if x is None:
+                x = memo[tok] = pow_int(self.q, tok[0] * self.n + tok[1])
+            value = x if value is None else value * x
         return value
 
 
@@ -209,8 +215,7 @@ def _factors(labels) -> tuple:
 
 
 def _entries(text: str) -> tuple:
-    """The labels of a comma-separated list of monomials, parsed."""
-    return tuple(fac.label for fac in _factors(e.strip() for e in text.split(",")))
+    return _factors(e.strip() for e in text.split(","))
 
 
 @functools.cache
@@ -219,34 +224,39 @@ def _series(label: str):
     if m is None:
         raise _malformed("series", label)
     kind, top, bottom, z = m.groups()
-    top, bottom, (z,) = _entries(top), _entries(bottom), _entries(z)
-    if kind == "phi":
-        return lambda s: SeriesSpec([s[a] for a in top], [s[a] for a in bottom],
-                                    s[z], s.qbase, s.n)
-    if len(top) != 1:
+    top, bottom, z = _entries(top), _entries(bottom), _entries(z)
+    if len(z) != 1 or (kind == "W" and len(top) != 1):
         raise _malformed("series", label)
-    (head,) = top
-    return lambda s: VwpSpec(s[head], [s[a] for a in bottom], s[z], s.qbase, s.n)
+    entries, k = top + bottom + z, len(top)
+    if kind == "phi":
+        def series(s):
+            v = s.values(entries)
+            return SeriesSpec(v[:k], v[k:-1], v[-1], s.qbase, s.n)
+    else:
+        def series(s):
+            v = s.values(entries)
+            return VwpSpec(v[0], v[1:-1], v[-1], s.qbase, s.n)
+    return series
 
 
 @functools.cache
 def _power(label: str):
-    terms, pos = [], 0
+    bases, kinds, pos = [], [], 0
     while pos < len(label):
         m = _POWER_TERM.match(label, pos)
         if m is None:
             raise _malformed("power", label)
         minus, mono, atom, exp = m.groups()
-        terms.append((_factor(mono or atom).label, bool(minus), exp != "n"))
+        bases.append(_factor(mono or atom))
+        kinds.append((bool(minus), exp != "n"))
         pos = m.end()
-    if not terms:
+    if not bases:
         raise _malformed("power", label)
 
     def power(s):
         value = None
-        for base, minus, choose in terms:
-            x = pow_int(-s[base] if minus else s[base],
-                        binom2(s.n) if choose else s.n)
+        for x, (minus, choose) in zip(s.values(bases), kinds):
+            x = pow_int(-x if minus else x, binom2(s.n) if choose else s.n)
             value = x if value is None else value * x
         return value
 
@@ -258,7 +268,7 @@ def _substitution(ref: str):
     items = _entries(m.group(1)) if m else ()
     if len(items) != 5:
         raise _malformed("substitution", ref)
-    return lambda s: {k: s[item] for k, item in zip("bcdef", items)}
+    return lambda s: dict(zip("bcdef", s.values(items)))
 
 
 @dataclass(frozen=True)
@@ -274,10 +284,10 @@ class Side:
 
     def evaluate(self, s: _S):
         """Return (value, cancellation scale); guard failures raise."""
-        den = poch_list([s[fac.label] for fac in self.pref_den], s.qbase, s.n)
+        den = poch_list(s.values(self.pref_den), s.qbase, s.n)
         if is_zero(den):
             raise DenominatorPole("prefactor pole: a denominator Pochhammer vanished")
-        pref = poch_list([s[fac.label] for fac in self.pref_num], s.qbase, s.n) / den
+        pref = poch_list(s.values(self.pref_num), s.qbase, s.n) / den
         if self.power is not None:
             pref = pref * self.power(s)
         spec = self.series(s)
