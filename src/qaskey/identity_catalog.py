@@ -147,9 +147,6 @@ class Factor:
     num: tuple
     den: tuple = ()
 
-    def __repr__(self):
-        return f"Factor({self.label!r})"
-
 
 # ---------------------------------------------------------------------------
 # the label parser
