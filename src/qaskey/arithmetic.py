@@ -11,7 +11,13 @@ Two scalar types realize the same abstract complex field:
   serves as the ground-truth oracle: a verified identity either cancels
   to zero or it does not.  :func:`parts`, :func:`from_parts` and
   :func:`abs_parts` hand the triple to loops that run on plain ints,
-  such as the exact series kernel of :mod:`qaskey.qseries`.
+  such as the exact series kernel of :mod:`qaskey.qseries`.  Products
+  run fraction-free, with one gcd per product rather than per factor:
+  :func:`pow_int` squares plain ints, and ``_int_powers``,
+  ``_one_minus`` and ``_int_product`` form the products of factors
+  ``1 - x q^k`` that :mod:`qaskey.qpochhammer` (``poch``,
+  ``poch_list``) and the pole guards of :mod:`qaskey.qseries` reduce
+  once.
 * float backend -- the builtin ``complex``.  Fast, but a failed check may
   be cancellation rather than a genuine discrepancy, so verdicts are
   scale-aware (see :func:`qaskey.identity_catalog.judge`).
@@ -255,6 +261,40 @@ def abs_parts(a, b, d) -> float:
         return math.inf
 
 
+# -- fraction-free products -------------------------------------------------
+# Integer triples (a, b, d) stand for (a + b i) / d with d > 0.  A product
+# of them is formed with plain int arithmetic and reduced once, by
+# from_parts, instead of once per factor.
+
+def _int_powers(q, n: int) -> list:
+    """Triples of q^k for k < n: ((a + b i)^k, d^k) from the triple
+    (a, b, d) of the exact scalar q, unreduced."""
+    qa, qb, qd = parts(q)
+    u, v, m = 1, 0, 1
+    out = [(u, v, m)][:n]
+    for _ in range(n - 1):
+        u, v, m = u * qa - v * qb, u * qb + v * qa, m * qd
+        out.append((u, v, m))
+    return out
+
+
+def _one_minus(x, qk) -> tuple:
+    """The triple of 1 - x q^k from the triples of x and q^k."""
+    xa, xb, xd = x
+    u, v, m = qk
+    d = xd * m
+    return d - xa * u + xb * v, -(xa * v + xb * u), d
+
+
+def _int_product(factors) -> tuple:
+    """The unreduced triple of the product of triples; (1, 0, 1) when
+    there are none."""
+    a, b, d = 1, 0, 1
+    for fa, fb, fd in factors:
+        a, b, d = a * fa - b * fb, a * fb + b * fa, d * fd
+    return a, b, d
+
+
 def _sum(a1, b1, d1, a2, b2, d2):
     """``(a1 + b1*i)/d1 + (a2 + b2*i)/d2`` for canonical triples.
 
@@ -349,10 +389,28 @@ def is_zero(x) -> bool:
 def pow_int(x, k: int):
     """x**k for signed integer k by repeated squaring.
 
-    Bit-exact in the exact backend.  Raises ZeroToNegativePower for
+    Bit-exact in the exact backend, where it squares the plain ints of
+    ``(a + b*i)^k / d^k`` (for k < 0 those of ``1/x = d(a - b*i) /
+    (a^2 + b^2)``) and reduces once.  Raises ZeroToNegativePower for
     0**k with k < 0.
     """
-    one = one_like(x)
+    if is_exact(x):
+        a, b, d = parts(_coerce(x))
+        if k < 0:
+            if not (a or b):
+                raise ZeroToNegativePower("0 cannot be raised to a negative power")
+            a, b, d = d * a, -d * b, a * a + b * b
+            k = -k
+        ra, rb, rd = 1, 0, 1
+        while k:
+            if k & 1:
+                ra, rb, rd = ra * a - rb * b, ra * b + rb * a, rd * d
+            k >>= 1
+            if k:
+                # the square after the top bit would be the largest, and unused
+                a, b, d = a * a - b * b, 2 * a * b, d * d
+        return from_parts(ra, rb, rd)
+    one = _ONE_FLOAT
     if k < 0:
         if not x:
             raise ZeroToNegativePower("0 cannot be raised to a negative power")
@@ -365,7 +423,6 @@ def pow_int(x, k: int):
             result = result * base
         k >>= 1
         if k:
-            # the square after the top bit would be the largest, and unused
             base = base * base
     return result
 

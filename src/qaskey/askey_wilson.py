@@ -123,8 +123,9 @@ class AWParams:
     def ak(self, k: int):
         return self.a[k - 1]
 
-    @property
+    @cached_property
     def a1234(self):
+        """a1 a2 a3 a4, formed on first use."""
         return self.a[0] * self.a[1] * self.a[2] * self.a[3]
 
     @cached_property

@@ -351,11 +351,15 @@ def judge(values, scale: float, exact: bool, *, rel_tol: float = REL_TOL,
     cancellation ``scale`` (raised to the values' magnitudes) plus
     ``abs_tol``; else they are INCONCLUSIVE if the scale exceeds the
     magnitudes by more than ``cond_cap``, and FAIL.  A value, deviation
-    or scale that is not finite makes the check INCONCLUSIVE with
-    deviation 0.0.
+    or scale that is not finite, or a modulus above the float range,
+    makes the check INCONCLUSIVE with deviation 0.0.
     """
-    exact_zero, max_dev = spread(values, exact)
-    mags = max(map(abs, values))
+    try:
+        exact_zero, max_dev = spread(values, exact)
+        mags = max(map(abs, values))
+    except OverflowError:
+        # a float modulus above the float range, from finite parts
+        return _UNRESOLVED
     scale = max(scale, mags)
     if exact:
         verdict = Verdict.PASS if exact_zero else Verdict.FAIL
@@ -538,8 +542,10 @@ def check(record: IdentityRecord, draw: Draw, *, rel_tol: float = REL_TOL,
     """Evaluate both sides of a record on one draw.
 
     Guard failures give SKIPPED; otherwise :func:`judge` gives the
-    verdict on the two sides.  ``use_printed`` selects the printed
-    variant of a quarantined record.
+    verdict on the two sides.  On the float backend an OverflowError
+    while evaluating makes the check INCONCLUSIVE with deviation 0.0, as
+    in :func:`judge`.  ``use_printed`` selects the printed variant of a
+    quarantined record.
     """
     exact = draw.q.exact
     rhs = record.rhs
@@ -556,6 +562,11 @@ def check(record: IdentityRecord, draw: Draw, *, rel_tol: float = REL_TOL,
     except ZeroDivisionError as exc:
         return CheckOutcome(Verdict.SKIPPED, 0.0, 0.0, exact,
                             guard=f"division by zero: {exc}")
+    except OverflowError:
+        # abs() of a float prefactor or term whose modulus leaves the range
+        if exact:
+            raise
+        return _UNRESOLVED
     return judge([left, right], max(scale_l, scale_r), exact, rel_tol=rel_tol,
                  abs_tol=abs_tol, cond_cap=cond_cap)
 

@@ -1,7 +1,11 @@
 """q-Pochhammer products (a;q)_n and the classical identities they satisfy.
 
 Everything here is a finite product, so both backends evaluate it exactly
-up to their own arithmetic; nothing in this module sums a series.
+up to their own arithmetic; nothing in this module sums a series.  On the
+exact backend :func:`poch` and :func:`poch_list` run fraction-free: every
+factor 1 - a q^k is an unreduced integer triple, and the product over all
+bases and k < n is reduced once.  The float backend multiplies factor by
+factor.
 
 Identities that classically involve square roots (base doubling and the
 shifted-quotient form) are stored and checked in radical-free equivalent
@@ -16,10 +20,17 @@ from .arithmetic import (
     GuardViolation,
     POLE_EPS,
     QBase,
+    _ONE_FLOAT,
+    _int_powers,
+    _int_product,
+    _one_minus,
+    as_scalar,
     binom2,
+    from_parts,
     is_exact,
     is_zero,
     one_like,
+    parts,
     pow_int,
 )
 
@@ -38,10 +49,12 @@ def _qval(q):
 
 def poch(a, q, n: int):
     """(a;q)_n = (1-a)(1-aq)...(1-aq^{n-1}); the empty product is 1."""
+    qv = _qval(q)
+    if is_exact(qv):
+        return _exact_poch((a,), qv, n)
     if n < 0:
         raise ValueError("poch requires n >= 0")
-    qv = _qval(q)
-    one = out = one_like(qv)
+    one = out = _ONE_FLOAT
     x = a
     for _ in range(n):
         out = out * (one - x)
@@ -52,10 +65,22 @@ def poch(a, q, n: int):
 def poch_list(bases, q, n: int):
     """Product of (a;q)_n over a list of bases; empty list gives 1."""
     qv = _qval(q)
-    out = one_like(qv)
+    if is_exact(qv):
+        return _exact_poch(bases, qv, n)
+    out = _ONE_FLOAT
     for a in bases:
         out = out * poch(a, qv, n)
     return out
+
+
+def _exact_poch(bases, q, n: int):
+    """The product of the factors 1 - a q^k over a in ``bases`` and k < n,
+    formed on integer triples and reduced once."""
+    if n < 0:
+        raise ValueError("poch requires n >= 0")
+    xs = [parts(as_scalar(a, True)) for a in bases]
+    pw = _int_powers(as_scalar(q, True), n)
+    return from_parts(*_int_product(_one_minus(x, qk) for x in xs for qk in pw))
 
 
 def omega_contains(a, q, n: int, *, pole_eps: float = POLE_EPS) -> bool:

@@ -14,8 +14,11 @@ the triples of q^k, the parameters, z and the kept guard factors, divided
 by multiplying with the conjugate of its denominator, and reduced by one
 gcd.  The running term and the partial sum stay unreduced over one shared
 denominator; only the value is reduced, once per series.  The direct
-evaluators keep to :class:`~qaskey.arithmetic.GaussianRational`
-operations and stay the independent oracle.
+evaluators build every term from :func:`~qaskey.qpochhammer.poch`
+products and stay the independent oracle: they share no code with the
+recurrence but the fraction-free product helpers of
+:mod:`qaskey.arithmetic`, which the tests check against plain
+:class:`~qaskey.arithmetic.GaussianRational` loops.
 
 A very-well-poised series is evaluated radical-free: the classical
 ``+-q sqrt(b)`` over ``+-sqrt(b)`` pair contributes the exact per-term
@@ -31,6 +34,11 @@ the same float as the sum over the reduced terms.
 The pole guards of :class:`SeriesSpec` and :class:`VwpSpec` form every
 denominator factor ``1 - x q^k`` of the terminating sum once and keep
 them: the term loops and the prefactor products ``(den;q)_n`` reuse them.
+On the exact backend the guards form the factors as unreduced integer
+triples, from the triples of the powers of q
+(:func:`~qaskey.arithmetic._int_powers`), and test each for an exact
+zero; the kernel reads those triples as they are, and
+:meth:`~SeriesSpec.den_poch` multiplies them all and reduces once.
 """
 
 from __future__ import annotations
@@ -43,6 +51,9 @@ from .arithmetic import (
     POLE_EPS,
     QBase,
     QError,
+    _int_powers,
+    _int_product,
+    _one_minus,
     abs_parts,
     as_scalar,
     binom2,
@@ -127,10 +138,23 @@ def _powers(q, n: int) -> list:
 def _guard_row(x, qks, exact: bool, pole_eps: float, message: str) -> tuple:
     """The factors ``1 - x q^k`` over ``qks`` = (q^k, k < n).
 
-    Raises DenominatorPole when x lies in Omega_q^n: a factor is exactly
-    zero, or on the float backend has modulus below ``pole_eps`` (the
-    test of :func:`~qaskey.qpochhammer.omega_contains`).
+    On the exact backend ``qks`` are the triples of
+    :func:`~qaskey.arithmetic._int_powers`, and the factors the unreduced
+    triples of :func:`~qaskey.arithmetic._one_minus`.  Raises
+    DenominatorPole when x lies in Omega_q^n: a factor is exactly zero
+    (for a triple, ``a == b == 0``, as ``d > 0``), or on the float backend
+    has modulus below ``pole_eps`` (the test of
+    :func:`~qaskey.qpochhammer.omega_contains`).
     """
+    if exact:
+        x = parts(x)
+        # a list first: tuple() of a generator builds the tuple by resizing,
+        # so each row freed later parks in the interpreter's tuple free
+        # list of its length, up to 2000 of them, and raises peak memory
+        row = [_one_minus(x, qk) for qk in qks]
+        if not all(a or b for a, b, _ in row):
+            raise DenominatorPole(message)
+        return tuple(row)
     one = one_like(x)
     row = []
     for qk in qks:
@@ -141,15 +165,40 @@ def _guard_row(x, qks, exact: bool, pole_eps: float, message: str) -> tuple:
     return tuple(row)
 
 
+class _GuardRows:
+    """The guard rows that :class:`SeriesSpec` and :class:`VwpSpec` keep.
+
+    ``den_rows[j][k]`` is the factor ``1 - x_j q^k`` (k < n) of the j-th
+    denominator parameter x_j as the guard formed it: a complex on the
+    float backend, an unreduced integer triple ``(a, b, d)`` on the exact
+    one.
+    """
+
+    @property
+    def den_factors(self) -> tuple:
+        """The guard rows as scalars; exact triples are reduced when read."""
+        if self.q.exact:
+            return tuple(tuple(from_parts(*f) for f in row) for row in self.den_rows)
+        return self.den_rows
+
+    def den_poch(self):
+        """The product of the denominator factors: (den;q)_n of a
+        SeriesSpec, (q^{n+1} b, q b / a_1, ...;q)_n of a VwpSpec.  The
+        exact backend reduces it once."""
+        if self.q.exact:
+            return from_parts(*_int_product(f for row in self.den_rows for f in row))
+        return _rows_product(self.den_rows, self.q.one())
+
+
 @dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(_GuardRows):
     """A terminating series: numerator list (the q^{-n} slot is implicit),
     denominator list, argument z, base q and termination degree n.
 
     With r = 1 + len(num) and s = len(den), each term k carries the factor
     ``((-1)^k q^{binom(k,2)})^{1+s-r}``.  Denominator entries must avoid
     Omega_q^n; violations raise DenominatorPole at construction.  The
-    guard keeps what it forms: ``den_factors[j][k]`` is ``1 - den[j] q^k``
+    guard keeps what it forms: ``den_rows[j][k]`` is ``1 - den[j] q^k``
     for k < n, which :func:`eval_phi` and :meth:`den_poch` reuse.
     """
 
@@ -159,7 +208,7 @@ class SeriesSpec:
     q: QBase
     n: int
     pole_eps: float = field(default=POLE_EPS, compare=False)
-    den_factors: tuple = field(init=False, compare=False, repr=False)
+    den_rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -168,8 +217,8 @@ class SeriesSpec:
         object.__setattr__(self, "num", _coerce_all(exact, self.num))
         object.__setattr__(self, "den", _coerce_all(exact, self.den))
         object.__setattr__(self, "z", as_scalar(self.z, exact))
-        qks = _powers(self.q.q, self.n)
-        object.__setattr__(self, "den_factors", tuple(
+        qks = (_int_powers if exact else _powers)(self.q.q, self.n)
+        object.__setattr__(self, "den_rows", tuple(
             _guard_row(b, qks, exact, self.pole_eps,
                        "denominator parameter lies in Omega_q^n")
             for b in self.den))
@@ -186,19 +235,15 @@ class SeriesSpec:
     def sign_exponent(self) -> int:
         return 1 + self.s - self.r
 
-    def den_poch(self):
-        """(den;q)_n, the product of the denominator factors."""
-        return _rows_product(self.den_factors, self.q.one())
-
 
 @dataclass(frozen=True)
-class VwpSpec:
+class VwpSpec(_GuardRows):
     """A terminating very-well-poised series: special parameter b, the
     lower parameter list beyond the q^{-n} slot, argument z, base q, n.
 
     Guards: b nonzero and not 1; q^{n+1} b and q b / a_k outside
     Omega_q^n and nonzero.  The guard keeps what it forms:
-    ``den_factors`` holds the rows ``1 - x q^k`` (k < n) for x = q^{n+1} b
+    ``den_rows`` holds the rows ``1 - x q^k`` (k < n) for x = q^{n+1} b
     and then each q b / a_k, which :func:`eval_w` and :meth:`den_poch`
     reuse.
     """
@@ -209,7 +254,7 @@ class VwpSpec:
     q: QBase
     n: int
     pole_eps: float = field(default=POLE_EPS, compare=False)
-    den_factors: tuple = field(init=False, compare=False, repr=False)
+    den_rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -227,23 +272,18 @@ class VwpSpec:
             raise BEqualsOne("special parameter b = 1 makes the series singular")
         if not all(self.lower):
             raise ZeroParameter("lower parameters must be nonzero")
-        qks = _powers(q.q, n)
+        qks = (_int_powers if exact else _powers)(q.q, n)
         rows = [_guard_row(q.pow(n + 1) * b, qks, exact, self.pole_eps,
                            "q^{n+1} b lies in Omega_q^n")]
         for a in self.lower:
             rows.append(_guard_row(q.q * b / a, qks, exact, self.pole_eps,
                                    "q b / a_k lies in Omega_q^n"))
-        object.__setattr__(self, "den_factors", tuple(rows))
+        object.__setattr__(self, "den_rows", tuple(rows))
 
     @property
     def r(self) -> int:
         # the series is an (r+1) phi r with this r
         return len(self.lower) + 3
-
-    def den_poch(self):
-        """(q^{n+1} b, q b / a_1, ...;q)_n, the product of the denominator
-        factors."""
-        return _rows_product(self.den_factors, self.q.one())
 
 
 def _trace(terms):
@@ -258,33 +298,6 @@ def _trace(terms):
 
 # -- exact kernel ---------------------------------------------------------
 # Integer triples (a, b, d) stand for (a + b i) / d with d > 0.
-
-def _int_powers(q, n: int) -> list:
-    """Triples of q^k for k <= n: ((a + b i)^k, d^k) from q's triple
-    (a, b, d), unreduced."""
-    qa, qb, qd = parts(q)
-    u, v, m = 1, 0, 1
-    out = [(u, v, m)]
-    for _ in range(n):
-        u, v, m = u * qa - v * qb, u * qb + v * qa, m * qd
-        out.append((u, v, m))
-    return out
-
-
-def _one_minus(x, qk) -> tuple:
-    """The triple of 1 - x q^k from the triples of x and q^k."""
-    xa, xb, xd = x
-    u, v, m = qk
-    d = xd * m
-    return d - xa * u + xb * v, -(xa * v + xb * u), d
-
-
-def _int_product(factors) -> tuple:
-    a, b, d = 1, 0, 1
-    for fa, fb, fd in factors:
-        a, b, d = a * fa - b * fb, a * fb + b * fa, d * fd
-    return a, b, d
-
 
 def _step_ratio(num, den) -> tuple:
     """The reduced triple of prod(num) / prod(den): plain int products,
@@ -303,10 +316,11 @@ def _step_ratio(num, den) -> tuple:
 
 def _ratios(spec, xs, pw, e=0) -> list:
     """Step ratios (-q^k)^e z prod_x (1 - x q^k)
-    / ((1 - q^{k+1}) prod_j den_factors[j][k]) for k < n, from the
-    triples ``xs`` and the powers ``pw`` of :func:`_int_powers`."""
+    / ((1 - q^{k+1}) prod_j den_rows[j][k]) for k < n, from the
+    triples ``xs``, the powers ``pw`` (k <= n) of
+    :func:`~qaskey.arithmetic._int_powers` and the spec's guard rows."""
     z = parts(spec.z)
-    rows = [[parts(f) for f in row] for row in spec.den_factors]
+    rows = spec.den_rows
     ratios = []
     for k in range(spec.n):
         u, v, m = qk = pw[k]
@@ -343,7 +357,8 @@ def _accumulate(ratios, weights=None, wd=1):
 
 def _pair_weights(b, pw):
     """The pair factors (1 - b q^{2k}) / (1 - b), k <= n, from the triple
-    of b and the powers ``pw`` of :func:`_int_powers`: Gaussian integers
+    of b and the powers ``pw`` (k <= n) of
+    :func:`~qaskey.arithmetic._int_powers`: Gaussian integers
     over the lcm d^{2n} N of their denominators, returned with it, where
     d is q's denominator and N = |bd (1 - b)|^2."""
     ba, bb, bd = b
@@ -367,7 +382,7 @@ def eval_phi(spec: SeriesSpec):
     """
     if spec.q.exact:
         xs = [parts(x) for x in (pow_int(spec.q.q, -spec.n),) + spec.num]
-        pw = _int_powers(spec.q.q, spec.n)
+        pw = _int_powers(spec.q.q, spec.n + 1)
         return _accumulate(_ratios(spec, xs, pw, spec.sign_exponent))
     q = spec.q.q
     one = one_like(q)
@@ -382,7 +397,7 @@ def eval_phi(spec: SeriesSpec):
         for a in spec.num:
             rnum = rnum * (one - a * qk)
         rden = one - q * qk
-        for row in spec.den_factors:
+        for row in spec.den_rows:
             rden = rden * row[k]
         if not rden:
             raise DenominatorPole("pole encountered inside the summation")
@@ -428,7 +443,7 @@ def eval_w(spec: VwpSpec):
     if spec.q.exact:
         b = parts(spec.b)
         xs = [b, parts(pow_int(spec.q.q, -spec.n))] + [parts(a) for a in spec.lower]
-        pw = _int_powers(spec.q.q, spec.n)
+        pw = _int_powers(spec.q.q, spec.n + 1)
         return _accumulate(_ratios(spec, xs, pw), *_pair_weights(b, pw))
     q = spec.q.q
     one = one_like(q)
@@ -445,7 +460,7 @@ def eval_w(spec: VwpSpec):
         for a in spec.lower:
             rnum = rnum * (one - a * qk)
         rden = one - q * qk
-        for row in spec.den_factors:
+        for row in spec.den_rows:
             rden = rden * row[k]
         if not rden:
             raise DenominatorPole("pole encountered inside the summation")
@@ -505,8 +520,8 @@ def _product(values, one):
 
 
 def _rows_product(rows, one):
-    # row by row, as poch_list groups them: on the exact backend one long
-    # running product over every factor costs far more gcd work at high n
+    # float backend only: row by row, grouped as the float poch_list
+    # groups its factors
     return _product((_product(row, one) for row in rows), one)
 
 

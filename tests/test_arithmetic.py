@@ -419,3 +419,40 @@ def test_knuth_addition_matches_fraction_pair_reference(pairs):
 def test_knuth_addition_examples(x, y, total):
     for s in (x + y, y + x, x - (-y), -((-x) - y)):
         assert (s._a, s._b, s._d) == total
+
+
+# ---------------------------------------------------------------------------
+# pow_int against the Fraction-pair reference
+# ---------------------------------------------------------------------------
+# pow_int squares plain ints and reduces once; the reference multiplies
+# Fraction pairs k times, so the two share no arithmetic.
+
+def ref_pow(xv, k):
+    x = ref(xv)
+    if k < 0:
+        x = ref_div((Fraction(1), Fraction(0)), x)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = ref_mul(out, x)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(OPERANDS, st.integers(-12, 12))
+@example((Fraction(0), Fraction(0)), 3)              # zero to a positive power
+@example((Fraction(0), Fraction(0)), 0)
+@example((Fraction(2, 3), Fraction(-1, 5)), 0)       # k = 0 of a non-real base
+@example((Fraction(2, 3), Fraction(-1, 5)), -7)      # |x| < 1, non-real
+@example((Fraction(9, 2), Fraction(7, 3)), -5)       # |x| > 1, non-real
+@example((Fraction(1, 2), Fraction(1, 2)), 4)        # (1 + i)^4 / 16 = -1/4
+@example(-3, -3)
+@example(Fraction(-5, 7), 5)
+def test_pow_int_matches_fraction_pair_reference(xv, k):
+    x = scalar(xv)
+    try:
+        expected = ref_pow(xv, k)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroToNegativePower):
+            pow_int(x, k)
+        return
+    assert_canonical(pow_int(x, k), expected)

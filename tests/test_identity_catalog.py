@@ -1,5 +1,6 @@
 """The 35-record catalogue: structure, exactness, quarantine, derivations."""
 
+import dataclasses
 import math
 import random
 import re
@@ -349,6 +350,21 @@ def test_judge_non_finite_deviation_or_scale_is_unresolved():
     assert judge([1 + 0j, 1 + 1e-3j], math.inf, False) == unresolved
     # two finite values whose difference overflows
     assert judge([1e308 + 0j, -1e308 + 0j], 1.0, False) == unresolved
+    # finite parts, but a modulus above the float range: abs() raises
+    assert judge([1.5e308 + 1.5e308j, 0j], 1.0, False) == unresolved
+
+
+def test_check_settles_a_float_modulus_overflow_as_unresolved():
+    # a prefactor with finite parts whose modulus is above the float
+    # range, so that abs() of it raises OverflowError in Side.evaluate
+    rec = record_by_id("cor3.5/r2")
+    draw = Draw(QBase(0.5 + 0j), 2, {"b": 0.3 + 0.2j, "c": 1.7 - 0.4j, "d": -0.6 + 1.1j,
+                                      "e": 2.3 + 0.5j, "f": 0.8 - 1.3j})
+    assert check(rec, draw).verdict is Verdict.PASS
+    lhs = dataclasses.replace(rec.lhs, pref_num=(), pref_den=(),
+                              power=lambda s: complex(1.5e308, 1.5e308))
+    out = check(dataclasses.replace(rec, lhs=lhs), draw)
+    assert out == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
 
 
 Q = (0, 1)

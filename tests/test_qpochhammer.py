@@ -1,10 +1,11 @@
 """Finite q-products and the catalogued identity suite."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaskey import GaussianRational, QBase, poch, poch_list, poch_qinv
@@ -14,7 +15,8 @@ from qaskey.qpochhammer import (
     identity_suite,
     omega_contains,
 )
-from qaskey.arithmetic import pow_int
+from qaskey.arithmetic import parts, pow_int
+from qaskey.qseries import DenominatorPole, SeriesSpec, VwpSpec
 
 from util import rand_qbase, rand_scalar
 
@@ -148,3 +150,128 @@ def test_index_addition_property(a, q, n, k):
     full = poch(av, qb, n + k)
     assert full == poch(av, qb, k) * poch(av * pow_int(qb.q, k), qb, n)
     assert full == poch(av, qb, n) * poch(av * pow_int(qb.q, n), qb, k)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free products against plain GaussianRational loops
+# ---------------------------------------------------------------------------
+# poch, poch_list and the guard rows of SeriesSpec / VwpSpec form every
+# factor 1 - x q^k on unreduced integer triples and reduce once; the
+# series oracles eval_phi_direct / eval_w_direct reach those products
+# through poch.  The loops below use only GaussianRational *, / and -,
+# which share no code with them.
+
+ONE = G(1)
+
+
+def loop_power(q, k):
+    out = ONE
+    for _ in range(abs(k)):
+        out = out * q if k > 0 else out / q
+    return out
+
+
+def loop_factors(x, q, n):
+    out, qk = [], ONE
+    for _ in range(n):
+        out.append(ONE - x * qk)
+        qk = qk * q
+    return out
+
+
+def loop_product(values):
+    out = ONE
+    for v in values:
+        out = out * v
+    return out
+
+
+def assert_same(value, expected):
+    """``value`` is the canonical GaussianRational of ``expected``; an
+    exact zero is the triple (0, 0, 1)."""
+    assert type(value) is G
+    a, b, d = parts(value)
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert parts(value) == parts(expected)
+    if not expected:
+        assert parts(value) == (0, 0, 1)
+
+
+PART = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+GAUSS = st.builds(G, PART, PART)
+NONZERO = GAUSS.filter(bool)
+# real and non-real bases, with |q| < 1 and |q| > 1 alike
+BASE_Q = NONZERO.filter(lambda q: q.abs2() != 1)
+
+
+@st.composite
+def products(draw, max_bases):
+    """``(bases, q, n)``; now and then one base is q^{-k} for some k < n,
+    so that its k-th factor vanishes."""
+    q = draw(BASE_Q)
+    n = draw(st.integers(0, 10))
+    bases = draw(st.lists(GAUSS, max_size=max_bases))
+    if bases and n and draw(st.booleans()):
+        j = draw(st.integers(0, len(bases) - 1))
+        bases[j] = loop_power(q, -draw(st.integers(0, n - 1)))
+    return bases, q, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(products(4))
+@example(([G(5, 2)], G(Fraction(1, 2), Fraction(1, 3)), 0))     # n = 0
+@example(([G(8)], G(Fraction(1, 2)), 6))        # zero factor at k = 3 of 6
+@example(([G(-3, 1), G(Fraction(1, 4))], G(Fraction(7, 2), -2), 5))   # |q| > 1
+def test_poch_and_poch_list_match_a_gaussian_rational_loop(case):
+    bases, q, n = case
+    each = [loop_product(loop_factors(a, q, n)) for a in bases]
+    for a, expected in zip(bases, each):
+        assert_same(poch(a, q, n), expected)
+        assert_same(poch(a, QBase(q), n), expected)
+    assert_same(poch_list(bases, QBase(q), n), loop_product(each))
+
+
+def _guard_message(rows, messages):
+    for row, message in zip(rows, messages):
+        if not all(row):
+            return message
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(products(3), NONZERO.filter(lambda b: b != 1), st.lists(NONZERO, min_size=4, max_size=4),
+       st.integers(-1, 3), st.integers(0, 9))
+@example(([G(8)], G(Fraction(1, 2)), 6), G(3), [G(1), G(2), G(3), G(4)], -1, 0)
+@example(([G(1, 1)], G(2, 1), 5), G(Fraction(1, 2)), [G(1), G(2), G(3), G(4)], 2, 3)
+@example(([], G(Fraction(1, 2)), 3), G(32), [G(1), G(2), G(3), G(5)], -1, 0)
+def test_guard_rows_and_den_poch_match_a_gaussian_rational_loop(case, b, lower, pole_at, k):
+    """The rows the guards keep and their product ``den_poch()``; a row
+    with an exact zero, at its start or mid-row, raises DenominatorPole
+    with its row's message."""
+    den, q, n = case
+    qb = QBase(q)
+    rows = [loop_factors(x, q, n) for x in den]
+    message = _guard_message(rows, ["denominator parameter lies in Omega_q^n"] * len(rows))
+    if message:
+        with pytest.raises(DenominatorPole) as err:
+            SeriesSpec([ONE], den, ONE, qb, n)
+        assert str(err.value) == message
+    else:
+        spec = SeriesSpec([ONE], den, ONE, qb, n)
+        assert spec.den_factors == tuple(map(tuple, rows))
+        assert_same(spec.den_poch(), loop_product(f for row in rows for f in row))
+    if n and pole_at >= 0:
+        # q b / a = q^{-k} for one lower parameter a
+        lower[pole_at] = b * loop_power(q, k % n + 1)
+    xs = [loop_power(q, n + 1) * b] + [q * b / a for a in lower]
+    rows = [loop_factors(x, q, n) for x in xs]
+    message = _guard_message(rows, ["q^{n+1} b lies in Omega_q^n"]
+                             + ["q b / a_k lies in Omega_q^n"] * 4)
+    if message:
+        with pytest.raises(DenominatorPole) as err:
+            VwpSpec(b, lower, ONE, qb, n)
+        assert str(err.value) == message
+    else:
+        spec = VwpSpec(b, lower, ONE, qb, n)
+        assert spec.den_factors == tuple(map(tuple, rows))
+        assert_same(spec.den_poch(), loop_product(f for row in rows for f in row))
