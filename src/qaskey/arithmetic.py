@@ -13,11 +13,12 @@ Two scalar types realize the same abstract complex field:
   :func:`abs_parts` hand the triple to loops that run on plain ints,
   such as the exact series kernel of :mod:`qaskey.qseries`.  Products
   run fraction-free, with one gcd per product rather than per factor:
-  :func:`pow_int` squares plain ints, and ``_int_powers``,
-  ``_one_minus`` and ``_int_product`` form the products of factors
-  ``1 - x q^k`` that :mod:`qaskey.qpochhammer` (``poch``,
-  ``poch_list``) and the pole guards of :mod:`qaskey.qseries` reduce
-  once.
+  :func:`pow_int` squares plain ints (``_int_pow``), and
+  ``_int_powers``, ``_one_minus`` and ``_int_product`` form the products
+  of factors ``1 - x q^k`` that the pole guards of
+  :mod:`qaskey.qseries` keep and that
+  :func:`qaskey.qpochhammer.poch_quotient`, the one quotient path of
+  every prefactor, multiplies unreduced and reduces once.
 * float backend -- the builtin ``complex``.  Fast, but a failed check may
   be cancellation rather than a genuine discrepancy, so verdicts are
   scale-aware (see :func:`qaskey.identity_catalog.judge`).
@@ -295,6 +296,27 @@ def _int_product(factors) -> tuple:
     return a, b, d
 
 
+def _int_pow(x, k: int) -> tuple:
+    """The unreduced triple of x^k for the triple x and a signed integer
+    k, by squaring plain ints; for k < 0 those of ``1/x = d(a - b*i) /
+    (a^2 + b^2)``.  Raises ZeroToNegativePower for 0**k with k < 0."""
+    a, b, d = x
+    if k < 0:
+        if not (a or b):
+            raise ZeroToNegativePower("0 cannot be raised to a negative power")
+        a, b, d = d * a, -d * b, a * a + b * b
+        k = -k
+    ra, rb, rd = 1, 0, 1
+    while k:
+        if k & 1:
+            ra, rb, rd = ra * a - rb * b, ra * b + rb * a, rd * d
+        k >>= 1
+        if k:
+            # the square after the top bit would be the largest, and unused
+            a, b, d = a * a - b * b, 2 * a * b, d * d
+    return ra, rb, rd
+
+
 def _sum(a1, b1, d1, a2, b2, d2):
     """``(a1 + b1*i)/d1 + (a2 + b2*i)/d2`` for canonical triples.
 
@@ -395,21 +417,7 @@ def pow_int(x, k: int):
     0**k with k < 0.
     """
     if is_exact(x):
-        a, b, d = parts(_coerce(x))
-        if k < 0:
-            if not (a or b):
-                raise ZeroToNegativePower("0 cannot be raised to a negative power")
-            a, b, d = d * a, -d * b, a * a + b * b
-            k = -k
-        ra, rb, rd = 1, 0, 1
-        while k:
-            if k & 1:
-                ra, rb, rd = ra * a - rb * b, ra * b + rb * a, rd * d
-            k >>= 1
-            if k:
-                # the square after the top bit would be the largest, and unused
-                a, b, d = a * a - b * b, 2 * a * b, d * d
-        return from_parts(ra, rb, rd)
+        return from_parts(*_int_pow(parts(_coerce(x)), k))
     one = _ONE_FLOAT
     if k < 0:
         if not x:

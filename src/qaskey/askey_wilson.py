@@ -35,12 +35,11 @@ from .arithmetic import (
     QError,
     as_scalar,
     binom2,
-    is_zero,
     one_like,
     pow_int,
     spread,
 )
-from .qpochhammer import poch, poch_list
+from .qpochhammer import poch_quotient
 from .qseries import SeriesSpec, TermTrace, VwpSpec, ZeroParameter, eval_phi, eval_w
 
 
@@ -168,22 +167,11 @@ class AWParams:
         return recip, flipped, factor
 
 
-def _guarded_poch(base, q, n, constraint: str):
-    v = poch(base, q, n)
-    if is_zero(v):
-        raise PoleGuard(f"pole guard failed: ({constraint};q)_n = 0")
-    return v
-
-
-def _led(lead, x):
-    """``x``, times the leading factor ``lead`` unless that is None."""
-    return x if lead is None else lead * x
-
-
-def _build(params: AWParams, rep: RepId, lead=None):
+def _build(params: AWParams, rep: RepId, lead=()):
     """(prefactor, series spec) for one representation.
 
-    ``lead``, when given, is multiplied into the prefactor first.
+    ``lead``, a tuple of prefactor factors for
+    :func:`~qaskey.qpochhammer.poch_quotient`, is multiplied in first.
     """
     q = params.q.q
     n = params.n
@@ -199,13 +187,12 @@ def _build(params: AWParams, rep: RepId, lead=None):
     if tag is RepTag.PHI_STD:
         spec = SeriesSpec([pow_int(q, n - 1) * a1234, ap * w, ap * wi],
                           aps, q, params.q, n)
-        return _led(lead, pow_int(ap, -n)) * spec.den_poch(), spec
+        return poch_quotient(q, n, lead + ((ap, -n),), num_rows=spec.den_rows), spec
 
     if tag is RepTag.PHI_INV:
         # (a1234/q;q)_{2n} / (a1234/q;q)_n collapses to (a1234 q^{n-1};q)_n
-        pref = (_led(lead, pow_int(q, -binom2(n))) * pow_int(-ap, -n)
-                * poch(a1234 * pow_int(q, n - 1), q, n)
-                * poch(ap * w, q, n) * poch(ap * wi, q, n))
+        pref = poch_quotient(q, n, lead + ((q, -binom2(n)), (-ap, -n)),
+                             (a1234 * pow_int(q, n - 1), ap * w, ap * wi))
         q1n = pow_int(q, 1 - n)
         spec = SeriesSpec([q1n / x for x in aps],
                           [pow_int(q, 2 - 2 * n) / a1234, q1n * w / ap, q1n * wi / ap],
@@ -214,36 +201,36 @@ def _build(params: AWParams, rep: RepId, lead=None):
 
     if tag is RepTag.PHI_MIXED:
         q1n = pow_int(q, 1 - n)
-        pref = (_led(lead, pow_int(w, n)) * poch(ap * ar, q, n)
-                * poch(at * wi, q, n) * poch(au * wi, q, n))
+        pref = poch_quotient(q, n, lead + ((w, n),), (ap * ar, at * wi, au * wi))
         spec = SeriesSpec([ap * w, ar * w, q1n / (at * au)],
                           [ap * ar, q1n * w / at, q1n * w / au], q, params.q, n)
         return pref, spec
 
     if tag is RepTag.W_DEF6:
         # trailing quotient collapses to 1 / (a1234 q^{n-1} / (ap w);q)_n
-        den = _guarded_poch(a1234 * pow_int(q, n - 1) / (ap * w), q, n,
-                            "q^{n-1} a1234 / (a_p w)")
-        pref = (_led(lead, pow_int(w, n)) * poch(a1234 * pow_int(q, n - 1), q, n)
-                * poch_list([params.ak(s) * wi for s in others], q, n) / den)
+        top = a1234 * pow_int(q, n - 1)
+        pref = poch_quotient(q, n, lead + ((w, n),),
+                             (top, [params.ak(s) * wi for s in others]),
+                             (top / (ap * w),), pole=PoleGuard,
+                             message="pole guard failed: (q^{n-1} a1234 / (a_p w);q)_n = 0")
         spec = VwpSpec(pow_int(q, 1 - 2 * n) * ap * w / a1234,
                        [pow_int(q, 1 - n) * x / a1234 for x in aps] + [ap * w],
                        q * w / ap, params.q, n)
         return pref, spec
 
     if tag is RepTag.W_DEF7:
-        den = _guarded_poch(a1234 * w / ap, q, n, "a1234 w / a_p")
-        pref = (_led(lead, pow_int(w, n)) * poch(ap * wi, q, n)
-                * poch_list([a1234 / x for x in aps], q, n) / den)
+        pref = poch_quotient(q, n, lead + ((w, n),), (ap * wi, [a1234 / x for x in aps]),
+                             (a1234 * w / ap,), pole=PoleGuard,
+                             message="pole guard failed: (a1234 w / a_p;q)_n = 0")
         spec = VwpSpec(a1234 * w / (q * ap),
                        [params.ak(s) * w for s in others] + [pow_int(q, n - 1) * a1234],
                        q * wi / ap, params.q, n)
         return pref, spec
 
     if tag is RepTag.W_DEF5:
-        den = _guarded_poch(ar / ap, q, n, "a_r / a_p")
-        pref = (_led(lead, pow_int(ap, -n)) * poch(ap * at, q, n) * poch(ap * au, q, n)
-                * poch(ar * w, q, n) * poch(ar * wi, q, n) / den)
+        pref = poch_quotient(q, n, lead + ((ap, -n),),
+                             (ap * at, ap * au, ar * w, ar * wi), (ar / ap,), pole=PoleGuard,
+                             message="pole guard failed: (a_r / a_p;q)_n = 0")
         q1n = pow_int(q, 1 - n)
         spec = VwpSpec(pow_int(q, -n) * ap / ar,
                        [q1n / (ar * at), q1n / (ar * au), ap * w, ap * wi],
@@ -251,9 +238,9 @@ def _build(params: AWParams, rep: RepId, lead=None):
         return pref, spec
 
     if tag is RepTag.W_DEF4:
-        den = _guarded_poch(wi * wi, q, n, "1/w^2")
-        pref = (_led(lead, pow_int(w, n))
-                * poch_list([v * wi for v in params.a], q, n) / den)
+        pref = poch_quotient(q, n, lead + ((w, n),), ([v * wi for v in params.a],),
+                             (wi * wi,), pole=PoleGuard,
+                             message="pole guard failed: (1/w^2;q)_n = 0")
         spec = VwpSpec(pow_int(q, -n) * w * w, [v * w for v in params.a],
                        pow_int(q, 2 - n) / a1234, params.q, n)
         return pref, spec
@@ -285,7 +272,7 @@ def _build_qinv(params: AWParams, rep: RepId):
         recip = flipped
         where = "a -> 1/a, w -> 1/w"
     try:
-        return _build(recip, rep, factor)
+        return _build(recip, rep, (factor,))
     except PoleGuard as exc:
         raise PoleGuard(f"at {where}: {exc}") from exc
 
@@ -338,14 +325,22 @@ def eval_qinv_rep(params: AWParams, rep) -> tuple[object, TermTrace]:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Outcome of evaluating several representations on one draw."""
+    """Outcome of evaluating several representations on one draw.
+
+    ``traces`` holds the term trace of each value; ``scale``, the largest
+    of their ``abs_scale``, is formed each time it is read.
+    """
 
     values: dict
     skipped: dict
     max_deviation: float
-    scale: float
+    traces: tuple
     exact: bool
     all_agree: bool
+
+    @property
+    def scale(self) -> float:
+        return max([0.0, *(trace.abs_scale for trace in self.traces)])
 
     @property
     def rel_deviation(self) -> float:
@@ -358,7 +353,7 @@ class EvalReport:
 def _report(params, reps, evaluator) -> EvalReport:
     values = {}
     skipped = {}
-    scale = 0.0
+    traces = []
     for rep in reps:
         rep = _as_rep(rep)
         try:
@@ -367,10 +362,10 @@ def _report(params, reps, evaluator) -> EvalReport:
             skipped[rep.tag.value] = str(exc)
             continue
         values[rep.tag.value] = value
-        scale = max(scale, trace.abs_scale)
+        traces.append(trace)
     exact = params.q.exact
     all_agree, max_dev = spread(list(values.values()), exact)
-    return EvalReport(values, skipped, max_dev, scale, exact, all_agree)
+    return EvalReport(values, skipped, max_dev, tuple(traces), exact, all_agree)
 
 
 def eval_all(params: AWParams, reps=ALL_REPS) -> EvalReport:
@@ -398,7 +393,7 @@ def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:
     aps = [ap * params.ak(s) for s in (2, 3, 4)]
     spec = SeriesSpec([pow_int(q, n - 1) * params.a1234, ap * w, ap / w],
                       aps, q, qi, n)
-    pref = pow_int(ap, -n) * spec.den_poch()
+    pref = poch_quotient(q, n, ((ap, -n),), num_rows=spec.den_rows)
     value, trace = eval_phi(spec)
     return pref * value, trace.scaled(pref)
 
@@ -406,15 +401,19 @@ def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:
 def _qinv_scaling(params: AWParams):
     """``(d1, d2, ref, scale)``: the two differences of
     :func:`check_qinv_scaling`, the derived base-inverted standard value
-    ``ref`` that the first one subtracts, and the cancellation scale: the
-    largest of the three evaluations' scales, plus ``abs(ref)``."""
+    ``ref`` that the first one subtracts, and a callable that returns the
+    cancellation scale when a float verdict needs it: the largest of the
+    three evaluations' scales, plus ``abs(ref)``."""
     lhs, ltrace = eval_qinv_direct(params)
     ref, trace = eval_qinv_rep(params, RepTag.PHI_STD)
     _, flipped, factor = params._qinv_point
     # phi-mixed, not phi-std: at 1/w the phi-std series only swaps a_p w
     # and a_p / w, so the second difference would repeat the first
     v2, t2 = eval_rep(flipped, RepTag.PHI_MIXED)
-    scale = max(ltrace.abs_scale, trace.abs_scale, abs(factor) * t2.abs_scale) + abs(ref)
+    def scale():
+        scales = ltrace.abs_scale, trace.abs_scale, abs(factor) * t2.abs_scale
+        return max(scales) + abs(ref)
+
     return lhs - ref, lhs - factor * v2, ref, scale
 
 

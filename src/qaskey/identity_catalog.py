@@ -76,7 +76,7 @@ from .arithmetic import (
     spread,
 )
 from .askey_wilson import AWParams, RepId, RepTag
-from .qpochhammer import poch, poch_list
+from .qpochhammer import poch, poch_list, poch_quotient
 from .qseries import DenominatorPole, SeriesSpec, VwpSpec, eval_phi, eval_w
 
 
@@ -280,15 +280,17 @@ class Side:
     power_label: str = ""
 
     def evaluate(self, s: _S):
-        """Return (value, cancellation scale); guard failures raise."""
-        den = poch_list(s.values(self.pref_den), s.qbase, s.n)
-        if is_zero(den):
-            raise DenominatorPole("prefactor pole: a denominator Pochhammer vanished")
-        pref = poch_list(s.values(self.pref_num), s.qbase, s.n) / den
-        if self.power is not None:
-            pref = pref * self.power(s)
+        """Return (value, cancellation scale); guard failures raise.  The
+        scale is None on the exact backend: its verdict is equality and
+        reads none, so the series' ``abs_scale`` is not formed."""
+        pref = poch_quotient(
+            s.qbase, s.n, (), [s.values(self.pref_num)], [s.values(self.pref_den)],
+            tail=() if self.power is None else (self.power(s),), pole=DenominatorPole,
+            message="prefactor pole: a denominator Pochhammer vanished")
         spec = self.series(s)
         value, trace = (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec)
+        if s.qbase.exact:
+            return pref * value, None
         return pref * value, abs(pref) * trace.abs_scale
 
     def describe(self) -> str:
@@ -342,28 +344,31 @@ class CheckOutcome:
 _UNRESOLVED = CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
 
 
-def judge(values, scale: float, exact: bool, *, rel_tol: float = REL_TOL,
+def judge(values, scale, exact: bool, *, rel_tol: float = REL_TOL,
           abs_tol: float = ABS_TOL, cond_cap: float = COND_CAP) -> CheckOutcome:
     """The verdict on a family of values that must agree.
 
-    Exact values PASS iff all are equal.  Float values PASS when their
+    Exact values PASS iff all are equal; that verdict reads no scale, and
+    its outcome reports scale 0.0.  Float values PASS when their
     largest pairwise deviation is at most ``rel_tol`` times the
     cancellation ``scale`` (raised to the values' magnitudes) plus
     ``abs_tol``; else they are INCONCLUSIVE if the scale exceeds the
     magnitudes by more than ``cond_cap``, and FAIL.  A value, deviation
     or scale that is not finite, or a modulus above the float range,
-    makes the check INCONCLUSIVE with deviation 0.0.
+    makes the check INCONCLUSIVE with deviation 0.0.  ``scale`` is a
+    float, or a callable that returns it when a float verdict reads it.
     """
+    if exact:
+        exact_zero, max_dev = spread(values, True)
+        verdict = Verdict.PASS if exact_zero else Verdict.FAIL
+        return CheckOutcome(verdict, max_dev, 0.0, True)
     try:
-        exact_zero, max_dev = spread(values, exact)
+        _, max_dev = spread(values, False)
         mags = max(map(abs, values))
     except OverflowError:
         # a float modulus above the float range, from finite parts
         return _UNRESOLVED
-    scale = max(scale, mags)
-    if exact:
-        verdict = Verdict.PASS if exact_zero else Verdict.FAIL
-        return CheckOutcome(verdict, max_dev, scale, True)
+    scale = max(scale() if callable(scale) else scale, mags)
     if not (all(map(cmath.isfinite, values)) and math.isfinite(max_dev)
             and math.isfinite(scale)):
         # max() above skips a NaN, so such values could read as agreeing
@@ -567,7 +572,7 @@ def check(record: IdentityRecord, draw: Draw, *, rel_tol: float = REL_TOL,
         if exact:
             raise
         return _UNRESOLVED
-    return judge([left, right], max(scale_l, scale_r), exact, rel_tol=rel_tol,
+    return judge([left, right], lambda: max(scale_l, scale_r), exact, rel_tol=rel_tol,
                  abs_tol=abs_tol, cond_cap=cond_cap)
 
 

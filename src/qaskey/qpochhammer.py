@@ -1,11 +1,17 @@
 """q-Pochhammer products (a;q)_n and the classical identities they satisfy.
 
 Everything here is a finite product, so both backends evaluate it exactly
-up to their own arithmetic; nothing in this module sums a series.  On the
-exact backend :func:`poch` and :func:`poch_list` run fraction-free: every
-factor 1 - a q^k is an unreduced integer triple, and the product over all
-bases and k < n is reduced once.  The float backend multiplies factor by
-factor.
+up to their own arithmetic; nothing in this module sums a series.
+
+:func:`poch_quotient` is the one prefactor path: a product of powers x^k,
+times (num;q)_n and any kept guard rows, divided by (den;q)_n.  The
+representations, the catalogue sides and the series transformations
+form their prefactors with it, and :func:`poch` and :func:`poch_list`
+are its one-sided case on the exact backend.  There every factor
+1 - a q^k is an unreduced integer triple; the numerator and the
+denominator are one product each, divided once through the conjugate
+and reduced once.  The float backend multiplies factor by factor, in the
+order of the arguments.
 
 Identities that classically involve square roots (base doubling and the
 shifted-quotient form) are stored and checked in radical-free equivalent
@@ -21,6 +27,7 @@ from .arithmetic import (
     POLE_EPS,
     QBase,
     _ONE_FLOAT,
+    _int_pow,
     _int_powers,
     _int_product,
     _one_minus,
@@ -51,36 +58,143 @@ def poch(a, q, n: int):
     """(a;q)_n = (1-a)(1-aq)...(1-aq^{n-1}); the empty product is 1."""
     qv = _qval(q)
     if is_exact(qv):
-        return _exact_poch((a,), qv, n)
+        return poch_quotient(qv, n, num=(a,))
     if n < 0:
         raise ValueError("poch requires n >= 0")
-    one = out = _ONE_FLOAT
-    x = a
-    for _ in range(n):
-        out = out * (one - x)
-        x = x * qv
-    return out
+    return _float_poch(a, qv, n)
 
 
 def poch_list(bases, q, n: int):
     """Product of (a;q)_n over a list of bases; empty list gives 1."""
     qv = _qval(q)
     if is_exact(qv):
-        return _exact_poch(bases, qv, n)
+        return poch_quotient(qv, n, num=bases)
     out = _ONE_FLOAT
     for a in bases:
         out = out * poch(a, qv, n)
     return out
 
 
-def _exact_poch(bases, q, n: int):
-    """The product of the factors 1 - a q^k over a in ``bases`` and k < n,
-    formed on integer triples and reduced once."""
+def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
+                  den_rows=None, tail=(), pole=PoleInIdentity,
+                  message="prefactor pole: a denominator Pochhammer product vanishes"):
+    """The prefactor ``lead * (num;q)_n * num_rows / ((den;q)_n * den_rows)
+    * tail`` of a representation or transformation.
+
+    ``lead`` and ``tail`` hold factors: a scalar, or a pair ``(x, k)`` for
+    x^k with k of any sign.  An entry of ``num`` or ``den`` is a base a,
+    for (a;q)_n, or a list or tuple of bases, for the product of theirs.
+    ``num_rows`` and ``den_rows`` are kept guard rows (the ``den_rows`` of
+    a :class:`~qaskey.qseries.SeriesSpec` or
+    :class:`~qaskey.qseries.VwpSpec`): their factors ``1 - x q^k`` are
+    multiplied as the guard formed them.  The denominator is formed
+    first; if it is zero, ``pole(message)`` is raised.
+
+    On the exact backend every factor is an unreduced integer triple: the
+    numerator is one product, the denominator another, and the quotient
+    is one division through the conjugate and one
+    :func:`~qaskey.arithmetic.from_parts`.  The float backend multiplies
+    in the order of the arguments: the ``lead`` factors left to right,
+    each ``num`` entry, the ``num_rows``; that divided by the product of
+    the ``den`` entries and the ``den_rows``; then times the product of
+    the ``tail`` factors.
+    """
     if n < 0:
         raise ValueError("poch requires n >= 0")
-    xs = [parts(as_scalar(a, True)) for a in bases]
-    pw = _int_powers(as_scalar(q, True), n)
-    return from_parts(*_int_product(_one_minus(x, qk) for x in xs for qk in pw))
+    qv = _qval(q)
+    if is_exact(qv):
+        # kept rows alone need no powers of q
+        pw = _int_powers(as_scalar(qv, True), n) if num or den else ()
+        da, db, dd = _int_product(_exact_factors(den, den_rows, pw))
+        if not (da or db):
+            raise pole(message)
+        up = _exact_factors(num, num_rows, pw)
+        for f in (*lead, *tail):
+            if type(f) is tuple:
+                up.append(_int_pow(parts(as_scalar(f[0], True)), f[1]))
+            else:
+                up.append(parts(as_scalar(f, True)))
+        na, nb, nd = _int_product(up)
+        return from_parts((na * da + nb * db) * dd, (nb * da - na * db) * dd,
+                          nd * (da * da + db * db))
+    dv = None
+    for g in den:
+        v = _float_group(g, qv, n)
+        dv = v if dv is None else dv * v
+    if den_rows is not None:
+        v = _rows_product(den_rows)
+        dv = v if dv is None else dv * v
+    if dv is not None and not dv:
+        raise pole(message)
+    out = None
+    for f in lead:
+        v = pow_int(*f) if type(f) is tuple else f
+        out = v if out is None else out * v
+    for g in num:
+        v = _float_group(g, qv, n)
+        out = v if out is None else out * v
+    if num_rows is not None:
+        v = _rows_product(num_rows)
+        out = v if out is None else out * v
+    if out is None:
+        out = _ONE_FLOAT
+    if dv is not None:
+        out = out / dv
+    if tail:
+        t = None
+        for f in tail:
+            v = pow_int(*f) if type(f) is tuple else f
+            t = v if t is None else t * v
+        out = out * t
+    return out
+
+
+def _exact_factors(groups, rows, pw) -> list:
+    """The triples of the factors 1 - a q^k, k < n, of every base in
+    ``groups`` (the powers ``pw`` from _int_powers), then those of the
+    kept guard ``rows``."""
+    bases = []
+    for g in groups:
+        if isinstance(g, (list, tuple)):
+            bases.extend(g)
+        else:
+            bases.append(g)
+    out = [_one_minus(parts(as_scalar(a, True)), qk) for a in bases for qk in pw]
+    if rows:
+        out += [f for row in rows for f in row]
+    return out
+
+
+def _float_poch(x, q, n: int):
+    # (x;q)_n on the float backend, factor by factor
+    one = out = _ONE_FLOAT
+    for _ in range(n):
+        out = out * (one - x)
+        x = x * q
+    return out
+
+
+def _float_group(g, q, n: int):
+    # a num or den entry of poch_quotient on the float backend, grouped as
+    # poch (one base) or poch_list (a list or tuple of bases) groups it
+    if isinstance(g, (list, tuple)):
+        out = _ONE_FLOAT
+        for a in g:
+            out = out * _float_poch(a, q, n)
+        return out
+    return _float_poch(g, q, n)
+
+
+def _rows_product(rows):
+    # float backend only: row by row, grouped as the float poch_list
+    # groups its factors
+    one = out = _ONE_FLOAT
+    for row in rows:
+        p = one
+        for f in row:
+            p = p * f
+        out = out * p
+    return out
 
 
 def omega_contains(a, q, n: int, *, pole_eps: float = POLE_EPS) -> bool:

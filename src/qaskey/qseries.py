@@ -26,10 +26,15 @@ factor ``(1 - b q^{2k}) / (1 - b)``, so the exact backend never sees a
 square root.  Every evaluation returns a :class:`TermTrace` whose
 ``abs_scale`` (the summed term magnitudes) is the cancellation scale that
 tolerance-aware comparisons should use; :meth:`TermTrace.scaled` records
-a prefactor and applies it to the terms only when they are read.  An
-exact trace keeps the kernel's unreduced triples and reduces them when
-they are read as well; its ``abs_scale`` comes from those triples and is
-the same float as the sum over the reduced terms.
+a prefactor and applies it to the terms only when they are read.  A
+float trace sums its scale as the series is evaluated and scales it at
+once.  An exact trace keeps the kernel's unreduced triples and reduces
+them when they are read; it forms ``abs_scale`` only when that is read,
+since the exact verdict is equality and reads no scale.  Summed from the
+triples, it is the same float as the sum over the reduced terms, and the
+recorded factors scale it in order.  The prefactors of the
+transformations here come from
+:func:`~qaskey.qpochhammer.poch_quotient`.
 
 The pole guards of :class:`SeriesSpec` and :class:`VwpSpec` form every
 denominator factor ``1 - x q^k`` of the terminating sum once and keep
@@ -63,7 +68,7 @@ from .arithmetic import (
     parts,
     pow_int,
 )
-from .qpochhammer import poch, poch_list
+from .qpochhammer import poch, poch_list, poch_quotient
 
 
 class DenominatorPole(GuardViolation):
@@ -90,19 +95,37 @@ class NotBalanced(QError):
 class TermTrace:
     """Per-term record of a series evaluation.
 
-    ``abs_scale`` is the sum of the term magnitudes; identity checks scale
-    their tolerance by it to distinguish failure from cancellation.
-    :meth:`scaled` records its factor (``factors``, in the order given)
-    and updates ``abs_scale`` at once; ``terms`` and ``partial_sums``
-    apply the recorded factors when they are read.  The exact kernel
-    stores its terms and partial sums as unreduced integer triples
-    ``(a, b, d)``; they are reduced when read, too.
+    ``abs_scale`` is the sum of the term magnitudes; float identity checks
+    scale their tolerance by it to distinguish failure from cancellation.
+    :meth:`scaled` records its factor (``factors``, in the order given);
+    ``terms`` and ``partial_sums`` apply the recorded factors when they
+    are read.  The exact kernel stores its terms and partial sums as
+    unreduced integer triples ``(a, b, d)``; they are reduced when read,
+    too.
+
+    A float trace carries its scale in ``eager_scale``, and :meth:`scaled`
+    multiplies it by ``abs(factor)`` at once.  An exact trace has
+    ``eager_scale`` None: no exact verdict reads the scale, so
+    ``abs_scale`` is formed only when it is read.  It sums the magnitudes
+    of the unscaled terms and then applies ``abs(f) * s`` for each
+    recorded factor f in order, the same float the eager product would
+    give.
     """
 
     unscaled_terms: tuple
     unscaled_partial_sums: tuple
-    abs_scale: float
+    eager_scale: float | None = None
     factors: tuple = ()
+
+    @property
+    def abs_scale(self) -> float:
+        s = self.eager_scale
+        if s is None:
+            s = sum(abs_parts(*t) if type(t) is tuple else abs(t)
+                    for t in self.unscaled_terms)
+            for f in self.factors:
+                s = abs(f) * s
+        return s
 
     def _apply(self, values) -> tuple:
         values = tuple(from_parts(*v) if type(v) is tuple else v for v in values)
@@ -119,8 +142,10 @@ class TermTrace:
         return self._apply(self.unscaled_partial_sums)
 
     def scaled(self, factor) -> "TermTrace":
+        s = self.eager_scale
         return TermTrace(self.unscaled_terms, self.unscaled_partial_sums,
-                         abs(factor) * self.abs_scale, self.factors + (factor,))
+                         None if s is None else abs(factor) * s,
+                         self.factors + (factor,))
 
 
 def _coerce_all(exact: bool, values):
@@ -185,9 +210,7 @@ class _GuardRows:
         """The product of the denominator factors: (den;q)_n of a
         SeriesSpec, (q^{n+1} b, q b / a_1, ...;q)_n of a VwpSpec.  The
         exact backend reduces it once."""
-        if self.q.exact:
-            return from_parts(*_int_product(f for row in self.den_rows for f in row))
-        return _rows_product(self.den_rows, self.q.one())
+        return poch_quotient(self.q, self.n, num_rows=self.den_rows)
 
 
 @dataclass(frozen=True)
@@ -286,13 +309,14 @@ class VwpSpec(_GuardRows):
         return len(self.lower) + 3
 
 
-def _trace(terms):
+def _trace(terms, exact=False):
     partial = []
     total = None
     for t in terms:
         total = t if total is None else total + t
         partial.append(total)
-    scale = sum(map(abs, terms))
+    # an exact trace sums the magnitudes when they are read
+    scale = None if exact else sum(map(abs, terms))
     return total, TermTrace(tuple(terms), tuple(partial), scale)
 
 
@@ -337,6 +361,7 @@ def _accumulate(ratios, weights=None, wd=1):
 
     The running term and the partial sum stay unreduced integer triples
     over one shared denominator; the value is reduced once, at the end.
+    The trace's scale is left to be summed when it is read.
     """
     a, b, d = 1, 0, 1
     sa = sb = 0
@@ -351,8 +376,7 @@ def _accumulate(ratios, weights=None, wd=1):
         sa, sb, td = sa + ta, sb + tb, d * wd
         terms.append((ta, tb, td))
         partial.append((sa, sb, td))
-    scale = sum(abs_parts(*t) for t in terms)
-    return from_parts(sa, sb, td), TermTrace(tuple(terms), tuple(partial), scale)
+    return from_parts(sa, sb, td), TermTrace(tuple(terms), tuple(partial))
 
 
 def _pair_weights(b, pw):
@@ -426,7 +450,7 @@ def eval_phi_direct(spec: SeriesSpec):
             t = t * pow_int(-one_like(q), k * e) * pow_int(q, binom2(k) * e)
         t = t * pow_int(spec.z, k)
         terms.append(t)
-    return _trace(terms)
+    return _trace(terms, spec.q.exact)
 
 
 def eval_w(spec: VwpSpec):
@@ -488,7 +512,7 @@ def eval_w_direct(spec: VwpSpec):
         t = t * (one - b * pow_int(q, 2 * k)) / (one - b)
         t = t * pow_int(spec.z, k)
         terms.append(t)
-    return _trace(terms)
+    return _trace(terms, spec.q.exact)
 
 
 def vwp_as_phi(spec: VwpSpec, sqrt_b) -> SeriesSpec:
@@ -519,10 +543,9 @@ def _product(values, one):
     return out
 
 
-def _rows_product(rows, one):
-    # float backend only: row by row, grouped as the float poch_list
-    # groups its factors
-    return _product((_product(row, one) for row in rows), one)
+# the guard rows are nonzero, so only a float product that underflows to
+# zero meets this
+_PREFACTOR_POLE = dict(pole=DenominatorPole, message="prefactor pole: (den;q)_n = 0")
 
 
 def invert_series(spec: SeriesSpec):
@@ -542,8 +565,8 @@ def invert_series(spec: SeriesSpec):
     q = spec.q.q
     one = one_like(q)
     n = spec.n
-    pref = pow_int(-spec.z / q, n) * pow_int(q, -binom2(n))
-    pref = pref * poch_list(spec.num, q, n) / spec.den_poch()
+    pref = poch_quotient(q, n, ((-spec.z / q, n), (q, -binom2(n))), (spec.num,),
+                         den_rows=spec.den_rows, **_PREFACTOR_POLE)
     q1n = pow_int(q, 1 - n)
     new_num = [q1n / b for b in spec.den]
     new_den = [q1n / a for a in spec.num]
@@ -567,8 +590,8 @@ def invert_w(spec: VwpSpec):
     b = spec.b
     r = spec.r
     pair_ratio = (one - b * pow_int(q, 2 * n)) / (one - b)
-    pref = pow_int(q, -binom2(n)) * pow_int(-spec.z / q, n) * pair_ratio
-    pref = pref * poch(b, q, n) * poch_list(spec.lower, q, n) / spec.den_poch()
+    pref = poch_quotient(q, n, ((q, -binom2(n)), (-spec.z / q, n), pair_ratio),
+                         (b, spec.lower), den_rows=spec.den_rows, **_PREFACTOR_POLE)
     new_b = pow_int(q, -2 * n) / b
     new_lower = [pow_int(q, -n) * a / b for a in spec.lower]
     prod_sq = _product(spec.lower, one)
@@ -609,10 +632,9 @@ def watson_whipple(spec: SeriesSpec):
         if abs(bal) > 1e-9 * max(scale, 1.0):
             raise NotBalanced("balance condition q^{1-n} a b c = d e f fails")
     de = d * e
-    pref_den = poch(de / a, q, n) * poch(de / (a * b * c), q, n)
-    if is_zero(pref_den):
-        raise DenominatorPole("prefactor pole: (de/a, de/(abc);q)_n = 0")
-    pref = poch(de / (a * b), q, n) * poch(de / (a * c), q, n) / pref_den
+    pref = poch_quotient(q, n, (), (de / (a * b), de / (a * c)),
+                         (de / a, de / (a * b * c)), pole=DenominatorPole,
+                         message="prefactor pole: (de/a, de/(abc);q)_n = 0")
     w = VwpSpec(de / (q * a), [d / a, e / a, b, c], q * a / f, spec.q, n, spec.pole_eps)
     return pref, w
 

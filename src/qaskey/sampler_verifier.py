@@ -228,7 +228,7 @@ def _suite_targets() -> list:
             return _skipped(exc)
         if report.skipped or not report.values:
             return _skipped("; ".join(report.skipped.values()) or "no values")
-        return _judge(list(report.values.values()), report.scale, exact, cfg)
+        return _judge(list(report.values.values()), lambda: report.scale, exact, cfg)
 
     add("aw/seven-way", "all seven representations agree",
         _draw_aw, run_seven_way)
@@ -240,14 +240,14 @@ def _suite_targets() -> list:
         # evaluates the series of role p = perm[0] here, and the four roles
         # are the only distinct series.
         try:
-            values, scale = [], 0.0
+            values, traces = [], []
             for rep in _PHI_STD_ROLES:
                 v, t = aw.eval_rep(params, rep)
                 values.append(v)
-                scale = max(scale, t.abs_scale)
+                traces.append(t)
         except GuardViolation as exc:
             return _skipped(exc)
-        return _judge(values, scale, exact, cfg)
+        return _judge(values, lambda: max([0.0, *(t.abs_scale for t in traces)]), exact, cfg)
 
     add("aw/permutation", "parameter-interchange invariance",
         _draw_aw, run_permutation)
@@ -261,7 +261,7 @@ def _suite_targets() -> list:
             v2, t2 = aw.eval_rep(params.flip_w(), aw.RepTag.PHI_MIXED)
         except GuardViolation as exc:
             return _skipped(exc)
-        return _judge([v1, v2], max(t1.abs_scale, t2.abs_scale), exact, cfg)
+        return _judge([v1, v2], lambda: max(t1.abs_scale, t2.abs_scale), exact, cfg)
 
     add("aw/theta-flip", "invariance under w -> 1/w",
         _draw_aw, run_theta_flip)
@@ -275,7 +275,7 @@ def _suite_targets() -> list:
         if report.skipped or not report.values:
             return _skipped("; ".join(report.skipped.values()) or "no values")
         values = list(report.values.values()) + [direct]
-        return _judge(values, max(report.scale, dtrace.abs_scale), exact, cfg)
+        return _judge(values, lambda: max(report.scale, dtrace.abs_scale), exact, cfg)
 
     add("aw/qinverse", "base-inverted representations agree",
         _draw_aw, run_qinverse)
@@ -309,8 +309,8 @@ def _suite_targets() -> list:
                 v2, t2 = _eval_spec(image)
             except GuardViolation as exc:
                 return _skipped(exc)
-            scale = max(t1.abs_scale, abs(pref) * t2.abs_scale)
-            return _judge([v1, pref * v2], scale, exact, cfg)
+            return _judge([v1, pref * v2],
+                          lambda: max(t1.abs_scale, abs(pref) * t2.abs_scale), exact, cfg)
         return run
 
     add("ops/invert-series", "summation reversal contract",
@@ -348,8 +348,9 @@ def _suite_targets() -> list:
             vr = eval_phi(rev)
         except GuardViolation as exc:
             return _skipped(exc)
-        scale = max(v[1].abs_scale, vi[1].abs_scale,
-                    abs(pref) * vr[1].abs_scale)
+        def scale():
+            return max(v[1].abs_scale, vi[1].abs_scale, abs(pref) * vr[1].abs_scale)
+
         return _judge([v[0], vi[0], pref * vr[0]], scale, exact, cfg)
 
     add("ops/connect-qinv", "base connection: three-way equality",
@@ -362,7 +363,7 @@ def _suite_targets() -> list:
             v2, t2 = eval_phi(spec2)
         except GuardViolation as exc:
             return _skipped(exc)
-        return _judge([v1, v2], max(t1.abs_scale, t2.abs_scale), exact, cfg)
+        return _judge([v1, v2], lambda: max(t1.abs_scale, t2.abs_scale), exact, cfg)
 
     add("ops/qinvert-f", "base-inversion recipe contract",
         draw_phi, run_qinvert_f)

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qaskey import cli
 from qaskey.arithmetic import parse_scalar
 from qaskey.sampler_verifier import RecordTally, SweepReport
@@ -238,3 +240,53 @@ def test_module_entry_points_run_the_cli():
                              env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert len(json.loads(out.stdout)) == 35
+
+
+# printed by the rational backend before the exact abs_scale became lazy;
+# the lazy value must stay the same float
+_AW = ["--a1", "1/2", "--a2", "-1/3+1/4i", "--a3", "2/5", "--a4", "3/7",
+       "--w", "3/5+1/2i"]
+_AW_VALUE = ("-12631092031995824804681771/17249135009595313190625000"
+             "+448848458407693585092709/20123990844527865389062500 i")
+_CLI_GOLDEN = [
+    (["eval", *_AW, "--q", "2/3", "--n", "4", "--rep", "w-def6"],
+     {"abs_scale": 3.99424149850641, "rep": "w-def6", "value": _AW_VALUE}),
+    (["eval", *_AW, "--q", "3/2", "--n", "5", "--rep", "phi-inv"],
+     {"abs_scale": 1.7477965278329286, "rep": "phi-inv",
+      "value": "-7938229153683306836625287373895607/14632228618851128212193280000000000"
+               "-7980605338754972528178836412695467/4877409539617042737397760000000000 i"}),
+    (["eval", *_AW, "--q", "2/3", "--n", "4"],
+     {"all_agree": True, "max_deviation": 0.0, "rel_deviation": 0.0,
+      "scale": 252.81086525701645, "skipped": {},
+      "values": {tag: _AW_VALUE for tag in ("phi-inv", "phi-mixed", "phi-std",
+                                            "w-def4", "w-def5", "w-def6", "w-def7")}}),
+    (["eval-series", "--num", "1/2,2/3+1/5i", "--den", "3/4,-5/7", "--z", "1/3",
+      "--q", "2/5", "--n", "6"],
+     {"abs_scale": 310401.51681090484,
+      "value": "-7454693013743027391707739827256947/1946562298052482816022097690624"
+               "+64659905542697008990285351794667/19662245434873563798203006976 i"}),
+    (["eval-series", "--kind", "w", "--b", "1/3", "--lower", "2/5,-3/7,5/2,1/4+1/3i",
+      "--z", "2/3", "--q", "3/2", "--n", "5"],
+     {"abs_scale": 1.2708596082734513,
+      "value": "2388319674653621759439291916825261842861799"
+               "/2441075459427014255942621700729387588140295"
+               "-139850854419252100053182358807452363025678976"
+               "/529713374695662093539548909058277106626444015 i"}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _CLI_GOLDEN,
+                         ids=["eval-w-def6", "eval-phi-inv-qbig", "eval-all",
+                              "eval-series-phi", "eval-series-w-qbig"])
+def test_rational_json_output_is_golden(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def test_rational_text_scales_are_golden(capsys):
+    code, out, _ = run_cli(capsys, "eval", *_AW, "--q", "2/3", "--n", "4")
+    assert code == 0 and out.endswith("condition scale    2.528e+02\n")
+    code, out, _ = run_cli(capsys, "eval-series", "--num", "1/2,2/3+1/5i",
+                           "--den", "3/4,-5/7", "--z", "1/3", "--q", "2/5", "--n", "6")
+    assert code == 0 and out.endswith("abs_scale 3.104015e+05\n")

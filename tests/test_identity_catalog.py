@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from qaskey.identity_catalog import (
     _substitution,
     judge,
 )
+from qaskey import arithmetic, qpochhammer, qseries
 from qaskey.sampler_verifier import all_targets
 from qaskey.qseries import SeriesSpec, VwpSpec, eval_phi, eval_w, invert_w
 from qaskey.arithmetic import GuardViolation, binom2, pow_int
@@ -108,14 +110,32 @@ def test_degree_zero_draws_pass_exactly():
             assert out.deviation == 0.0 and out.exact
 
 
+def _rational_sweep(rng):
+    """(record id, outcome) of 8 admissible exact draws per record; the
+    draws' bases are real or non-real (``rand_qbase``)."""
+    return [(rec.id, check(rec, _admissible_draw(rec, rng)))
+            for rec in catalog() for _ in range(8)]
+
+
 def test_every_record_passes_exactly_on_rational_draws():
-    rng = random.Random(122)
-    for rec in catalog():
-        for _ in range(8):
-            d = _admissible_draw(rec, rng)
-            out = check(rec, d)
-            assert out.verdict is Verdict.PASS, (rec.id, out)
-            assert out.deviation == 0.0
+    for rid, out in _rational_sweep(random.Random(122)):
+        assert out.verdict is Verdict.PASS, (rid, out)
+        assert out.deviation == 0.0
+
+
+def test_rational_sweep_catches_a_sign_slip_in_the_gaussian_factor(monkeypatch):
+    # 1 - x q^k with the sign of its Im(x) Im(q^k) term flipped: a real q
+    # has real powers, so only the non-real bases of rand_qbase reach it
+    def slipped(x, qk):
+        xa, xb, xd = x
+        u, v, m = qk
+        d = xd * m
+        return d - xa * u - xb * v, -(xa * v + xb * u), d
+
+    for mod in (arithmetic, qpochhammer, qseries):
+        monkeypatch.setattr(mod, "_one_minus", slipped)
+    verdicts = Counter(out.verdict for _, out in _rational_sweep(random.Random(122)))
+    assert verdicts[Verdict.FAIL] > 0
 
 
 def test_prefactor_pole_draw_is_skipped():

@@ -14,8 +14,10 @@ from qaskey.qpochhammer import (
     ZeroBase,
     identity_suite,
     omega_contains,
+    poch_quotient,
 )
-from qaskey.arithmetic import parts, pow_int
+from qaskey.arithmetic import GuardViolation, ZeroToNegativePower, parts, pow_int
+from qaskey.askey_wilson import PoleGuard
 from qaskey.qseries import DenominatorPole, SeriesSpec, VwpSpec
 
 from util import rand_qbase, rand_scalar
@@ -275,3 +277,127 @@ def test_guard_rows_and_den_poch_match_a_gaussian_rational_loop(case, b, lower, 
         spec = VwpSpec(b, lower, ONE, qb, n)
         assert spec.den_factors == tuple(map(tuple, rows))
         assert_same(spec.den_poch(), loop_product(f for row in rows for f in row))
+
+
+# ---------------------------------------------------------------------------
+# poch_quotient, the one prefactor path, against plain GaussianRational loops
+# ---------------------------------------------------------------------------
+
+class _Marker(GuardViolation):
+    """A caller's pole class: poch_quotient must raise it as given."""
+
+
+def loop_group(g, q, n):
+    bases = g if isinstance(g, list) else [g]
+    return loop_product(f for a in bases for f in loop_factors(a, q, n))
+
+
+@st.composite
+def quotients(draw):
+    """``(q, n, lead, num, den, rows, tail)``: powers of every sign (zero
+    too) and plain factors in ``lead`` and ``tail``, single bases and
+    lists of bases (possibly empty) in ``num`` and ``den``, and bases for
+    kept guard rows; now and then a ``den`` base is q^{-k}, k < n, so
+    that the denominator vanishes."""
+    q = draw(BASE_Q)
+    n = draw(st.integers(0, 7))
+    factor = st.one_of(st.tuples(NONZERO, st.integers(-4, 4)), NONZERO)
+    group = st.one_of(GAUSS, st.lists(GAUSS, max_size=3))
+    lead = draw(st.lists(factor, max_size=3))
+    tail = draw(st.lists(factor, max_size=2))
+    num = draw(st.lists(group, max_size=3))
+    den = draw(st.lists(group, max_size=3))
+    rows = draw(st.none() | st.lists(GAUSS, max_size=3))
+    if den and n and draw(st.booleans()):
+        den[0] = loop_power(q, -draw(st.integers(0, n - 1)))
+    return q, n, lead, num, den, rows, tail
+
+
+def _loop_quotient(q, n, lead, num, den, rows, rows_on_top, tail):
+    out = ONE
+    for f in list(lead) + list(tail):
+        out = out * (loop_power(f[0], f[1]) if isinstance(f, tuple) else f)
+    top = loop_product(loop_group(g, q, n) for g in num)
+    bottom = loop_product(loop_group(g, q, n) for g in den)
+    kept = loop_product(loop_group(x, q, n) for x in rows or [])
+    if rows_on_top:
+        top = top * kept
+    else:
+        bottom = bottom * kept
+    return out * top / bottom if bottom else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(quotients(), st.booleans())
+@example((G(Fraction(1, 2), Fraction(1, 3)), 0, [(G(3), -2)], [], [], None, []), True)
+@example((G(Fraction(7, 2), -2), 4, [], [[]], [[]], [], []), False)          # empty lists
+@example((G(Fraction(1, 3), Fraction(2, 3)), 3, [(G(2, 1), 0), G(5)], [G(1, 1)],
+          [G(2)], [G(3, -1)], [(G(1, 2), 3)]), True)
+@example((G(3, 4), 5, [], [[G(1), G(2)]], [G(Fraction(1, 3), 1)], [G(1, 1), G(2)], []),
+         False)
+def test_poch_quotient_matches_a_gaussian_rational_loop(case, rows_on_top):
+    q, n, lead, num, den, rows, tail = case
+    qb = QBase(q)
+    kept = {}
+    if rows is not None:
+        try:
+            spec = SeriesSpec([ONE], rows, ONE, qb, n)
+        except DenominatorPole:
+            rows = None
+        else:
+            kept = {"num_rows" if rows_on_top else "den_rows": spec.den_rows}
+    expected = _loop_quotient(q, n, lead, num, den, rows, rows_on_top, tail)
+    if expected is None:
+        with pytest.raises(_Marker) as err:
+            poch_quotient(qb, n, lead, num, den, tail=tail, pole=_Marker,
+                          message="the caller's message", **kept)
+        assert str(err.value) == "the caller's message"
+        return
+    assert_same(poch_quotient(qb, n, lead, num, den, tail=tail, **kept), expected)
+    assert_same(poch_quotient(q, n, lead, num, den, tail=tail, **kept), expected)
+
+
+def test_poch_quotient_pole_and_zero_power():
+    q = QBase(G(Fraction(1, 2)))
+    # the default class, then the callers' own classes and messages
+    with pytest.raises(PoleInIdentity):
+        poch_quotient(q, 3, den=[G(2)])
+    for cls in (DenominatorPole, PoleGuard):
+        with pytest.raises(cls, match=r"^pole at \(2;q\)_3$"):
+            poch_quotient(q, 3, num=[G(5)], den=[[G(7), G(2)]], pole=cls,
+                          message="pole at (2;q)_3")
+    # the float backend tests the same exact zero: 1 - 2 (1/2) = 0
+    with pytest.raises(DenominatorPole, match="float pole"):
+        poch_quotient(QBase(0.5 + 0j), 3, den=[2.0 + 0j], pole=DenominatorPole,
+                      message="float pole")
+    # a zero base to a negative power, as pow_int
+    with pytest.raises(ZeroToNegativePower):
+        poch_quotient(q, 2, [(G(0), -1)], [G(3)])
+    assert poch_quotient(q, 2, [(G(0), 0)], [G(3)]) == poch(G(3), q, 2)
+    with pytest.raises(ValueError):
+        poch_quotient(q, -1)
+
+
+def test_poch_quotient_float_keeps_the_order_of_its_arguments():
+    # lead left to right, each num entry, the kept rows; divided by the
+    # den entries and rows; then times the tail: the order each prefactor
+    # site used before it called poch_quotient, bit for bit
+    rng = random.Random(5)
+    for _ in range(200):
+        q = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        if abs(abs(q) - 1) < 0.05:
+            continue
+        n = rng.randint(0, 7)
+        z = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(9)]
+        spec = SeriesSpec([1 + 0j], z[6:8], 1 + 0j, QBase(q), n)
+        pref = poch_quotient(q, n, ((z[0], -n), z[1]), (z[2], [z[3], z[4]]), (z[5],),
+                             num_rows=spec.den_rows, tail=((z[8], 2), z[1]))
+        rows = spec.den_poch()
+        expected = (pow_int(z[0], -n) * z[1] * poch(z[2], q, n)
+                    * poch_list([z[3], z[4]], q, n))
+        expected = expected * rows / poch(z[5], q, n) * (pow_int(z[8], 2) * z[1])
+        assert pref == expected
+        # rows alone, and rows as the whole denominator
+        assert poch_quotient(q, n, num_rows=spec.den_rows) == rows
+        assert poch_quotient(q, n, ((z[0], n),), (z[2],), den_rows=spec.den_rows) == (
+            pow_int(z[0], n) * poch(z[2], q, n) / rows)

@@ -583,3 +583,47 @@ def test_trace_scale_is_term_magnitude_sum():
         assert twice.partial_sums == tuple(g * (f * s) for s in trace.partial_sums)
         assert twice.abs_scale == abs(g) * (abs(f) * trace.abs_scale)
         assert trace.terms == unscaled
+
+
+def test_exact_abs_scale_is_formed_when_read_and_equals_the_eager_float(monkeypatch):
+    # the kernel and scaled() form no magnitude; abs_scale, read after
+    # zero, one and two scaled() calls, is the float the eager scale gave:
+    # the magnitudes of the unreduced terms summed in order, then
+    # abs(f) * s for each factor
+    calls = []
+    magnitude = qseries.abs_parts
+
+    def counting(*triple):
+        calls.append(triple)
+        return magnitude(*triple)
+
+    monkeypatch.setattr(qseries, "abs_parts", counting)
+    rng = random.Random(12)
+    def w(r):
+        return VwpSpec(rand_scalar(r), [rand_scalar(r) for _ in range(4)], rand_scalar(r),
+                       rand_qbase(r, big=r.random() < 0.5), r.randint(0, 8))
+
+    specs = (_draw(lambda r: _spec(r, n_max=8, big=r.random() < 0.5), rng, 10)
+             + _draw(w, rng, 10))
+    for spec in specs:
+        fast, direct = ((eval_w, eval_w_direct) if isinstance(spec, VwpSpec)
+                        else (eval_phi, eval_phi_direct))
+        f, g = rand_scalar(rng), rand_scalar(rng)
+        del calls[:]
+        _, trace = fast(spec)
+        once, twice = trace.scaled(f), trace.scaled(f).scaled(g)
+        assert not calls
+        eager = sum(magnitude(*t) for t in trace.unscaled_terms)
+        assert trace.abs_scale == eager
+        assert len(calls) == spec.n + 1
+        assert once.abs_scale == abs(f) * eager
+        assert twice.abs_scale == abs(g) * (abs(f) * eager)
+        # the direct oracle's trace holds reduced terms: the same floats
+        _, dtrace = direct(spec)
+        assert dtrace.eager_scale is None
+        assert dtrace.scaled(f).scaled(g).abs_scale == twice.abs_scale
+    # a float trace keeps its eager scale
+    spec = SeriesSpec([0.5 + 0.1j], [0.25 + 0j], 0.7 + 0j, QBase(0.4 + 0j), 5)
+    _, ftrace = eval_phi(spec)
+    assert ftrace.eager_scale == ftrace.abs_scale == sum(map(abs, ftrace.terms))
+    assert ftrace.scaled(1.5 - 2j).eager_scale == abs(1.5 - 2j) * ftrace.abs_scale

@@ -1,6 +1,7 @@
 """Draw generation, determinism, and sweep aggregation."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -358,3 +359,22 @@ def test_overflow_while_checking_settles_by_backend():
         draw_params(cfg, Target("test/overflow", "synthetic", draw, overflowing_run))
     target = Target("test/overflow", "synthetic", draw, non_finite_run)
     assert _admissible(cfg, target, "rational", 0)[1].verdict is Verdict.FAIL
+
+
+# sha256 of SweepReport.to_json(include_timing=False) for exact sweeps,
+# recorded before the fraction-free prefactor path and the lazy exact
+# scale went in; a refactor of the exact path must leave them unchanged
+_EXACT_REPORT_DIGESTS = [
+    (dict(n_range=(0, 6), draws_per_record=20), ("*",),
+     "1df116664cb9da3a5b50b2eebc30766885517c7426e72649a39ff7c5d3327e89"),
+    (dict(n_range=(0, 16), draws_per_record=5, q_big=True), ("ops/*", "aw/*"),
+     "da86e63416257937212f2c3ace2c402d2e57ba6d96c5a4061558b04f285d967a"),
+]
+
+
+@pytest.mark.parametrize("overrides, targets, digest", _EXACT_REPORT_DIGESTS,
+                         ids=["all-n6", "ops-aw-qbig-n16"])
+def test_exact_reports_are_pinned(overrides, targets, digest):
+    report = run_sweep(DrawConfig(**overrides), list(targets))
+    text = report.to_json(include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

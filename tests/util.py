@@ -20,14 +20,23 @@ def rand_scalar(rng, gaussian=0.3) -> GaussianRational:
     return GaussianRational(re)
 
 
-def rand_qbase(rng, big=False) -> QBase:
+def rand_qbase(rng, big=False, gaussian=0.5) -> QBase:
+    """A base with 0 < |q| < 1, or |q| > 1 when ``big``: a positive p/d,
+    or with probability ``gaussian`` a non-real (a + b i)/d.  Only a
+    non-real q gives its powers an imaginary part, so only such draws
+    reach the cross terms of the Gaussian products."""
     while True:
-        q = Fraction(rng.randint(1, 20), rng.randint(1, 20))
-        if 0 < q < 1:
+        if rng.random() < gaussian:
+            d = rng.randint(2, 20)
+            q = GaussianRational(Fraction(rng.randint(-19, 19), d),
+                                 Fraction(rng.choice((-1, 1)) * rng.randint(1, 19), d))
+        else:
+            q = GaussianRational(Fraction(rng.randint(1, 20), rng.randint(1, 20)))
+        if 0 < q.abs2() < 1:
             break
     if big:
         q = 1 / q
-    return QBase(GaussianRational(q))
+    return QBase(q)
 
 
 def rand_aw_params(rng, n_max=6, big=False) -> AWParams:
