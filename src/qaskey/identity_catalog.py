@@ -251,11 +251,9 @@ def _power(label: str):
         raise _malformed("power", label)
 
     def power(s):
-        value = None
-        for x, (minus, choose) in zip(s.values(bases), kinds):
-            x = pow_int(-x if minus else x, binom2(s.n) if choose else s.n)
-            value = x if value is None else value * x
-        return value
+        # the factors (x, k) of x^k, for poch_quotient to multiply
+        return [(-x if minus else x, binom2(s.n) if choose else s.n)
+                for x, (minus, choose) in zip(s.values(bases), kinds)]
 
     return power
 
@@ -280,18 +278,17 @@ class Side:
     power_label: str = ""
 
     def evaluate(self, s: _S):
-        """Return (value, cancellation scale); guard failures raise.  The
-        scale is None on the exact backend: its verdict is equality and
-        reads none, so the series' ``abs_scale`` is not formed."""
+        """Return (value, cancellation scale as a callable); guard
+        failures raise.  Only a float verdict calls the scale.  The
+        prefactor's Pochhammer bases are formed before its pole test, the
+        power only after it."""
         pref = poch_quotient(
             s.qbase, s.n, (), [s.values(self.pref_num)], [s.values(self.pref_den)],
-            tail=() if self.power is None else (self.power(s),), pole=DenominatorPole,
+            tail=() if self.power is None else self.power(s), pole=DenominatorPole,
             message="prefactor pole: a denominator Pochhammer vanished")
         spec = self.series(s)
         value, trace = (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec)
-        if s.qbase.exact:
-            return pref * value, None
-        return pref * value, abs(pref) * trace.abs_scale
+        return pref * value, lambda: abs(pref) * trace.abs_scale
 
     def describe(self) -> str:
         bits = []
@@ -356,7 +353,7 @@ def judge(values, scale, exact: bool, *, rel_tol: float = REL_TOL,
     magnitudes by more than ``cond_cap``, and FAIL.  A value, deviation
     or scale that is not finite, or a modulus above the float range,
     makes the check INCONCLUSIVE with deviation 0.0.  ``scale`` is a
-    float, or a callable that returns it when a float verdict reads it.
+    callable that returns the scale; only a float verdict calls it.
     """
     if exact:
         exact_zero, max_dev = spread(values, True)
@@ -365,10 +362,10 @@ def judge(values, scale, exact: bool, *, rel_tol: float = REL_TOL,
     try:
         _, max_dev = spread(values, False)
         mags = max(map(abs, values))
+        scale = max(scale(), mags)
     except OverflowError:
         # a float modulus above the float range, from finite parts
         return _UNRESOLVED
-    scale = max(scale() if callable(scale) else scale, mags)
     if not (all(map(cmath.isfinite, values)) and math.isfinite(max_dev)
             and math.isfinite(scale)):
         # max() above skips a NaN, so such values could read as agreeing
@@ -572,7 +569,7 @@ def check(record: IdentityRecord, draw: Draw, *, rel_tol: float = REL_TOL,
         if exact:
             raise
         return _UNRESOLVED
-    return judge([left, right], lambda: max(scale_l, scale_r), exact, rel_tol=rel_tol,
+    return judge([left, right], lambda: max(scale_l(), scale_r()), exact, rel_tol=rel_tol,
                  abs_tol=abs_tol, cond_cap=cond_cap)
 
 

@@ -69,15 +69,13 @@ def poch_list(bases, q, n: int):
     qv = _qval(q)
     if is_exact(qv):
         return poch_quotient(qv, n, num=bases)
-    out = _ONE_FLOAT
-    for a in bases:
-        out = out * poch(a, qv, n)
-    return out
+    if n < 0:
+        raise ValueError("poch requires n >= 0")
+    return _float_poch_list(bases, qv, n)
 
 
 def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
-                  den_rows=None, tail=(), pole=PoleInIdentity,
-                  message="prefactor pole: a denominator Pochhammer product vanishes"):
+                  den_rows=None, tail=(), pole=None, message=None):
     """The prefactor ``lead * (num;q)_n * num_rows / ((den;q)_n * den_rows)
     * tail`` of a representation or transformation.
 
@@ -87,8 +85,10 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
     ``num_rows`` and ``den_rows`` are kept guard rows (the ``den_rows`` of
     a :class:`~qaskey.qseries.SeriesSpec` or
     :class:`~qaskey.qseries.VwpSpec`): their factors ``1 - x q^k`` are
-    multiplied as the guard formed them.  The denominator is formed
-    first; if it is zero, ``pole(message)`` is raised.
+    multiplied as the guard formed them.  A call with ``den`` or
+    ``den_rows`` must name the caller's exception class ``pole`` and its
+    ``message``.  The denominator is formed first; if it is zero,
+    ``pole(message)`` is raised.
 
     On the exact backend every factor is an unreduced integer triple: the
     numerator is one product, the denominator another, and the quotient
@@ -101,6 +101,8 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
     """
     if n < 0:
         raise ValueError("poch requires n >= 0")
+    if (den or den_rows is not None) and (pole is None or message is None):
+        raise TypeError("poch_quotient with a denominator needs pole and message")
     qv = _qval(q)
     if is_exact(qv):
         # kept rows alone need no powers of q
@@ -174,14 +176,18 @@ def _float_poch(x, q, n: int):
     return out
 
 
+def _float_poch_list(bases, q, n: int):
+    out = _ONE_FLOAT
+    for a in bases:
+        out = out * _float_poch(a, q, n)
+    return out
+
+
 def _float_group(g, q, n: int):
     # a num or den entry of poch_quotient on the float backend, grouped as
     # poch (one base) or poch_list (a list or tuple of bases) groups it
     if isinstance(g, (list, tuple)):
-        out = _ONE_FLOAT
-        for a in g:
-            out = out * _float_poch(a, q, n)
-        return out
+        return _float_poch_list(g, q, n)
     return _float_poch(g, q, n)
 
 

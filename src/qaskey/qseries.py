@@ -26,14 +26,13 @@ factor ``(1 - b q^{2k}) / (1 - b)``, so the exact backend never sees a
 square root.  Every evaluation returns a :class:`TermTrace` whose
 ``abs_scale`` (the summed term magnitudes) is the cancellation scale that
 tolerance-aware comparisons should use; :meth:`TermTrace.scaled` records
-a prefactor and applies it to the terms only when they are read.  A
-float trace sums its scale as the series is evaluated and scales it at
-once.  An exact trace keeps the kernel's unreduced triples and reduces
-them when they are read; it forms ``abs_scale`` only when that is read,
-since the exact verdict is equality and reads no scale.  Summed from the
-triples, it is the same float as the sum over the reduced terms, and the
-recorded factors scale it in order.  The prefactors of the
-transformations here come from
+a prefactor and applies it to the terms only when they are read.  An
+exact trace keeps the kernel's unreduced triples and reduces them when
+they are read, too.  On both backends ``abs_scale`` is formed when it is
+read, from the unscaled terms and then the recorded factors in order, so
+an exact check, whose verdict is equality, never forms it.  Summed from
+the triples, it is the same float as the sum over the reduced terms.
+The prefactors of the transformations here come from
 :func:`~qaskey.qpochhammer.poch_quotient`.
 
 The pole guards of :class:`SeriesSpec` and :class:`VwpSpec` form every
@@ -98,33 +97,30 @@ class TermTrace:
     ``abs_scale`` is the sum of the term magnitudes; float identity checks
     scale their tolerance by it to distinguish failure from cancellation.
     :meth:`scaled` records its factor (``factors``, in the order given);
-    ``terms`` and ``partial_sums`` apply the recorded factors when they
-    are read.  The exact kernel stores its terms and partial sums as
-    unreduced integer triples ``(a, b, d)``; they are reduced when read,
-    too.
+    ``terms``, ``partial_sums`` and ``abs_scale`` apply the recorded
+    factors when they are read.  The exact kernel stores its terms and
+    partial sums as unreduced integer triples ``(a, b, d)``; they are
+    reduced when read, too.
 
-    A float trace carries its scale in ``eager_scale``, and :meth:`scaled`
-    multiplies it by ``abs(factor)`` at once.  An exact trace has
-    ``eager_scale`` None: no exact verdict reads the scale, so
-    ``abs_scale`` is formed only when it is read.  It sums the magnitudes
-    of the unscaled terms and then applies ``abs(f) * s`` for each
-    recorded factor f in order, the same float the eager product would
-    give.
+    ``abs_scale`` is formed each time it is read: no exact verdict reads
+    it, and a float verdict reads it once.  It sums the magnitudes of the
+    unscaled terms and then applies ``abs(f) * s`` for each recorded
+    factor f in order.
     """
 
     unscaled_terms: tuple
     unscaled_partial_sums: tuple
-    eager_scale: float | None = None
     factors: tuple = ()
 
     @property
     def abs_scale(self) -> float:
-        s = self.eager_scale
-        if s is None:
-            s = sum(abs_parts(*t) if type(t) is tuple else abs(t)
-                    for t in self.unscaled_terms)
-            for f in self.factors:
-                s = abs(f) * s
+        terms = self.unscaled_terms
+        if type(terms[0]) is tuple:
+            s = sum(abs_parts(*t) for t in terms)
+        else:
+            s = sum(map(abs, terms))
+        for f in self.factors:
+            s = abs(f) * s
         return s
 
     def _apply(self, values) -> tuple:
@@ -142,9 +138,7 @@ class TermTrace:
         return self._apply(self.unscaled_partial_sums)
 
     def scaled(self, factor) -> "TermTrace":
-        s = self.eager_scale
         return TermTrace(self.unscaled_terms, self.unscaled_partial_sums,
-                         None if s is None else abs(factor) * s,
                          self.factors + (factor,))
 
 
@@ -309,15 +303,13 @@ class VwpSpec(_GuardRows):
         return len(self.lower) + 3
 
 
-def _trace(terms, exact=False):
+def _trace(terms):
     partial = []
     total = None
     for t in terms:
         total = t if total is None else total + t
         partial.append(total)
-    # an exact trace sums the magnitudes when they are read
-    scale = None if exact else sum(map(abs, terms))
-    return total, TermTrace(tuple(terms), tuple(partial), scale)
+    return total, TermTrace(tuple(terms), tuple(partial))
 
 
 # -- exact kernel ---------------------------------------------------------
@@ -361,7 +353,6 @@ def _accumulate(ratios, weights=None, wd=1):
 
     The running term and the partial sum stay unreduced integer triples
     over one shared denominator; the value is reduced once, at the end.
-    The trace's scale is left to be summed when it is read.
     """
     a, b, d = 1, 0, 1
     sa = sb = 0
@@ -450,7 +441,7 @@ def eval_phi_direct(spec: SeriesSpec):
             t = t * pow_int(-one_like(q), k * e) * pow_int(q, binom2(k) * e)
         t = t * pow_int(spec.z, k)
         terms.append(t)
-    return _trace(terms, spec.q.exact)
+    return _trace(terms)
 
 
 def eval_w(spec: VwpSpec):
@@ -512,7 +503,7 @@ def eval_w_direct(spec: VwpSpec):
         t = t * (one - b * pow_int(q, 2 * k)) / (one - b)
         t = t * pow_int(spec.z, k)
         terms.append(t)
-    return _trace(terms, spec.q.exact)
+    return _trace(terms)
 
 
 def vwp_as_phi(spec: VwpSpec, sqrt_b) -> SeriesSpec:

@@ -327,18 +327,18 @@ def test_derivation_for_reversed_head_matches_invert_w():
 
 
 def test_judge_examples():
-    assert judge([1.0 + 0j, 1.0 + 0j], 1.0, False).verdict is Verdict.PASS
+    assert judge([1.0 + 0j, 1.0 + 0j], lambda: 1.0, False).verdict is Verdict.PASS
     # below the absolute floor
-    assert judge([0.0 + 0j, 1e-30 + 0j], 1.0, False).verdict is Verdict.PASS
+    assert judge([0.0 + 0j, 1e-30 + 0j], lambda: 1.0, False).verdict is Verdict.PASS
     # above rel_tol, on well-conditioned values
-    assert judge([1.0 + 0j, 1.0 + 1e-6 + 0j], 1.0, False).verdict is Verdict.FAIL
+    assert judge([1.0 + 0j, 1.0 + 1e-6 + 0j], lambda: 1.0, False).verdict is Verdict.FAIL
     # the values' own magnitudes raise the scale
-    assert judge([1e6 + 0j, 1e6 + 1e-5 + 0j], 1.0, False).verdict is Verdict.PASS
+    assert judge([1e6 + 0j, 1e6 + 1e-5 + 0j], lambda: 1.0, False).verdict is Verdict.PASS
     # a scale that dwarfs the values beyond cond_cap cannot decide
-    outcome = judge([1e-3 + 0j, 0j], 1e6, False)
+    outcome = judge([1e-3 + 0j, 0j], lambda: 1e6, False)
     assert outcome == CheckOutcome(Verdict.INCONCLUSIVE, 1e-3, 1e6, False)
-    assert judge([G(1, 2), G(1, 2)], 1.0, True).verdict is Verdict.PASS
-    outcome = judge([G(1), G(1, Fraction(1, 10 ** 20))], 1.0, True)
+    assert judge([G(1, 2), G(1, 2)], lambda: 1.0, True).verdict is Verdict.PASS
+    outcome = judge([G(1), G(1, Fraction(1, 10 ** 20))], lambda: 1.0, True)
     assert outcome.verdict is Verdict.FAIL and outcome.deviation == 1e-20
 
 
@@ -367,22 +367,25 @@ def test_check_settles_non_finite_float_values_as_inconclusive():
 def test_judge_non_finite_deviation_or_scale_is_unresolved():
     unresolved = CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
     # an infinite scale is no evidence that a finite deviation is small
-    assert judge([1 + 0j, 1 + 1e-3j], math.inf, False) == unresolved
+    assert judge([1 + 0j, 1 + 1e-3j], lambda: math.inf, False) == unresolved
     # two finite values whose difference overflows
-    assert judge([1e308 + 0j, -1e308 + 0j], 1.0, False) == unresolved
+    assert judge([1e308 + 0j, -1e308 + 0j], lambda: 1.0, False) == unresolved
     # finite parts, but a modulus above the float range: abs() raises
-    assert judge([1.5e308 + 1.5e308j, 0j], 1.0, False) == unresolved
+    assert judge([1.5e308 + 1.5e308j, 0j], lambda: 1.0, False) == unresolved
+    # a scale whose magnitude leaves the float range while it is formed
+    assert judge([1 + 0j, 1 + 0j], lambda: abs(1.5e308 + 1.5e308j), False) == unresolved
 
 
 def test_check_settles_a_float_modulus_overflow_as_unresolved():
     # a prefactor with finite parts whose modulus is above the float
-    # range, so that abs() of it raises OverflowError in Side.evaluate
+    # range, so that abs() of it raises OverflowError when the verdict
+    # reads the scale
     rec = record_by_id("cor3.5/r2")
     draw = Draw(QBase(0.5 + 0j), 2, {"b": 0.3 + 0.2j, "c": 1.7 - 0.4j, "d": -0.6 + 1.1j,
                                       "e": 2.3 + 0.5j, "f": 0.8 - 1.3j})
     assert check(rec, draw).verdict is Verdict.PASS
     lhs = dataclasses.replace(rec.lhs, pref_num=(), pref_den=(),
-                              power=lambda s: complex(1.5e308, 1.5e308))
+                              power=lambda s: (complex(1.5e308, 1.5e308),))
     out = check(dataclasses.replace(rec, lhs=lhs), draw)
     assert out == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
 
@@ -447,9 +450,9 @@ def test_series_power_and_substitution_labels_evaluate_as_printed():
                         e * f / b, d.q, n)
     assert phi == SeriesSpec([qb / (e * f), c, dd], [qmn * c * dd / b, qb / e, qb / f],
                              q, d.q, n)
-    assert _power("q^C(n,2) (-qb/c)^n")(s) == (pow_int(q, binom2(n))
-                                              * pow_int(-qb / c, n))
-    assert _power("c^n")(s) == pow_int(c, n)
+    # a power evaluates to its factors (x, k) of x^k
+    assert _power("q^C(n,2) (-qb/c)^n")(s) == [(q, binom2(n)), (-qb / c, n)]
+    assert _power("c^n")(s) == [(c, n)]
     assert _substitution("(b,c,d,e,f) -> (q^-n f/e, qb/ce, qb/de, f, q^-n f/b)")(s) == {
         "b": qmn * f / e, "c": qb / (c * e), "d": qb / (dd * e), "e": f,
         "f": qmn * f / b}

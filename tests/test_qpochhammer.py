@@ -346,11 +346,11 @@ def test_poch_quotient_matches_a_gaussian_rational_loop(case, rows_on_top):
             rows = None
         else:
             kept = {"num_rows" if rows_on_top else "den_rows": spec.den_rows}
+    kept.update(pole=_Marker, message="the caller's message")
     expected = _loop_quotient(q, n, lead, num, den, rows, rows_on_top, tail)
     if expected is None:
         with pytest.raises(_Marker) as err:
-            poch_quotient(qb, n, lead, num, den, tail=tail, pole=_Marker,
-                          message="the caller's message", **kept)
+            poch_quotient(qb, n, lead, num, den, tail=tail, **kept)
         assert str(err.value) == "the caller's message"
         return
     assert_same(poch_quotient(qb, n, lead, num, den, tail=tail, **kept), expected)
@@ -359,9 +359,10 @@ def test_poch_quotient_matches_a_gaussian_rational_loop(case, rows_on_top):
 
 def test_poch_quotient_pole_and_zero_power():
     q = QBase(G(Fraction(1, 2)))
-    # the default class, then the callers' own classes and messages
-    with pytest.raises(PoleInIdentity):
-        poch_quotient(q, 3, den=[G(2)])
+    # a denominator needs the caller's class and message; then they are raised
+    for kept in ({"den": [G(3)]}, {"den_rows": ()}, {"den": [G(3)], "pole": PoleGuard}):
+        with pytest.raises(TypeError):
+            poch_quotient(q, 3, **kept)
     for cls in (DenominatorPole, PoleGuard):
         with pytest.raises(cls, match=r"^pole at \(2;q\)_3$"):
             poch_quotient(q, 3, num=[G(5)], den=[[G(7), G(2)]], pole=cls,
@@ -391,7 +392,8 @@ def test_poch_quotient_float_keeps_the_order_of_its_arguments():
         z = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(9)]
         spec = SeriesSpec([1 + 0j], z[6:8], 1 + 0j, QBase(q), n)
         pref = poch_quotient(q, n, ((z[0], -n), z[1]), (z[2], [z[3], z[4]]), (z[5],),
-                             num_rows=spec.den_rows, tail=((z[8], 2), z[1]))
+                             num_rows=spec.den_rows, tail=((z[8], 2), z[1]),
+                             pole=PoleGuard, message="")
         rows = spec.den_poch()
         expected = (pow_int(z[0], -n) * z[1] * poch(z[2], q, n)
                     * poch_list([z[3], z[4]], q, n))
@@ -399,5 +401,6 @@ def test_poch_quotient_float_keeps_the_order_of_its_arguments():
         assert pref == expected
         # rows alone, and rows as the whole denominator
         assert poch_quotient(q, n, num_rows=spec.den_rows) == rows
-        assert poch_quotient(q, n, ((z[0], n),), (z[2],), den_rows=spec.den_rows) == (
+        assert poch_quotient(q, n, ((z[0], n),), (z[2],), den_rows=spec.den_rows,
+                             pole=PoleGuard, message="") == (
             pow_int(z[0], n) * poch(z[2], q, n) / rows)

@@ -565,8 +565,8 @@ def test_trace_scale_is_term_magnitude_sum():
     assert len(trace.terms) == 6
     assert trace.partial_sums[-1] == value
     assert trace.abs_scale == pytest.approx(sum(abs(t) for t in trace.terms))
-    # scaled() records its factor; the terms are scaled when read, and
-    # abs_scale at once, bit for bit on float
+    # scaled() records its factor; the terms and abs_scale are scaled
+    # when read
     exact_spec = SeriesSpec([G(Fraction(1, 2), Fraction(1, 10))], [G(Fraction(1, 4))],
                             G(Fraction(7, 10)), QBase(G(Fraction(2, 5))), 5)
     cases = [(trace, 1.7 - 0.3j, -0.45 + 2.1j),
@@ -620,10 +620,9 @@ def test_exact_abs_scale_is_formed_when_read_and_equals_the_eager_float(monkeypa
         assert twice.abs_scale == abs(g) * (abs(f) * eager)
         # the direct oracle's trace holds reduced terms: the same floats
         _, dtrace = direct(spec)
-        assert dtrace.eager_scale is None
         assert dtrace.scaled(f).scaled(g).abs_scale == twice.abs_scale
-    # a float trace keeps its eager scale
+    # a float trace: the sum over its terms, then abs(f) * s
     spec = SeriesSpec([0.5 + 0.1j], [0.25 + 0j], 0.7 + 0j, QBase(0.4 + 0j), 5)
     _, ftrace = eval_phi(spec)
-    assert ftrace.eager_scale == ftrace.abs_scale == sum(map(abs, ftrace.terms))
-    assert ftrace.scaled(1.5 - 2j).eager_scale == abs(1.5 - 2j) * ftrace.abs_scale
+    assert ftrace.abs_scale == sum(map(abs, ftrace.terms))
+    assert ftrace.scaled(1.5 - 2j).abs_scale == abs(1.5 - 2j) * ftrace.abs_scale

@@ -317,9 +317,9 @@ def test_qinv_scaling_suite_compares_different_series(monkeypatch):
 def test_non_finite_float_value_is_inconclusive():
     # a NaN difference must not vanish into the maximum deviation
     for bad in (complex(math.nan, 0.0), complex(math.inf, 1.0)):
-        outcome = judge([1 + 0j, bad, 1 + 0j], 1.0, False)
+        outcome = judge([1 + 0j, bad, 1 + 0j], lambda: 1.0, False)
         assert outcome == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
-    assert judge([1 + 0j, 1 + 0j], 1.0, False).verdict is Verdict.PASS
+    assert judge([1 + 0j, 1 + 0j], lambda: 1.0, False).verdict is Verdict.PASS
 
 
 def test_exact_family_deviation_is_the_largest_pairwise_difference():
@@ -329,11 +329,11 @@ def test_exact_family_deviation_is_the_largest_pairwise_difference():
     x, y, z = G(Fraction(1, 3), 2), G(-5, Fraction(1, 7)), G(Fraction(9, 4))
     families = [[x, x, y, z], [x, x, x, y]]     # one odd value, in any slot
     for values in {p for f in families for p in itertools.permutations(f)}:
-        outcome = judge(list(values), 1.0, True)
+        outcome = judge(list(values), lambda: 1.0, True)
         assert outcome.verdict is Verdict.FAIL and outcome.exact
         assert outcome.deviation == max(
             abs(a - b) for a, b in itertools.combinations(values, 2))
-    outcome = judge([x, x, x, x], 1.0, True)
+    outcome = judge([x, x, x, x], lambda: 1.0, True)
     assert outcome.verdict is Verdict.PASS and outcome.deviation == 0.0
 
 
@@ -346,7 +346,7 @@ def test_overflow_while_checking_settles_by_backend():
 
     def non_finite_run(d, cfg, exact):
         # two finite values whose difference overflows
-        return judge([1e308 + 0j, -1e308 + 0j], 1.0, exact)
+        return judge([1e308 + 0j, -1e308 + 0j], lambda: 1.0, exact)
 
     cfg = DrawConfig()
     for run in (overflowing_run, non_finite_run):

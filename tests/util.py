@@ -20,13 +20,13 @@ def rand_scalar(rng, gaussian=0.3) -> GaussianRational:
     return GaussianRational(re)
 
 
-def rand_qbase(rng, big=False, gaussian=0.5) -> QBase:
+def rand_qbase(rng, big=False) -> QBase:
     """A base with 0 < |q| < 1, or |q| > 1 when ``big``: a positive p/d,
-    or with probability ``gaussian`` a non-real (a + b i)/d.  Only a
-    non-real q gives its powers an imaginary part, so only such draws
-    reach the cross terms of the Gaussian products."""
+    or with probability 1/2 a non-real (a + b i)/d.  Only a non-real q
+    gives its powers an imaginary part, so only such draws reach the
+    cross terms of the Gaussian products."""
     while True:
-        if rng.random() < gaussian:
+        if rng.random() < 0.5:
             d = rng.randint(2, 20)
             q = GaussianRational(Fraction(rng.randint(-19, 19), d),
                                  Fraction(rng.choice((-1, 1)) * rng.randint(1, 19), d))
