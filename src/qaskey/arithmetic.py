@@ -482,7 +482,7 @@ class QBase:
         if not q:
             raise ZeroQ("q must be nonzero")
         if isinstance(q, GaussianRational):
-            if q.abs2() == 1:
+            if q._a * q._a + q._b * q._b == q._d * q._d:
                 raise UnitModulusQ("|q| = 1 is not allowed")
         else:
             if abs(abs(q) - 1.0) <= self.epsilon_unit:

@@ -7,7 +7,8 @@ order.  Draws are rejection-sampled against the target's own guards, so
 a sweep's SKIPPED tally stays near zero; a target whose guards reject
 ``max_rejects`` candidates in a row raises :class:`SamplerExhausted`.
 
-Exact draws are built from small Gaussian rationals; coupled slots (the
+Exact draws are small Gaussian rationals, formed from the drawn ints and
+reduced once (:func:`~qaskey.arithmetic.from_parts`); coupled slots (the
 balance condition of the Whipple-type suite) are solved for the last
 slot rather than sampled.  Besides the 35 catalogue records, the sweep
 knows suite targets ``aw/*`` (representation consistency) and ``ops/*``
@@ -21,8 +22,7 @@ import json
 import math
 import random
 import time
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from dataclasses import dataclass, fields
 
 from .arithmetic import (
     ABS_TOL,
@@ -33,6 +33,7 @@ from .arithmetic import (
     QBase,
     QError,
     REL_TOL,
+    from_parts,
     is_zero,
     pow_int,
 )
@@ -107,17 +108,21 @@ class DrawConfig:
 # scalar draws
 # ---------------------------------------------------------------------------
 
-def _rand_fraction(rng, cfg) -> Fraction:
-    num = rng.randint(1, cfg.rat_max_num)
-    den = rng.randint(1, cfg.rat_max_den)
-    return Fraction(-num if rng.random() < 0.5 else num, den)
-
-
 def _rand_exact(rng, cfg) -> GaussianRational:
-    re = _rand_fraction(rng, cfg)
-    if rng.random() < cfg.gaussian_prob:
-        return GaussianRational(re, _rand_fraction(rng, cfg))
-    return GaussianRational(re)
+    """A small Gaussian rational: ``n1/d1``, or ``n1/d1 + (n2/d2) i`` with
+    probability ``cfg.gaussian_prob``, each numerator of random sign.
+    The triple is formed on the drawn ints and reduced once."""
+    n1 = rng.randint(1, cfg.rat_max_num)
+    d1 = rng.randint(1, cfg.rat_max_den)
+    if rng.random() < 0.5:
+        n1 = -n1
+    if rng.random() >= cfg.gaussian_prob:
+        return from_parts(n1, 0, d1)
+    n2 = rng.randint(1, cfg.rat_max_num)
+    d2 = rng.randint(1, cfg.rat_max_den)
+    if rng.random() < 0.5:
+        n2 = -n2
+    return from_parts(n1 * d2, n2 * d1, d1 * d2)
 
 
 def _rand_float(rng, cfg) -> complex:
@@ -139,19 +144,21 @@ def _rand_scalar(rng, cfg, exact: bool):
 def _rand_q(rng, cfg, exact: bool) -> QBase:
     lo, hi = cfg.q_range
     if exact:
-        # a window may hold no p/d with p, d <= 40 at all, e.g. (0.5, 0.501)
+        # a window may hold no p/d with p, d <= 40 at all, e.g. (0.5, 0.501).
+        # lo < p/d < hi is decided exactly, on ints: the float window ends
+        # enter as their exact integer ratios.
+        lo_n, lo_d = lo.as_integer_ratio()
+        hi_n, hi_d = hi.as_integer_ratio()
         for _ in range(cfg.max_rejects):
             num = rng.randint(1, 40)
             den = rng.randint(1, 40)
-            q = Fraction(num, den)
-            if lo < q < hi:
+            if lo_n * den < num * lo_d and num * hi_d < hi_n * den:
                 break
         else:
             raise SamplerExhausted(
                 f"no exact base q = p/d with p, d <= 40 in {cfg.q_range} "
                 f"within {cfg.max_rejects} candidates")
-        q = Fraction(1, 1) / q if cfg.q_big else q
-        return QBase(GaussianRational(q))
+        return QBase(from_parts(den, 0, num) if cfg.q_big else from_parts(num, 0, den))
     q = rng.uniform(lo, hi)
     return QBase(complex(1.0 / q if cfg.q_big else q, 0.0))
 
@@ -372,12 +379,16 @@ def _suite_targets() -> list:
 
 
 _TARGETS: list | None = None
+# the ids of _TARGETS; the benchmark's tracer rebinds _TARGETS to wrapped
+# copies, which keep the ids
+_TARGET_IDS: frozenset = frozenset()
 
 
 def all_targets() -> list:
-    global _TARGETS
+    global _TARGETS, _TARGET_IDS
     if _TARGETS is None:
         _TARGETS = [_record_target(rec) for rec in catalog()] + _suite_targets()
+        _TARGET_IDS = frozenset(t.id for t in _TARGETS)
     return _TARGETS
 
 
@@ -388,17 +399,14 @@ def all_target_ids() -> list:
 def resolve_targets(patterns) -> list:
     """Expand globs over target ids; exact non-glob ids must exist."""
     targets = all_targets()
-    by_id = {t.id: t for t in targets}
-    picked = {}
+    picked = set()
     for pattern in patterns:
         if any(ch in pattern for ch in "*?["):
-            for t in targets:
-                if fnmatch.fnmatchcase(t.id, pattern):
-                    picked[t.id] = t
+            picked.update(t.id for t in targets if fnmatch.fnmatchcase(t.id, pattern))
+        elif pattern in _TARGET_IDS:
+            picked.add(pattern)
         else:
-            if pattern not in by_id:
-                raise UnknownTarget(pattern)
-            picked[pattern] = by_id[pattern]
+            raise UnknownTarget(pattern)
     return [t for t in targets if t.id in picked]
 
 
@@ -577,6 +585,8 @@ def run_sweep(cfg: DrawConfig, targets=("*",)) -> SweepReport:
         for backend in backends:
             entry_id = target.id if len(backends) == 1 else f"{target.id}:{backend}"
             entries.append(_sweep_one(cfg, target, backend, entry_id))
-    report = SweepReport(cfg.seed, asdict(cfg), entries)
+    # every field value is immutable, so a shallow snapshot equals asdict(cfg)
+    report = SweepReport(cfg.seed, {f.name: getattr(cfg, f.name) for f in fields(cfg)},
+                         entries)
     report.wall_time_s = time.perf_counter() - t0
     return report

@@ -11,13 +11,23 @@ from fractions import Fraction
 
 import pytest
 
-from qaskey import DrawConfig, GaussianRational, SamplerExhausted, UnknownTarget, run_sweep
+from qaskey import (
+    DrawConfig,
+    GaussianRational,
+    SamplerExhausted,
+    SweepReport,
+    UnknownTarget,
+    run_sweep,
+)
 from qaskey import askey_wilson as aw
-from qaskey.arithmetic import GuardViolation, is_zero, pow_int
+from qaskey import sampler_verifier
+from qaskey.arithmetic import GuardViolation, QBase, is_zero, parts, pow_int
 from qaskey.identity_catalog import CheckOutcome, Verdict, judge
 from qaskey.sampler_verifier import (
     Target,
     _admissible,
+    _rand_exact,
+    _rand_q,
     all_target_ids,
     all_targets,
     draw_params,
@@ -48,6 +58,81 @@ def test_target_inventory_and_resolution():
     assert resolve_targets(["nosuch/*"]) == []
     with pytest.raises(UnknownTarget):
         resolve_targets(["cor3.6/r9"])
+
+
+def test_resolution_follows_a_rebound_target_list(monkeypatch):
+    # the benchmark's tracer swaps wrapped copies into _TARGETS; ids and
+    # globs must then resolve to the copies
+    resolve_targets(["cor3.6/r3"])
+    wrapped = [dataclasses.replace(t) for t in all_targets()]
+    monkeypatch.setattr(sampler_verifier, "_TARGETS", wrapped)
+    for patterns in (["cor3.6/r3"], ["cor3.6/*", "aw/seven-way"]):
+        assert all(any(t is w for w in wrapped) for t in resolve_targets(patterns))
+
+
+def _ref_rand_fraction(rng, cfg) -> Fraction:
+    num = rng.randint(1, cfg.rat_max_num)
+    den = rng.randint(1, cfg.rat_max_den)
+    return Fraction(-num if rng.random() < 0.5 else num, den)
+
+
+def _ref_rand_exact(rng, cfg) -> GaussianRational:
+    # the reference draw: each part a reduced Fraction
+    re = _ref_rand_fraction(rng, cfg)
+    if rng.random() < cfg.gaussian_prob:
+        return GaussianRational(re, _ref_rand_fraction(rng, cfg))
+    return GaussianRational(re)
+
+
+def _ref_rand_q(rng, cfg) -> QBase:
+    # the reference base: a Fraction tested against the float window ends
+    lo, hi = cfg.q_range
+    for _ in range(cfg.max_rejects):
+        q = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        if lo < q < hi:
+            break
+    else:
+        raise SamplerExhausted(
+            f"no exact base q = p/d with p, d <= 40 in {cfg.q_range} "
+            f"within {cfg.max_rejects} candidates")
+    return QBase(GaussianRational(1 / q if cfg.q_big else q))
+
+
+def _draw_all(draw_q, draw_scalar, rng, cfg):
+    # a catalogue draw's exact scalars: q, then five slots
+    try:
+        q = parts(draw_q(rng, cfg).q)
+    except SamplerExhausted as exc:
+        q = str(exc)
+    return q, [parts(draw_scalar(rng, cfg)) for _ in range(5)], rng.getstate()
+
+
+def test_exact_draws_equal_the_fraction_reference():
+    # same triples and the same rng calls, hence the same generator state
+    cfgs = [DrawConfig(), DrawConfig(q_big=True), DrawConfig(q_range=(0.3, 0.7)),
+            DrawConfig(q_range=(0.3, 0.7), q_big=True, gaussian_prob=0.9,
+                       rat_max_num=97, rat_max_den=5)]
+    for i in range(10_000):
+        cfg = cfgs[i % len(cfgs)]
+        new = _draw_all(lambda r, c: _rand_q(r, c, True), _rand_exact,
+                        random.Random(f"diff:{i}"), cfg)
+        ref = _draw_all(_ref_rand_q, _ref_rand_exact, random.Random(f"diff:{i}"), cfg)
+        assert new == ref, (i, cfg)
+        assert all(type(x) is int for x in new[0] + sum(new[1], ())), i
+
+
+def test_exact_q_from_an_empty_window_fails_like_the_reference():
+    # no p/d with p, d <= 40 lies in (0.5, 0.501)
+    for cfg in (DrawConfig(q_range=(0.5, 0.501)),
+                DrawConfig(q_range=(0.5, 0.501), q_big=True, max_rejects=37)):
+        for i in range(20):
+            rng, ref_rng = random.Random(f"empty:{i}"), random.Random(f"empty:{i}")
+            with pytest.raises(SamplerExhausted) as got:
+                _rand_q(rng, cfg, True)
+            with pytest.raises(SamplerExhausted) as want:
+                _ref_rand_q(ref_rng, cfg)
+            assert str(got.value) == str(want.value)
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def test_draws_are_deterministic():
@@ -154,6 +239,17 @@ def test_sweep_tallies_and_schema():
     assert qinfo["printed"]["fail"] > 0
     assert qinfo["printed"]["pass"] < cfg.draws_per_record
     assert q6[0]["pass"] == cfg.draws_per_record
+
+
+def test_sweep_report_config_is_the_config_as_a_dict():
+    for cfg in (DrawConfig(seed=14, draws_per_record=2),
+                DrawConfig(seed=15, draws_per_record=1, n_range=(1, 3), q_big=True,
+                           backend="both", q_range=(0.3, 0.7))):
+        report = run_sweep(cfg, ["cor3.5/r7"])
+        assert report.config == dataclasses.asdict(cfg)
+        ref = SweepReport(report.seed, dataclasses.asdict(cfg), report.entries,
+                          report.wall_time_s)
+        assert report.to_json() == ref.to_json()
 
 
 def test_sweep_determinism_modulo_timing():
