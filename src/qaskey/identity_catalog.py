@@ -71,12 +71,11 @@ from .arithmetic import (
     QError,
     REL_TOL,
     binom2,
-    is_zero,
     pow_int,
     spread,
 )
 from .askey_wilson import AWParams, RepId, RepTag
-from .qpochhammer import poch, poch_list, poch_quotient
+from .qpochhammer import poch_quotient
 from .qseries import DenominatorPole, SeriesSpec, VwpSpec, eval_phi, eval_w
 
 
@@ -617,13 +616,11 @@ class AwDerivation:
         q = sqrt_q * sqrt_q
         b = sqrt_b * sqrt_b
         qb = q * b
-        den = ((c * d * e * f) ** n
-               * poch_list([qb / c, qb / d, qb / e, qb / f], q, n))
-        if is_zero(den):
-            raise DenominatorPole("multiplier pole: (qb/c..qb/f;q)_n = 0")
-        num = (pow_int(q, 2 * binom2(n))
-               * pow_int(-pow_int(sqrt_q * sqrt_b, 5), n) * poch(qb, q, n))
-        return num / den
+        return poch_quotient(
+            q, n, lead=((q, 2 * binom2(n)), (-pow_int(sqrt_q * sqrt_b, 5), n)),
+            num=(qb,), den=([qb / c, qb / d, qb / e, qb / f],),
+            tail=((c * d * e * f, -n),), pole=DenominatorPole,
+            message="multiplier pole: (qb/c..qb/f;q)_n = 0")
 
 
 def derive_from_aw(record_id: str) -> AwDerivation:

@@ -178,7 +178,7 @@ def _guard_row(x, qks, exact: bool, pole_eps: float, message: str) -> tuple:
     row = []
     for qk in qks:
         f = one - x * qk
-        if not f or (not exact and abs(f) < pole_eps):
+        if not f or abs(f) < pole_eps:
             raise DenominatorPole(message)
         row.append(f)
     return tuple(row)

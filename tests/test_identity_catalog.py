@@ -277,6 +277,18 @@ def test_derivation_multiplier_trivial_at_degree_zero():
     assert der.multiplier(G(Fraction(1, 2)), G(3), G(2), G(5), G(7), G(-2), 0) == G(1)
 
 
+def test_derivation_multiplier_pole_on_a_vanishing_pochhammer():
+    # c = qb makes the factor 1 - qb/c of (qb/c;q)_n vanish for n >= 1
+    der = derive_from_aw("cor3.3/3.5a.3")
+    for one in (G(1), 1 + 0j):
+        sq, sb = one / 2, 3 * one
+        others = (5 * one, 7 * one, -2 * one)
+        qb = sq * sq * sb * sb
+        assert der.multiplier(sq, sb, qb, *others, 0) == 1
+        with pytest.raises(qseries.DenominatorPole, match="multiplier pole"):
+            der.multiplier(sq, sb, qb, *others, 2)
+
+
 def test_derivation_reproduces_both_record_sides():
     rng = random.Random(130)
     for rid in ("cor3.3/3.5a.1", "cor3.3/3.5a.3", "cor3.3/3.5a.6",
