@@ -482,7 +482,8 @@ class QBase:
         if not q:
             raise ZeroQ("q must be nonzero")
         if isinstance(q, GaussianRational):
-            if q._a * q._a + q._b * q._b == q._d * q._d:
+            a, b, d = parts(q)
+            if a * a + b * b == d * d:
                 raise UnitModulusQ("|q| = 1 is not allowed")
         else:
             if abs(abs(q) - 1.0) <= self.epsilon_unit:
