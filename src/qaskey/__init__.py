@@ -57,7 +57,6 @@ from .identity_catalog import (
     catalog,
     check,
     derive_from_aw,
-    find_single_factor_correction,
     record_by_id,
 )
 from .sampler_verifier import (

@@ -2,7 +2,8 @@
 
 A record is a row of printed strings.  Each side is a series label, the
 labels of its index-n Pochhammer prefactor factors and an optional power
-label; a remark's substitution is read from its ``ref`` text.  The strings
+label; an interchange family derives its prefactor labels (see below),
+and a remark's substitution is read from its ``ref`` text.  The strings
 are parsed once, when :func:`catalog` builds, and a check evaluates the
 parse, so the formula ``qaskey list`` prints is the formula that runs.
 A malformed label raises ValueError naming it when the catalogue builds.
@@ -41,16 +42,16 @@ Families:
 
 An interchange family is one series template over the placeholders x, y,
 u, v; each record assigns them a permutation of c, d, e, f, and the head
-is the template at the identity assignment.  To add a record, add its row
-of strings to its family's table (a new family needs a template and a
-``_family`` call in :func:`catalog`).
+is the template at the identity assignment.  A family's prefactors are not
+typed: each is derived from the family's cor3.3 head record, whose 8W7
+series is symmetric in c..f (see :func:`_family`).  To add a record, add
+its ``(id, assignment)`` pair to its family's row of ``_FAMILIES``; a new
+family needs a template and a cor3.3 head.
 
-Prefactors are lists of named factors so that a record suspected of a
-transcription slip can be searched for a minimal single-factor
-correction.  One record, ``cor3.8/r6``, ships QUARANTINED: its printed
-prefactor fails the exact sweep systematically and the automated search
-pins the unique repair ``qb/de -> qb/cd`` in the denominator.  Both
-variants are kept and reported.
+One record, ``cor3.8/r6``, ships QUARANTINED: its printed prefactor fails
+the exact sweep systematically, and the derivation gives it ``qb/cd``
+where the paper prints the denominator factor ``qb/de``.  The derived
+form runs; the printed form is kept as data and reported beside it.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import permutations
 
 from .arithmetic import (
     ABS_TOL,
@@ -431,35 +431,22 @@ _COR33 = [
      ("qb/cd", "qb/ce", "qb/cf", "qb"), ("qb/c", "qb/d", "qb/e", "qb/f"), "c^n"),
 ]
 
-# (id, prefactor numerator, denominator, assignment of x, y, u, v)
-_COR35 = [
-    ("r2", ("qb/de", "qb/df", "qb/c", "d/c", "c"),
-     ("qb/ce", "qb/cf", "qb/d", "c/d", "d"), "dcef"),
-    ("r3", ("qb/cd", "qb/e", "d/c", "e"), ("qb/ce", "qb/d", "e/c", "d"), "cedf"),
-    ("r4", ("qb/ed", "qb/ef", "qb/c", "d/c", "c"),
-     ("qb/ce", "qb/cf", "qb/d", "c/e", "d"), "ecdf"),
-    ("r5", ("qb/cd", "qb/f", "d/c", "f"), ("qb/cf", "qb/d", "f/c", "d"), "cfde"),
-    ("r6", ("qb/fd", "qb/fe", "qb/c", "d/c", "c"),
-     ("qb/ce", "qb/cf", "qb/d", "c/f", "d"), "fcde"),
-    ("r7", ("qb/ef", "d/c"), ("qb/cf", "d/e"), "edcf"),
-    ("r8", ("qb/dc", "qb/df", "qb/e", "d/c", "e"),
-     ("qb/ce", "qb/cf", "qb/d", "e/d", "d"), "decf"),
-    ("r9", ("qb/ef", "d/c"), ("qb/ce", "d/f"), "fdce"),
-    ("r10", ("qb/de", "qb/dc", "qb/f", "d/c", "f"),
-     ("qb/ce", "qb/cf", "qb/d", "f/d", "d"), "dfce"),
-    ("r11", ("qb/ed", "qb/f", "d/c", "f"), ("qb/cf", "qb/d", "f/e", "d"), "efcd"),
-    ("r12", ("qb/df", "qb/e", "d/c", "e"), ("qb/ce", "qb/d", "e/f", "d"), "fecd"),
+# (family, series template, its cor3.3 head, [(id, assignment of x, y, u, v)])
+_FAMILIES = [
+    ("cor3.5", _W35, "3.5a.2", [
+        ("r2", "dcef"), ("r3", "cedf"), ("r4", "ecdf"), ("r5", "cfde"), ("r6", "fcde"),
+        ("r7", "edcf"), ("r8", "decf"), ("r9", "fdce"), ("r10", "dfce"),
+        ("r11", "efcd"), ("r12", "fecd")]),
+    ("cor3.6", _W36, "3.5a.6", [("r2", "dcef"), ("r3", "ecdf"), ("r4", "fcde")]),
+    ("cor3.8", _P38, "3.5a.3", [
+        ("r2", "decf"), ("r3", "dfce"), ("r4", "cedf"), ("r5", "cfde"), ("r6", "efcd")]),
+    ("cor3.10", _P310, "3.5a.5", [("r2", "dcef"), ("r3", "ecdf"), ("r4", "fcde")]),
 ]
-_COR38 = [
-    ("r2", ("qb/de", "qb/c"), ("qb/cd", "qb/e"), "decf"),
-    ("r3", ("qb/df", "qb/c"), ("qb/cd", "qb/f"), "dfce"),
-    ("r4", ("qb/ce", "qb/d"), ("qb/cd", "qb/e"), "cedf"),
-    ("r5", ("qb/cf", "qb/d"), ("qb/cd", "qb/f"), "cfde"),
-]
-_SOLO = (("r2", "dcef"), ("r3", "ecdf"), ("r4", "fcde"))
-_COR36 = [(rid, ("qb/c", "q2b2/def"), ("qb/{x}", "q2b2/{y}{u}{v}"), perm)
-          for rid, perm in _SOLO]
-_COR310 = [(rid, ("qb/{x}", "{x}"), ("qb/c", "c"), perm) for rid, perm in _SOLO]
+
+# the one row whose printed prefactor differs from its derivation:
+# (id, printed numerator, printed denominator, the repair)
+_MISPRINT = ("cor3.8/r6", ("qb/ef", "qb/c", "qb/d"), ("qb/de", "qb/e", "qb/f"),
+             "denominator factor qb/de -> qb/cd")
 
 # (id, ref with the substitution, host record, cor3.3 record of the sibling series)
 _REMARKS = [
@@ -474,29 +461,65 @@ _REMARK_SUMMARY = ("substituted slots must satisfy the host family's guards; "
                    "head image equals the sibling series with multiplier 1")
 
 
-def _family(name: str, template: str, rows) -> list:
-    """The records of an interchange family; a row's prefactor labels may
-    use the placeholders too."""
-    head = _side(_at(template))
-    return [IdentityRecord(
-        f"{name}/{rid}", f"Cor {name[3:]} ({rid})", head,
-        _side(_at(template, perm), [_at(t, perm) for t in num],
-              [_at(t, perm) for t in den]), _INTER_SUMMARY)
-        for rid, num, den, perm in rows]
+@functools.cache
+def _key(label: str) -> tuple:
+    """The monomial's exponent vector over (q^n, q, b, c, d, e, f)."""
+    fac, vec = _factor(label), [0] * 7
+    for sign, tokens in ((1, fac.num), (-1, fac.den)):
+        for tok in tokens:
+            if isinstance(tok, str):
+                vec["bcdef".index(tok) + 2] += sign
+            else:
+                vec[0] += sign * tok[0]
+                vec[1] += sign * tok[1]
+    return tuple(vec)
 
 
-def _quarantined_cor38_r6() -> IdentityRecord:
-    # the printed prefactor denominator opens with qb/de; the exact sweep
-    # rejects it and the single-factor search repairs it to qb/cd
-    series, num = _at(_P38, "efcd"), ("qb/ef", "qb/c", "qb/d")
-    printed = _side(series, num, ("qb/de", "qb/e", "qb/f"))
-    return IdentityRecord(
-        "cor3.8/r6", "Cor 3.8 (r6)", _side(_at(_P38)),
-        _side(series, num, ("qb/cd", "qb/e", "qb/f")), _INTER_SUMMARY,
-        quarantine=QuarantineInfo(
-            reason="printed prefactor fails the exact sweep for every n >= 1",
-            correction="denominator factor qb/de -> qb/cd",
-            printed_rhs=printed))
+def _cancelled(num: list, den: list) -> tuple:
+    """Both label lists less the monomials common to them, once per
+    occurrence; ``den`` is consumed."""
+    kept = []
+    for label in num:
+        twin = next((other for other in den if _key(other) == _key(label)), None)
+        if twin is None:
+            kept.append(label)
+        else:
+            den.remove(twin)
+    return kept, den
+
+
+def _family(name: str, template: str, head: Side, rows) -> list:
+    """The records of an interchange family, derived from its cor3.3 head.
+
+    ``head`` is the cor3.3 right side P * T, with T the template and P its
+    prefactor.  The 8W7 series it equals is symmetric in c..f, so P(s) T(s)
+    is that series for every assignment s too, and T = P(s)/P * T(s).  A
+    row's prefactor numerator is thus the head's numerator under s with
+    its plain denominator, and the denominator the other way round; the
+    monomials common to both cancel.  The heads carry no power.
+    """
+    num = [fac.label for fac in head.pref_num]
+    den = [fac.label for fac in head.pref_den]
+    lhs = _side(_at(template))
+    recs = []
+    for rid, perm in rows:
+        table = str.maketrans("cdef", perm)
+        moved_num = [label.translate(table) for label in num]
+        moved_den = [label.translate(table) for label in den]
+        recs.append(IdentityRecord(
+            f"{name}/{rid}", f"Cor {name[3:]} ({rid})", lhs,
+            _side(_at(template, perm), *_cancelled(moved_num + den, moved_den + num)),
+            _INTER_SUMMARY))
+    return recs
+
+
+def _quarantined(rec: IdentityRecord) -> IdentityRecord:
+    """The misprinted row, its printed prefactor kept as the variant."""
+    _, num, den, correction = _MISPRINT
+    return replace(rec, quarantine=QuarantineInfo(
+        reason="printed prefactor fails the exact sweep for every n >= 1",
+        correction=correction,
+        printed_rhs=_side(rec.rhs.series_label, num, den)))
 
 
 _CATALOG: tuple[IdentityRecord, ...] | None = None
@@ -510,10 +533,10 @@ def catalog() -> tuple[IdentityRecord, ...]:
         recs = [IdentityRecord(f"cor3.3/{rid}", ref, head33,
                                _side(series, num, den, power), _CAT33_SUMMARY)
                 for rid, ref, series, num, den, power in _COR33]
-        recs += _family("cor3.5", _W35, _COR35)
-        recs += _family("cor3.6", _W36, _COR36)
-        recs += _family("cor3.8", _P38, _COR38) + [_quarantined_cor38_r6()]
-        recs += _family("cor3.10", _P310, _COR310)
+        heads = {rec.id: rec.rhs for rec in recs}
+        for name, template, head, rows in _FAMILIES:
+            recs += _family(name, template, heads[f"cor3.3/{head}"], rows)
+        recs = [_quarantined(rec) if rec.id == _MISPRINT[0] else rec for rec in recs]
         by_id = {rec.id: rec for rec in recs}
         recs += [IdentityRecord(
             rid, ref, by_id[host].lhs, by_id[host].rhs, _REMARK_SUMMARY,
@@ -639,54 +662,3 @@ def derive_from_aw(record_id: str) -> AwDerivation:
         "w^2 = q^n b, a_k = q^{-n/2} (c,d,e,f)_k / sqrt(b); multiply by the "
         "common factor q^{2 C(n,2)} (-1)^n (qb)^{5n/2} (qb;q)_n / "
         "((cdef)^n (qb/c, qb/d, qb/e, qb/f;q)_n)")
-
-
-# ---------------------------------------------------------------------------
-# single-factor repair search for suspected transcription slips
-# ---------------------------------------------------------------------------
-
-# the shapes of the interchange families' prefactor factors
-_POOL_SHAPES = ("qb", "qb/{x}", "{x}", "{x}/{y}", "qb/{x}{y}")
-
-
-def _candidate_pool() -> list:
-    """Each shape at every ordered pair of distinct letters of c..f, in
-    that order; a factor whose letters only commute is kept once."""
-    pool = {}
-    for shape in _POOL_SHAPES:
-        for perm in permutations("cdef", 2):
-            fac = _factor(_at(shape, perm))
-            key = tuple(sorted(map(repr, fac.num))), tuple(sorted(map(repr, fac.den)))
-            pool.setdefault(key, fac)
-    return list(pool.values())
-
-
-def find_single_factor_correction(record: IdentityRecord, draws):
-    """Search single-factor perturbations of a failing printed side.
-
-    Tries replacing each prefactor factor (numerator and denominator) of
-    the printed right-hand side with every pool candidate; a repair must
-    make the identity exact on every supplied draw.  Returns
-    (position, original label, replacement label, repaired side) for the
-    minimal fix, or None.
-    """
-    printed = record.quarantine.printed_rhs if record.quarantine else record.rhs
-    trial = replace(record, rhs=printed, quarantine=None)
-    if all(check(trial, d).verdict is Verdict.PASS for d in draws):
-        return None
-    pool = _candidate_pool()
-    for attr in ("pref_den", "pref_num"):
-        factors = getattr(printed, attr)
-        for idx, orig in enumerate(factors):
-            for cand in pool:
-                if cand.label == orig.label:
-                    continue
-                new_factors = factors[:idx] + (cand,) + factors[idx + 1:]
-                fixed = replace(printed, **{attr: new_factors})
-                probe = replace(record, rhs=fixed, quarantine=None)
-                outcomes = [check(probe, d) for d in draws]
-                if (all(o.verdict is Verdict.PASS for o in outcomes)
-                        and any(o.verdict is Verdict.PASS for o in outcomes)):
-                    pos = "denominator" if attr == "pref_den" else "numerator"
-                    return (f"{pos}[{idx}]", orig.label, cand.label, fixed)
-    return None

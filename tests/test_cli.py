@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -118,6 +119,8 @@ def test_list_text_and_json(capsys):
     assert len(lines) == 36  # header + 35 records
     assert all("Cor" in ln for ln in lines[1:])
     assert sum("QUARANTINED" in ln for ln in lines) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3b5763652801149c3861cd8d18b9dfac1e4d2249602e7e69540b987f4aeda0fc")
 
     code, out, _ = run_cli(capsys, "list", "--format", "json")
     assert code == 0
@@ -125,6 +128,12 @@ def test_list_text_and_json(capsys):
     assert len(payload) == 35
     assert all({"id", "ref", "constraints", "lhs", "rhs"} <= set(row)
                for row in payload)
+    # pinned apart from the order and spelling of the right sides' derived
+    # prefactor factors; the right-hand series stays pinned
+    kept = [{**{k: row[k] for k in ("id", "ref", "constraints", "lhs", "quarantined")},
+             "rhs": row["rhs"].rsplit(" * ", 1)[-1]} for row in payload]
+    assert hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest() == (
+        "77634b3bec40dd26ce598367117eca787ef96f89a7d960aa32504ed4f4501b14")
 
 
 def test_verify_cli_and_exit_codes(tmp_path, capsys):

@@ -6,6 +6,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -20,14 +21,17 @@ from qaskey import (
     check,
     derive_from_aw,
     eval_rep,
-    find_single_factor_correction,
     record_by_id,
 )
 from qaskey.identity_catalog import (
     _S,
+    _FAMILIES,
+    _SERIES,
     NotACor33Record,
-    _candidate_pool,
+    _at,
+    _entries,
     _factor,
+    _key,
     _power,
     _series,
     _substitution,
@@ -90,10 +94,10 @@ def test_record_structure_examples():
     assert spec.z == q
 
     rec = record_by_id("cor3.5/r2")
-    assert [fac.label for fac in rec.rhs.pref_num] == [
-        "qb/de", "qb/df", "qb/c", "d/c", "c"]
-    assert [fac.label for fac in rec.rhs.pref_den] == [
-        "qb/ce", "qb/cf", "qb/d", "c/d", "d"]
+    assert Counter(fac.label for fac in rec.rhs.pref_num) == Counter(
+        ["qb/de", "qb/df", "qb/c", "d/c", "c"])
+    assert Counter(fac.label for fac in rec.rhs.pref_den) == Counter(
+        ["qb/ce", "qb/cf", "qb/d", "c/d", "d"])
 
     head = record_by_id("cor3.3/3.5a.1").lhs.series(s)
     assert isinstance(head, VwpSpec)
@@ -226,21 +230,6 @@ def test_quarantined_record_variants():
     assert printed_failures >= 10
     with pytest.raises(ValueError):
         check(record_by_id("cor3.5/r2"), _draw(rng), use_printed=True)
-
-
-def test_single_factor_search_rediscovers_the_repair():
-    rec = record_by_id("cor3.8/r6")
-    rng = random.Random(128)
-    draws = [_admissible_draw(rec, rng, n_min=1, n_max=4) for _ in range(6)]
-    hit = find_single_factor_correction(rec, draws)
-    assert hit is not None
-    position, original, replacement, fixed = hit
-    assert position == "denominator[0]"
-    assert (original, replacement) == ("qb/de", "qb/cd")
-    # a healthy record needs no repair
-    healthy = record_by_id("cor3.8/r2")
-    draws = [_admissible_draw(healthy, rng, n_min=1) for _ in range(4)]
-    assert find_single_factor_correction(healthy, draws) is None
 
 
 def test_remark_records_head_image_is_sibling_series():
@@ -477,10 +466,88 @@ def test_remark_sibling_series_is_its_cor33_record():
                 is record_by_id(f"cor3.3/{sibling}").rhs.series)
 
 
-def test_candidate_pool_keeps_the_search_order():
-    # the repair search tries candidates in this order, so qb/cd comes
-    # before any other denominator fix of cor3.8/r6
-    assert [fac.label for fac in _candidate_pool()] == (
-        ["qb"] + [f"qb/{x}" for x in "cdef"] + list("cdef")
-        + [f"{x}/{y}" for x in "cdef" for y in "cdef" if x != y]
-        + ["qb/cd", "qb/ce", "qb/cf", "qb/de", "qb/df", "qb/ef"])
+# the prefactors of the interchange families as the paper prints them:
+# (numerator, denominator) labels in printed order
+PRINTED = {
+    "cor3.5/r2": (("qb/de", "qb/df", "qb/c", "d/c", "c"),
+                  ("qb/ce", "qb/cf", "qb/d", "c/d", "d")),
+    "cor3.5/r3": (("qb/cd", "qb/e", "d/c", "e"), ("qb/ce", "qb/d", "e/c", "d")),
+    "cor3.5/r4": (("qb/ed", "qb/ef", "qb/c", "d/c", "c"),
+                  ("qb/ce", "qb/cf", "qb/d", "c/e", "d")),
+    "cor3.5/r5": (("qb/cd", "qb/f", "d/c", "f"), ("qb/cf", "qb/d", "f/c", "d")),
+    "cor3.5/r6": (("qb/fd", "qb/fe", "qb/c", "d/c", "c"),
+                  ("qb/ce", "qb/cf", "qb/d", "c/f", "d")),
+    "cor3.5/r7": (("qb/ef", "d/c"), ("qb/cf", "d/e")),
+    "cor3.5/r8": (("qb/dc", "qb/df", "qb/e", "d/c", "e"),
+                  ("qb/ce", "qb/cf", "qb/d", "e/d", "d")),
+    "cor3.5/r9": (("qb/ef", "d/c"), ("qb/ce", "d/f")),
+    "cor3.5/r10": (("qb/de", "qb/dc", "qb/f", "d/c", "f"),
+                   ("qb/ce", "qb/cf", "qb/d", "f/d", "d")),
+    "cor3.5/r11": (("qb/ed", "qb/f", "d/c", "f"), ("qb/cf", "qb/d", "f/e", "d")),
+    "cor3.5/r12": (("qb/df", "qb/e", "d/c", "e"), ("qb/ce", "qb/d", "e/f", "d")),
+    "cor3.6/r2": (("qb/c", "q2b2/def"), ("qb/d", "q2b2/cef")),
+    "cor3.6/r3": (("qb/c", "q2b2/def"), ("qb/e", "q2b2/cdf")),
+    "cor3.6/r4": (("qb/c", "q2b2/def"), ("qb/f", "q2b2/cde")),
+    "cor3.8/r2": (("qb/de", "qb/c"), ("qb/cd", "qb/e")),
+    "cor3.8/r3": (("qb/df", "qb/c"), ("qb/cd", "qb/f")),
+    "cor3.8/r4": (("qb/ce", "qb/d"), ("qb/cd", "qb/e")),
+    "cor3.8/r5": (("qb/cf", "qb/d"), ("qb/cd", "qb/f")),
+    "cor3.8/r6": (("qb/ef", "qb/c", "qb/d"), ("qb/de", "qb/e", "qb/f")),
+    "cor3.10/r2": (("qb/d", "d"), ("qb/c", "c")),
+    "cor3.10/r3": (("qb/e", "e"), ("qb/c", "c")),
+    "cor3.10/r4": (("qb/f", "f"), ("qb/c", "c")),
+}
+
+
+def _keys(labels) -> Counter:
+    return Counter(map(_key, labels))
+
+
+def test_derived_prefactors_match_the_printed_rows():
+    for rid, (num, den) in PRINTED.items():
+        rhs = record_by_id(rid).rhs
+        assert _keys(fac.label for fac in rhs.pref_num) == _keys(num), rid
+        if rid != "cor3.8/r6":
+            assert _keys(fac.label for fac in rhs.pref_den) == _keys(den), rid
+    # cor3.8/r6 differs in the one denominator factor its quarantine names,
+    # and keeps its printed prefactor as the printed variant
+    rec = record_by_id("cor3.8/r6")
+    printed = _keys(PRINTED[rec.id][1])
+    derived = _keys(fac.label for fac in rec.rhs.pref_den)
+    assert rec.quarantine.correction == "denominator factor qb/de -> qb/cd"
+    assert (printed - derived, derived - printed) == (_keys(["qb/de"]), _keys(["qb/cd"]))
+    variant = rec.quarantine.printed_rhs
+    assert (tuple(fac.label for fac in variant.pref_num),
+            tuple(fac.label for fac in variant.pref_den)) == PRINTED[rec.id]
+
+
+def _canonical(label: str) -> tuple:
+    """A series label up to the order of a W's parameters and of a phi's
+    numerator and denominator lists, monomials compared as exponent vectors."""
+    kind, top, bottom, z = _SERIES.fullmatch(label).groups()
+    top, bottom = (tuple(sorted(_key(fac.label) for fac in _entries(part)))
+                   for part in (top, bottom))
+    return kind, top, bottom, _key(z.strip())
+
+
+@pytest.mark.parametrize("family, orbit_size", [
+    ("cor3.5", 12), ("cor3.6", 4), ("cor3.8", 6), ("cor3.10", 4)])
+def test_families_are_the_head_orbits_less_the_identity(family, orbit_size):
+    # the paper's "exhaustive" claim: every distinct series that permuting
+    # c..f makes of the head is one row of the family
+    name, template, _, rows = next(f for f in _FAMILIES if f[0] == family)
+    orbit = {_canonical(_at(template, "".join(p))) for p in permutations("cdef")}
+    assert len(orbit) == orbit_size
+    got = [_canonical(record_by_id(f"{name}/{rid}").rhs.series_label) for rid, _ in rows]
+    assert len(got) == len(set(got)) == orbit_size - 1
+    assert set(got) == orbit - {_canonical(_at(template))}
+
+
+@pytest.mark.parametrize("a, b, same", [
+    ("qb/ed", "qb/de", True),
+    ("q2b2/cdef", "q^2 b^2/fedc", True),
+    ("qb/c", "b/c", False),
+    ("q^-n c/b", "q^n c/b", False),
+])
+def test_monomial_key_compares_exponent_vectors(a, b, same):
+    assert (_key(a) == _key(b)) is same
