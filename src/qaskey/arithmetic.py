@@ -39,7 +39,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-# Library-wide numeric policy knobs (all overridable per call site).
+# Library-wide numeric policy.  The verdict tolerances are the defaults
+# of every check (a sweep's DrawConfig may set its own); the float guards'
+# pole and unit-circle margins are fixed.
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
 POLE_EPS = 1e-9
@@ -467,12 +469,11 @@ def spread(values, exact: bool) -> tuple:
 class QBase:
     """The deformation base q with its validity guards: q != 0, |q| != 1.
 
-    In the float backend the unit-circle guard uses ``epsilon_unit``:
-    ``||q| - 1| > epsilon_unit`` must hold.
+    In the float backend the unit-circle guard uses the fixed margin
+    ``EPSILON_UNIT``: ``||q| - 1| > EPSILON_UNIT`` must hold.
     """
 
     q: object
-    epsilon_unit: float = EPSILON_UNIT
 
     def __post_init__(self):
         q = self.q
@@ -486,19 +487,19 @@ class QBase:
             if a * a + b * b == d * d:
                 raise UnitModulusQ("|q| = 1 is not allowed")
         else:
-            if abs(abs(q) - 1.0) <= self.epsilon_unit:
+            if abs(abs(q) - 1.0) <= EPSILON_UNIT:
                 raise UnitModulusQ(
-                    f"| |q| - 1 | <= {self.epsilon_unit:g}: q too close to the unit circle")
+                    f"| |q| - 1 | <= {EPSILON_UNIT:g}: q too close to the unit circle")
 
     @property
     def exact(self) -> bool:
         return isinstance(self.q, GaussianRational)
 
     def inverse(self) -> "QBase":
-        return QBase(one_like(self.q) / self.q, self.epsilon_unit)
+        return QBase(one_like(self.q) / self.q)
 
     def squared(self) -> "QBase":
-        return QBase(self.q * self.q, self.epsilon_unit)
+        return QBase(self.q * self.q)
 
     def pow(self, k: int):
         return pow_int(self.q, k)

@@ -130,6 +130,15 @@ def _scalar_list(backend, text: str, what: str):
     return [_parse_scalar(backend, t, what) for t in items]
 
 
+def _build(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError (a negative count or
+    degree, an empty range) reported as a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        _die(EXIT_PARSE, str(exc))
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -169,7 +178,7 @@ def cmd_eval(args) -> int:
     a = [_parse_scalar(backend, opts[k], f"--{k}") for k in ("a1", "a2", "a3", "a4")]
     qval = _parse_scalar(backend, opts["q"], "--q")
     w = _spectral_point(opts, backend)
-    params = AWParams(a, QBase(qval), w, int(opts["n"]))
+    params = _build(AWParams, a, QBase(qval), w, int(opts["n"]))
     as_json = opts["format"] == "json"
 
     if opts["rep"] != "all":
@@ -225,15 +234,13 @@ def cmd_eval_series(args) -> int:
     n = int(opts["n"])
     if opts["kind"] == "phi":
         _require(opts, "num", "den")
-        spec = SeriesSpec(_scalar_list(backend, opts["num"], "--num"),
-                          _scalar_list(backend, opts["den"], "--den"),
-                          z, qbase, n)
+        spec = _build(SeriesSpec, _scalar_list(backend, opts["num"], "--num"),
+                      _scalar_list(backend, opts["den"], "--den"), z, qbase, n)
         value, trace = eval_phi(spec)
     elif opts["kind"] == "w":
         _require(opts, "b", "lower")
-        spec = VwpSpec(_parse_scalar(backend, opts["b"], "--b"),
-                       _scalar_list(backend, opts["lower"], "--lower"),
-                       z, qbase, n)
+        spec = _build(VwpSpec, _parse_scalar(backend, opts["b"], "--b"),
+                      _scalar_list(backend, opts["lower"], "--lower"), z, qbase, n)
         value, trace = eval_w(spec)
     else:
         _die(EXIT_PARSE, f"unknown series kind {opts['kind']!r}")
@@ -258,11 +265,11 @@ _VERIFY_DEFAULTS = {
 
 def cmd_verify(args) -> int:
     opts = _resolve(args, _VERIFY_DEFAULTS)
-    cfg = DrawConfig(seed=int(opts["seed"]),
-                     draws_per_record=int(opts["draws"]),
-                     n_range=(0, int(opts["n_max"])),
-                     backend=opts["backend"],
-                     q_big=bool(opts["q_big"]))
+    cfg = _build(DrawConfig, seed=int(opts["seed"]),
+                 draws_per_record=int(opts["draws"]),
+                 n_range=(0, int(opts["n_max"])),
+                 backend=opts["backend"],
+                 q_big=bool(opts["q_big"]))
     patterns = [p.strip() for p in opts["targets"].split(",") if p.strip()]
     report = run_sweep(cfg, patterns)
     for line in report.summary_lines():

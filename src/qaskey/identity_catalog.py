@@ -376,6 +376,33 @@ def judge(values, scale, exact: bool, *, rel_tol: float = REL_TOL,
     return CheckOutcome(Verdict.FAIL, max_dev, scale, False)
 
 
+def settle(evaluate, exact: bool, *, rel_tol: float = REL_TOL,
+           abs_tol: float = ABS_TOL, cond_cap: float = COND_CAP) -> CheckOutcome:
+    """The outcome of one check: where every evaluation ends as a verdict.
+
+    ``evaluate()`` returns the values that must agree and their
+    cancellation scale as a callable, and :func:`judge` gives the
+    verdict on them.  A guard violation or a division by zero while
+    evaluating makes the check SKIPPED, its ``guard`` naming the cause.
+    On the float backend an OverflowError (``abs()`` of a prefactor or
+    term whose modulus leaves the range) makes it INCONCLUSIVE with
+    deviation 0.0, as :func:`judge` does for a value that is not finite;
+    on the exact backend it is raised.
+    """
+    try:
+        values, scale = evaluate()
+    except GuardViolation as exc:
+        return CheckOutcome(Verdict.SKIPPED, 0.0, 0.0, exact, guard=str(exc))
+    except ZeroDivisionError as exc:
+        return CheckOutcome(Verdict.SKIPPED, 0.0, 0.0, exact,
+                            guard=f"division by zero: {exc}")
+    except OverflowError:
+        if exact:
+            raise
+        return _UNRESOLVED
+    return judge(values, scale, exact, rel_tol=rel_tol, abs_tol=abs_tol, cond_cap=cond_cap)
+
+
 # ---------------------------------------------------------------------------
 # the record table
 # ---------------------------------------------------------------------------
@@ -563,36 +590,24 @@ def _substituted(record: IdentityRecord, s: _S) -> _S:
 def check(record: IdentityRecord, draw: Draw, *, rel_tol: float = REL_TOL,
           abs_tol: float = ABS_TOL, cond_cap: float = COND_CAP,
           use_printed: bool = False) -> CheckOutcome:
-    """Evaluate both sides of a record on one draw.
+    """Evaluate both sides of a record on one draw, and :func:`settle` them.
 
-    Guard failures give SKIPPED; otherwise :func:`judge` gives the
-    verdict on the two sides.  On the float backend an OverflowError
-    while evaluating makes the check INCONCLUSIVE with deviation 0.0, as
-    in :func:`judge`.  ``use_printed`` selects the printed variant of a
-    quarantined record.
+    ``use_printed`` selects the printed variant of a quarantined record.
     """
-    exact = draw.q.exact
     rhs = record.rhs
     if use_printed:
         if record.quarantine is None:
             raise ValueError(f"record {record.id} has no printed variant")
         rhs = record.quarantine.printed_rhs
-    try:
+
+    def evaluate():
         s = _substituted(record, _S(draw))
         left, scale_l = record.lhs.evaluate(s)
         right, scale_r = rhs.evaluate(s)
-    except GuardViolation as exc:
-        return CheckOutcome(Verdict.SKIPPED, 0.0, 0.0, exact, guard=str(exc))
-    except ZeroDivisionError as exc:
-        return CheckOutcome(Verdict.SKIPPED, 0.0, 0.0, exact,
-                            guard=f"division by zero: {exc}")
-    except OverflowError:
-        # abs() of a float prefactor or term whose modulus leaves the range
-        if exact:
-            raise
-        return _UNRESOLVED
-    return judge([left, right], lambda: max(scale_l(), scale_r()), exact, rel_tol=rel_tol,
-                 abs_tol=abs_tol, cond_cap=cond_cap)
+        return [left, right], lambda: max(scale_l(), scale_r())
+
+    return settle(evaluate, draw.q.exact, rel_tol=rel_tol, abs_tol=abs_tol,
+                  cond_cap=cond_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -203,11 +203,11 @@ def _rows_product(rows):
     return out
 
 
-def omega_contains(a, q, n: int, *, pole_eps: float = POLE_EPS) -> bool:
+def omega_contains(a, q, n: int) -> bool:
     """Membership in Omega_q^n = { q^{-k} : 0 <= k <= n-1 }.
 
     Exact backend: a q^k == 1 literally.  Float backend: |a q^k - 1|
-    below ``pole_eps`` counts as a pole hit (the sets are exact in theory;
+    below ``POLE_EPS`` counts as a pole hit (the sets are exact in theory;
     the margin is the numeric proxy).
     """
     qv = _qval(q)
@@ -216,7 +216,7 @@ def omega_contains(a, q, n: int, *, pole_eps: float = POLE_EPS) -> bool:
     t = a
     for _ in range(n):
         d = t - one
-        if not d or (inexact and abs(d) < pole_eps):
+        if not d or (inexact and abs(d) < POLE_EPS):
             return True
         t = t * qv
     return False

@@ -154,7 +154,7 @@ def _powers(q, n: int) -> list:
     return qks[:n]
 
 
-def _guard_row(x, qks, exact: bool, pole_eps: float, message: str) -> tuple:
+def _guard_row(x, qks, exact: bool, message: str) -> tuple:
     """The factors ``1 - x q^k`` over ``qks`` = (q^k, k < n).
 
     On the exact backend ``qks`` are the triples of
@@ -162,7 +162,7 @@ def _guard_row(x, qks, exact: bool, pole_eps: float, message: str) -> tuple:
     triples of :func:`~qaskey.arithmetic._one_minus`.  Raises
     DenominatorPole when x lies in Omega_q^n: a factor is exactly zero
     (for a triple, ``a == b == 0``, as ``d > 0``), or on the float backend
-    has modulus below ``pole_eps`` (the test of
+    has modulus below ``POLE_EPS`` (the test of
     :func:`~qaskey.qpochhammer.omega_contains`).
     """
     if exact:
@@ -178,7 +178,7 @@ def _guard_row(x, qks, exact: bool, pole_eps: float, message: str) -> tuple:
     row = []
     for qk in qks:
         f = one - x * qk
-        if not f or abs(f) < pole_eps:
+        if not f or abs(f) < POLE_EPS:
             raise DenominatorPole(message)
         row.append(f)
     return tuple(row)
@@ -224,7 +224,6 @@ class SeriesSpec(_GuardRows):
     z: object
     q: QBase
     n: int
-    pole_eps: float = field(default=POLE_EPS, compare=False)
     den_rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -236,8 +235,7 @@ class SeriesSpec(_GuardRows):
         object.__setattr__(self, "z", as_scalar(self.z, exact))
         qks = (_int_powers if exact else _powers)(self.q.q, self.n)
         object.__setattr__(self, "den_rows", tuple(
-            _guard_row(b, qks, exact, self.pole_eps,
-                       "denominator parameter lies in Omega_q^n")
+            _guard_row(b, qks, exact, "denominator parameter lies in Omega_q^n")
             for b in self.den))
 
     @property
@@ -270,7 +268,6 @@ class VwpSpec(_GuardRows):
     z: object
     q: QBase
     n: int
-    pole_eps: float = field(default=POLE_EPS, compare=False)
     den_rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -285,16 +282,14 @@ class VwpSpec(_GuardRows):
         if not b:
             raise ZeroParameter("special parameter b must be nonzero")
         d = b - q.one()
-        if not d or (not exact and abs(d) <= self.pole_eps):
+        if not d or (not exact and abs(d) <= POLE_EPS):
             raise BEqualsOne("special parameter b = 1 makes the series singular")
         if not all(self.lower):
             raise ZeroParameter("lower parameters must be nonzero")
         qks = (_int_powers if exact else _powers)(q.q, n)
-        rows = [_guard_row(q.pow(n + 1) * b, qks, exact, self.pole_eps,
-                           "q^{n+1} b lies in Omega_q^n")]
+        rows = [_guard_row(q.pow(n + 1) * b, qks, exact, "q^{n+1} b lies in Omega_q^n")]
         for a in self.lower:
-            rows.append(_guard_row(q.q * b / a, qks, exact, self.pole_eps,
-                                   "q b / a_k lies in Omega_q^n"))
+            rows.append(_guard_row(q.q * b / a, qks, exact, "q b / a_k lies in Omega_q^n"))
         object.__setattr__(self, "den_rows", tuple(rows))
 
     @property
@@ -518,7 +513,7 @@ def vwp_as_phi(spec: VwpSpec, sqrt_b) -> SeriesSpec:
         raise ValueError("sqrt_b is not a square root of the special parameter")
     num = [spec.b, q * sb, -(q * sb)] + list(spec.lower)
     den = [sb, -sb, pow_int(q, spec.n + 1) * spec.b] + [q * spec.b / a for a in spec.lower]
-    return SeriesSpec(num, den, spec.z, spec.q, spec.n, spec.pole_eps)
+    return SeriesSpec(num, den, spec.z, spec.q, spec.n)
 
 
 def _require_nonzero(values, what: str):
@@ -562,7 +557,7 @@ def invert_series(spec: SeriesSpec):
     new_num = [q1n / b for b in spec.den]
     new_den = [q1n / a for a in spec.num]
     z2 = pow_int(q, n + 1) / spec.z * _product(spec.den, one) / _product(spec.num, one)
-    return pref, SeriesSpec(new_num, new_den, z2, spec.q, n, spec.pole_eps)
+    return pref, SeriesSpec(new_num, new_den, z2, spec.q, n)
 
 
 def invert_w(spec: VwpSpec):
@@ -587,7 +582,7 @@ def invert_w(spec: VwpSpec):
     new_lower = [pow_int(q, -n) * a / b for a in spec.lower]
     prod_sq = _product(spec.lower, one)
     z2 = pow_int(q, 2 * n + r - 3) * pow_int(b, r - 3) / (prod_sq * prod_sq * spec.z)
-    return pref, VwpSpec(new_b, new_lower, z2, spec.q, n, spec.pole_eps)
+    return pref, VwpSpec(new_b, new_lower, z2, spec.q, n)
 
 
 def watson_whipple(spec: SeriesSpec):
@@ -626,7 +621,7 @@ def watson_whipple(spec: SeriesSpec):
     pref = poch_quotient(q, n, (), (de / (a * b), de / (a * c)),
                          (de / a, de / (a * b * c)), pole=DenominatorPole,
                          message="prefactor pole: (de/a, de/(abc);q)_n = 0")
-    w = VwpSpec(de / (q * a), [d / a, e / a, b, c], q * a / f, spec.q, n, spec.pole_eps)
+    w = VwpSpec(de / (q * a), [d / a, e / a, b, c], q * a / f, spec.q, n)
     return pref, w
 
 
@@ -665,4 +660,4 @@ def qinvert_f(spec: SeriesSpec) -> SeriesSpec:
     z2 = (pow_int(new_base.q, spec.n + 1) * _product(spec.num, one) * spec.z
           / _product(spec.den, one))
     return SeriesSpec([one / a for a in spec.num], [one / b for b in spec.den],
-                      z2, new_base, spec.n, spec.pole_eps)
+                      z2, new_base, spec.n)

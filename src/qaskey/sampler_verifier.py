@@ -13,6 +13,11 @@ balance condition of the Whipple-type suite) are solved for the last
 slot rather than sampled.  Besides the 35 catalogue records, the sweep
 knows suite targets ``aw/*`` (representation consistency) and ``ops/*``
 (transformation contracts).
+
+Every check ends in :func:`~qaskey.identity_catalog.settle`: a record
+target runs :func:`~qaskey.identity_catalog.check`, and a suite is a
+plain evaluation ``draw -> (values, scale)`` that its target settles
+with the config's tolerances.  A SKIPPED outcome rejects the draw.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .arithmetic import (
     pow_int,
 )
 from . import askey_wilson as aw
-from .identity_catalog import _UNRESOLVED, CheckOutcome, Draw, Verdict, catalog, check, judge
+from .identity_catalog import CheckOutcome, Draw, Verdict, catalog, check, settle
 from .qseries import (
     SeriesSpec,
     VwpSpec,
@@ -67,8 +72,10 @@ class DrawConfig:
     ``q_range`` is the modulus window for the base (inside (0,1)); with
     ``q_big`` the mirrored window (1/hi, 1/lo) exercises the |q| > 1
     regime.  Exact draws use numerators/denominators up to the stated
-    caps (hard limit 97).  ``backend`` is rational, float, or both;
-    "both" sweeps each backend separately with suffixed entry ids.
+    caps (hard limit 97); float draws have moduli in ``modulus_range``.
+    ``backend`` is rational, float, or both; "both" sweeps each backend
+    separately with suffixed entry ids.  ``pole_eps`` records the float
+    guards' fixed pole margin in every report and takes no other value.
     """
 
     seed: int = 20260808
@@ -94,14 +101,17 @@ class DrawConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if not (0 < self.q_range[0] < self.q_range[1] < 1):
             raise ValueError("q_range must satisfy 0 < lo < hi < 1")
+        if not (0 < self.modulus_range[0] < self.modulus_range[1]):
+            raise ValueError("modulus_range must satisfy 0 < lo < hi")
         if self.n_range[0] < 0 or self.n_range[0] > self.n_range[1]:
             raise ValueError("n_range must be a nonempty range of nonnegative degrees")
         if not (1 <= self.rat_max_num <= 97 and 1 <= self.rat_max_den <= 97):
             raise ValueError("rational caps must lie in 1..97")
-        if self.pole_eps <= 0:
-            raise ValueError("pole_eps must be positive")
+        if self.pole_eps != POLE_EPS:
+            raise ValueError(f"pole_eps is the guards' fixed margin {POLE_EPS:g} "
+                             "and cannot be changed")
         if self.draws_per_record < 0 or self.max_rejects < 1:
-            raise ValueError("invalid draw counts")
+            raise ValueError("draws_per_record must be >= 0 and max_rejects >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +192,8 @@ class Target:
     record: object = None             # IdentityRecord for catalogue targets
 
 
-def _judge(values, scale, exact, cfg) -> CheckOutcome:
-    return judge(values, scale, exact, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                 cond_cap=cfg.cond_cap)
-
-
 def _eval_spec(spec):
     return (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec)
-
-
-def _skipped(exc) -> CheckOutcome:
-    return CheckOutcome(Verdict.SKIPPED, 0.0, 0.0, False, guard=str(exc))
 
 
 def _record_target(rec) -> Target:
@@ -221,81 +222,63 @@ def _draw_aw(rng, cfg, exact) -> aw.AWParams:
 _PHI_STD_ROLES = tuple(aw.RepId(aw.RepTag.PHI_STD, p=k) for k in (1, 2, 3, 4))
 
 
+def _agreeing(evaluated) -> tuple:
+    """(values, scale) of evaluated (value, trace) pairs, taken in order so
+    that the first guard failure ends the check; the scale is the largest
+    trace scale, 0.0 for none."""
+    pairs = list(evaluated)
+    return [v for v, _ in pairs], lambda: max([0.0, *(t.abs_scale for _, t in pairs)])
+
+
 def _suite_targets() -> list:
+    """The suites: each is an evaluation ``draw -> (values, scale)`` of
+    values that must agree, settled by :func:`settle`.  Suites look up
+    the Askey-Wilson evaluators through the module when they run, so an
+    evaluator rebound there (by a test or the benchmark's tracer) is the
+    one called."""
     suites = []
 
-    def add(tid, ref, draw_fn, run_fn):
-        suites.append(Target(tid, ref, draw_fn, run_fn))
+    def add(tid, ref, draw_fn, evaluate):
+        def run(draw, cfg, exact):
+            return settle(lambda: evaluate(draw), exact, rel_tol=cfg.rel_tol,
+                          abs_tol=cfg.abs_tol, cond_cap=cfg.cond_cap)
+
+        suites.append(Target(tid, ref, draw_fn, run))
 
     # representation consistency ---------------------------------------
-    def run_seven_way(params, cfg, exact):
-        try:
-            report = aw.eval_all(params)
-        except GuardViolation as exc:
-            return _skipped(exc)
-        if report.skipped or not report.values:
-            return _skipped("; ".join(report.skipped.values()) or "no values")
-        return _judge(list(report.values.values()), lambda: report.scale, exact, cfg)
+    add("aw/seven-way", "all seven representations agree", _draw_aw,
+        lambda params: _agreeing(aw.eval_rep(params, rep) for rep in aw.ALL_REPS))
 
-    add("aw/seven-way", "all seven representations agree",
-        _draw_aw, run_seven_way)
+    # The phi-std series singles out a_p alone: interchanging the other
+    # three parameters reorders its numerator and denominator lists and
+    # leaves every term as it was.  So each of the 24 permuted points
+    # evaluates the series of role p = perm[0] here, and the four roles
+    # are the only distinct series.
+    add("aw/permutation", "parameter-interchange invariance", _draw_aw,
+        lambda params: _agreeing(aw.eval_rep(params, rep) for rep in _PHI_STD_ROLES))
 
-    def run_permutation(params, cfg, exact):
-        # The phi-std series singles out a_p alone: interchanging the other
-        # three parameters reorders its numerator and denominator lists and
-        # leaves every term as it was.  So each of the 24 permuted points
-        # evaluates the series of role p = perm[0] here, and the four roles
-        # are the only distinct series.
-        try:
-            values, traces = [], []
-            for rep in _PHI_STD_ROLES:
-                v, t = aw.eval_rep(params, rep)
-                values.append(v)
-                traces.append(t)
-        except GuardViolation as exc:
-            return _skipped(exc)
-        return _judge(values, lambda: max([0.0, *(t.abs_scale for t in traces)]), exact, cfg)
-
-    add("aw/permutation", "parameter-interchange invariance",
-        _draw_aw, run_permutation)
-
-    def run_theta_flip(params, cfg, exact):
+    def theta_flip(params):
         # phi-mixed, not phi-std: w -> 1/w only swaps a_p w and a_p / w in
         # the phi-std numerators, so that series would be compared with
         # itself; phi-mixed takes w and 1/w into different slots
-        try:
-            v1, t1 = aw.eval_rep(params, aw.RepTag.PHI_MIXED)
-            v2, t2 = aw.eval_rep(params.flip_w(), aw.RepTag.PHI_MIXED)
-        except GuardViolation as exc:
-            return _skipped(exc)
-        return _judge([v1, v2], lambda: max(t1.abs_scale, t2.abs_scale), exact, cfg)
+        v1, t1 = aw.eval_rep(params, aw.RepTag.PHI_MIXED)
+        v2, t2 = aw.eval_rep(params.flip_w(), aw.RepTag.PHI_MIXED)
+        return [v1, v2], lambda: max(t1.abs_scale, t2.abs_scale)
 
-    add("aw/theta-flip", "invariance under w -> 1/w",
-        _draw_aw, run_theta_flip)
+    add("aw/theta-flip", "invariance under w -> 1/w", _draw_aw, theta_flip)
 
-    def run_qinverse(params, cfg, exact):
-        try:
-            report = aw.eval_qinv_all(params)
-            direct, dtrace = aw.eval_qinv_direct(params)
-        except GuardViolation as exc:
-            return _skipped(exc)
-        if report.skipped or not report.values:
-            return _skipped("; ".join(report.skipped.values()) or "no values")
-        values = list(report.values.values()) + [direct]
-        return _judge(values, lambda: max(report.scale, dtrace.abs_scale), exact, cfg)
+    def qinverse(params):
+        evaluated = [aw.eval_qinv_rep(params, rep) for rep in aw.ALL_REPS]
+        return _agreeing(evaluated + [aw.eval_qinv_direct(params)])
 
-    add("aw/qinverse", "base-inverted representations agree",
-        _draw_aw, run_qinverse)
+    add("aw/qinverse", "base-inverted representations agree", _draw_aw, qinverse)
 
-    def run_qinv_scaling(params, cfg, exact):
-        try:
-            d1, d2, ref, scale = aw._qinv_scaling(params)
-        except GuardViolation as exc:
-            return _skipped(exc)
-        return _judge([d1, ref - ref, d2], scale, exact, cfg)
+    def qinv_scaling(params):
+        d1, d2, ref, scale = aw._qinv_scaling(params)
+        return [d1, ref - ref, d2], scale
 
     add("aw/qinv-scaling", "base-inverted family: reciprocal-parameter scaling",
-        _draw_aw, run_qinv_scaling)
+        _draw_aw, qinv_scaling)
 
     # transformation contracts ------------------------------------------
     def draw_phi(rng, cfg, exact, width=3):
@@ -307,18 +290,14 @@ def _suite_targets() -> list:
         return SeriesSpec(num, den, z, q, n)
 
     def scaled_contract(transform):
-        """Runner for the contract value(spec) == pref * value(image) of a
-        map ``transform(spec) -> (pref, image)``."""
-        def run(spec, cfg, exact):
-            try:
-                pref, image = transform(spec)
-                v1, t1 = _eval_spec(spec)
-                v2, t2 = _eval_spec(image)
-            except GuardViolation as exc:
-                return _skipped(exc)
-            return _judge([v1, pref * v2],
-                          lambda: max(t1.abs_scale, abs(pref) * t2.abs_scale), exact, cfg)
-        return run
+        """The contract value(spec) == pref * value(image) of a map
+        ``transform(spec) -> (pref, image)``."""
+        def evaluate(spec):
+            pref, image = transform(spec)
+            v1, t1 = _eval_spec(spec)
+            v2, t2 = _eval_spec(image)
+            return [v1, pref * v2], lambda: max(t1.abs_scale, abs(pref) * t2.abs_scale)
+        return evaluate
 
     add("ops/invert-series", "summation reversal contract",
         draw_phi, scaled_contract(invert_series))
@@ -347,33 +326,23 @@ def _suite_targets() -> list:
     add("ops/watson-whipple", "Watson q-Whipple map: balanced 4phi3 vs 8W7",
         draw_watson, scaled_contract(watson_whipple))
 
-    def run_connect(spec, cfg, exact):
-        try:
-            inv_spec, (pref, rev) = connect_qinv(spec)
-            v = eval_phi(spec)
-            vi = eval_phi(inv_spec)
-            vr = eval_phi(rev)
-        except GuardViolation as exc:
-            return _skipped(exc)
-        def scale():
-            return max(v[1].abs_scale, vi[1].abs_scale, abs(pref) * vr[1].abs_scale)
+    def connect(spec):
+        inv_spec, (pref, rev) = connect_qinv(spec)
+        v, t = eval_phi(spec)
+        vi, ti = eval_phi(inv_spec)
+        vr, tr = eval_phi(rev)
+        return ([v, vi, pref * vr],
+                lambda: max(t.abs_scale, ti.abs_scale, abs(pref) * tr.abs_scale))
 
-        return _judge([v[0], vi[0], pref * vr[0]], scale, exact, cfg)
+    add("ops/connect-qinv", "base connection: three-way equality", draw_phi, connect)
 
-    add("ops/connect-qinv", "base connection: three-way equality",
-        draw_phi, run_connect)
+    def qinvert(spec):
+        spec2 = qinvert_f(spec)
+        v1, t1 = eval_phi(spec)
+        v2, t2 = eval_phi(spec2)
+        return [v1, v2], lambda: max(t1.abs_scale, t2.abs_scale)
 
-    def run_qinvert_f(spec, cfg, exact):
-        try:
-            spec2 = qinvert_f(spec)
-            v1, t1 = eval_phi(spec)
-            v2, t2 = eval_phi(spec2)
-        except GuardViolation as exc:
-            return _skipped(exc)
-        return _judge([v1, v2], lambda: max(t1.abs_scale, t2.abs_scale), exact, cfg)
-
-    add("ops/qinvert-f", "base-inversion recipe contract",
-        draw_phi, run_qinvert_f)
+    add("ops/qinvert-f", "base-inversion recipe contract", draw_phi, qinvert)
 
     return suites
 
@@ -414,19 +383,6 @@ def _substream(cfg: DrawConfig, target_id: str, backend: str, index: int):
     return random.Random(f"{cfg.seed}:{target_id}:{backend}:{index}")
 
 
-def _settle(run_check, exact: bool) -> CheckOutcome:
-    """The outcome of ``run_check()``.  On the float backend an
-    OverflowError makes the check INCONCLUSIVE with deviation 0.0, as
-    :func:`judge` does for a value, deviation or scale that is not
-    finite.  Exact outcomes pass through unchanged."""
-    if exact:
-        return run_check()
-    try:
-        return run_check()
-    except OverflowError:
-        return _UNRESOLVED
-
-
 def _admissible(cfg: DrawConfig, target: Target, backend: str, index: int):
     """``(draw, outcome)`` for the first candidate of the substream
     ``index`` whose check is not SKIPPED.
@@ -442,7 +398,7 @@ def _admissible(cfg: DrawConfig, target: Target, backend: str, index: int):
             cand = target.draw(rng, cfg, exact)
         except (GuardViolation, ZeroDivisionError, OverflowError):
             continue
-        outcome = _settle(lambda: target.run(cand, cfg, exact), exact)
+        outcome = target.run(cand, cfg, exact)
         if outcome.verdict is not Verdict.SKIPPED:
             return cand, outcome
     raise SamplerExhausted(
@@ -543,7 +499,6 @@ class SweepReport:
 def _sweep_one(cfg: DrawConfig, target: Target, backend: str,
                entry_id: str) -> RecordTally:
     tally = RecordTally(entry_id, target.ref)
-    exact = backend == "rational"
     quarantined = target.record is not None and target.record.quarantine is not None
     if quarantined:
         info = target.record.quarantine
@@ -552,9 +507,9 @@ def _sweep_one(cfg: DrawConfig, target: Target, backend: str,
         draw, outcome = _admissible(cfg, target, backend, i)
         tally.add(outcome)
         if quarantined:
-            printed.add(_settle(lambda: check(
-                target.record, draw, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                cond_cap=cfg.cond_cap, use_printed=True), exact))
+            printed.add(check(target.record, draw, rel_tol=cfg.rel_tol,
+                              abs_tol=cfg.abs_tol, cond_cap=cfg.cond_cap,
+                              use_printed=True))
     if quarantined:
         tally.quarantine = {
             "reason": info.reason,

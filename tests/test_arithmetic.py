@@ -206,7 +206,6 @@ def test_qbase_guards():
         QBase(G(Fraction(3, 5), Fraction(4, 5)))  # exactly on the unit circle
     with pytest.raises(UnitModulusQ):
         QBase(complex(1.0 + 1e-9, 0.0))
-    QBase(complex(1.0 + 1e-9, 0.0), epsilon_unit=1e-12)  # configurable margin
     assert QBase(G(Fraction(1, 2))).inverse().q == G(2)
 
 

@@ -192,6 +192,25 @@ def test_verify_sampler_exhausted_exit_code(capsys, monkeypatch):
     assert code == 4 and "sampler" in err
 
 
+_AW_ARGS = ("--a1", "1/2", "--a2", "1/3", "--a3", "2", "--a4", "3", "--q", "1/2",
+            "--w", "2")
+_PHI_ARGS = ("--num", "1/2,1/3,1/4", "--den", "2/3,3/5,5/7", "--z", "1/3", "--q", "1/2")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--draws", "-1"), "draws_per_record must be >= 0"),
+    (("verify", "--n-max", "-2"), "n_range must be a nonempty range"),
+    (("eval", *_AW_ARGS, "--n", "-1"), "degree n must be >= 0"),
+    (("eval-series", *_PHI_ARGS, "--n", "-1"), "termination degree n must be >= 0"),
+], ids=["verify-draws", "verify-n-max", "eval", "eval-series"])
+def test_negative_counts_are_usage_errors(capsys, argv, message):
+    # exit 1 means a FAIL; a negative count is a usage error, told in one line
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_table_csv_contract(capsys):
     code, out, _ = run_cli(capsys, "table", "--a1", "0.4", "--a2", "0.3",
                            "--a3", "0.2", "--a4", "0.1", "--q", "0.5",

@@ -36,6 +36,7 @@ from qaskey.identity_catalog import (
     _series,
     _substitution,
     judge,
+    settle,
 )
 from qaskey import arithmetic, qpochhammer, qseries
 from qaskey.sampler_verifier import all_targets
@@ -341,6 +342,42 @@ def test_judge_examples():
     assert judge([G(1, 2), G(1, 2)], lambda: 1.0, True).verdict is Verdict.PASS
     outcome = judge([G(1), G(1, Fraction(1, 10 ** 20))], lambda: 1.0, True)
     assert outcome.verdict is Verdict.FAIL and outcome.deviation == 1e-20
+
+
+def test_settle_is_where_an_evaluation_ends():
+    def raising(exc):
+        def evaluate():
+            raise exc
+        return evaluate
+
+    # a guard or a division by zero rejects the draw, naming the cause
+    for exact in (True, False):
+        assert settle(raising(GuardViolation("pole guard failed: (1/w^2;q)_n = 0")),
+                      exact) == CheckOutcome(Verdict.SKIPPED, 0.0, 0.0, exact,
+                                             guard="pole guard failed: (1/w^2;q)_n = 0")
+        assert settle(raising(ZeroDivisionError("complex division by zero")),
+                      exact) == CheckOutcome(Verdict.SKIPPED, 0.0, 0.0, exact,
+                                             guard="division by zero: complex division by zero")
+    # an overflow: a float check cannot decide, an exact one is an error
+    overflow = raising(OverflowError("absolute value too large"))
+    assert settle(overflow, False) == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
+    with pytest.raises(OverflowError):
+        settle(overflow, True)
+    # otherwise judge's verdict, under the tolerances given
+    cases = [([1.0 + 0j, 1.0 + 1e-6 + 0j], 1.0, {}),
+             ([1.0 + 0j, 1.0 + 1e-6 + 0j], 1.0, {"rel_tol": 1e-3}),
+             ([0.0 + 0j, 1e-30 + 0j], 0.0, {}),
+             ([0.0 + 0j, 1e-30 + 0j], 0.0, {"abs_tol": 1e-40}),
+             ([1e-3 + 0j, 0j], 1e6, {}),
+             ([1e-3 + 0j, 0j], 1e6, {"cond_cap": 1e10})]
+    verdicts = []
+    for values, scale, tols in cases:
+        outcome = settle(lambda: (values, lambda: scale), False, **tols)
+        assert outcome == judge(values, lambda: scale, False, **tols)
+        verdicts.append(outcome.verdict.value)
+    assert verdicts == ["FAIL", "PASS", "PASS", "FAIL", "INCONCLUSIVE", "FAIL"]
+    assert settle(lambda: ([G(1, 2), G(1, 2)], lambda: 1.0), True) == judge(
+        [G(1, 2), G(1, 2)], lambda: 1.0, True)
 
 
 def test_check_settles_non_finite_float_values_as_inconclusive():

@@ -22,7 +22,7 @@ from qaskey import (
 from qaskey import askey_wilson as aw
 from qaskey import sampler_verifier
 from qaskey.arithmetic import GuardViolation, QBase, is_zero, parts, pow_int
-from qaskey.identity_catalog import CheckOutcome, Verdict, judge
+from qaskey.identity_catalog import CheckOutcome, Verdict, judge, settle
 from qaskey.sampler_verifier import (
     Target,
     _admissible,
@@ -45,8 +45,14 @@ def test_config_validation():
         DrawConfig(n_range=(3, 1))
     with pytest.raises(ValueError):
         DrawConfig(rat_max_num=200)
-    with pytest.raises(ValueError):
-        DrawConfig(pole_eps=0.0)
+    # the float guards' pole margin is fixed; the field only records it
+    for eps in (0.0, 1e-3):
+        with pytest.raises(ValueError, match="fixed margin"):
+            DrawConfig(pole_eps=eps)
+    # float moduli are drawn on a log scale, which needs 0 < lo < hi
+    for bad in ((0.0, 10.0), (-1.0, 10.0), (10.0, 0.1)):
+        with pytest.raises(ValueError, match="modulus_range"):
+            DrawConfig(backend="float", modulus_range=bad)
 
 
 def test_target_inventory_and_resolution():
@@ -437,24 +443,43 @@ def test_overflow_while_checking_settles_by_backend():
     def draw(rng, cfg, exact):
         return rng.random()
 
-    def overflowing_run(d, cfg, exact):
+    def overflowing(d):
         raise OverflowError("absolute value too large")
 
-    def non_finite_run(d, cfg, exact):
+    def non_finite(d):
         # two finite values whose difference overflows
-        return judge([1e308 + 0j, -1e308 + 0j], lambda: 1.0, exact)
+        return [1e308 + 0j, -1e308 + 0j], lambda: 1.0
+
+    def target(evaluate):
+        # a suite's run: its evaluation settled once
+        return Target("test/overflow", "synthetic", draw,
+                      lambda d, cfg, exact: settle(lambda: evaluate(d), exact))
 
     cfg = DrawConfig()
-    for run in (overflowing_run, non_finite_run):
-        target = Target("test/overflow", "synthetic", draw, run)
+    for evaluate in (overflowing, non_finite):
         # a float check cannot decide: INCONCLUSIVE with deviation 0.0
-        _, outcome = _admissible(cfg, target, "float", 0)
+        _, outcome = _admissible(cfg, target(evaluate), "float", 0)
         assert outcome == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
     # the exact backend hides neither an error nor a FAIL
     with pytest.raises(OverflowError):
-        draw_params(cfg, Target("test/overflow", "synthetic", draw, overflowing_run))
-    target = Target("test/overflow", "synthetic", draw, non_finite_run)
-    assert _admissible(cfg, target, "rational", 0)[1].verdict is Verdict.FAIL
+        draw_params(cfg, target(overflowing))
+    assert _admissible(cfg, target(non_finite), "rational", 0)[1].verdict is Verdict.FAIL
+
+
+def test_a_division_by_zero_in_a_suite_rejects_the_draw(monkeypatch):
+    # a suite settles a ZeroDivisionError as a catalogue record does: the
+    # draw is SKIPPED and rejected, and the sweep draws the next one
+    calls = itertools.count(1)
+    eval_rep = aw.eval_rep
+
+    def flaky(params, rep):
+        if next(calls) % 3 == 0:
+            raise ZeroDivisionError("complex division by zero")
+        return eval_rep(params, rep)
+
+    monkeypatch.setattr(aw, "eval_rep", flaky)
+    (entry,) = run_sweep(DrawConfig(draws_per_record=10), ["aw/theta-flip"]).entries
+    assert (entry.passed, entry.failed, entry.inconclusive, entry.skipped) == (10, 0, 0, 0)
 
 
 # sha256 of SweepReport.to_json(include_timing=False) for exact sweeps,
