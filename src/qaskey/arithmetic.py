@@ -13,12 +13,12 @@ Two scalar types realize the same abstract complex field:
   :func:`abs_parts` hand the triple to loops that run on plain ints,
   such as the exact series kernel of :mod:`qaskey.qseries`.  Products
   run fraction-free, with one gcd per product rather than per factor:
-  :func:`pow_int` squares plain ints (``_int_pow``), and
-  ``_int_powers``, ``_one_minus`` and ``_int_product`` form the products
-  of factors ``1 - x q^k`` that the pole guards of
-  :mod:`qaskey.qseries` keep and that
+  :func:`pow_int` squares plain ints (``_int_pow``),
+  ``_one_minus_row`` forms the row of factors ``1 - x q^k`` that a pole
+  guard of :mod:`qaskey.qseries` keeps, and ``_times_poch`` multiplies
+  (x;q)_n into an unreduced triple for
   :func:`qaskey.qpochhammer.poch_quotient`, the one quotient path of
-  every prefactor, multiplies unreduced and reduces once.
+  every prefactor, which reduces once.
 * float backend -- the builtin ``complex``.  Fast, but a failed check may
   be cancellation rather than a genuine discrepancy, so verdicts are
   scale-aware (see :func:`qaskey.identity_catalog.judge`).
@@ -269,33 +269,35 @@ def abs_parts(a, b, d) -> float:
 # of them is formed with plain int arithmetic and reduced once, by
 # from_parts, instead of once per factor.
 
-def _int_powers(q, n: int) -> list:
-    """Triples of q^k for k < n: ((a + b i)^k, d^k) from the triple
-    (a, b, d) of the exact scalar q, unreduced."""
-    qa, qb, qd = parts(q)
-    u, v, m = 1, 0, 1
-    out = [(u, v, m)][:n]
+def _one_minus_row(x, q, n: int) -> tuple:
+    """The unreduced triples of the factors 1 - x q^k, k < n, from the
+    triples of x and q: x q^k is advanced by one product with q per
+    factor, and 1 - x q^k over its denominator needs no product at all."""
+    a, b, d = x
+    qa, qb, qd = q
+    # a list first: tuple() of a generator builds the tuple by resizing,
+    # so each row freed later parks in the interpreter's tuple free list
+    # of its length, up to 2000 of them, and raises peak memory
+    row = [(d - a, -b, d)][:n]
     for _ in range(n - 1):
-        u, v, m = u * qa - v * qb, u * qb + v * qa, m * qd
-        out.append((u, v, m))
-    return out
+        a, b, d = a * qa - b * qb, a * qb + b * qa, d * qd
+        row.append((d - a, -b, d))
+    return tuple(row)
 
 
-def _one_minus(x, qk) -> tuple:
-    """The triple of 1 - x q^k from the triples of x and q^k."""
-    xa, xb, xd = x
-    u, v, m = qk
-    d = xd * m
-    return d - xa * u + xb * v, -(xa * v + xb * u), d
-
-
-def _int_product(factors) -> tuple:
-    """The unreduced triple of the product of triples; (1, 0, 1) when
-    there are none."""
-    a, b, d = 1, 0, 1
-    for fa, fb, fd in factors:
-        a, b, d = a * fa - b * fb, a * fb + b * fa, d * fd
-    return a, b, d
+def _times_poch(acc, x, q, n: int) -> tuple:
+    """The unreduced triple of acc (x;q)_n from the triples of acc, x and
+    q: each factor 1 - x q^k is multiplied in as it is formed, with no
+    triple built for it."""
+    pa, pb, pd = acc
+    a, b, d = x
+    qa, qb, qd = q
+    for k in range(n):
+        if k:
+            a, b, d = a * qa - b * qb, a * qb + b * qa, d * qd
+        fa = d - a
+        pa, pb, pd = pa * fa + pb * b, pb * fa - pa * b, pd * d
+    return pa, pb, pd
 
 
 def _int_pow(x, k: int) -> tuple:

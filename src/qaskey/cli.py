@@ -83,6 +83,8 @@ def _load_config(path: str) -> dict:
 
 
 _TRUE = {"1", "true", "yes", "on"}
+# keys whose config value is an integer (argparse converts the flags)
+_INT_KEYS = {"n", "n_max", "draws", "seed"}
 
 
 def _resolve(args, defaults: dict) -> dict:
@@ -98,10 +100,11 @@ def _resolve(args, defaults: dict) -> dict:
             raw = config[key]
             if isinstance(fallback, bool):
                 out[key] = raw.lower() in _TRUE
-            elif isinstance(fallback, int) and not isinstance(fallback, bool):
-                out[key] = int(raw)
-            elif isinstance(fallback, float):
-                out[key] = float(raw)
+            elif key in _INT_KEYS:
+                try:
+                    out[key] = int(raw)
+                except ValueError:
+                    _die(EXIT_PARSE, f"config key {key}: expected an integer, got {raw!r}")
             else:
                 out[key] = raw
             continue
@@ -178,7 +181,7 @@ def cmd_eval(args) -> int:
     a = [_parse_scalar(backend, opts[k], f"--{k}") for k in ("a1", "a2", "a3", "a4")]
     qval = _parse_scalar(backend, opts["q"], "--q")
     w = _spectral_point(opts, backend)
-    params = _build(AWParams, a, QBase(qval), w, int(opts["n"]))
+    params = _build(AWParams, a, QBase(qval), w, opts["n"])
     as_json = opts["format"] == "json"
 
     if opts["rep"] != "all":
@@ -231,7 +234,7 @@ def cmd_eval_series(args) -> int:
     backend = get_backend(opts["backend"])
     qbase = QBase(_parse_scalar(backend, opts["q"], "--q"))
     z = _parse_scalar(backend, opts["z"], "--z")
-    n = int(opts["n"])
+    n = opts["n"]
     if opts["kind"] == "phi":
         _require(opts, "num", "den")
         spec = _build(SeriesSpec, _scalar_list(backend, opts["num"], "--num"),
@@ -265,9 +268,9 @@ _VERIFY_DEFAULTS = {
 
 def cmd_verify(args) -> int:
     opts = _resolve(args, _VERIFY_DEFAULTS)
-    cfg = _build(DrawConfig, seed=int(opts["seed"]),
-                 draws_per_record=int(opts["draws"]),
-                 n_range=(0, int(opts["n_max"])),
+    cfg = _build(DrawConfig, seed=opts["seed"],
+                 draws_per_record=opts["draws"],
+                 n_range=(0, opts["n_max"]),
                  backend=opts["backend"],
                  q_big=bool(opts["q_big"]))
     patterns = [p.strip() for p in opts["targets"].split(",") if p.strip()]
@@ -345,7 +348,9 @@ def cmd_table(args) -> int:
     _require(opts, "a1", "a2", "a3", "a4", "q", "x_grid")
     a = [_parse_scalar(FLOAT, opts[k], f"--{k}") for k in ("a1", "a2", "a3", "a4")]
     qbase = QBase(_parse_scalar(FLOAT, opts["q"], "--q"))
-    n_max = int(opts["n_max"])
+    n_max = opts["n_max"]
+    if n_max < 0:
+        _die(EXIT_PARSE, "degree n_max must be >= 0")
     xs = _parse_grid(opts["x_grid"])
     rows = []
     for x in xs:

@@ -7,11 +7,12 @@ up to their own arithmetic; nothing in this module sums a series.
 times (num;q)_n and any kept guard rows, divided by (den;q)_n.  The
 representations, the catalogue sides and the series transformations
 form their prefactors with it, and :func:`poch` and :func:`poch_list`
-are its one-sided case on the exact backend.  There every factor
-1 - a q^k is an unreduced integer triple; the numerator and the
-denominator are one product each, divided once through the conjugate
-and reduced once.  The float backend multiplies factor by factor, in the
-order of the arguments.
+are its one-sided case on the exact backend.  There the numerator and
+the denominator are one unreduced integer triple each, into which every
+(a;q)_n is multiplied as its factors 1 - a q^k are formed
+(:func:`~qaskey.arithmetic._times_poch`); their quotient is one division
+through the conjugate, reduced once.  The float backend multiplies
+factor by factor, in the order of the arguments.
 
 Identities that classically involve square roots (base doubling and the
 shifted-quotient form) are stored and checked in radical-free equivalent
@@ -28,9 +29,7 @@ from .arithmetic import (
     QBase,
     _ONE_FLOAT,
     _int_pow,
-    _int_powers,
-    _int_product,
-    _one_minus,
+    _times_poch,
     as_scalar,
     binom2,
     from_parts,
@@ -90,14 +89,14 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
     ``message``.  The denominator is formed first; if it is zero,
     ``pole(message)`` is raised.
 
-    On the exact backend every factor is an unreduced integer triple: the
-    numerator is one product, the denominator another, and the quotient
-    is one division through the conjugate and one
-    :func:`~qaskey.arithmetic.from_parts`.  The float backend multiplies
-    in the order of the arguments: the ``lead`` factors left to right,
-    each ``num`` entry, the ``num_rows``; that divided by the product of
-    the ``den`` entries and the ``den_rows``; then times the product of
-    the ``tail`` factors.
+    On the exact backend the numerator and the denominator are each one
+    unreduced integer triple, the factors multiplied in as they are
+    formed, and the quotient is one division through the conjugate and
+    one :func:`~qaskey.arithmetic.from_parts`.  The float backend
+    multiplies in the order of the arguments: the ``lead`` factors left
+    to right, each ``num`` entry, the ``num_rows``; that divided by the
+    product of the ``den`` entries and the ``den_rows``; then times the
+    product of the ``tail`` factors.
     """
     if n < 0:
         raise ValueError("poch requires n >= 0")
@@ -105,18 +104,17 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
         raise TypeError("poch_quotient with a denominator needs pole and message")
     qv = _qval(q)
     if is_exact(qv):
-        # kept rows alone need no powers of q
-        pw = _int_powers(as_scalar(qv, True), n) if num or den else ()
-        da, db, dd = _int_product(_exact_factors(den, den_rows, pw))
+        qt = parts(as_scalar(qv, True))
+        da, db, dd = _exact_product(den, den_rows, qt, n)
         if not (da or db):
             raise pole(message)
-        up = _exact_factors(num, num_rows, pw)
+        na, nb, nd = _exact_product(num, num_rows, qt, n)
         for f in (*lead, *tail):
             if type(f) is tuple:
-                up.append(_int_pow(parts(as_scalar(f[0], True)), f[1]))
+                fa, fb, fd = _int_pow(parts(as_scalar(f[0], True)), f[1])
             else:
-                up.append(parts(as_scalar(f, True)))
-        na, nb, nd = _int_product(up)
+                fa, fb, fd = parts(as_scalar(f, True))
+            na, nb, nd = na * fa - nb * fb, na * fb + nb * fa, nd * fd
         return from_parts((na * da + nb * db) * dd, (nb * da - na * db) * dd,
                           nd * (da * da + db * db))
     dv = None
@@ -151,20 +149,18 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
     return out
 
 
-def _exact_factors(groups, rows, pw) -> list:
-    """The triples of the factors 1 - a q^k, k < n, of every base in
-    ``groups`` (the powers ``pw`` from _int_powers), then those of the
-    kept guard ``rows``."""
-    bases = []
+def _exact_product(groups, rows, q, n: int) -> tuple:
+    """The unreduced triple of (a;q)_n over every base a in ``groups``
+    (``q`` a triple), times every factor of the kept guard ``rows``."""
+    p = 1, 0, 1
     for g in groups:
-        if isinstance(g, (list, tuple)):
-            bases.extend(g)
-        else:
-            bases.append(g)
-    out = [_one_minus(parts(as_scalar(a, True)), qk) for a in bases for qk in pw]
-    if rows:
-        out += [f for row in rows for f in row]
-    return out
+        for a in g if isinstance(g, (list, tuple)) else (g,):
+            p = _times_poch(p, parts(as_scalar(a, True)), q, n)
+    a, b, d = p
+    for row in rows or ():
+        for fa, fb, fd in row:
+            a, b, d = a * fa - b * fb, a * fb + b * fa, d * fd
+    return a, b, d
 
 
 def _float_poch(x, q, n: int):

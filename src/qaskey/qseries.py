@@ -9,16 +9,22 @@ Two evaluators are kept deliberately independent:
 
 On the exact backend the recurrence runs fraction-free, on the integer
 triples ``(a, b, d)`` of ``(a + b i) / d``, in the spirit of Bareiss'
-elimination.  Each step's ratio is formed with plain int products from
-the triples of q^k, the parameters, z and the kept guard factors, divided
-by multiplying with the conjugate of its denominator, and reduced by one
-gcd.  The running term and the partial sum stay unreduced over one shared
-denominator; only the value is reduced, once per series.  The direct
-evaluators build every term from :func:`~qaskey.qpochhammer.poch`
-products and stay the independent oracle: they share no code with the
-recurrence but the fraction-free product helpers of
-:mod:`qaskey.arithmetic`, which the tests check against plain
-:class:`~qaskey.arithmetic.GaussianRational` loops.
+elimination, in one pass over k.  Each step advances q^k on plain ints,
+forms its ratio inline from the triples of q^k, z, the parameters and
+the kept guard factors (no list and no call per factor), divides by
+multiplying with the conjugate of the denominator, and reduces by one
+gcd; the running term, the partial sum and, for a very-well-poised
+series, the pair weight advance in the same pass.  The running term and
+the partial sum stay unreduced over one shared denominator; only the
+value is reduced, once per series.  The direct evaluators build every
+term from :func:`~qaskey.qpochhammer.poch` products and stay the
+independent oracle: no code that forms a factor ``1 - x q^k`` is shared
+with the recurrence.  The kernel forms its numerator factors inline and
+reads its denominator factors from the guard rows of
+:func:`~qaskey.arithmetic._one_minus_row`; the oracle's products come
+from :func:`~qaskey.arithmetic._times_poch`.  The tests check both
+helpers against plain :class:`~qaskey.arithmetic.GaussianRational`
+loops.
 
 A very-well-poised series is evaluated radical-free: the classical
 ``+-q sqrt(b)`` over ``+-sqrt(b)`` pair contributes the exact per-term
@@ -38,10 +44,9 @@ The prefactors of the transformations here come from
 The pole guards of :class:`SeriesSpec` and :class:`VwpSpec` form every
 denominator factor ``1 - x q^k`` of the terminating sum once and keep
 them: the term loops and the prefactor products ``(den;q)_n`` reuse them.
-On the exact backend the guards form the factors as unreduced integer
-triples, from the triples of the powers of q
-(:func:`~qaskey.arithmetic._int_powers`), and test each for an exact
-zero; the kernel reads those triples as they are, and
+On the exact backend the guards form each row of factors as unreduced
+integer triples with :func:`~qaskey.arithmetic._one_minus_row` and test
+each for an exact zero; the kernel reads those triples as they are, and
 :meth:`~SeriesSpec.den_poch` multiplies them all and reduces once.
 """
 
@@ -55,9 +60,7 @@ from .arithmetic import (
     POLE_EPS,
     QBase,
     QError,
-    _int_powers,
-    _int_product,
-    _one_minus,
+    _one_minus_row,
     abs_parts,
     as_scalar,
     binom2,
@@ -154,26 +157,22 @@ def _powers(q, n: int) -> list:
     return qks[:n]
 
 
-def _guard_row(x, qks, exact: bool, message: str) -> tuple:
-    """The factors ``1 - x q^k`` over ``qks`` = (q^k, k < n).
+def _guard_row(x, q, n: int, qks, message: str) -> tuple:
+    """The factors ``1 - x q^k``, k < n, for the scalar base q.
 
-    On the exact backend ``qks`` are the triples of
-    :func:`~qaskey.arithmetic._int_powers`, and the factors the unreduced
-    triples of :func:`~qaskey.arithmetic._one_minus`.  Raises
+    On the exact backend, where ``qks`` is None, they are the unreduced
+    triples of :func:`~qaskey.arithmetic._one_minus_row`; on the float
+    backend they are formed from ``qks`` = (q^k, k < n).  Raises
     DenominatorPole when x lies in Omega_q^n: a factor is exactly zero
-    (for a triple, ``a == b == 0``, as ``d > 0``), or on the float backend
-    has modulus below ``POLE_EPS`` (the test of
+    (for a triple, ``a == b == 0``, as ``d > 0``), or on the float
+    backend has modulus below ``POLE_EPS`` (the test of
     :func:`~qaskey.qpochhammer.omega_contains`).
     """
-    if exact:
-        x = parts(x)
-        # a list first: tuple() of a generator builds the tuple by resizing,
-        # so each row freed later parks in the interpreter's tuple free
-        # list of its length, up to 2000 of them, and raises peak memory
-        row = [_one_minus(x, qk) for qk in qks]
+    if qks is None:
+        row = _one_minus_row(parts(x), parts(q), n)
         if not all(a or b for a, b, _ in row):
             raise DenominatorPole(message)
-        return tuple(row)
+        return row
     one = one_like(x)
     row = []
     for qk in qks:
@@ -233,10 +232,10 @@ class SeriesSpec(_GuardRows):
         object.__setattr__(self, "num", _coerce_all(exact, self.num))
         object.__setattr__(self, "den", _coerce_all(exact, self.den))
         object.__setattr__(self, "z", as_scalar(self.z, exact))
-        qks = (_int_powers if exact else _powers)(self.q.q, self.n)
+        qks = None if exact else _powers(self.q.q, self.n)
+        message = "denominator parameter lies in Omega_q^n"
         object.__setattr__(self, "den_rows", tuple(
-            _guard_row(b, qks, exact, "denominator parameter lies in Omega_q^n")
-            for b in self.den))
+            _guard_row(b, self.q.q, self.n, qks, message) for b in self.den))
 
     @property
     def r(self) -> int:
@@ -286,10 +285,11 @@ class VwpSpec(_GuardRows):
             raise BEqualsOne("special parameter b = 1 makes the series singular")
         if not all(self.lower):
             raise ZeroParameter("lower parameters must be nonzero")
-        qks = (_int_powers if exact else _powers)(q.q, n)
-        rows = [_guard_row(q.pow(n + 1) * b, qks, exact, "q^{n+1} b lies in Omega_q^n")]
+        qks = None if exact else _powers(q.q, n)
+        rows = [_guard_row(q.pow(n + 1) * b, q.q, n, qks, "q^{n+1} b lies in Omega_q^n")]
         for a in self.lower:
-            rows.append(_guard_row(q.q * b / a, qks, exact, "q b / a_k lies in Omega_q^n"))
+            rows.append(_guard_row(q.q * b / a, q.q, n, qks,
+                                   "q b / a_k lies in Omega_q^n"))
         object.__setattr__(self, "den_rows", tuple(rows))
 
     @property
@@ -310,78 +310,76 @@ def _trace(terms):
 # -- exact kernel ---------------------------------------------------------
 # Integer triples (a, b, d) stand for (a + b i) / d with d > 0.
 
-def _step_ratio(num, den) -> tuple:
-    """The reduced triple of prod(num) / prod(den): plain int products,
-    division by multiplying with the conjugate of the denominator, then
-    one gcd, so that powers of q shared by numerator and denominator do
-    not pile up in the running term."""
-    na, nb, nd = _int_product(num)
-    da, db, dd = _int_product(den)
-    norm = da * da + db * db
-    if not norm:
-        raise DenominatorPole("pole encountered inside the summation")
-    a, b, d = (na * da + nb * db) * dd, (nb * da - na * db) * dd, nd * norm
-    g = gcd(a, b, d)
-    return a // g, b // g, d // g
+def _kernel(spec, xs, e=0, pair=None):
+    """Value and trace of sum_k t_k, t_0 = 1, t_{k+1} = t_k r_k, in one
+    pass over k < n with q^k advanced on plain ints.
 
-
-def _ratios(spec, xs, pw, e=0) -> list:
-    """Step ratios (-q^k)^e z prod_x (1 - x q^k)
-    / ((1 - q^{k+1}) prod_j den_rows[j][k]) for k < n, from the
-    triples ``xs``, the powers ``pw`` (k <= n) of
-    :func:`~qaskey.arithmetic._int_powers` and the spec's guard rows."""
-    z = parts(spec.z)
-    rows = spec.den_rows
-    ratios = []
-    for k in range(spec.n):
-        u, v, m = qk = pw[k]
-        num = [z] + [_one_minus(x, qk) for x in xs] + [(-u, -v, m)] * e
-        den = [_one_minus((1, 0, 1), pw[k + 1])] + [row[k] for row in rows]
-        den += [(-u, -v, m)] * -e
-        ratios.append(_step_ratio(num, den))
-    return ratios
-
-
-def _accumulate(ratios, weights=None, wd=1):
-    """Value and trace of sum_k t_k, t_0 = 1, t_{k+1} = t_k * ratios[k],
-    each term times ``weights[k] / wd`` when weights are given.
-
-    The running term and the partial sum stay unreduced integer triples
+    The step ratio r_k = (-q^k)^e z prod_x (1 - x q^k)
+    / ((1 - q^{k+1}) prod_j den_rows[j][k]), over the triples ``xs``, is
+    formed with plain int products, divided by multiplying with the
+    conjugate of its denominator, and reduced by one gcd, so that powers
+    of q shared by numerator and denominator do not pile up in the
+    running term.  The running term and the partial sum stay unreduced
     over one shared denominator; the value is reduced once, at the end.
+
+    ``pair``, the triple of a very-well-poised series' b, weights term k
+    by (1 - b q^{2k}) / (1 - b): a Gaussian integer over the common
+    denominator wd = d^{2n} N, where d is q's denominator and
+    N = |bd (1 - b)|^2; b q^{2k} advances by one product with q^2.
     """
-    a, b, d = 1, 0, 1
-    sa = sb = 0
-    terms, partial = [], []
-    for k, (ra, rb, rd) in enumerate([(1, 0, 1)] + ratios):
+    za, zb, zd = parts(spec.z)
+    qa, qb, qd = parts(spec.q.q)
+    rows = spec.den_rows
+    n = spec.n
+    if pair is None:
+        wd = 1
+        terms = [(1, 0, 1)]
+    else:
+        ya, yb, yd = ba, bb, bd = pair        # b q^{2k}
+        ca, cb = bd - ba, -bb                 # 1 - b = (ca + cb i) / bd
+        s = qd ** (2 * n)                     # d^{2(n-k)} at term k
+        wd = s * (ca * ca + cb * cb)
+        terms = [(wd, 0, wd)]
+        q2a, q2b, q2d = qa * qa - qb * qb, 2 * qa * qb, qd * qd
+    partial = terms[:]
+    sa, sb, td = terms[0]
+    a, b, d = 1, 0, 1                         # the running term
+    u, v, m = 1, 0, 1                         # q^k
+    for k in range(n):
+        u1, v1, m1 = u * qa - v * qb, u * qb + v * qa, m * qd
+        na, nb, nd = za, zb, zd
+        for xa, xb, xd in xs:
+            fd = xd * m
+            fa, fb = fd - xa * u + xb * v, -(xa * v + xb * u)
+            na, nb, nd = na * fa - nb * fb, na * fb + nb * fa, nd * fd
+        da, db, dd = m1 - u1, -v1, m1
+        for row in rows:
+            fa, fb, fd = row[k]
+            da, db, dd = da * fa - db * fb, da * fb + db * fa, dd * fd
+        for _ in range(e):
+            na, nb, nd = -(na * u - nb * v), -(na * v + nb * u), nd * m
+        for _ in range(-e):
+            da, db, dd = -(da * u - db * v), -(da * v + db * u), dd * m
+        # no zero test: 1 - q^{k+1} (|q| != 1), the guard-tested rows and
+        # q^k are all nonzero, so their product is
+        ra, rb = (na * da + nb * db) * dd, (nb * da - na * db) * dd
+        rd = nd * (da * da + db * db)
+        g = gcd(ra, rb, rd)
+        ra, rb, rd = ra // g, rb // g, rd // g
         a, b, d = a * ra - b * rb, a * rb + b * ra, d * rd
-        sa, sb = sa * rd, sb * rd
-        ta, tb = a, b
-        if weights is not None:
-            wa, wb = weights[k]
+        if pair is None:
+            ta, tb = a, b
+        else:
+            ya, yb, yd = ya * q2a - yb * q2b, ya * q2b + yb * q2a, yd * q2d
+            s //= q2d
+            pa, pb = yd - ya, -yb
+            wa, wb = (pa * ca + pb * cb) * s, (pb * ca - pa * cb) * s
             ta, tb = a * wa - b * wb, a * wb + b * wa
-        sa, sb, td = sa + ta, sb + tb, d * wd
+        sa, sb, td = sa * rd + ta, sb * rd + tb, d * wd
         terms.append((ta, tb, td))
         partial.append((sa, sb, td))
+        u, v, m = u1, v1, m1
     return from_parts(sa, sb, td), TermTrace(tuple(terms), tuple(partial))
-
-
-def _pair_weights(b, pw):
-    """The pair factors (1 - b q^{2k}) / (1 - b), k <= n, from the triple
-    of b and the powers ``pw`` (k <= n) of
-    :func:`~qaskey.arithmetic._int_powers`: Gaussian integers
-    over the lcm d^{2n} N of their denominators, returned with it, where
-    d is q's denominator and N = |bd (1 - b)|^2."""
-    ba, bb, bd = b
-    ca, cb = bd - ba, -bb                 # 1 - b = (ca + cb i) / bd
-    norm = ca * ca + cb * cb
-    mn = pw[-1][2]
-    weights = []
-    for u, v, m in pw:
-        # (pa + pb i) / (bd m^2) * bd / (ca + cb i), over mn^2 N
-        pa, pb, _ = _one_minus(b, (u * u - v * v, 2 * u * v, m * m))
-        s = (mn // m) ** 2
-        weights.append(((pa * ca + pb * cb) * s, (pb * ca - pa * cb) * s))
-    return weights, mn * mn * norm
 
 
 def eval_phi(spec: SeriesSpec):
@@ -392,8 +390,7 @@ def eval_phi(spec: SeriesSpec):
     """
     if spec.q.exact:
         xs = [parts(x) for x in (pow_int(spec.q.q, -spec.n),) + spec.num]
-        pw = _int_powers(spec.q.q, spec.n + 1)
-        return _accumulate(_ratios(spec, xs, pw, spec.sign_exponent))
+        return _kernel(spec, xs, spec.sign_exponent)
     q = spec.q.q
     one = one_like(q)
     n = spec.n
@@ -453,8 +450,7 @@ def eval_w(spec: VwpSpec):
     if spec.q.exact:
         b = parts(spec.b)
         xs = [b, parts(pow_int(spec.q.q, -spec.n))] + [parts(a) for a in spec.lower]
-        pw = _int_powers(spec.q.q, spec.n + 1)
-        return _accumulate(_ratios(spec, xs, pw), *_pair_weights(b, pw))
+        return _kernel(spec, xs, pair=b)
     q = spec.q.q
     one = one_like(q)
     n = spec.n

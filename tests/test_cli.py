@@ -202,7 +202,9 @@ _PHI_ARGS = ("--num", "1/2,1/3,1/4", "--den", "2/3,3/5,5/7", "--z", "1/3", "--q"
     (("verify", "--n-max", "-2"), "n_range must be a nonempty range"),
     (("eval", *_AW_ARGS, "--n", "-1"), "degree n must be >= 0"),
     (("eval-series", *_PHI_ARGS, "--n", "-1"), "termination degree n must be >= 0"),
-], ids=["verify-draws", "verify-n-max", "eval", "eval-series"])
+    (("table", *_AW_ARGS[:10], "--x-grid", "-1:1:3", "--n-max", "-1"),
+     "degree n_max must be >= 0"),
+], ids=["verify-draws", "verify-n-max", "eval", "eval-series", "table"])
 def test_negative_counts_are_usage_errors(capsys, argv, message):
     # exit 1 means a FAIL; a negative count is a usage error, told in one line
     code, out, err = run_cli(capsys, *argv)
@@ -258,6 +260,21 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     bad.write_text("not-a-known-key = 1\n")
     code, _, err = run_cli(capsys, "verify", "--config", str(bad))
     assert code == 2 and "unknown config keys" in err
+
+
+@pytest.mark.parametrize("argv, line, key", [
+    (("verify",), "draws = many", "draws"),
+    (("eval", *_AW_ARGS), "n = two", "n"),
+    (("eval-series", *_PHI_ARGS), "n = 1.5", "n"),
+    (("table", *_AW_ARGS[:10], "--x-grid", "0:1:3"), "n-max = four", "n_max"),
+], ids=["verify", "eval", "eval-series", "table"])
+def test_non_integer_config_values_are_usage_errors(tmp_path, capsys, argv, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config key {key}: expected an integer")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_module_entry_points_run_the_cli():

@@ -38,7 +38,7 @@ from qaskey.identity_catalog import (
     judge,
     settle,
 )
-from qaskey import arithmetic, qpochhammer, qseries
+from qaskey import qpochhammer, qseries
 from qaskey.sampler_verifier import all_targets
 from qaskey.qseries import SeriesSpec, VwpSpec, eval_phi, eval_w, invert_w
 from qaskey.arithmetic import GuardViolation, binom2, pow_int
@@ -129,16 +129,27 @@ def test_every_record_passes_exactly_on_rational_draws():
 
 
 def test_rational_sweep_catches_a_sign_slip_in_the_gaussian_factor(monkeypatch):
-    # 1 - x q^k with the sign of its Im(x) Im(q^k) term flipped: a real q
+    # the guard rows and the prefactor products advance x q^k by one
+    # product with q; flip the sign of that product's Im Im term: a real q
     # has real powers, so only the non-real bases of rand_qbase reach it
-    def slipped(x, qk):
-        xa, xb, xd = x
-        u, v, m = qk
-        d = xd * m
-        return d - xa * u - xb * v, -(xa * v + xb * u), d
+    def slipped_powers(x, q, n):
+        a, b, d = x
+        qa, qb, qd = q
+        for _ in range(n):
+            yield a, b, d
+            a, b, d = a * qa + b * qb, a * qb + b * qa, d * qd
 
-    for mod in (arithmetic, qpochhammer, qseries):
-        monkeypatch.setattr(mod, "_one_minus", slipped)
+    def one_minus_row(x, q, n):
+        return tuple((d - a, -b, d) for a, b, d in slipped_powers(x, q, n))
+
+    def times_poch(acc, x, q, n):
+        pa, pb, pd = acc
+        for a, b, d in slipped_powers(x, q, n):
+            pa, pb, pd = pa * (d - a) + pb * b, pb * (d - a) - pa * b, pd * d
+        return pa, pb, pd
+
+    monkeypatch.setattr(qseries, "_one_minus_row", one_minus_row)
+    monkeypatch.setattr(qpochhammer, "_times_poch", times_poch)
     verdicts = Counter(out.verdict for _, out in _rational_sweep(random.Random(122)))
     assert verdicts[Verdict.FAIL] > 0
 

@@ -122,26 +122,35 @@ def _assert_matches_oracle(spec):
                          ids=["q_small", "q_big"])
 def test_recurrences_match_direct_oracle_at_gaussian_base(qv):
     # no sampler draw has a non-real base, so only here do the integer
-    # powers of q carry an imaginary part; the widths (1, 2) and (2, 1)
-    # give the sign factor (-q^k)^e a positive and a negative exponent
+    # powers of q carry an imaginary part; the widths (1, 2), (0, 2),
+    # (2, 1) and (3, 1) give the sign factor (-q^k)^e the exponents 1, 2,
+    # -1 and -2, and the very-well-poised series run with 2, 4 and 6
+    # lower parameters
     rng = random.Random(31)
     q = QBase(qv)
     for n in range(11):
-        for width_num, width_den in ((3, 3), (1, 2), (2, 1)):
+        for width_num, width_den in ((3, 3), (1, 2), (0, 2), (2, 1), (3, 1)):
             for spec in _draw(lambda r: SeriesSpec(
                     [rand_scalar(r) for _ in range(width_num)],
                     [rand_scalar(r) for _ in range(width_den)],
                     rand_scalar(r), q, n), rng, 1):
+                assert spec.sign_exponent == 1 + width_den - (1 + width_num)
                 _assert_matches_oracle(spec)
-        for spec in _draw(lambda r: VwpSpec(
-                rand_scalar(r), [rand_scalar(r) for _ in range(4)],
-                rand_scalar(r), q, n), rng, 2):
-            _assert_matches_oracle(spec)
+        for width, count in ((2, 1), (4, 2), (6, 1)):
+            for spec in _draw(lambda r: VwpSpec(
+                    rand_scalar(r), [rand_scalar(r) for _ in range(width)],
+                    rand_scalar(r), q, n), rng, count):
+                _assert_matches_oracle(spec)
+
+
+def _vwp_spec(rng, width=4, n_max=8):
+    return VwpSpec(rand_scalar(rng), [rand_scalar(rng) for _ in range(width)],
+                   rand_scalar(rng), rand_qbase(rng), rng.randint(0, n_max))
 
 
 def test_exact_kernel_reduces_once_and_traces_on_read(monkeypatch):
-    # the value is the one reduction of a series; scaled() only records
-    # its factor, and the terms are reduced when they are read
+    # the value is the one reduction of a series, on both shapes; scaled()
+    # only records its factor, and the terms are reduced when they are read
     calls = []
     reduce = qseries.from_parts
 
@@ -151,9 +160,12 @@ def test_exact_kernel_reduces_once_and_traces_on_read(monkeypatch):
 
     monkeypatch.setattr(qseries, "from_parts", counting)
     rng = random.Random(8)
-    for spec in _draw(lambda r: _spec(r, n_max=8), rng, 5):
+    phi = [(eval_phi, eval_phi_direct, spec)
+           for spec in _draw(lambda r: _spec(r, n_max=8), rng, 5)]
+    w = [(eval_w, eval_w_direct, spec) for spec in _draw(_vwp_spec, rng, 5)]
+    for fast, direct, spec in phi + w:
         del calls[:]
-        value, trace = eval_phi(spec)
+        value, trace = fast(spec)
         assert len(calls) == 1
         f, g = rand_scalar(rng), rand_scalar(rng)
         twice = trace.scaled(f).scaled(g)
@@ -161,7 +173,7 @@ def test_exact_kernel_reduces_once_and_traces_on_read(monkeypatch):
         assert twice.abs_scale == abs(g) * (abs(f) * trace.abs_scale)
         terms = twice.terms
         assert len(calls) == 1 + spec.n + 1
-        assert terms == tuple(g * (f * t) for t in eval_phi_direct(spec)[1].terms)
+        assert terms == tuple(g * (f * t) for t in direct(spec)[1].terms)
         assert trace.partial_sums[-1] == value
 
 
