@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -543,7 +544,11 @@ def get_backend(name: str) -> Backend:
 
 def _format_part(v) -> str:
     if isinstance(v, Fraction):
-        return str(v)
+        # str() of an int refuses more digits than the interpreter's limit
+        # (sys.get_int_max_str_digits), which a deep exact value exceeds;
+        # Decimal converts an int of any size exactly
+        num = str(Decimal(v.numerator))
+        return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
     return f"{v:.17g}"
 
 

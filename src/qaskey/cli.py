@@ -83,13 +83,19 @@ def _load_config(path: str) -> dict:
 
 
 _TRUE = {"1", "true", "yes", "on"}
+_FALSE = {"0", "false", "no", "off"}
 # keys whose config value is an integer (argparse converts the flags)
 _INT_KEYS = {"n", "n_max", "draws", "seed"}
 
 
 def _resolve(args, defaults: dict) -> dict:
-    """Merge CLI values, config-file values and defaults (in that order)."""
+    """Merge CLI values, config-file values and defaults (in that order).
+
+    A config value is checked as its flag would be: a boolean must be one
+    of the ``_TRUE`` or ``_FALSE`` words, an integer key must parse, and a
+    key whose flag has fixed choices must name one of them."""
     config = _load_config(args.config) if getattr(args, "config", None) else {}
+    choices = getattr(args, "config_choices", {})
     out = {}
     for key, fallback in defaults.items():
         cli_val = getattr(args, key, None)
@@ -99,12 +105,19 @@ def _resolve(args, defaults: dict) -> dict:
         if key in config:
             raw = config[key]
             if isinstance(fallback, bool):
-                out[key] = raw.lower() in _TRUE
+                word = raw.lower()
+                if word not in _TRUE and word not in _FALSE:
+                    _die(EXIT_PARSE, f"config key {key}: expected one of "
+                                     f"{', '.join(sorted(_TRUE | _FALSE))}, got {raw!r}")
+                out[key] = word in _TRUE
             elif key in _INT_KEYS:
                 try:
                     out[key] = int(raw)
                 except ValueError:
                     _die(EXIT_PARSE, f"config key {key}: expected an integer, got {raw!r}")
+            elif key in choices and raw not in choices[key]:
+                _die(EXIT_PARSE, f"config key {key}: expected one of "
+                                 f"{', '.join(choices[key])}, got {raw!r}")
             else:
                 out[key] = raw
             continue
@@ -240,13 +253,11 @@ def cmd_eval_series(args) -> int:
         spec = _build(SeriesSpec, _scalar_list(backend, opts["num"], "--num"),
                       _scalar_list(backend, opts["den"], "--den"), z, qbase, n)
         value, trace = eval_phi(spec)
-    elif opts["kind"] == "w":
+    else:
         _require(opts, "b", "lower")
         spec = _build(VwpSpec, _parse_scalar(backend, opts["b"], "--b"),
                       _scalar_list(backend, opts["lower"], "--lower"), z, qbase, n)
         value, trace = eval_w(spec)
-    else:
-        _die(EXIT_PARSE, f"unknown series kind {opts['kind']!r}")
     if opts["format"] == "json":
         print(json.dumps({"value": format_scalar(value),
                           "abs_scale": trace.abs_scale}, sort_keys=True))
@@ -382,7 +393,10 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p):
+    """Add --config, after every other flag of ``p``: the choices of those
+    flags are kept for :func:`_resolve` to check config values against."""
     p.add_argument("--config", help="key = value file mirroring the flags")
+    p.set_defaults(config_choices={a.dest: a.choices for a in p._actions if a.choices})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,18 +9,19 @@ Two evaluators are kept deliberately independent:
 
 On the exact backend the recurrence runs fraction-free, on the integer
 triples ``(a, b, d)`` of ``(a + b i) / d``, in the spirit of Bareiss'
-elimination, in one pass over k.  Each step advances q^k on plain ints,
-forms its ratio inline from the triples of q^k, z, the parameters and
-the kept guard factors (no list and no call per factor), divides by
-multiplying with the conjugate of the denominator, and reduces by one
-gcd; the running term, the partial sum and, for a very-well-poised
-series, the pair weight advance in the same pass.  The running term and
-the partial sum stay unreduced over one shared denominator; only the
-value is reduced, once per series.  The direct evaluators build every
-term from :func:`~qaskey.qpochhammer.poch` products and stay the
-independent oracle: no code that forms a factor ``1 - x q^k`` is shared
-with the recurrence.  The kernel forms its numerator factors inline and
-reads its denominator factors from the guard rows of
+elimination.  One pass over k advances q^k on plain ints and forms each
+step ratio inline from the Gaussian integers of q^k, z, the parameters
+and the kept guard factors (no list and no call per factor): the q^k
+denominators of its factors cancel in closed form, leaving one
+per-series constant.  It divides by multiplying with the conjugate of
+the denominator and reduces by one gcd.  Horner's rule then sums the
+stored ratios backward over one real denominator, weighted for a
+very-well-poised series by its pair factors; only the value is reduced,
+once per series.  The direct evaluators build every term from
+:func:`~qaskey.qpochhammer.poch` products and stay the independent
+oracle: no code that forms a factor ``1 - x q^k`` is shared with the
+recurrence.  The kernel forms its numerator factors inline and reads its
+denominator factors from the guard rows of
 :func:`~qaskey.arithmetic._one_minus_row`; the oracle's products come
 from :func:`~qaskey.arithmetic._times_poch`.  The tests check both
 helpers against plain :class:`~qaskey.arithmetic.GaussianRational`
@@ -33,13 +34,14 @@ square root.  Every evaluation returns a :class:`TermTrace` whose
 ``abs_scale`` (the summed term magnitudes) is the cancellation scale that
 tolerance-aware comparisons should use; :meth:`TermTrace.scaled` records
 a prefactor and applies it to the terms only when they are read.  An
-exact trace keeps the kernel's unreduced triples and reduces them when
-they are read, too.  On both backends ``abs_scale`` is formed when it is
-read, from the unscaled terms and then the recorded factors in order, so
-an exact check, whose verdict is equality, never forms it.  Summed from
-the triples, it is the same float as the sum over the reduced terms.
-The prefactors of the transformations here come from
-:func:`~qaskey.qpochhammer.poch_quotient`.
+exact trace keeps the kernel's reduced ratios and pair weights, forms the
+unreduced term and partial-sum triples of a forward sum on first read,
+and reduces them when they are read, too.  On both backends
+``abs_scale`` is formed when it is read, from the unscaled terms and then
+the recorded factors in order, so an exact check, whose verdict is
+equality, never forms it.  Summed from the triples, it is the same float
+as the sum over the reduced terms.  The prefactors of the
+transformations here come from :func:`~qaskey.qpochhammer.poch_quotient`.
 
 The pole guards of :class:`SeriesSpec` and :class:`VwpSpec` form every
 denominator factor ``1 - x q^k`` of the terminating sum once and keep
@@ -93,7 +95,6 @@ class NotBalanced(QError):
     """The balance condition of the requested transformation fails."""
 
 
-@dataclass(frozen=True)
 class TermTrace:
     """Per-term record of a series evaluation.
 
@@ -101,9 +102,10 @@ class TermTrace:
     scale their tolerance by it to distinguish failure from cancellation.
     :meth:`scaled` records its factor (``factors``, in the order given);
     ``terms``, ``partial_sums`` and ``abs_scale`` apply the recorded
-    factors when they are read.  The exact kernel stores its terms and
-    partial sums as unreduced integer triples ``(a, b, d)``; they are
-    reduced when read, too.
+    factors when they are read.  The exact kernel keeps only its reduced
+    step ratios and pair weights (:class:`_Steps`); the unreduced integer
+    triples ``(a, b, d)`` of its terms and partial sums are formed on the
+    first read, and reduced when read, too.
 
     ``abs_scale`` is formed each time it is read: no exact verdict reads
     it, and a float verdict reads it once.  It sums the magnitudes of the
@@ -111,9 +113,33 @@ class TermTrace:
     factor f in order.
     """
 
-    unscaled_terms: tuple
-    unscaled_partial_sums: tuple
-    factors: tuple = ()
+    __slots__ = ("_sums", "factors")
+
+    def __init__(self, unscaled_terms, unscaled_partial_sums, factors=()):
+        self._sums = (unscaled_terms, unscaled_partial_sums)
+        self.factors = factors
+
+    @classmethod
+    def _of(cls, sums, factors=()) -> "TermTrace":
+        """A trace over ``sums``: a (terms, partial sums) pair, or the
+        :class:`_Steps` of the exact kernel, which forms that pair on
+        first read."""
+        trace = cls.__new__(cls)
+        trace._sums = sums
+        trace.factors = factors
+        return trace
+
+    def _pair(self) -> tuple:
+        sums = self._sums
+        return sums if type(sums) is tuple else sums.pair()
+
+    @property
+    def unscaled_terms(self) -> tuple:
+        return self._pair()[0]
+
+    @property
+    def unscaled_partial_sums(self) -> tuple:
+        return self._pair()[1]
 
     @property
     def abs_scale(self) -> float:
@@ -141,8 +167,7 @@ class TermTrace:
         return self._apply(self.unscaled_partial_sums)
 
     def scaled(self, factor) -> "TermTrace":
-        return TermTrace(self.unscaled_terms, self.unscaled_partial_sums,
-                         self.factors + (factor,))
+        return TermTrace._of(self._sums, self.factors + (factor,))
 
 
 def _coerce_all(exact: bool, values):
@@ -287,9 +312,9 @@ class VwpSpec(_GuardRows):
             raise ZeroParameter("lower parameters must be nonzero")
         qks = None if exact else _powers(q.q, n)
         rows = [_guard_row(q.pow(n + 1) * b, q.q, n, qks, "q^{n+1} b lies in Omega_q^n")]
+        qb = q.q * b
         for a in self.lower:
-            rows.append(_guard_row(q.q * b / a, q.q, n, qks,
-                                   "q b / a_k lies in Omega_q^n"))
+            rows.append(_guard_row(qb / a, q.q, n, qks, "q b / a_k lies in Omega_q^n"))
         object.__setattr__(self, "den_rows", tuple(rows))
 
     @property
@@ -310,76 +335,135 @@ def _trace(terms):
 # -- exact kernel ---------------------------------------------------------
 # Integer triples (a, b, d) stand for (a + b i) / d with d > 0.
 
+class _Steps:
+    """The exact kernel's reduced step ratios r_k (k < n) and, for a
+    very-well-poised series, its pair weights w_k (k <= n) over their
+    common denominator ``wd``.
+
+    :meth:`pair` forms the unreduced term and partial-sum triples on its
+    first call and keeps them: term k + 1 is term k times r_k (then times
+    w_{k+1} for the pair), and every term and partial sum sits over
+    ``wd`` times the product of the ratio denominators so far.
+    """
+
+    __slots__ = ("ratios", "weights", "wd", "_formed")
+
+    def __init__(self, ratios, weights, wd):
+        self.ratios, self.weights, self.wd = ratios, weights, wd
+        self._formed = None
+
+    def pair(self) -> tuple:
+        if self._formed is None:
+            weights, wd = self.weights, self.wd
+            first = (wd, 0, wd)
+            terms, partial = [first], [first]
+            sa, sb, _ = first
+            a, b, d = 1, 0, 1
+            for k, (ra, rb, rd) in enumerate(self.ratios):
+                a, b, d = a * ra - b * rb, a * rb + b * ra, d * rd
+                if weights is None:
+                    ta, tb = a, b
+                else:
+                    wa, wb = weights[k + 1]
+                    ta, tb = a * wa - b * wb, a * wb + b * wa
+                sa, sb, td = sa * rd + ta, sb * rd + tb, d * wd
+                terms.append((ta, tb, td))
+                partial.append((sa, sb, td))
+            self._formed = tuple(terms), tuple(partial)
+        return self._formed
+
+
 def _kernel(spec, xs, e=0, pair=None):
-    """Value and trace of sum_k t_k, t_0 = 1, t_{k+1} = t_k r_k, in one
-    pass over k < n with q^k advanced on plain ints.
+    """Value and trace of sum_k t_k, t_0 = 1, t_{k+1} = t_k r_k, on plain
+    ints: one pass forms the reduced step ratios, and Horner's rule sums
+    them backward.
 
-    The step ratio r_k = (-q^k)^e z prod_x (1 - x q^k)
-    / ((1 - q^{k+1}) prod_j den_rows[j][k]), over the triples ``xs``, is
-    formed with plain int products, divided by multiplying with the
-    conjugate of its denominator, and reduced by one gcd, so that powers
-    of q shared by numerator and denominator do not pile up in the
-    running term.  The running term and the partial sum stay unreduced
-    over one shared denominator; the value is reduced once, at the end.
+    The step ratio is r_k = (-q^k)^e z prod_x (1 - x q^k)
+    / ((1 - q^{k+1}) prod_j den_rows[j][k]) over the triples ``xs``.
+    With q^k = (u + v i) / m, m = q_d^k, each factor 1 - x q^k is the
+    Gaussian integer x_d m - x_num (u + v i) over x_d m, and a guard row's
+    k-th triple sits over its x_d m as well.  The powers of m in r_k
+    cancel (their exponent is 1 + #rows - #xs - e, which is 0 for both
+    spec shapes), so r_k is C times a quotient of Gaussian integers, with
+    the one per-series constant C = q_d prod(row denominators at k = 0)
+    / (z_d prod x_d).  The quotient is divided by multiplying with the
+    conjugate of its denominator and reduced by one gcd: the reduced
+    ratio is canonical, the same whatever denominators it was formed
+    over.
 
-    ``pair``, the triple of a very-well-poised series' b, weights term k
-    by (1 - b q^{2k}) / (1 - b): a Gaussian integer over the common
+    Horner's rule then sums S_k = w_k + r_k S_{k+1}, S_n = w_n, over one
+    real denominator, with w_k = 1 for a phi series.  ``pair``, the
+    triple of a very-well-poised series' b, gives the weights
+    w_k = (1 - b q^{2k}) / (1 - b) as Gaussian integers over the common
     denominator wd = d^{2n} N, where d is q's denominator and
-    N = |bd (1 - b)|^2; b q^{2k} advances by one product with q^2.
+    N = |bd (1 - b)|^2; b q^{2k} advances by one product with q^2.  The
+    value is reduced once; the trace keeps the ratios and weights and
+    forms its triples only when it is read (:class:`_Steps`).
     """
     za, zb, zd = parts(spec.z)
     qa, qb, qd = parts(spec.q.q)
     rows = spec.den_rows
     n = spec.n
     if pair is None:
-        wd = 1
-        terms = [(1, 0, 1)]
+        wd, weights = 1, None
     else:
         ya, yb, yd = ba, bb, bd = pair        # b q^{2k}
         ca, cb = bd - ba, -bb                 # 1 - b = (ca + cb i) / bd
         s = qd ** (2 * n)                     # d^{2(n-k)} at term k
         wd = s * (ca * ca + cb * cb)
-        terms = [(wd, 0, wd)]
+        weights = [(wd, 0)]
         q2a, q2b, q2d = qa * qa - qb * qb, 2 * qa * qb, qd * qd
-    partial = terms[:]
-    sa, sb, td = terms[0]
-    a, b, d = 1, 0, 1                         # the running term
-    u, v, m = 1, 0, 1                         # q^k
+    ratios = []
+    if n:
+        cn, cd = qd, zd
+        for row in rows:
+            cn *= row[0][2]
+        for x in xs:
+            cd *= x[2]
+        g = gcd(cn, cd)
+        cn, cd = cn // g, cd // g
+    u, v, m = 1, 0, 1                         # q^k = (u + v i) / m
     for k in range(n):
         u1, v1, m1 = u * qa - v * qb, u * qb + v * qa, m * qd
-        na, nb, nd = za, zb, zd
+        na, nb = za, zb
         for xa, xb, xd in xs:
-            fd = xd * m
-            fa, fb = fd - xa * u + xb * v, -(xa * v + xb * u)
-            na, nb, nd = na * fa - nb * fb, na * fb + nb * fa, nd * fd
-        da, db, dd = m1 - u1, -v1, m1
+            fa = xd * m - xa * u + xb * v
+            fb = -(xa * v + xb * u)
+            na, nb = na * fa - nb * fb, na * fb + nb * fa
+        da, db = m1 - u1, -v1
         for row in rows:
-            fa, fb, fd = row[k]
-            da, db, dd = da * fa - db * fb, da * fb + db * fa, dd * fd
+            fa, fb, _ = row[k]
+            da, db = da * fa - db * fb, da * fb + db * fa
         for _ in range(e):
-            na, nb, nd = -(na * u - nb * v), -(na * v + nb * u), nd * m
+            na, nb = -(na * u - nb * v), -(na * v + nb * u)
         for _ in range(-e):
-            da, db, dd = -(da * u - db * v), -(da * v + db * u), dd * m
+            da, db = -(da * u - db * v), -(da * v + db * u)
         # no zero test: 1 - q^{k+1} (|q| != 1), the guard-tested rows and
         # q^k are all nonzero, so their product is
-        ra, rb = (na * da + nb * db) * dd, (nb * da - na * db) * dd
-        rd = nd * (da * da + db * db)
+        ra, rb = (na * da + nb * db) * cn, (nb * da - na * db) * cn
+        rd = cd * (da * da + db * db)
         g = gcd(ra, rb, rd)
-        ra, rb, rd = ra // g, rb // g, rd // g
-        a, b, d = a * ra - b * rb, a * rb + b * ra, d * rd
-        if pair is None:
-            ta, tb = a, b
-        else:
+        ratios.append((ra // g, rb // g, rd // g))
+        if pair is not None:
             ya, yb, yd = ya * q2a - yb * q2b, ya * q2b + yb * q2a, yd * q2d
             s //= q2d
             pa, pb = yd - ya, -yb
-            wa, wb = (pa * ca + pb * cb) * s, (pb * ca - pa * cb) * s
-            ta, tb = a * wa - b * wb, a * wb + b * wa
-        sa, sb, td = sa * rd + ta, sb * rd + tb, d * wd
-        terms.append((ta, tb, td))
-        partial.append((sa, sb, td))
+            weights.append(((pa * ca + pb * cb) * s, (pb * ca - pa * cb) * s))
         u, v, m = u1, v1, m1
-    return from_parts(sa, sb, td), TermTrace(tuple(terms), tuple(partial))
+    p = 1                                     # S_k = (sa + sb i) / (wd p)
+    if pair is None:
+        sa, sb = 1, 0
+        for ra, rb, rd in reversed(ratios):
+            p *= rd
+            sa, sb = p + sa * ra - sb * rb, sa * rb + sb * ra
+    else:
+        sa, sb = weights[n]
+        for k in range(n - 1, -1, -1):
+            ra, rb, rd = ratios[k]
+            wa, wb = weights[k]
+            p *= rd
+            sa, sb = wa * p + sa * ra - sb * rb, wb * p + sa * rb + sb * ra
+    return from_parts(sa, sb, wd * p), TermTrace._of(_Steps(ratios, weights, wd))
 
 
 def eval_phi(spec: SeriesSpec):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qaskey import cli
+from qaskey import AWParams, QBase, RepTag, VwpSpec, cli, eval_rep, eval_w
 from qaskey.arithmetic import parse_scalar
 from qaskey.sampler_verifier import RecordTally, SweepReport
 
@@ -46,8 +46,6 @@ def test_eval_single_rep_round_trips_rationals(capsys):
                            "--rep", "phi-std")
     assert code == 0
     printed = out.strip()
-    from qaskey import AWParams, RepTag, eval_rep
-
     params = AWParams([parse_scalar(v, True) for v in args.values()],
                       q, parse_scalar("4/3", True), 3)
     value, _ = eval_rep(params, RepTag.PHI_STD)
@@ -275,6 +273,78 @@ def test_non_integer_config_values_are_usage_errors(tmp_path, capsys, argv, line
     assert code == 2 and out == ""
     assert err.startswith(f"error: config key {key}: expected an integer")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, line, key", [
+    (("eval", *_AW_ARGS, "--n", "2"), "backend = floaty", "backend"),
+    (("eval", *_AW_ARGS, "--n", "2"), "rep = bogus", "rep"),
+    (("eval-series", *_PHI_ARGS, "--n", "2"), "kind = v", "kind"),
+    (("verify", "--targets", "cor3.6/r2", "--draws", "1"), "backend = floats", "backend"),
+    (("verify", "--targets", "cor3.6/r2", "--draws", "1"), "q_big = ture", "q_big"),
+], ids=["backend", "rep", "kind", "verify-backend", "bool"])
+def test_config_values_outside_the_flag_choices_are_usage_errors(tmp_path, capsys,
+                                                                 argv, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config key {key}: expected one of ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("word, q_big", [("on", True), ("Yes", True), ("1", True),
+                                         ("off", False), ("FALSE", False), ("0", False)])
+def test_config_booleans_take_the_true_and_false_words(tmp_path, word, q_big):
+    cfg = tmp_path / "verify.cfg"
+    report = tmp_path / "report.json"
+    cfg.write_text(f"targets = cor3.6/r2\ndraws = 1\nq_big = {word}\n")
+    assert cli.main(["verify", "--config", str(cfg), "--json", str(report)]) == 0
+    assert json.loads(report.read_text())["config"]["q_big"] is q_big
+
+
+# deep exact values: more digits than str() of an int may give under the
+# interpreter's default limit of 4300 digits
+_DEEP = [
+    (["eval-series", "--kind", "w", "--b", "3/7+1/2 i", "--lower", "1/2,2/3,-1/5 i,5/3",
+      "--z", "1/3", "--q", "7/3", "--n", "30", "--backend", "rational"],
+     lambda: eval_w(VwpSpec(parse_scalar("3/7+1/2 i", True),
+                            [parse_scalar(t, True) for t in ("1/2", "2/3", "-1/5 i", "5/3")],
+                            parse_scalar("1/3", True), QBase(parse_scalar("7/3", True)), 30))),
+    (["eval", "--a1", "1/2", "--a2", "1/3", "--a3", "2/5+1/7 i", "--a4", "3/4", "--q", "2/7",
+      "--w", "3/5+1/3 i", "--n", "60", "--backend", "rational", "--rep", "phi-std"],
+     lambda: eval_rep(AWParams([parse_scalar(t, True) for t in ("1/2", "1/3", "2/5+1/7 i", "3/4")],
+                               QBase(parse_scalar("2/7", True)),
+                               parse_scalar("3/5+1/3 i", True), 60), RepTag.PHI_STD)),
+]
+
+
+@pytest.mark.parametrize("argv, evaluate", _DEEP, ids=["eval-series-w-30", "eval-phi-std-60"])
+def test_deep_exact_values_print_losslessly(capsys, argv, evaluate):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    value, trace = evaluate()
+    printed = out.splitlines()[0]
+    assert len(printed) > limit
+    if argv[0] == "eval-series":
+        assert out.splitlines()[1] == f"abs_scale {trace.abs_scale:.6e}"
+    # read the printed digits back, under a lifted limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_scalar(printed, exact=True) == value
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_importing_qaskey_keeps_the_int_digit_limit():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; before = sys.get_int_max_str_digits(); import qaskey, qaskey.cli; "
+            "print(before, sys.get_int_max_str_digits())")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    before, after = out.stdout.split()
+    assert out.returncode == 0 and before == after
 
 
 def test_module_entry_points_run_the_cli():

@@ -24,7 +24,7 @@ from qaskey import (
     watson_whipple,
 )
 from qaskey import qseries
-from qaskey.arithmetic import pow_int
+from qaskey.arithmetic import _one_minus_row, from_parts, parts, pow_int
 from qaskey.qseries import (
     BEqualsOne,
     DenominatorPole,
@@ -32,6 +32,7 @@ from qaskey.qseries import (
     ShapeMismatch,
     ZeroParameter,
 )
+from qaskey.sampler_verifier import DrawConfig, run_sweep
 
 from util import rand_qbase, rand_scalar
 
@@ -128,7 +129,7 @@ def test_recurrences_match_direct_oracle_at_gaussian_base(qv):
     # lower parameters
     rng = random.Random(31)
     q = QBase(qv)
-    for n in range(11):
+    for n in range(17):
         for width_num, width_den in ((3, 3), (1, 2), (0, 2), (2, 1), (3, 1)):
             for spec in _draw(lambda r: SeriesSpec(
                     [rand_scalar(r) for _ in range(width_num)],
@@ -141,6 +142,85 @@ def test_recurrences_match_direct_oracle_at_gaussian_base(qv):
                     rand_scalar(r), [rand_scalar(r) for _ in range(width)],
                     rand_scalar(r), q, n), rng, count):
                 _assert_matches_oracle(spec)
+
+
+def test_guard_row_k_sits_over_x_d_times_q_d_to_the_k():
+    # the kernel drops each row's denominator and folds the k = 0 ones
+    # into its one constant C: that relies on row k of a guard row
+    # sitting over x_d q_d^k, with q's and x's canonical denominators
+    rng = random.Random(16)
+    for _ in range(40):
+        x, q, n = rand_scalar(rng), rand_qbase(rng, big=rng.random() < 0.5).q, rng.randint(0, 9)
+        (_, _, xd), (_, _, qd) = parts(x), parts(q)
+        row = _one_minus_row(parts(x), parts(q), n)
+        assert len(row) == n
+        for k, (fa, fb, fd) in enumerate(row):
+            assert fd == xd * qd ** k
+            assert from_parts(fa, fb, fd) == 1 - x * pow_int(q, k)
+
+
+def _forward(ratios, weights, wd):
+    # the running term and partial sum carried forward, as a kernel that
+    # sums forward would: term k + 1 = term k r_k (w_{k+1}), over wd times
+    # the product of the ratio denominators so far
+    a, b, d = 1, 0, 1
+    sa, sb = wd, 0
+    terms, partial = [(wd, 0, wd)], [(wd, 0, wd)]
+    for k, (ra, rb, rd) in enumerate(ratios):
+        a, b, d = a * ra - b * rb, a * rb + b * ra, d * rd
+        wa, wb = (1, 0) if weights is None else weights[k + 1]
+        ta, tb = a * wa - b * wb, a * wb + b * wa
+        sa, sb = sa * rd + ta, sb * rd + tb
+        terms.append((ta, tb, d * wd))
+        partial.append((sa, sb, d * wd))
+    return tuple(terms), tuple(partial)
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["q_small", "q_big"])
+def test_exact_trace_is_the_forward_accumulation_of_the_kernel_ratios(big):
+    # the kernel sums by Horner's rule and keeps only its reduced ratios
+    # and pair weights; the trace forms the forward triples when read.
+    # Each kept ratio is the canonical triple of t_{k+1} / t_k of the
+    # unweighted series, and each weight is (1 - b q^{2k}) / (1 - b)
+    rng = random.Random(40 + big)
+    phi = _draw(lambda r: _spec(r, n_max=12, big=big), rng, 12)
+    w = _draw(lambda r: VwpSpec(rand_scalar(r), [rand_scalar(r) for _ in range(4)],
+                                rand_scalar(r), rand_qbase(r, big=big), r.randint(0, 12)),
+              rng, 12)
+    for spec in phi + w:
+        fast, direct = ((eval_w, eval_w_direct) if isinstance(spec, VwpSpec)
+                        else (eval_phi, eval_phi_direct))
+        value, trace = fast(spec)
+        steps = trace._sums
+        assert isinstance(steps, qseries._Steps) and steps._formed is None
+        assert len(steps.ratios) == spec.n
+        assert _forward(steps.ratios, steps.weights, steps.wd) == (
+            trace.unscaled_terms, trace.unscaled_partial_sums)
+        assert trace.partial_sums[-1] == value
+        dterms = direct(spec)[1].terms
+        weights = ([G(1)] * (spec.n + 1) if steps.weights is None else
+                   [from_parts(wa, wb, steps.wd) for wa, wb in steps.weights])
+        if steps.weights is not None:
+            q, b = spec.q.q, spec.b
+            assert weights == [(1 - b * pow_int(q, 2 * k)) / (1 - b)
+                               for k in range(spec.n + 1)]
+        for k, ratio in enumerate(steps.ratios):
+            if dterms[k]:
+                expected = dterms[k + 1] / dterms[k] * weights[k] / weights[k + 1]
+                assert ratio == parts(expected)
+
+
+def test_exact_sweep_forms_no_trace(monkeypatch):
+    # no exact verdict reads a term, a partial sum or abs_scale, so an
+    # exact sweep never forms the trace triples
+    def form(self):
+        raise AssertionError("an exact sweep formed a trace")
+
+    monkeypatch.setattr(qseries._Steps, "pair", form)
+    cfg = DrawConfig(seed=16, draws_per_record=2, n_range=(0, 8), backend="rational")
+    report = run_sweep(cfg, ["*"])
+    assert not report.any_fail
+    assert sum(e.passed for e in report.entries) == 2 * len(report.entries)
 
 
 def _vwp_spec(rng, width=4, n_max=8):
