@@ -34,7 +34,6 @@ immutable after construction and safe to share between threads, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -468,21 +467,32 @@ def spread(values, exact: bool) -> tuple:
     return all_agree, max_dev
 
 
-@dataclass(frozen=True)
-class QBase:
+class _Frozen:
+    """Base of the read-only value classes: assigning an attribute raises
+    AttributeError.  Their ``__init__`` sets each field with ``_set``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+_set = object.__setattr__
+
+
+class QBase(_Frozen):
     """The deformation base q with its validity guards: q != 0, |q| != 1.
 
     In the float backend the unit-circle guard uses the fixed margin
     ``EPSILON_UNIT``: ``||q| - 1| > EPSILON_UNIT`` must hold.
     """
 
-    q: object
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        q = self.q
+    def __init__(self, q):
         if not isinstance(q, GaussianRational):
             q = GaussianRational(q) if is_exact(q) else complex(q)
-        object.__setattr__(self, "q", q)
+        _set(self, "q", q)
         if not q:
             raise ZeroQ("q must be nonzero")
         if isinstance(q, GaussianRational):
@@ -493,6 +503,17 @@ class QBase:
             if abs(abs(q) - 1.0) <= EPSILON_UNIT:
                 raise UnitModulusQ(
                     f"| |q| - 1 | <= {EPSILON_UNIT:g}: q too close to the unit circle")
+
+    def __eq__(self, other):
+        if type(other) is not QBase:
+            return NotImplemented
+        return self.q == other.q
+
+    def __hash__(self):
+        return hash(self.q)
+
+    def __repr__(self):
+        return f"QBase(q={self.q!r})"
 
     @property
     def exact(self) -> bool:
@@ -511,12 +532,14 @@ class QBase:
         return one_like(self.q)
 
 
-@dataclass(frozen=True)
-class Backend:
+class Backend(_Frozen):
     """A named scalar backend; mostly a convenience for the CLI and sampler."""
 
-    name: str
-    exact: bool
+    __slots__ = ("name", "exact")
+
+    def __init__(self, name: str, exact: bool):
+        _set(self, "name", name)
+        _set(self, "exact", exact)
 
     def scalar(self, re, im=0):
         if self.exact:
@@ -566,20 +589,43 @@ def format_scalar(x) -> str:
     return f"{_format_part(re)}{sign}{_format_part(abs(im))} i"
 
 
+def _fraction(token: str) -> Fraction:
+    """The rational a token spells.  ``p`` and ``p/q`` (ASCII digits, an
+    optional sign) go through Decimal, which converts digits of any length
+    exactly, as :func:`_format_part` prints them; int() and Fraction()
+    refuse more digits than ``sys.get_int_max_str_digits()``.  Other
+    forms, such as ``1.5e-3``, go through Fraction."""
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] in "+-" else num
+    if digits.isascii() and digits.isdigit() and (
+            not slash or (den.isascii() and den.isdigit())):
+        return Fraction(int(Decimal(num)), int(Decimal(den)) if slash else 1)
+    return Fraction(token)
+
+
 def _parse_part(token: str, exact: bool):
     token = token.strip()
     if not token or token in "+-":
         token += "1"
     if exact:
-        return Fraction(token)
-    return float(Fraction(token)) if "/" in token else float(token)
+        return _fraction(token)
+    return float(_fraction(token)) if "/" in token else float(token)
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)``, cut to its first 80 characters when longer, so that
+    an error message stays one short line."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:80]!r}... ({len(text)} characters)"
 
 
 def parse_scalar(text: str, exact: bool):
     """Parse the wire format back into a scalar.
 
     Accepted forms: ``3/4``, ``-3/4+1/2 i``, ``0.5``, ``1.5e-3-2 i``,
-    ``2/7 i``.  Whitespace around the components is ignored.
+    ``2/7 i``.  Whitespace around the components is ignored.  Integers of
+    any length are read exactly.
     """
     s = text.strip().replace(" ", "")
     if not s:
@@ -600,8 +646,13 @@ def parse_scalar(text: str, exact: bool):
     try:
         re = _parse_part(re_tok, exact)
         im = _parse_part(im_tok, exact) if im_tok is not None else 0
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse scalar {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse scalar {_quoted(text)}: zero denominator") from None
+    except OverflowError:
+        raise ValueError(f"cannot parse scalar {_quoted(text)}: "
+                         "beyond the float range") from None
+    except ValueError:
+        raise ValueError(f"cannot parse scalar {_quoted(text)}") from None
     if exact:
         return GaussianRational(re, im)
     return complex(re, im)

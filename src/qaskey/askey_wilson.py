@@ -25,7 +25,6 @@ representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -33,6 +32,8 @@ from .arithmetic import (
     GuardViolation,
     QBase,
     QError,
+    _Frozen,
+    _set,
     as_scalar,
     binom2,
     one_like,
@@ -63,8 +64,7 @@ class RepTag(str, Enum):
     W_DEF4 = "w-def4"
 
 
-@dataclass(frozen=True)
-class RepId:
+class RepId(_Frozen):
     """A representation tag plus its role indices.
 
     PHI_STD and PHI_INV use only p; the mixed and very-well-poised shapes
@@ -72,20 +72,27 @@ class RepId:
     indices in ascending order.
     """
 
-    tag: RepTag
-    p: int = 1
-    r: int | None = None
-    t: int | None = None
-    u: int | None = None
+    __slots__ = ("tag", "p", "r", "t", "u")
 
-    def __post_init__(self):
-        given = [v for v in (self.p, self.r, self.t, self.u) if v is not None]
+    def __init__(self, tag: RepTag, p: int = 1, r: int | None = None,
+                 t: int | None = None, u: int | None = None):
+        given = [v for v in (p, r, t, u) if v is not None]
         if any(v not in (1, 2, 3, 4) for v in given) or len(set(given)) != len(given):
             raise InvalidIndices("roles must be distinct members of {1,2,3,4}")
         free = [k for k in (1, 2, 3, 4) if k not in given]
-        for name in ("r", "t", "u"):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, free.pop(0))
+        _set(self, "tag", tag)
+        _set(self, "p", p)
+        _set(self, "r", free.pop(0) if r is None else r)
+        _set(self, "t", free.pop(0) if t is None else t)
+        _set(self, "u", free.pop(0) if u is None else u)
+
+    def __eq__(self, other):
+        if type(other) is not RepId:
+            return NotImplemented
+        return (self.tag, *self.roles) == (other.tag, *other.roles)
+
+    def __hash__(self):
+        return hash((self.tag, *self.roles))
 
     @property
     def roles(self) -> tuple[int, int, int, int]:
@@ -96,28 +103,32 @@ ALL_REPS = tuple(RepId(tag) for tag in RepTag)
 _DEFAULT_REPS = {rep.tag: rep for rep in ALL_REPS}
 
 
-@dataclass(frozen=True)
-class AWParams:
+class AWParams(_Frozen):
     """The four nonzero parameters, the base, the spectral point w and
-    the degree n."""
+    the degree n.  The values formed on first use are kept in the
+    instance ``__dict__``."""
 
-    a: tuple
-    q: QBase
-    w: object
-    n: int
+    __slots__ = ("a", "q", "w", "n", "__dict__")
 
-    def __post_init__(self):
-        if len(self.a) != 4:
+    def __init__(self, a, q: QBase, w, n: int):
+        if len(a) != 4:
             raise ValueError("exactly four parameters required")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("degree n must be >= 0")
-        exact = self.q.exact
-        object.__setattr__(self, "a", tuple(as_scalar(v, exact) for v in self.a))
-        object.__setattr__(self, "w", as_scalar(self.w, exact))
-        if not all(self.a):
+        exact = q.exact
+        a = tuple(as_scalar(v, exact) for v in a)
+        w = as_scalar(w, exact)
+        if not all(a):
             raise ZeroParameter("all four parameters must be nonzero")
-        if not self.w:
+        if not w:
             raise ZeroParameter("the spectral point w must be nonzero")
+        _set(self, "a", a)
+        _set(self, "q", q)
+        _set(self, "w", w)
+        _set(self, "n", n)
+
+    def __repr__(self):
+        return f"AWParams(a={self.a!r}, q={self.q!r}, w={self.w!r}, n={self.n!r})"
 
     def ak(self, k: int):
         return self.a[k - 1]
@@ -323,20 +334,23 @@ def eval_qinv_rep(params: AWParams, rep) -> tuple[object, TermTrace]:
     return _evaluate(params, rep, _build_qinv)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(_Frozen):
     """Outcome of evaluating several representations on one draw.
 
     ``traces`` holds the term trace of each value; ``scale``, the largest
     of their ``abs_scale``, is formed each time it is read.
     """
 
-    values: dict
-    skipped: dict
-    max_deviation: float
-    traces: tuple
-    exact: bool
-    all_agree: bool
+    __slots__ = ("values", "skipped", "max_deviation", "traces", "exact", "all_agree")
+
+    def __init__(self, values: dict, skipped: dict, max_deviation: float, traces: tuple,
+                 exact: bool, all_agree: bool):
+        _set(self, "values", values)
+        _set(self, "skipped", skipped)
+        _set(self, "max_deviation", max_deviation)
+        _set(self, "traces", traces)
+        _set(self, "exact", exact)
+        _set(self, "all_agree", all_agree)
 
     @property
     def scale(self) -> float:

@@ -29,6 +29,7 @@ from .arithmetic import (
     GuardViolation,
     QBase,
     QError,
+    _quoted,
     get_backend,
     format_scalar,
 )
@@ -108,16 +109,16 @@ def _resolve(args, defaults: dict) -> dict:
                 word = raw.lower()
                 if word not in _TRUE and word not in _FALSE:
                     _die(EXIT_PARSE, f"config key {key}: expected one of "
-                                     f"{', '.join(sorted(_TRUE | _FALSE))}, got {raw!r}")
+                                     f"{', '.join(sorted(_TRUE | _FALSE))}, got {_quoted(raw)}")
                 out[key] = word in _TRUE
             elif key in _INT_KEYS:
                 try:
                     out[key] = int(raw)
                 except ValueError:
-                    _die(EXIT_PARSE, f"config key {key}: expected an integer, got {raw!r}")
+                    _die(EXIT_PARSE, f"config key {key}: expected an integer, got {_quoted(raw)}")
             elif key in choices and raw not in choices[key]:
                 _die(EXIT_PARSE, f"config key {key}: expected one of "
-                                 f"{', '.join(choices[key])}, got {raw!r}")
+                                 f"{', '.join(choices[key])}, got {_quoted(raw)}")
             else:
                 out[key] = raw
             continue
@@ -135,15 +136,33 @@ def _require(opts: dict, *names):
 
 
 def _parse_scalar(backend, text: str, what: str):
+    """A scalar flag's value; on the float backend its real and imaginary
+    parts must be finite."""
     try:
-        return backend.parse(text)
+        value = backend.parse(text)
     except ValueError as exc:
         _die(EXIT_PARSE, f"bad {what}: {exc}")
+    if not backend.exact and not cmath.isfinite(value):
+        _die(EXIT_PARSE, f"bad {what}: not a finite number: {_quoted(text)}")
+    return value
+
+
+def _parse_real(text: str, what: str) -> float:
+    value = _parse_scalar(FLOAT, text, what)
+    if value.imag:
+        _die(EXIT_PARSE, f"bad {what}: not a real number: {_quoted(text)}")
+    return value.real
 
 
 def _scalar_list(backend, text: str, what: str):
     items = [t for t in text.split(",") if t.strip()]
     return [_parse_scalar(backend, t, what) for t in items]
+
+
+def _json_float(x: float):
+    """``x``, or None (JSON null) when it is not finite: JSON has no token
+    for infinity or NaN, and a scale beyond the float range is infinite."""
+    return x if math.isfinite(x) else None
 
 
 def _build(make, *args, **kwargs):
@@ -179,9 +198,9 @@ def _spectral_point(opts, backend):
     if kind == "theta":
         # the value is invariant under theta -> -theta; normalize the sign
         # so both spellings print byte-identical output
-        theta = abs(float(opts["theta"]))
+        theta = abs(_parse_real(opts["theta"], "--theta"))
         return cmath.exp(1j * theta)
-    x = float(opts["x"])
+    x = _parse_real(opts["x"], "--x")
     if abs(x) <= 1.0:
         return complex(x, math.sqrt(1.0 - x * x))
     return complex(x + math.copysign(math.sqrt(x * x - 1.0), x), 0.0)
@@ -201,7 +220,7 @@ def cmd_eval(args) -> int:
         value, trace = eval_rep(params, RepId(RepTag(opts["rep"])))
         if as_json:
             print(json.dumps({"rep": opts["rep"], "value": format_scalar(value),
-                              "abs_scale": trace.abs_scale}, sort_keys=True))
+                              "abs_scale": _json_float(trace.abs_scale)}, sort_keys=True))
         else:
             print(format_scalar(value))
         return EXIT_OK
@@ -214,9 +233,9 @@ def cmd_eval(args) -> int:
         print(json.dumps({
             "values": {k: format_scalar(v) for k, v in sorted(report.values.items())},
             "skipped": dict(sorted(report.skipped.items())),
-            "max_deviation": report.max_deviation,
-            "rel_deviation": report.rel_deviation,
-            "scale": report.scale,
+            "max_deviation": _json_float(report.max_deviation),
+            "rel_deviation": _json_float(report.rel_deviation),
+            "scale": _json_float(report.scale),
             "all_agree": report.all_agree,
         }, sort_keys=True))
         return EXIT_OK
@@ -260,7 +279,7 @@ def cmd_eval_series(args) -> int:
         value, trace = eval_w(spec)
     if opts["format"] == "json":
         print(json.dumps({"value": format_scalar(value),
-                          "abs_scale": trace.abs_scale}, sort_keys=True))
+                          "abs_scale": _json_float(trace.abs_scale)}, sort_keys=True))
     else:
         print(format_scalar(value))
         print(f"abs_scale {trace.abs_scale:.6e}")
@@ -345,7 +364,7 @@ def _parse_grid(text: str):
         lo, hi = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError:
-        _die(EXIT_PARSE, f"malformed grid spec {text!r}")
+        _die(EXIT_PARSE, f"malformed grid spec {_quoted(text)}")
     if count < 1 or not -1.0 <= lo <= hi <= 1.0:
         _die(EXIT_PARSE, "grid requires -1 <= lo <= hi <= 1 and count >= 1")
     if count == 1:
@@ -370,7 +389,7 @@ def cmd_table(args) -> int:
             value, _ = eval_rep(AWParams(a, qbase, w, n), RepTag.PHI_STD)
             rows.append((x, n, value.real, value.imag))
     if opts["format"] == "json":
-        payload = [{"x": x, "n": n, "value_re": re, "value_im": im}
+        payload = [{"x": x, "n": n, "value_re": _json_float(re), "value_im": _json_float(im)}
                    for x, n, re, im in rows]
         text = json.dumps(payload, sort_keys=True) + "\n"
     else:
@@ -488,7 +507,7 @@ def main(argv=None) -> int:
         print(f"error: sampler exhausted: {exc}", file=sys.stderr)
         return EXIT_SAMPLER
     except UnknownTarget as exc:
-        print(f"error: unknown target: {exc}", file=sys.stderr)
+        print(f"error: unknown target: {_quoted(str(exc))}", file=sys.stderr)
         return EXIT_PARSE
     except GuardViolation as exc:
         print(f"error: pole guard: {exc}", file=sys.stderr)

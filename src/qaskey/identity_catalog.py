@@ -70,6 +70,8 @@ from .arithmetic import (
     QBase,
     QError,
     REL_TOL,
+    _Frozen,
+    _set,
     binom2,
     pow_int,
     spread,
@@ -90,13 +92,18 @@ class Verdict(str, Enum):
     SKIPPED = "SKIPPED"
 
 
-@dataclass(frozen=True)
-class Draw:
+class Draw(_Frozen):
     """A concrete slot assignment for one check."""
 
-    q: QBase
-    n: int
-    slots: dict
+    __slots__ = ("q", "n", "slots")
+
+    def __init__(self, q: QBase, n: int, slots: dict):
+        _set(self, "q", q)
+        _set(self, "n", n)
+        _set(self, "slots", slots)
+
+    def __repr__(self):
+        return f"Draw(q={self.q!r}, n={self.n!r}, slots={self.slots!r})"
 
 
 class _S:
@@ -137,14 +144,16 @@ class _S:
         return value
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(_Frozen):
     """A monomial label and its parse: numerator and denominator tokens in
     printed order, each a slot letter or the pair (a, k) for q^{a n + k}."""
 
-    label: str
-    num: tuple
-    den: tuple = ()
+    __slots__ = ("label", "num", "den")
+
+    def __init__(self, label: str, num: tuple, den: tuple = ()):
+        _set(self, "label", label)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +315,13 @@ def _side(series: str, num=(), den=(), power: str = "") -> Side:
                 _power(power) if power else None, power)
 
 
-@dataclass(frozen=True)
-class QuarantineInfo:
-    reason: str
-    correction: str
-    printed_rhs: Side
+class QuarantineInfo(_Frozen):
+    __slots__ = ("reason", "correction", "printed_rhs")
+
+    def __init__(self, reason: str, correction: str, printed_rhs: Side):
+        _set(self, "reason", reason)
+        _set(self, "correction", correction)
+        _set(self, "printed_rhs", printed_rhs)
 
 
 @dataclass(frozen=True)
@@ -327,13 +338,22 @@ class IdentityRecord:
     quarantine: QuarantineInfo | None = None
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    verdict: Verdict
-    deviation: float
-    scale: float
-    exact: bool
-    guard: str | None = None
+class CheckOutcome(_Frozen):
+    __slots__ = ("verdict", "deviation", "scale", "exact", "guard")
+
+    def __init__(self, verdict: Verdict, deviation: float, scale: float, exact: bool,
+                 guard: str | None = None):
+        _set(self, "verdict", verdict)
+        _set(self, "deviation", deviation)
+        _set(self, "scale", scale)
+        _set(self, "exact", exact)
+        _set(self, "guard", guard)
+
+    def __eq__(self, other):
+        if type(other) is not CheckOutcome:
+            return NotImplemented
+        return ((self.verdict, self.deviation, self.scale, self.exact, self.guard)
+                == (other.verdict, other.deviation, other.scale, other.exact, other.guard))
 
 
 # a float check that overflowed or met a value that is not finite
@@ -628,8 +648,7 @@ _AW_SOURCES = {
 }
 
 
-@dataclass(frozen=True)
-class AwDerivation:
+class AwDerivation(_Frozen):
     """The substitution carrying the polynomial family onto a cor3.3 record.
 
     Works in the squared variables: callers supply square roots of q and
@@ -638,10 +657,13 @@ class AwDerivation:
     parameters are (c, d, e, f) / (sqrt(q)^n sqrt(b)).
     """
 
-    record_id: str
-    rep: RepId
-    theta_negated: bool
-    description: str
+    __slots__ = ("record_id", "rep", "theta_negated", "description")
+
+    def __init__(self, record_id: str, rep: RepId, theta_negated: bool, description: str):
+        _set(self, "record_id", record_id)
+        _set(self, "rep", rep)
+        _set(self, "theta_negated", theta_negated)
+        _set(self, "description", description)
 
     def aw_params(self, sqrt_q, sqrt_b, c, d, e, f, n: int) -> AWParams:
         q = sqrt_q * sqrt_q

@@ -23,7 +23,6 @@ with the config's tolerances.  A SKIPPED outcome rejects the draw.
 from __future__ import annotations
 
 import fnmatch
-import json
 import math
 import random
 import time
@@ -422,16 +421,21 @@ def draw_params(cfg: DrawConfig, target, index: int = 0, backend: str | None = N
     return _admissible(cfg, target, backend, index)[0]
 
 
-@dataclass
 class RecordTally:
-    record_id: str
-    ref: str
-    passed: int = 0
-    failed: int = 0
-    inconclusive: int = 0
-    skipped: int = 0
-    worst_deviation: float = 0.0
-    quarantine: dict | None = None
+    __slots__ = ("record_id", "ref", "passed", "failed", "inconclusive", "skipped",
+                 "worst_deviation", "quarantine")
+
+    def __init__(self, record_id: str, ref: str, passed: int = 0, failed: int = 0,
+                 inconclusive: int = 0, skipped: int = 0, worst_deviation: float = 0.0,
+                 quarantine: dict | None = None):
+        self.record_id = record_id
+        self.ref = ref
+        self.passed = passed
+        self.failed = failed
+        self.inconclusive = inconclusive
+        self.skipped = skipped
+        self.worst_deviation = worst_deviation
+        self.quarantine = quarantine
 
     def add(self, outcome: CheckOutcome):
         if outcome.verdict is Verdict.PASS:
@@ -459,12 +463,14 @@ class RecordTally:
         return out
 
 
-@dataclass
 class SweepReport:
-    seed: int
-    config: dict
-    entries: list
-    wall_time_s: float = 0.0
+    __slots__ = ("seed", "config", "entries", "wall_time_s")
+
+    def __init__(self, seed: int, config: dict, entries: list, wall_time_s: float = 0.0):
+        self.seed = seed
+        self.config = config
+        self.entries = entries
+        self.wall_time_s = wall_time_s
 
     @property
     def any_fail(self) -> bool:
@@ -481,6 +487,8 @@ class SweepReport:
         return out
 
     def to_json(self, include_timing: bool = True) -> str:
+        import json     # here, not at module load: importing qaskey serialises nothing
+
         return json.dumps(self.as_dict(include_timing), sort_keys=True,
                           separators=(",", ":")) + "\n"
 

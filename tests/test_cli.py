@@ -8,11 +8,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qaskey import AWParams, QBase, RepTag, VwpSpec, cli, eval_rep, eval_w
+from qaskey import (AWParams, QBase, RepTag, SeriesSpec, VwpSpec, cli, eval_phi,
+                    eval_rep, eval_w)
 from qaskey.arithmetic import parse_scalar
 from qaskey.sampler_verifier import RecordTally, SweepReport
 
@@ -405,3 +407,102 @@ def test_rational_text_scales_are_golden(capsys):
     code, out, _ = run_cli(capsys, "eval-series", "--num", "1/2,2/3+1/5i",
                            "--den", "3/4,-5/7", "--z", "1/3", "--q", "2/5", "--n", "6")
     assert code == 0 and out.endswith("abs_scale 3.104015e+05\n")
+
+
+# non-finite float inputs: each kind of scalar flag, and a config value
+_FLOAT_SERIES = ("eval-series", "--kind", "phi", "--q", "1/2", "--n", "3", "--backend", "float")
+_FLOAT_AW = ("eval", "--a2", "1/3", "--a3", "1/5", "--a4", "3/4", "--n", "2",
+             "--backend", "float")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ((*_FLOAT_AW, "--a1", "nan", "--q", "0.5", "--w", "0.5"), "--a1"),
+    ((*_FLOAT_AW, "--a1", "1e400", "--q", "0.5", "--w", "0.5"), "--a1"),
+    ((*_FLOAT_AW, "--a1", "1/2", "--q", "nan", "--w", "0.5"), "--q"),
+    ((*_FLOAT_AW, "--a1", "1/2", "--q", "0.5", "--w", "1+inf i"), "--w"),
+    ((*_FLOAT_AW, "--a1", "1/2", "--q", "0.5", "--theta", "inf"), "--theta"),
+    ((*_FLOAT_AW, "--a1", "1/2", "--q", "0.5", "--x", "nan"), "--x"),
+    ((*_FLOAT_SERIES, "--num", "1/2,nan", "--den", "1/3", "--z", "2"), "--num"),
+    ((*_FLOAT_SERIES, "--num", "1/2", "--den", "1/3", "--z", "inf"), "--z"),
+], ids=["scalar-nan", "scalar-overflow", "q", "w-imaginary", "theta", "x", "list", "z"])
+def test_non_finite_float_inputs_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad {flag}: not a finite number")
+    assert len(err.splitlines()) == 1
+
+
+def test_non_finite_config_value_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("a1 = -inf\n")
+    code, out, err = run_cli(capsys, *_FLOAT_AW, "--q", "0.5", "--w", "0.5",
+                             "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad --a1: not a finite number: '-inf'")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "cannot parse scalar 'abc'"),
+    ("1+2 i", "not a real number"),
+])
+def test_theta_must_be_a_real_number(capsys, value, message):
+    code, out, err = run_cli(capsys, *_FLOAT_AW, "--a1", "1/2", "--q", "0.5",
+                             "--theta", value)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad --theta: {message}")
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, fields", [
+    ([*_DEEP[1][0], "--format", "json"], ("abs_scale",)),
+    ([*_DEEP[1][0][:-2], "--format", "json"], ("scale",)),
+    (["eval-series", "--num", "1/2", "--den", "1/3", "--z", "1e300", "--q", "0.5",
+      "--n", "3", "--backend", "float", "--format", "json"], ("abs_scale",)),
+], ids=["eval-rep", "eval-all", "eval-series"])
+def test_json_writes_null_for_a_float_beyond_the_float_range(capsys, argv, fields):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = _strict_json(out)
+    assert all(payload[f] is None for f in fields)
+
+
+def test_table_json_is_strict_json(capsys):
+    code, out, _ = run_cli(capsys, "table", "--a1", "0.5", "--a2", "0.3", "--a3", "0.2",
+                           "--a4", "0.1", "--q", "0.05", "--n-max", "200",
+                           "--x-grid", "-1:1:2", "--format", "json")
+    assert code == 0
+    rows = _strict_json(out)
+    assert any(row["value_re"] is None for row in rows)
+    assert all(row["value_re"] is not None for row in rows if row["n"] <= 2)
+
+
+def test_deep_exact_value_reads_back_through_the_cli(capsys):
+    # the printed degree-60 value, far past the int digit limit, is the
+    # z of a degree-1 series: 1 + (1 - q^{-1}) z (1/2) / ((1 - q)(1/3))
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, *_DEEP[1][0])
+    assert code == 0
+    printed = out.splitlines()[0]
+    value, _ = _DEEP[1][1]()
+    assert parse_scalar(printed, exact=True) == value
+    argv = ["eval-series", "--num", "1/2", "--den", "1/3", "--q", "2/7", "--n", "1"]
+    code, out, err = run_cli(capsys, *argv, "--z", printed)
+    assert code == 0 and err == ""
+    expected, _ = eval_phi(SeriesSpec([Fraction(1, 2)], [Fraction(1, 3)], value,
+                                      QBase(Fraction(2, 7)), 1))
+    assert parse_scalar(out.splitlines()[0], exact=True) == expected
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_bad_token_is_quoted_to_eighty_characters(capsys):
+    token = "1/" + "7" * 5000 + "x"
+    code, _, err = run_cli(capsys, "eval-series", "--num", "1/2", "--den", "1/3",
+                           "--q", "2/7", "--n", "1", "--z", token)
+    assert code == 2 and len(err.splitlines()) == 1
+    assert err == f"error: bad --z: cannot parse scalar {token[:80]!r}... (5003 characters)\n"
