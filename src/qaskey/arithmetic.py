@@ -34,6 +34,8 @@ immutable after construction and safe to share between threads, so
 from __future__ import annotations
 
 import math
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -453,7 +455,7 @@ def spread(values, exact: bool) -> tuple:
     values are canonical, so the family agrees iff every value ``==`` the
     first one, which takes m - 1 comparisons; the pairwise differences
     are formed only when one differs.  Float families always take the
-    pairwise differences.
+    pairwise differences; a NaN one gives ``(False, nan)``.
     """
     if exact and all(v == values[0] for v in values):
         return True, 0.0
@@ -463,7 +465,10 @@ def spread(values, exact: bool) -> tuple:
         d = x - y
         if d:
             all_agree = False
-            max_dev = max(max_dev, abs(d))
+            d = abs(d)
+            if d != d:
+                return False, d
+            max_dev = max(max_dev, d)
     return all_agree, max_dev
 
 
@@ -630,6 +635,11 @@ def parse_scalar(text: str, exact: bool):
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar")
+    limit = sys.get_int_max_str_digits()
+    exponents = re.findall(r"[eE]([-+]?\d+(?:_\d+)*)", s) if exact and limit else ()
+    if any(abs(float(x)) > limit for x in exponents):
+        # Fraction would expand the exponent into an integer of that many digits
+        raise ValueError(f"cannot parse scalar {_quoted(text)}: decimal exponent beyond {limit}")
     re_tok, im_tok = s, None
     if s.endswith(("i", "I", "j", "J")):
         body = s[:-1]
@@ -644,8 +654,8 @@ def parse_scalar(text: str, exact: bool):
         else:
             re_tok, im_tok = "0", body
     try:
-        re = _parse_part(re_tok, exact)
-        im = _parse_part(im_tok, exact) if im_tok is not None else 0
+        real = _parse_part(re_tok, exact)
+        imag = _parse_part(im_tok, exact) if im_tok is not None else 0
     except ZeroDivisionError:
         raise ValueError(f"cannot parse scalar {_quoted(text)}: zero denominator") from None
     except OverflowError:
@@ -654,5 +664,5 @@ def parse_scalar(text: str, exact: bool):
     except ValueError:
         raise ValueError(f"cannot parse scalar {_quoted(text)}") from None
     if exact:
-        return GaussianRational(re, im)
-    return complex(re, im)
+        return GaussianRational(real, imag)
+    return complex(real, imag)

@@ -171,18 +171,20 @@ class AWParams(_Frozen):
     def _qinv_point(self):
         """(reciprocal point, the same with w -> 1/w, q^{-3 binom(n,2)}
         (-a1234)^n): what every base-inverted build at this point needs,
-        formed on first use and then shared."""
+        formed on first use and then shared.  The factor is one product, so
+        that on float neither power underflows or overflows on its own."""
         recip = self.reciprocal()
         flipped = recip.flip_w()
-        factor = pow_int(self.q.q, -3 * binom2(self.n)) * pow_int(-self.a1234, self.n)
+        q, n = self.q.q, self.n
+        factor = poch_quotient(q, n, ((q, -3 * binom2(n)), (-self.a1234, n)))
         return recip, flipped, factor
 
 
 def _build(params: AWParams, rep: RepId, lead=()):
     """(prefactor, series spec) for one representation.
 
-    ``lead``, a tuple of prefactor factors for
-    :func:`~qaskey.qpochhammer.poch_quotient`, is multiplied in first.
+    ``lead`` is a tuple of further prefactor factors for
+    :func:`~qaskey.qpochhammer.poch_quotient`.
     """
     q = params.q.q
     n = params.n
@@ -271,9 +273,7 @@ def _build_qinv(params: AWParams, rep: RepId):
         p_n(w; a | 1/q) = q^{-3 binom(n,2)} (-a1234)^n p_n(w; 1/a | q),
 
     where phi-mixed, w-def4, w-def6 and w-def7 also take w -> 1/w, which
-    leaves the polynomial unchanged.  The scaling factor is multiplied in
-    before the Pochhammer products: applied last, it overflows a float
-    prefactor whose final value is finite.  The substituted points and the
+    leaves the polynomial unchanged.  The substituted points and the
     factor come from ``params``, which builds them once.  A pole guard
     names its constraint in the substituted parameters and says so.
     """
@@ -442,7 +442,7 @@ def check_qinv_scaling(params: AWParams):
     both of which are zero on admissible draws.  The left side is the
     independent oracle :func:`eval_qinv_direct`, not the derived family.
     The first right side is the derived standard representation
-    (:func:`eval_qinv_rep`), whose prefactor takes the factor before its
+    (:func:`eval_qinv_rep`), whose prefactor takes the factor with its
     Pochhammer products; the second multiplies the factor into the plain
     mixed representation (phi-mixed) at the w-flipped reciprocal point,
     a different series from the first wherever w^2 != 1.

@@ -3,16 +3,17 @@
 Everything here is a finite product, so both backends evaluate it exactly
 up to their own arithmetic; nothing in this module sums a series.
 
-:func:`poch_quotient` is the one prefactor path: a product of powers x^k,
+:func:`poch_quotient` is the one product path: a product of powers x^k,
 times (num;q)_n and any kept guard rows, divided by (den;q)_n.  The
 representations, the catalogue sides and the series transformations
 form their prefactors with it, and :func:`poch` and :func:`poch_list`
-are its one-sided case on the exact backend.  There the numerator and
-the denominator are one unreduced integer triple each, into which every
+are its one-sided case.  On the exact backend the numerator and the
+denominator are one unreduced integer triple each, into which every
 (a;q)_n is multiplied as its factors 1 - a q^k are formed
 (:func:`~qaskey.arithmetic._times_poch`); their quotient is one division
-through the conjugate, reduced once.  The float backend multiplies
-factor by factor, in the order of the arguments.
+through the conjugate, reduced once.  On the float backend each is a
+complex mantissa with an int binary exponent kept apart, so no partial
+product leaves the float range.
 
 Identities that classically involve square roots (base doubling and the
 shifted-quotient form) are stored and checked in radical-free equivalent
@@ -22,6 +23,8 @@ The exact backend therefore never needs radicals.
 """
 
 from __future__ import annotations
+
+from math import copysign, frexp, inf, ldexp
 
 from .arithmetic import (
     GuardViolation,
@@ -55,22 +58,12 @@ def _qval(q):
 
 def poch(a, q, n: int):
     """(a;q)_n = (1-a)(1-aq)...(1-aq^{n-1}); the empty product is 1."""
-    qv = _qval(q)
-    if is_exact(qv):
-        return poch_quotient(qv, n, num=(a,))
-    if n < 0:
-        raise ValueError("poch requires n >= 0")
-    return _float_poch(a, qv, n)
+    return poch_quotient(_qval(q), n, num=(a,))
 
 
 def poch_list(bases, q, n: int):
     """Product of (a;q)_n over a list of bases; empty list gives 1."""
-    qv = _qval(q)
-    if is_exact(qv):
-        return poch_quotient(qv, n, num=bases)
-    if n < 0:
-        raise ValueError("poch requires n >= 0")
-    return _float_poch_list(bases, qv, n)
+    return poch_quotient(_qval(q), n, num=bases)
 
 
 def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
@@ -84,23 +77,21 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
     ``num_rows`` and ``den_rows`` are kept guard rows (the ``den_rows`` of
     a :class:`~qaskey.qseries.SeriesSpec` or
     :class:`~qaskey.qseries.VwpSpec`): their factors ``1 - x q^k`` are
-    multiplied as the guard formed them.  A call with ``den`` or
-    ``den_rows`` must name the caller's exception class ``pole`` and its
+    multiplied as the guard formed them; they are nonzero.  A call with
+    ``den`` must name the caller's exception class ``pole`` and its
     ``message``.  The denominator is formed first; if it is zero,
     ``pole(message)`` is raised.
 
     On the exact backend the numerator and the denominator are each one
     unreduced integer triple, the factors multiplied in as they are
     formed, and the quotient is one division through the conjugate and
-    one :func:`~qaskey.arithmetic.from_parts`.  The float backend
-    multiplies in the order of the arguments: the ``lead`` factors left
-    to right, each ``num`` entry, the ``num_rows``; that divided by the
-    product of the ``den`` entries and the ``den_rows``; then times the
-    product of the ``tail`` factors.
+    one :func:`~qaskey.arithmetic.from_parts`.  On the float backend each
+    is a complex mantissa and an int binary exponent, applied once to the
+    quotient: only a quotient beyond the float range is infinite or zero.
     """
     if n < 0:
         raise ValueError("poch requires n >= 0")
-    if (den or den_rows is not None) and (pole is None or message is None):
+    if den and (pole is None or message is None):
         raise TypeError("poch_quotient with a denominator needs pole and message")
     qv = _qval(q)
     if is_exact(qv):
@@ -117,36 +108,12 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
             na, nb, nd = na * fa - nb * fb, na * fb + nb * fa, nd * fd
         return from_parts((na * da + nb * db) * dd, (nb * da - na * db) * dd,
                           nd * (da * da + db * db))
-    dv = None
-    for g in den:
-        v = _float_group(g, qv, n)
-        dv = v if dv is None else dv * v
-    if den_rows is not None:
-        v = _rows_product(den_rows)
-        dv = v if dv is None else dv * v
-    if dv is not None and not dv:
+    dm, de = _float_product((), den, den_rows, qv, n) if den or den_rows else (1, 0)
+    if not dm:
         raise pole(message)
-    out = None
-    for f in lead:
-        v = pow_int(*f) if type(f) is tuple else f
-        out = v if out is None else out * v
-    for g in num:
-        v = _float_group(g, qv, n)
-        out = v if out is None else out * v
-    if num_rows is not None:
-        v = _rows_product(num_rows)
-        out = v if out is None else out * v
-    if out is None:
-        out = _ONE_FLOAT
-    if dv is not None:
-        out = out / dv
-    if tail:
-        t = None
-        for f in tail:
-            v = pow_int(*f) if type(f) is tuple else f
-            t = v if t is None else t * v
-        out = out * t
-    return out
+    m, e = _float_product((*lead, *tail), num, num_rows, qv, n)
+    m, e = m / dm, e - de
+    return complex(_ldexp(m.real, e), _ldexp(m.imag, e)) if e else m
 
 
 def _exact_product(groups, rows, q, n: int) -> tuple:
@@ -163,40 +130,63 @@ def _exact_product(groups, rows, q, n: int) -> tuple:
     return a, b, d
 
 
-def _float_poch(x, q, n: int):
-    # (x;q)_n on the float backend, factor by factor
-    one = out = _ONE_FLOAT
-    for _ in range(n):
-        out = out * (one - x)
-        x = x * q
-    return out
-
-
-def _float_poch_list(bases, q, n: int):
-    out = _ONE_FLOAT
-    for a in bases:
-        out = out * _float_poch(a, q, n)
-    return out
-
-
-def _float_group(g, q, n: int):
-    # a num or den entry of poch_quotient on the float backend, grouped as
-    # poch (one base) or poch_list (a list or tuple of bases) groups it
-    if isinstance(g, (list, tuple)):
-        return _float_poch_list(g, q, n)
-    return _float_poch(g, q, n)
-
-
-def _rows_product(rows):
-    # float backend only: row by row, grouped as the float poch_list
-    # groups its factors
-    one = out = _ONE_FLOAT
-    for row in rows:
-        p = one
+def _float_product(factors, groups, rows, q, n: int) -> tuple:
+    """``(m, e)``: m 2^e is the product of the ``factors``, of (a;q)_n over
+    the bases in ``groups`` and of the ``rows``' factors.  m is scaled by a
+    power of two when it leaves [2^-500, 2^500] or ``abs()`` raises."""
+    one = _ONE_FLOAT
+    small, big = 2.0 ** -500, 2.0 ** 500
+    m, e = one, 0
+    scalars = []
+    for f in factors:
+        if type(f) is tuple:
+            x, k = f
+            f = pow_int(x, k)
+            if not small <= abs(f.real) + abs(f.imag) <= big:
+                # x^k left the window: b^k 2^(be k), |b| in [1/2, 2), in powers b^j, |j| <= 500
+                b, be = _normalised(x, 0)
+                e += be * k
+                while abs(k) > 500:
+                    scalars.append(pow_int(b, 500 if k > 0 else -500))
+                    k -= 500 if k > 0 else -500
+                f = pow_int(b, k)
+        scalars.append(f)
+    for g in groups:
+        for x in g if isinstance(g, (list, tuple)) else (g,):
+            for _ in range(n):
+                m = m * (one - x)
+                x = x * q
+                try:
+                    if small <= abs(m) <= big:
+                        continue
+                except OverflowError:
+                    pass
+                m, e = _normalised(m, e)
+    for row in (scalars, *(rows or ())):
         for f in row:
-            p = p * f
-        out = out * p
-    return out
+            m = m * f
+            try:
+                if small <= abs(m) <= big:
+                    continue
+            except OverflowError:
+                pass
+            m, e = _normalised(m, e)
+    return m, e
+
+
+def _normalised(m, e: int) -> tuple:
+    # m 2^e as m' 2^e' with max(|Re m'|, |Im m'|) in [1/2, 1); 0, inf, nan unchanged
+    re, im = m.real, m.imag
+    k = frexp(max(abs(re), abs(im)))[1]
+    return complex(ldexp(re, -k), ldexp(im, -k)), e + k
+
+
+def _ldexp(x: float, e: int) -> float:
+    # x 2^e, infinite, not an OverflowError, beyond the float range
+    try:
+        return ldexp(x, e)
+    except OverflowError:
+        return copysign(inf, x)
 
 
 def omega_contains(a, q, n: int) -> bool:

@@ -641,11 +641,6 @@ def _product(values, one):
     return out
 
 
-# the guard rows are nonzero, so only a float product that underflows to
-# zero meets this
-_PREFACTOR_POLE = dict(pole=DenominatorPole, message="prefactor pole: (den;q)_n = 0")
-
-
 def invert_series(spec: SeriesSpec):
     """Reverse the order of summation of an (r+1) phi r series.
 
@@ -664,7 +659,7 @@ def invert_series(spec: SeriesSpec):
     one = one_like(q)
     n = spec.n
     pref = poch_quotient(q, n, ((-spec.z / q, n), (q, -binom2(n))), (spec.num,),
-                         den_rows=spec.den_rows, **_PREFACTOR_POLE)
+                         den_rows=spec.den_rows)
     q1n = pow_int(q, 1 - n)
     new_num = [q1n / b for b in spec.den]
     new_den = [q1n / a for a in spec.num]
@@ -689,7 +684,7 @@ def invert_w(spec: VwpSpec):
     r = spec.r
     pair_ratio = (one - b * pow_int(q, 2 * n)) / (one - b)
     pref = poch_quotient(q, n, ((q, -binom2(n)), (-spec.z / q, n), pair_ratio),
-                         (b, spec.lower), den_rows=spec.den_rows, **_PREFACTOR_POLE)
+                         (b, spec.lower), den_rows=spec.den_rows)
     new_b = pow_int(q, -2 * n) / b
     new_lower = [pow_int(q, -n) * a / b for a in spec.lower]
     prod_sq = _product(spec.lower, one)

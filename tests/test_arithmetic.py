@@ -22,6 +22,7 @@ from qaskey.arithmetic import (
     is_zero,
     one_like,
     parse_scalar,
+    spread,
 )
 from qaskey.identity_catalog import judge
 from qaskey.qpochhammer import omega_contains, poch
@@ -455,3 +456,14 @@ def test_pow_int_matches_fraction_pair_reference(xv, k):
             pow_int(x, k)
         return
     assert_canonical(pow_int(x, k), expected)
+
+
+def test_spread_reports_a_nan_difference_as_nan():
+    nan = complex(math.nan, math.nan)
+    assert spread([1 + 0j, 1 + 0j], False) == (True, 0.0)
+    assert spread([1 + 0j, 1.5 + 0j], False) == (False, 0.5)
+    for values in ([nan, 1 + 0j], [1 + 0j, 2 + 0j, nan], [nan, nan]):
+        agree, dev = spread(values, False)
+        assert agree is False and math.isnan(dev)
+    # the verdict on such a family stays INCONCLUSIVE with deviation 0.0
+    assert judge([1 + 0j, nan], lambda: 1.0, False).verdict is Verdict.INCONCLUSIVE

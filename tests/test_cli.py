@@ -506,3 +506,33 @@ def test_bad_token_is_quoted_to_eighty_characters(capsys):
                            "--q", "2/7", "--n", "1", "--z", token)
     assert code == 2 and len(err.splitlines()) == 1
     assert err == f"error: bad --z: cannot parse scalar {token[:80]!r}... (5003 characters)\n"
+
+
+@pytest.mark.parametrize("z", ["1e1000000", "-2.5E+4301", "1e-1000000 i"])
+def test_decimal_exponent_beyond_the_digit_limit_is_a_usage_error(capsys, z):
+    # the exponent would be expanded into an integer of that many digits
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "eval-series", "--num", "1/2", "--den", "1/3",
+                             "--q", "1/2", "--n", "3", "--z", z, "--backend", "rational")
+    assert code == 2 and out == ""
+    assert err == f"error: bad --z: cannot parse scalar {z!r}: decimal exponent beyond {limit}\n"
+
+
+def test_exponents_within_the_digit_limit_and_long_digit_strings_read_back(capsys):
+    argv = ["eval-series", "--num", "1/2", "--den", "1/3", "--q", "1/2", "--n", "0"]
+    assert run_cli(capsys, *argv, "--z", "1e4300")[0] == 0
+    sevens = (10**20000 - 1) // 9 * 7       # 20000 digits, past the limit
+    assert parse_scalar("7" * 20000 + "/3", exact=True) == Fraction(sevens, 3)
+
+
+def test_eval_reports_a_nan_deviation_as_nan(capsys):
+    # six representations overflow to NaN at degree 200; a NaN difference
+    # is no agreement, so the deviation is NaN, and JSON null
+    argv = ["eval", "--a1", "0.5", "--a2", "0.3", "--a3", "0.2", "--a4", "0.1",
+            "--q", "0.05", "--x", "0.5", "--n", "200", "--backend", "float"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "max deviation      nan" in out
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = _strict_json(out)
+    assert payload["max_deviation"] is None and payload["all_agree"] is False

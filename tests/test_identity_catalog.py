@@ -392,10 +392,10 @@ def test_settle_is_where_an_evaluation_ends():
 
 
 def test_check_settles_non_finite_float_values_as_inconclusive():
-    # at degree 40..60 with |q| > 1 most float candidates overflow to a
+    # at degree 150..200 with |q| > 1 many float candidates overflow to a
     # non-finite side; check() itself, not only a sweep, must not call
     # that a FAIL with deviation NaN
-    cfg = DrawConfig(seed=14, backend="float", n_range=(40, 60), q_big=True)
+    cfg = DrawConfig(seed=14, backend="float", n_range=(150, 200), q_big=True)
     unresolved = 0
     for target in all_targets():
         if target.record is None:
@@ -410,7 +410,7 @@ def test_check_settles_non_finite_float_values_as_inconclusive():
             assert not math.isnan(outcome.deviation), target.id
             if outcome == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False):
                 unresolved += 1
-    assert unresolved > 50
+    assert unresolved > 20
 
 
 def test_judge_non_finite_deviation_or_scale_is_unresolved():

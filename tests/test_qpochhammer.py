@@ -16,11 +16,11 @@ from qaskey.qpochhammer import (
     omega_contains,
     poch_quotient,
 )
-from qaskey.arithmetic import GuardViolation, ZeroToNegativePower, parts, pow_int
+from qaskey.arithmetic import GuardViolation, ZeroToNegativePower, binom2, parts, pow_int
 from qaskey.askey_wilson import PoleGuard
 from qaskey.qseries import DenominatorPole, SeriesSpec, VwpSpec
 
-from util import rand_qbase, rand_scalar
+from util import lifted, rand_qbase, rand_scalar
 
 G = GaussianRational
 half = QBase(G(Fraction(1, 2)))
@@ -360,7 +360,7 @@ def test_poch_quotient_matches_a_gaussian_rational_loop(case, rows_on_top):
 def test_poch_quotient_pole_and_zero_power():
     q = QBase(G(Fraction(1, 2)))
     # a denominator needs the caller's class and message; then they are raised
-    for kept in ({"den": [G(3)]}, {"den_rows": ()}, {"den": [G(3)], "pole": PoleGuard}):
+    for kept in ({"den": [G(3)]}, {"den": [G(3)], "pole": PoleGuard}):
         with pytest.raises(TypeError):
             poch_quotient(q, 3, **kept)
     for cls in (DenominatorPole, PoleGuard):
@@ -379,28 +379,75 @@ def test_poch_quotient_pole_and_zero_power():
         poch_quotient(q, -1)
 
 
-def test_poch_quotient_float_keeps_the_order_of_its_arguments():
-    # lead left to right, each num entry, the kept rows; divided by the
-    # den entries and rows; then times the tail: the order each prefactor
-    # site used before it called poch_quotient, bit for bit
+def _lifted(x):
+    """A float argument of poch_quotient as the rationals it is exactly."""
+    if type(x) is tuple:
+        return _lifted(x[0]), x[1]
+    if isinstance(x, list):
+        return [_lifted(v) for v in x]
+    return lifted(x)
+
+
+def test_poch_quotient_float_matches_the_exact_quotient_of_its_inputs():
+    # the float quotient against the exact one at the same (lifted) inputs:
+    # small degrees with |q| on both sides of 1, and degree 60 with
+    # |q| ~ 6, where numerator and denominator each leave the float range
+    # (q^C(60,2) ~ 10^1377) while their quotient does not.  The inputs are
+    # multiples of 1/64, so that the exact products stay short
     rng = random.Random(5)
-    for _ in range(200):
-        q = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        if abs(abs(q) - 1) < 0.05:
-            continue
-        n = rng.randint(0, 7)
-        z = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(9)]
-        spec = SeriesSpec([1 + 0j], z[6:8], 1 + 0j, QBase(q), n)
-        pref = poch_quotient(q, n, ((z[0], -n), z[1]), (z[2], [z[3], z[4]]), (z[5],),
-                             num_rows=spec.den_rows, tail=((z[8], 2), z[1]),
-                             pole=PoleGuard, message="")
-        rows = spec.den_poch()
-        expected = (pow_int(z[0], -n) * z[1] * poch(z[2], q, n)
-                    * poch_list([z[3], z[4]], q, n))
-        expected = expected * rows / poch(z[5], q, n) * (pow_int(z[8], 2) * z[1])
-        assert pref == expected
-        # rows alone, and rows as the whole denominator
-        assert poch_quotient(q, n, num_rows=spec.den_rows) == rows
-        assert poch_quotient(q, n, ((z[0], n),), (z[2],), den_rows=spec.den_rows,
-                             pole=PoleGuard, message="") == (
-            pow_int(z[0], n) * poch(z[2], q, n) / rows)
+
+    def dyadic(bound):
+        return rng.randint(int(-64 * bound), int(64 * bound)) / 64
+
+    cases = 0
+    while cases < 60:
+        z = [complex(dyadic(3), dyadic(3)) for _ in range(9)]
+        if cases % 6:
+            q = complex(dyadic(1.5), dyadic(1.5))
+            n = rng.randint(0, 7)
+            if abs(abs(q) - 1) < 0.05 or not all(z):
+                continue
+            args = dict(lead=((z[0], -n), z[1]), num=(z[2], [z[3], z[4]]), den=(z[5],),
+                        rows="num_rows", tail=((z[8], 2), z[1]))
+        else:
+            q = complex(6 + dyadic(0.5), dyadic(1))
+            n = 60
+            if not all(z):
+                continue
+            args = dict(lead=((z[0], -n), z[1]), num=(z[2], [z[3], z[4]]), den=(z[5], z[8]),
+                        rows="den_rows", tail=((q, binom2(n)),))
+        cases += 1
+        values = []
+        for lift in (lambda v: v, _lifted):
+            qb = QBase(lift(q))
+            spec = SeriesSpec([lift(1 + 0j)], lift(z[6:8]), lift(1 + 0j), qb, n)
+            values.append(poch_quotient(
+                qb, n, lift(list(args["lead"])), lift(list(args["num"])),
+                lift(list(args["den"])), tail=lift(list(args["tail"])),
+                pole=PoleGuard, message="", **{args["rows"]: spec.den_rows}))
+        got, want = values
+        assert math.isfinite(abs(got)) and got, (q, n)
+        # |got - want| <= 1e-12 |want|, on the integer triples
+        da, db, dd = parts(_lifted(got) - want)
+        wa, wb, wd = parts(want)
+        assert (da * da + db * db) * wd * wd * 10**24 <= (wa * wa + wb * wb) * dd * dd, (q, n)
+    # rows alone, with no pole class: guard rows are nonzero
+    spec = SeriesSpec([1 + 0j], [2 + 1j, -0.5j], 1 + 0j, QBase(0.3 + 0.4j), 5)
+    assert poch_quotient(0.3 + 0.4j, 5, den_rows=spec.den_rows) == pytest.approx(
+        1 / spec.den_poch(), rel=1e-14)
+
+
+def test_poch_quotient_float_keeps_any_modulus_and_never_raises_overflow():
+    # (3 + i;q)_60 at q = 1e5 is ~10^8880: numerator and denominator each
+    # leave the float range, their quotient is 1
+    assert poch_quotient(1e5 + 0j, 60, num=(3 + 1j,), den=(3 + 1j,), pole=PoleGuard,
+                         message="") == 1
+    # finite parts whose modulus is beyond the float range: abs() of them
+    # raises OverflowError, poch_quotient does not
+    big = 1.5e308 + 1.5e308j
+    assert poch_quotient(2 + 0j, 2, [big, (big, -1)]) == pytest.approx(1, rel=1e-15)
+    value = poch_quotient(0.5 + 0j, 2, [big, (big, 2)], [big])
+    assert math.isinf(value.real) and math.isinf(value.imag)
+    # (1 - big)(1 - big/2) / big^3 = 1 / (2 big) to 1e-308, a subnormal
+    assert poch_quotient(0.5 + 0j, 2, [(big, -3)], [big]) == pytest.approx(
+        (1 - 1j) / 6e308, rel=1e-12)

@@ -34,6 +34,8 @@ from qaskey.sampler_verifier import (
     resolve_targets,
 )
 
+from util import lifted
+
 
 def test_config_validation():
     DrawConfig()
@@ -324,26 +326,62 @@ def test_float_overflow_is_inconclusive_not_a_crash():
 
 
 def test_float_qinverse_tally_with_large_base():
-    # the base-inverted prefactor multiplies its scaling factor in first;
-    # multiplied in last it overflows on float (w-def6, |q| = 2.8, n = 18)
+    # the base-inverted prefactor takes its scaling factor into the float
+    # product, whose exponent is kept apart, so the partial product that
+    # once overflowed (w-def6, |q| = 2.8, n = 18) now stays finite
     cfg = DrawConfig(seed=1, backend="float", q_big=True, n_range=(0, 20))
     (entry,) = run_sweep(cfg, ["aw/qinverse"]).entries
-    assert (entry.passed, entry.failed, entry.inconclusive) == (99, 0, 1)
+    assert (entry.passed, entry.failed, entry.inconclusive) == (100, 0, 0)
 
 
 def test_float_qinv_scaling_tallies_with_large_base():
     # the first difference and the scale read the derived base-inverted
-    # value, whose prefactor takes the factor first; the plain value at the
-    # reciprocal point times the factor overflows on more draws.  The second
-    # difference reads phi-mixed at the w-flipped point; phi-std there left
-    # 6 and 34 of the first two settings' draws INCONCLUSIVE.  The scale
-    # counts every evaluation: without the direct oracle's, one draw of the
-    # last setting FAILs, where the derived value underflows to 0
-    for seed, n_max, tally in ((20260808, 20, (97, 0, 3, 0)), (2, 40, (68, 0, 32, 0)),
-                               (20260808, 40, (69, 0, 31, 0))):
+    # value, whose prefactor takes the factor into its product; the plain
+    # value at the reciprocal point times the factor overflows on more
+    # draws.  The second difference reads phi-mixed at the w-flipped point;
+    # phi-std there left 6 and 34 of the first two settings' draws
+    # INCONCLUSIVE.  The scale counts every evaluation: without the direct
+    # oracle's, one draw of the last setting FAILed while the derived value
+    # underflowed to 0
+    for seed, n_max, tally in ((20260808, 20, (98, 0, 2, 0)), (2, 40, (70, 0, 30, 0)),
+                               (20260808, 40, (71, 0, 29, 0))):
         cfg = DrawConfig(seed=seed, backend="float", q_big=True, n_range=(0, n_max))
         (entry,) = run_sweep(cfg, ["aw/qinv-scaling"]).entries
         assert (entry.passed, entry.failed, entry.inconclusive, entry.skipped) == tally
+
+
+@pytest.mark.parametrize("target_id, seed, n_max, index, n", [
+    ("cor3.6/r3", 20260808, 40, 49, 38),
+    ("cor3.6/r3", 20260808, 60, 49, 38),
+    ("ops/invert-w", 20260808, 20, 25, 11),
+    ("cor3.8/r5", 2, 20, 98, 20),
+])
+def test_former_float_fails_of_true_identities_pass(target_id, seed, n_max, index, n):
+    # each of these float draws FAILed while a Pochhammer quotient's
+    # numerator or denominator left the float range (the prefactor came
+    # out 0 or -0); with the exponent kept apart the draw PASSes.  The
+    # draw lifted to exact rationals PASSes too, which shows the identity
+    # holds there; the degree-38 lift takes seconds and is left out here
+    (target,) = resolve_targets([target_id])
+    cfg = DrawConfig(seed=seed, backend="float", q_big=True, n_range=(0, n_max))
+    draw, outcome = _admissible(cfg, target, "float", index)
+    assert draw.n == n
+    assert outcome.verdict is Verdict.PASS
+    if n <= 20:
+        assert target.run(lifted(draw), cfg, True).verdict is Verdict.PASS
+
+
+def test_float_base_inverted_value_does_not_underflow_to_zero():
+    # at |q| = 1.44, n = 38 the scaling factor q^{-3 binom(n,2)} (-a1234)^n
+    # is ~1e-249, but q^{-3 binom(n,2)} alone is ~1e-336, a float 0; the
+    # derived value and its scale then read as an exact 0.  The direct
+    # oracle's scale at this draw is 1.5e94
+    (target,) = resolve_targets(["aw/qinv-scaling"])
+    cfg = DrawConfig(seed=20260808, backend="float", q_big=True, n_range=(0, 40))
+    params, _ = _admissible(cfg, target, "float", 36)
+    assert params.n == 38 and abs(params.q.q) == pytest.approx(1.443, abs=1e-3)
+    value, trace = aw.eval_qinv_rep(params, aw.RepTag.PHI_STD)
+    assert value and trace.abs_scale == pytest.approx(1.48e94, rel=1e-2)
 
 
 def test_permutation_suite_fails_when_one_role_differs(monkeypatch):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qaskey import AWParams, GaussianRational, QBase
+from qaskey import AWParams, GaussianRational, QBase, SeriesSpec, VwpSpec
+from qaskey.identity_catalog import Draw
 
 
 def rand_fraction(rng, max_num=8, max_den=8) -> Fraction:
@@ -52,3 +53,23 @@ def divided_differences(xs, ys):
         for i in range(len(xs) - 1, j - 1, -1):
             dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
     return dd
+
+
+def lifted(x):
+    """A float scalar, or a float draw of a sweep target (a catalogue
+    ``Draw``, a series spec or ``AWParams``), as the exact rationals its
+    floats are: ``Fraction(float)`` of every part, the degree kept."""
+    if isinstance(x, Draw):
+        return Draw(lifted(x.q), x.n, {k: lifted(v) for k, v in x.slots.items()})
+    if isinstance(x, QBase):
+        return QBase(lifted(x.q))
+    if isinstance(x, SeriesSpec):
+        return SeriesSpec([lifted(v) for v in x.num], [lifted(v) for v in x.den],
+                          lifted(x.z), lifted(x.q), x.n)
+    if isinstance(x, VwpSpec):
+        return VwpSpec(lifted(x.b), [lifted(v) for v in x.lower], lifted(x.z),
+                       lifted(x.q), x.n)
+    if isinstance(x, AWParams):
+        return AWParams([lifted(v) for v in x.a], lifted(x.q), lifted(x.w), x.n)
+    x = complex(x)
+    return GaussianRational(Fraction(x.real), Fraction(x.imag))
