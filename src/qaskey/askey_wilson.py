@@ -41,7 +41,7 @@ from .arithmetic import (
     spread,
 )
 from .qpochhammer import poch_quotient
-from .qseries import SeriesSpec, TermTrace, VwpSpec, ZeroParameter, eval_phi, eval_w
+from .qseries import SeriesSpec, TermTrace, VwpSpec, ZeroParameter, eval_series
 
 
 class PoleGuard(GuardViolation):
@@ -302,10 +302,7 @@ def _evaluate(params, rep, builder):
         raise
     except GuardViolation as exc:
         raise PoleGuard(f"{rep.tag.value}: {exc}") from exc
-    if isinstance(spec, VwpSpec):
-        value, trace = eval_w(spec)
-    else:
-        value, trace = eval_phi(spec)
+    value, trace = eval_series(spec)
     return pref * value, trace.scaled(pref)
 
 
@@ -408,7 +405,7 @@ def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:
     spec = SeriesSpec([pow_int(q, n - 1) * params.a1234, ap * w, ap / w],
                       aps, q, qi, n)
     pref = poch_quotient(q, n, ((ap, -n),), num_rows=spec.den_rows)
-    value, trace = eval_phi(spec)
+    value, trace = eval_series(spec)
     return pref * value, trace.scaled(pref)
 
 

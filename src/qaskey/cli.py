@@ -35,7 +35,7 @@ from .arithmetic import (
 )
 from .askey_wilson import AWParams, RepId, RepTag, eval_all, eval_rep
 from .identity_catalog import catalog
-from .qseries import SeriesSpec, VwpSpec, eval_phi, eval_w
+from .qseries import SeriesSpec, VwpSpec, eval_series
 from .sampler_verifier import (
     DrawConfig,
     SamplerExhausted,
@@ -271,12 +271,11 @@ def cmd_eval_series(args) -> int:
         _require(opts, "num", "den")
         spec = _build(SeriesSpec, _scalar_list(backend, opts["num"], "--num"),
                       _scalar_list(backend, opts["den"], "--den"), z, qbase, n)
-        value, trace = eval_phi(spec)
     else:
         _require(opts, "b", "lower")
         spec = _build(VwpSpec, _parse_scalar(backend, opts["b"], "--b"),
                       _scalar_list(backend, opts["lower"], "--lower"), z, qbase, n)
-        value, trace = eval_w(spec)
+    value, trace = eval_series(spec)
     if opts["format"] == "json":
         print(json.dumps({"value": format_scalar(value),
                           "abs_scale": _json_float(trace.abs_scale)}, sort_keys=True))

@@ -78,7 +78,7 @@ from .arithmetic import (
 )
 from .askey_wilson import AWParams, RepId, RepTag
 from .qpochhammer import poch_quotient
-from .qseries import DenominatorPole, SeriesSpec, VwpSpec, eval_phi, eval_w
+from .qseries import DenominatorPole, SeriesSpec, VwpSpec, eval_series
 
 
 class NotACor33Record(QError):
@@ -295,7 +295,7 @@ class Side:
             tail=() if self.power is None else self.power(s), pole=DenominatorPole,
             message="prefactor pole: a denominator Pochhammer vanished")
         spec = self.series(s)
-        value, trace = (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec)
+        value, trace = eval_series(spec)
         return pref * value, lambda: abs(pref) * trace.abs_scale
 
     def describe(self) -> str:

@@ -7,6 +7,15 @@ Two evaluators are kept deliberately independent:
 * :func:`eval_phi_direct` / :func:`eval_w_direct` rebuild every term from
   fresh Pochhammer products (the anti-bug oracle used by the tests).
 
+Both shapes run through one kernel per backend, ``_kernel`` on the exact
+backend and ``_float_kernel`` on the float one: the series
+sum_k t_k, t_0 = 1, with step ratio t_{k+1} / t_k = (-q^k)^e z
+prod_x (1 - x q^k) / ((1 - q^{k+1}) prod (guard row at k)), times the
+pair factor of a very-well-poised series.  :func:`eval_phi` passes
+x = q^{-n} and the numerator list with e the sign exponent;
+:func:`eval_w` passes x = b, q^{-n} and the lower list, and b as the
+pair.  :func:`eval_series` evaluates either kind of spec.
+
 On the exact backend the recurrence runs fraction-free, on the integer
 triples ``(a, b, d)`` of ``(a + b i) / d``, in the spirit of Bareiss'
 elimination.  One pass over k advances q^k on plain ints and forms each
@@ -35,13 +44,13 @@ square root.  Every evaluation returns a :class:`TermTrace` whose
 tolerance-aware comparisons should use; :meth:`TermTrace.scaled` records
 a prefactor and applies it to the terms only when they are read.  An
 exact trace keeps the kernel's reduced ratios and pair weights, forms the
-unreduced term and partial-sum triples of a forward sum on first read,
-and reduces them when they are read, too.  On both backends
-``abs_scale`` is formed when it is read, from the unscaled terms and then
-the recorded factors in order, so an exact check, whose verdict is
-equality, never forms it.  Summed from the triples, it is the same float
-as the sum over the reduced terms.  The prefactors of the
-transformations here come from :func:`~qaskey.qpochhammer.poch_quotient`.
+unreduced term triples of a forward sum on first read, and reduces them
+when they are read, too.  On both backends ``abs_scale`` is formed when
+it is read, from the unscaled terms and then the recorded factors in
+order, so an exact check, whose verdict is equality, never forms it.
+Summed from the triples, it is the same float as the sum over the
+reduced terms.  The prefactors of the transformations here come from
+:func:`~qaskey.qpochhammer.poch_quotient`.
 
 The pole guards of :class:`SeriesSpec` and :class:`VwpSpec` form every
 denominator factor ``1 - x q^k`` of the terminating sum once and keep
@@ -92,7 +101,7 @@ class ShapeMismatch(QError):
     """The spec does not have the r+1 phi r (or 4 phi 3) shape required here."""
 
 
-class NotBalanced(QError):
+class NotBalanced(GuardViolation):
     """The balance condition of the requested transformation fails."""
 
 
@@ -102,11 +111,11 @@ class TermTrace:
     ``abs_scale`` is the sum of the term magnitudes; float identity checks
     scale their tolerance by it to distinguish failure from cancellation.
     :meth:`scaled` records its factor (``factors``, in the order given);
-    ``terms``, ``partial_sums`` and ``abs_scale`` apply the recorded
-    factors when they are read.  The exact kernel keeps only its reduced
-    step ratios and pair weights (:class:`_Steps`); the unreduced integer
-    triples ``(a, b, d)`` of its terms and partial sums are formed on the
-    first read, and reduced when read, too.
+    ``terms`` and ``abs_scale`` apply the recorded factors when they are
+    read.  ``steps`` is the tuple of unscaled terms, or the exact kernel's
+    :class:`_Steps`, which keeps only its reduced step ratios and pair
+    weights and forms the unreduced integer triples ``(a, b, d)`` of the
+    terms on first read; they are reduced when read, too.
 
     ``abs_scale`` is formed each time it is read: no exact verdict reads
     it, and a float verdict reads it once.  It sums the magnitudes of the
@@ -114,33 +123,16 @@ class TermTrace:
     factor f in order.
     """
 
-    __slots__ = ("_sums", "factors")
+    __slots__ = ("_steps", "factors")
 
-    def __init__(self, unscaled_terms, unscaled_partial_sums, factors=()):
-        self._sums = (unscaled_terms, unscaled_partial_sums)
+    def __init__(self, steps, factors=()):
+        self._steps = steps
         self.factors = factors
-
-    @classmethod
-    def _of(cls, sums, factors=()) -> "TermTrace":
-        """A trace over ``sums``: a (terms, partial sums) pair, or the
-        :class:`_Steps` of the exact kernel, which forms that pair on
-        first read."""
-        trace = cls.__new__(cls)
-        trace._sums = sums
-        trace.factors = factors
-        return trace
-
-    def _pair(self) -> tuple:
-        sums = self._sums
-        return sums if type(sums) is tuple else sums.pair()
 
     @property
     def unscaled_terms(self) -> tuple:
-        return self._pair()[0]
-
-    @property
-    def unscaled_partial_sums(self) -> tuple:
-        return self._pair()[1]
+        steps = self._steps
+        return steps if type(steps) is tuple else steps.terms()
 
     @property
     def abs_scale(self) -> float:
@@ -153,22 +145,16 @@ class TermTrace:
             s = abs(f) * s
         return s
 
-    def _apply(self, values) -> tuple:
-        values = tuple(from_parts(*v) if type(v) is tuple else v for v in values)
+    @property
+    def terms(self) -> tuple:
+        values = tuple(from_parts(*v) if type(v) is tuple else v
+                       for v in self.unscaled_terms)
         for f in self.factors:
             values = tuple(f * v for v in values)
         return values
 
-    @property
-    def terms(self) -> tuple:
-        return self._apply(self.unscaled_terms)
-
-    @property
-    def partial_sums(self) -> tuple:
-        return self._apply(self.unscaled_partial_sums)
-
     def scaled(self, factor) -> "TermTrace":
-        return TermTrace._of(self._sums, self.factors + (factor,))
+        return TermTrace(self._steps, self.factors + (factor,))
 
 
 def _coerce_all(exact: bool, values):
@@ -356,12 +342,10 @@ class VwpSpec(_GuardRows):
 
 
 def _trace(terms):
-    partial = []
-    total = None
-    for t in terms:
-        total = t if total is None else total + t
-        partial.append(total)
-    return total, TermTrace(tuple(terms), tuple(partial))
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total, TermTrace(tuple(terms))
 
 
 # -- exact kernel ---------------------------------------------------------
@@ -372,10 +356,10 @@ class _Steps:
     very-well-poised series, its pair weights w_k (k <= n) over their
     common denominator ``wd``.
 
-    :meth:`pair` forms the unreduced term and partial-sum triples on its
-    first call and keeps them: term k + 1 is term k times r_k (then times
-    w_{k+1} for the pair), and every term and partial sum sits over
-    ``wd`` times the product of the ratio denominators so far.
+    :meth:`terms` forms the unreduced term triples on its first call and
+    keeps them: term k + 1 is term k times r_k (then times w_{k+1} for
+    the pair), and sits over ``wd`` times the product of the ratio
+    denominators so far.
     """
 
     __slots__ = ("ratios", "weights", "wd", "_formed")
@@ -384,24 +368,19 @@ class _Steps:
         self.ratios, self.weights, self.wd = ratios, weights, wd
         self._formed = None
 
-    def pair(self) -> tuple:
+    def terms(self) -> tuple:
         if self._formed is None:
             weights, wd = self.weights, self.wd
-            first = (wd, 0, wd)
-            terms, partial = [first], [first]
-            sa, sb, _ = first
+            terms = [(wd, 0, wd)]
             a, b, d = 1, 0, 1
             for k, (ra, rb, rd) in enumerate(self.ratios):
                 a, b, d = a * ra - b * rb, a * rb + b * ra, d * rd
                 if weights is None:
-                    ta, tb = a, b
+                    terms.append((a, b, d * wd))
                 else:
                     wa, wb = weights[k + 1]
-                    ta, tb = a * wa - b * wb, a * wb + b * wa
-                sa, sb, td = sa * rd + ta, sb * rd + tb, d * wd
-                terms.append((ta, tb, td))
-                partial.append((sa, sb, td))
-            self._formed = tuple(terms), tuple(partial)
+                    terms.append((a * wa - b * wb, a * wb + b * wa, d * wd))
+            self._formed = tuple(terms)
         return self._formed
 
 
@@ -411,7 +390,8 @@ def _kernel(spec, xs, e=0, pair=None):
     them backward.
 
     The step ratio is r_k = (-q^k)^e z prod_x (1 - x q^k)
-    / ((1 - q^{k+1}) prod_j den_rows[j][k]) over the triples ``xs``.
+    / ((1 - q^{k+1}) prod_j den_rows[j][k]) over the exact scalars ``xs``,
+    read as their triples.
     With q^k = (u + v i) / m, m = q_d^k, each factor 1 - x q^k is the
     Gaussian integer x_d m - x_num (u + v i) over x_d m, and a guard row's
     k-th triple sits over its x_d m as well.  The powers of m in r_k
@@ -425,13 +405,14 @@ def _kernel(spec, xs, e=0, pair=None):
 
     Horner's rule then sums S_k = w_k + r_k S_{k+1}, S_n = w_n, over one
     real denominator, with w_k = 1 for a phi series.  ``pair``, the
-    triple of a very-well-poised series' b, gives the weights
+    special parameter b of a very-well-poised series, gives the weights
     w_k = (1 - b q^{2k}) / (1 - b) as Gaussian integers over the common
     denominator wd = d^{2n} N, where d is q's denominator and
     N = |bd (1 - b)|^2; b q^{2k} advances by one product with q^2.  The
     value is reduced once; the trace keeps the ratios and weights and
     forms its triples only when it is read (:class:`_Steps`).
     """
+    xs = [parts(x) for x in xs]
     za, zb, zd = parts(spec.z)
     qa, qb, qd = parts(spec.q.q)
     rows = spec.den_rows
@@ -439,9 +420,9 @@ def _kernel(spec, xs, e=0, pair=None):
     if pair is None:
         wd, weights = 1, None
     else:
-        ya, yb, yd = ba, bb, bd = pair        # b q^{2k}
-        ca, cb = bd - ba, -bb                 # 1 - b = (ca + cb i) / bd
-        s = qd ** (2 * n)                     # d^{2(n-k)} at term k
+        ya, yb, yd = ba, bb, bd = parts(pair)  # b q^{2k}
+        ca, cb = bd - ba, -bb                  # 1 - b = (ca + cb i) / bd
+        s = qd ** (2 * n)                      # d^{2(n-k)} at term k
         wd = s * (ca * ca + cb * cb)
         weights = [(wd, 0)]
         q2a, q2b, q2d = qa * qa - qb * qb, 2 * qa * qb, qd * qd
@@ -495,42 +476,57 @@ def _kernel(spec, xs, e=0, pair=None):
             wa, wb = weights[k]
             p *= rd
             sa, sb = wa * p + sa * ra - sb * rb, wb * p + sa * rb + sb * ra
-    return from_parts(sa, sb, wd * p), TermTrace._of(_Steps(ratios, weights, wd))
+    return from_parts(sa, sb, wd * p), TermTrace(_Steps(ratios, weights, wd))
 
 
-def eval_phi(spec: SeriesSpec):
-    """Evaluate a terminating series by term-ratio recurrence, on the
-    exact backend with the fraction-free kernel.
+def _float_kernel(spec, xs, e=0, pair=None):
+    """Value and trace of the series of :func:`_kernel` on the float
+    backend, summed forward from the running term.
 
-    Returns (value, TermTrace).
+    Each step forms its small factors first (the ratio with z, then the
+    sign factor (-q^k)^e) and only then multiplies the running term; for
+    a very-well-poised series term k + 1 is the running term times the
+    pair factor (1 - b q^{2k+2}) / (1 - b), b = ``pair``.  Term 0 is
+    exactly one.
     """
-    if spec.q.exact:
-        xs = [parts(x) for x in (pow_int(spec.q.q, -spec.n),) + spec.num]
-        return _kernel(spec, xs, spec.sign_exponent)
     q = spec.q.q
     one = one_like(q)
-    n = spec.n
-    qmn = pow_int(q, -n)
-    e = spec.sign_exponent
-    term = one
-    terms = [term]
-    qk = one
-    for k in range(n):
-        rnum = one - qmn * qk
-        for a in spec.num:
-            rnum = rnum * (one - a * qk)
+    z, rows = spec.z, spec.den_rows
+    x0, rest = xs[0], xs[1:]
+    if pair is not None:
+        inv_1mb = one / (one - pair)
+        q2k = one
+    term = qk = one
+    terms = [one]
+    for k in range(spec.n):
+        rnum = one - x0 * qk
+        for x in rest:
+            rnum = rnum * (one - x * qk)
         rden = one - q * qk
-        for row in spec.den_rows:
+        for row in rows:
             rden = rden * row[k]
         if not rden:
             raise DenominatorPole("pole encountered inside the summation")
-        factor = rnum / rden * spec.z
+        factor = rnum / rden * z
         if e:
             factor = factor * pow_int(-qk, e)
         term = term * factor
-        terms.append(term)
         qk = qk * q
+        if pair is None:
+            terms.append(term)
+        else:
+            q2k = q2k * q * q
+            terms.append(term * ((one - pair * q2k) * inv_1mb))
     return _trace(terms)
+
+
+def eval_phi(spec: SeriesSpec):
+    """Evaluate a terminating series by term-ratio recurrence: the
+    fraction-free kernel on the exact backend, the float kernel on the
+    float one.  Returns (value, TermTrace).
+    """
+    kernel = _kernel if spec.q.exact else _float_kernel
+    return kernel(spec, (pow_int(spec.q.q, -spec.n), *spec.num), spec.sign_exponent)
 
 
 def eval_phi_direct(spec: SeriesSpec):
@@ -556,41 +552,21 @@ def eval_w(spec: VwpSpec):
     """Evaluate a terminating very-well-poised series (radical-free).
 
     The +-pair contributes (1 - b q^{2k})/(1 - b) per term; the remaining
-    factors advance by a term-ratio recurrence.  The exact backend runs
-    the fraction-free kernel, with the pair factors over one common
-    denominator.  On the float backend each step forms its small factors
-    first (the ratio with z, then the pair factor) and only then
-    multiplies the running term, so a step does two operations on the
-    long running term instead of five.  Returns (value, TermTrace).
+    factors advance by a term-ratio recurrence, in the kernel of the
+    backend.  Returns (value, TermTrace).
     """
-    if spec.q.exact:
-        b = parts(spec.b)
-        xs = [b, parts(pow_int(spec.q.q, -spec.n))] + [parts(a) for a in spec.lower]
-        return _kernel(spec, xs, pair=b)
-    q = spec.q.q
-    one = one_like(q)
-    n = spec.n
+    kernel = _kernel if spec.q.exact else _float_kernel
     b = spec.b
-    qmn = pow_int(q, -n)
-    inv_1mb = one / (one - b)
-    base = one
-    q2k = one
-    qk = one
-    terms = [one]
-    for k in range(n):
-        rnum = (one - b * qk) * (one - qmn * qk)
-        for a in spec.lower:
-            rnum = rnum * (one - a * qk)
-        rden = one - q * qk
-        for row in spec.den_rows:
-            rden = rden * row[k]
-        if not rden:
-            raise DenominatorPole("pole encountered inside the summation")
-        base = base * (rnum / rden * spec.z)
-        qk = qk * q
-        q2k = q2k * q * q
-        terms.append(base * ((one - b * q2k) * inv_1mb))
-    return _trace(terms)
+    return kernel(spec, (b, pow_int(spec.q.q, -spec.n), *spec.lower), pair=b)
+
+
+def eval_series(spec):
+    """:func:`eval_w` of a VwpSpec, :func:`eval_phi` of a SeriesSpec.
+
+    Both are looked up as module globals at each call, so a wrapper bound
+    in their place sees every evaluation that passes through here.
+    """
+    return (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec)
 
 
 def eval_w_direct(spec: VwpSpec):

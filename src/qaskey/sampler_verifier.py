@@ -48,7 +48,7 @@ from .qseries import (
     VwpSpec,
     connect_qinv,
     eval_phi,
-    eval_w,
+    eval_series,
     invert_series,
     invert_w,
     qinvert_f,
@@ -191,10 +191,6 @@ class Target:
     record: object = None             # IdentityRecord for catalogue targets
 
 
-def _eval_spec(spec):
-    return (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec)
-
-
 def _record_target(rec) -> Target:
     def draw_fn(rng, cfg, exact):
         return Draw(_rand_q(rng, cfg, exact), _rand_n(rng, cfg),
@@ -293,8 +289,8 @@ def _suite_targets() -> list:
         ``transform(spec) -> (pref, image)``."""
         def evaluate(spec):
             pref, image = transform(spec)
-            v1, t1 = _eval_spec(spec)
-            v2, t2 = _eval_spec(image)
+            v1, t1 = eval_series(spec)
+            v2, t2 = eval_series(image)
             return [v1, pref * v2], lambda: max(t1.abs_scale, abs(pref) * t2.abs_scale)
         return evaluate
 

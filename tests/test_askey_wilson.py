@@ -237,7 +237,7 @@ def test_exact_report_deviation_is_the_largest_pairwise_difference():
 
         def evaluator(params, rep):
             v = by_tag[rep.tag]
-            return v, TermTrace((v,), (v,))
+            return v, TermTrace((v,))
 
         return _report(params, reps, evaluator)
 

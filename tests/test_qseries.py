@@ -1,5 +1,7 @@
 """Series evaluators and the transformation contracts."""
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -61,7 +63,6 @@ def test_eval_phi_degree_zero():
     value, trace = eval_phi(spec)
     assert value == G(1)
     assert trace.terms == (G(1),)
-    assert trace.partial_sums[-1] == value
 
 
 def test_eval_phi_two_term_hand_formula():
@@ -112,7 +113,7 @@ def _assert_matches_oracle(spec):
     v1, t1 = fast(spec)
     v2, t2 = direct(spec)
     assert v1 == v2
-    assert t1.terms == t2.terms and t1.partial_sums == t2.partial_sums
+    assert t1.terms == t2.terms
     # the kernel takes each magnitude from an unreduced triple; int / int
     # rounds the same rational, so the sum is the same float
     assert t1.abs_scale == sum(map(abs, t1.terms)) == t2.abs_scale
@@ -144,6 +145,52 @@ def test_recurrences_match_direct_oracle_at_gaussian_base(qv):
                 _assert_matches_oracle(spec)
 
 
+_FLOAT_BASES = {"real_small": 0.43 + 0j, "real_big": -1.87 + 0j,
+                "gauss_small": 0.31 + 0.52j, "gauss_big": 1.21 - 0.93j}
+_FLOAT_POOL = (0.37 + 0.21j, -1.3 + 0.4j, 2.1 - 0.7j, 0.59j, -0.45 - 1.1j,
+               1.7 + 0.05j, -0.8 + 0.9j)
+# (len(num), len(den)) of a phi spec with sign exponent e = len(den) - len(num)
+_PHI_WIDTHS = {-2: (3, 1), -1: (2, 1), 0: (3, 3), 1: (1, 2), 2: (0, 2)}
+# per shape, per base of _FLOAT_BASES: the first 16 hex digits of the
+# SHA-256 of the float.hex of the real and imaginary parts of the value
+# and of every term, for n = 0..20, as the separate phi and W float loops
+# gave them before they became one float kernel
+_FLOAT_PINS = {
+    ("phi", -2): ("87baceb1c26b859d", "1e1a0cd0c893a071", "d313c2d62286b9ac", "279860d08558f30c"),
+    ("phi", -1): ("031eb04cbd6627be", "21dd5ea2d59f5cfe", "159642c69a18339d", "20ffda3a59efed45"),
+    ("phi", 0): ("ff9ceaebfaea76ff", "8ab7a04380e0d71a", "2b40c8ca910de113", "00bc7d388a17c7ae"),
+    ("phi", 1): ("879d88a455ebe035", "c87410828ad6d98f", "386c9f7dc7631b50", "7df2c6c547f2311a"),
+    ("phi", 2): ("5a4def2f33614c78", "15880f8522bd13be", "1acd27ec229722c1", "ec332ba957c4b58d"),
+    ("w", 2): ("af1cbeed0c0d55d5", "ba3a57f6c3583e3e", "01db073f48e48deb", "d04cac65197b5ecd"),
+    ("w", 4): ("9f2e664a38eb2359", "92cfe11600d02283", "46243e8f05933881", "8cc5b26e086a3249"),
+    ("w", 6): ("08da02c7ddccae22", "1075493c6c01383d", "cce12795f3027dd8", "6fc8b4c0bdb13283"),
+}
+
+
+@pytest.mark.parametrize("base", sorted(_FLOAT_BASES))
+@pytest.mark.parametrize("shape", sorted(_FLOAT_PINS), ids=lambda s: f"{s[0]}{s[1]}")
+def test_float_kernel_is_pinned_bit_for_bit(shape, base):
+    # the float kernel does the float operations of the two loops it
+    # replaced, in their order; abs_scale goes through libm's hypot and
+    # is left out
+    kind, width = shape
+    q, z = QBase(_FLOAT_BASES[base]), 0.6 - 0.35j
+    hexes = []
+    for n in range(21):
+        if kind == "phi":
+            num, den = _PHI_WIDTHS[width]
+            spec = SeriesSpec(_FLOAT_POOL[:num], _FLOAT_POOL[num:num + den], z, q, n)
+            assert spec.sign_exponent == width
+            value, trace = eval_phi(spec)
+        else:
+            value, trace = eval_w(VwpSpec(-0.7 + 0.45j, _FLOAT_POOL[:width], z, q, n))
+        for x in (value, *trace.terms):
+            assert math.isfinite(x.real) and math.isfinite(x.imag)
+            hexes += [x.real.hex(), x.imag.hex()]
+    digest = hashlib.sha256(" ".join(hexes).encode()).hexdigest()[:16]
+    assert digest == _FLOAT_PINS[shape][list(_FLOAT_BASES).index(base)]
+
+
 def test_guard_row_k_sits_over_x_d_times_q_d_to_the_k():
     # the kernel drops each row's denominator and folds the k = 0 ones
     # into its one constant C: that relies on row k of a guard row
@@ -160,20 +207,16 @@ def test_guard_row_k_sits_over_x_d_times_q_d_to_the_k():
 
 
 def _forward(ratios, weights, wd):
-    # the running term and partial sum carried forward, as a kernel that
-    # sums forward would: term k + 1 = term k r_k (w_{k+1}), over wd times
-    # the product of the ratio denominators so far
+    # the running term carried forward, as a kernel that sums forward
+    # would: term k + 1 = term k r_k (w_{k+1}), over wd times the product
+    # of the ratio denominators so far
     a, b, d = 1, 0, 1
-    sa, sb = wd, 0
-    terms, partial = [(wd, 0, wd)], [(wd, 0, wd)]
+    terms = [(wd, 0, wd)]
     for k, (ra, rb, rd) in enumerate(ratios):
         a, b, d = a * ra - b * rb, a * rb + b * ra, d * rd
         wa, wb = (1, 0) if weights is None else weights[k + 1]
-        ta, tb = a * wa - b * wb, a * wb + b * wa
-        sa, sb = sa * rd + ta, sb * rd + tb
-        terms.append((ta, tb, d * wd))
-        partial.append((sa, sb, d * wd))
-    return tuple(terms), tuple(partial)
+        terms.append((a * wa - b * wb, a * wb + b * wa, d * wd))
+    return tuple(terms)
 
 
 @pytest.mark.parametrize("big", [False, True], ids=["q_small", "q_big"])
@@ -191,13 +234,13 @@ def test_exact_trace_is_the_forward_accumulation_of_the_kernel_ratios(big):
         fast, direct = ((eval_w, eval_w_direct) if isinstance(spec, VwpSpec)
                         else (eval_phi, eval_phi_direct))
         value, trace = fast(spec)
-        steps = trace._sums
+        steps = trace._steps
         assert isinstance(steps, qseries._Steps) and steps._formed is None
         assert len(steps.ratios) == spec.n
-        assert _forward(steps.ratios, steps.weights, steps.wd) == (
-            trace.unscaled_terms, trace.unscaled_partial_sums)
-        assert trace.partial_sums[-1] == value
-        dterms = direct(spec)[1].terms
+        assert _forward(steps.ratios, steps.weights, steps.wd) == trace.unscaled_terms
+        dvalue, dtrace = direct(spec)
+        assert value == dvalue
+        dterms = dtrace.terms
         weights = ([G(1)] * (spec.n + 1) if steps.weights is None else
                    [from_parts(wa, wb, steps.wd) for wa, wb in steps.weights])
         if steps.weights is not None:
@@ -211,12 +254,12 @@ def test_exact_trace_is_the_forward_accumulation_of_the_kernel_ratios(big):
 
 
 def test_exact_sweep_forms_no_trace(monkeypatch):
-    # no exact verdict reads a term, a partial sum or abs_scale, so an
-    # exact sweep never forms the trace triples
+    # no exact verdict reads a term or abs_scale, so an exact sweep never
+    # forms the trace triples
     def form(self):
         raise AssertionError("an exact sweep formed a trace")
 
-    monkeypatch.setattr(qseries._Steps, "pair", form)
+    monkeypatch.setattr(qseries._Steps, "terms", form)
     cfg = DrawConfig(seed=16, draws_per_record=2, n_range=(0, 8), backend="rational")
     report = run_sweep(cfg, ["*"])
     assert not report.any_fail
@@ -253,8 +296,9 @@ def test_exact_kernel_reduces_once_and_traces_on_read(monkeypatch):
         assert twice.abs_scale == abs(g) * (abs(f) * trace.abs_scale)
         terms = twice.terms
         assert len(calls) == 1 + spec.n + 1
-        assert terms == tuple(g * (f * t) for t in direct(spec)[1].terms)
-        assert trace.partial_sums[-1] == value
+        dvalue, dtrace = direct(spec)
+        assert value == dvalue
+        assert terms == tuple(g * (f * t) for t in dtrace.terms)
 
 
 def test_series_spec_shape_fields():
@@ -655,7 +699,10 @@ def test_trace_scale_is_term_magnitude_sum():
     spec = SeriesSpec([0.5 + 0.1j], [0.25 + 0j], 0.7 + 0j, QBase(0.4 + 0j), 5)
     value, trace = eval_phi(spec)
     assert len(trace.terms) == 6
-    assert trace.partial_sums[-1] == value
+    total = trace.terms[0]
+    for t in trace.terms[1:]:
+        total = total + t
+    assert total == value
     assert trace.abs_scale == pytest.approx(sum(abs(t) for t in trace.terms))
     # scaled() records its factor; the terms and abs_scale are scaled
     # when read
@@ -668,11 +715,9 @@ def test_trace_scale_is_term_magnitude_sum():
         unscaled = trace.terms
         once = trace.scaled(f)
         assert once.terms == tuple(f * t for t in trace.terms)
-        assert once.partial_sums == tuple(f * s for s in trace.partial_sums)
         assert once.abs_scale == abs(f) * trace.abs_scale
         twice = once.scaled(g)
         assert twice.terms == tuple(g * (f * t) for t in trace.terms)
-        assert twice.partial_sums == tuple(g * (f * s) for s in trace.partial_sums)
         assert twice.abs_scale == abs(g) * (abs(f) * trace.abs_scale)
         assert trace.terms == unscaled
 

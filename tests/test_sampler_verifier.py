@@ -20,7 +20,7 @@ from qaskey import (
     run_sweep,
 )
 from qaskey import askey_wilson as aw
-from qaskey import sampler_verifier
+from qaskey import qseries, sampler_verifier
 from qaskey.arithmetic import GuardViolation, QBase, is_zero, parts, pow_int
 from qaskey.identity_catalog import CheckOutcome, Verdict, judge, settle
 from qaskey.sampler_verifier import (
@@ -371,6 +371,20 @@ def test_former_float_fails_of_true_identities_pass(target_id, seed, n_max, inde
         assert target.run(lifted(draw), cfg, True).verdict is Verdict.PASS
 
 
+def test_a_lifted_float_watson_draw_is_skipped_as_unbalanced():
+    # a float draw solves the balance slot f = q^{1-n} a b c / (d e) in
+    # floats, so lifted to exact rationals it is not balanced.  The check
+    # settles as SKIPPED, its guard naming the balance condition, rather
+    # than raising NotBalanced out of the target
+    (target,) = resolve_targets(["ops/watson-whipple"])
+    cfg = DrawConfig(backend="float")
+    for index in range(20):
+        draw, _ = _admissible(cfg, target, "float", index)
+        outcome = target.run(lifted(draw), cfg, True)
+        assert outcome.verdict is Verdict.SKIPPED
+        assert outcome.guard == "balance condition q^{1-n} a b c = d e f fails"
+
+
 def test_float_base_inverted_value_does_not_underflow_to_zero():
     # at |q| = 1.44, n = 38 the scaling factor q^{-3 binom(n,2)} (-a1234)^n
     # is ~1e-249, but q^{-3 binom(n,2)} alone is ~1e-336, a float 0; the
@@ -430,7 +444,7 @@ def test_qinv_scaling_suite_compares_different_series(monkeypatch):
     # series wherever w^2 != 1; phi-std at the w-flipped point only swaps
     # a_p w and a_p / w, and its difference would repeat the first one
     specs, checks = [], []
-    eval_phi, qinv_scaling = aw.eval_phi, aw._qinv_scaling
+    eval_phi, qinv_scaling = qseries.eval_phi, aw._qinv_scaling
 
     def recording_phi(spec):
         specs.append(spec)
@@ -442,7 +456,7 @@ def test_qinv_scaling_suite_compares_different_series(monkeypatch):
         checks.append((params, specs[start:]))
         return out
 
-    monkeypatch.setattr(aw, "eval_phi", recording_phi)
+    monkeypatch.setattr(qseries, "eval_phi", recording_phi)
     monkeypatch.setattr(aw, "_qinv_scaling", recording)
     cfg = DrawConfig(draws_per_record=20, n_range=(1, 6))
     (entry,) = run_sweep(cfg, ["aw/qinv-scaling"]).entries
