@@ -41,9 +41,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-# Library-wide numeric policy.  The verdict tolerances are the defaults
-# of every check (a sweep's DrawConfig may set its own); the float guards'
-# pole and unit-circle margins are fixed.
+# Library-wide numeric policy, fixed: the verdict tolerances of every
+# check and the float guards' pole and unit-circle margins.
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
 POLE_EPS = 1e-9

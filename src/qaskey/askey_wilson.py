@@ -379,18 +379,18 @@ def _report(params, reps, evaluator) -> EvalReport:
     return EvalReport(values, skipped, max_dev, tuple(traces), exact, all_agree)
 
 
-def eval_all(params: AWParams, reps=ALL_REPS) -> EvalReport:
+def eval_all(params: AWParams) -> EvalReport:
     """Evaluate every admissible representation and report the values,
     the maximum pairwise deviation and the combined cancellation scale.
 
     Representations whose guard fails are reported as skipped with the
     violated constraint; the remaining subset is still evaluated."""
-    return _report(params, reps, eval_rep)
+    return _report(params, ALL_REPS, eval_rep)
 
 
-def eval_qinv_all(params: AWParams, reps=ALL_REPS) -> EvalReport:
+def eval_qinv_all(params: AWParams) -> EvalReport:
     """Seven-way report for the base-inverted family."""
-    return _report(params, reps, eval_qinv_rep)
+    return _report(params, ALL_REPS, eval_qinv_rep)
 
 
 def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:

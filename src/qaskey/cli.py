@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import io
 import json
@@ -40,6 +41,7 @@ from .sampler_verifier import (
     DrawConfig,
     SamplerExhausted,
     UnknownTarget,
+    resolve_targets,
     run_sweep,
 )
 
@@ -78,7 +80,7 @@ def _load_config(path: str) -> dict:
                     _die(EXIT_PARSE, f"{path}:{lineno}: expected key = value")
                 key, _, val = line.partition("=")
                 values[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _die(EXIT_PARSE, f"cannot read config file: {exc}")
     return values
 
@@ -163,6 +165,14 @@ def _json_float(x: float):
     """``x``, or None (JSON null) when it is not finite: JSON has no token
     for infinity or NaN, and a scale beyond the float range is infinite."""
     return x if math.isfinite(x) else None
+
+
+def _open_out(path: str):
+    """``path`` opened for writing, or a usage error that names it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        _die(EXIT_PARSE, f"cannot write {_quoted(path)}: {exc.strerror or exc}")
 
 
 def _build(make, *args, **kwargs):
@@ -303,17 +313,19 @@ def cmd_verify(args) -> int:
                  backend=opts["backend"],
                  q_big=bool(opts["q_big"]))
     patterns = [p.strip() for p in opts["targets"].split(",") if p.strip()]
-    report = run_sweep(cfg, patterns)
-    for line in report.summary_lines():
-        print(line)
-    total_fail = sum(e.failed for e in report.entries)
-    total_inc = sum(e.inconclusive for e in report.entries)
-    print(f"targets={len(report.entries)} fail={total_fail} "
-          f"inconclusive={total_inc} wall={report.wall_time_s:.2f}s")
-    if opts["json"]:
-        with open(opts["json"], "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        print(f"report written to {opts['json']}")
+    resolve_targets(patterns)   # an unknown target exits before the report file is touched
+    # opened first, so that a path that cannot be written fails before the sweep
+    with _open_out(opts["json"]) if opts["json"] else contextlib.nullcontext() as out:
+        report = run_sweep(cfg, patterns)
+        for line in report.summary_lines():
+            print(line)
+        total_fail = sum(e.failed for e in report.entries)
+        total_inc = sum(e.inconclusive for e in report.entries)
+        print(f"targets={len(report.entries)} fail={total_fail} "
+              f"inconclusive={total_inc} wall={report.wall_time_s:.2f}s")
+        if out is not None:
+            out.write(report.to_json())
+            print(f"report written to {opts['json']}")
     return EXIT_FAIL if report.any_fail else EXIT_OK
 
 
@@ -399,7 +411,7 @@ def cmd_table(args) -> int:
             writer.writerow([f"{x:.17g}", n, f"{re:.17g}", f"{im:.17g}"])
         text = buf.getvalue()
     if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8") as fh:
+        with _open_out(opts["out"]) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -291,8 +291,8 @@ class Side:
         prefactor's Pochhammer bases are formed before its pole test, the
         power only after it."""
         pref = poch_quotient(
-            s.qbase, s.n, (), [s.values(self.pref_num)], [s.values(self.pref_den)],
-            tail=() if self.power is None else self.power(s), pole=DenominatorPole,
+            s.qbase, s.n, () if self.power is None else self.power(s),
+            [s.values(self.pref_num)], [s.values(self.pref_den)], pole=DenominatorPole,
             message="prefactor pole: a denominator Pochhammer vanished")
         spec = self.series(s)
         value, trace = eval_series(spec)
@@ -360,16 +360,15 @@ class CheckOutcome(_Frozen):
 _UNRESOLVED = CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
 
 
-def judge(values, scale, exact: bool, *, rel_tol: float = REL_TOL,
-          abs_tol: float = ABS_TOL, cond_cap: float = COND_CAP) -> CheckOutcome:
+def judge(values, scale, exact: bool) -> CheckOutcome:
     """The verdict on a family of values that must agree.
 
     Exact values PASS iff all are equal; that verdict reads no scale, and
     its outcome reports scale 0.0.  Float values PASS when their
-    largest pairwise deviation is at most ``rel_tol`` times the
+    largest pairwise deviation is at most ``REL_TOL`` times the
     cancellation ``scale`` (raised to the values' magnitudes) plus
-    ``abs_tol``; else they are INCONCLUSIVE if the scale exceeds the
-    magnitudes by more than ``cond_cap``, and FAIL.  A value, deviation
+    ``ABS_TOL``; else they are INCONCLUSIVE if the scale exceeds the
+    magnitudes by more than ``COND_CAP``, and FAIL.  A value, deviation
     or scale that is not finite, or a modulus above the float range,
     makes the check INCONCLUSIVE with deviation 0.0.  ``scale`` is a
     callable that returns the scale; only a float verdict calls it.
@@ -389,15 +388,14 @@ def judge(values, scale, exact: bool, *, rel_tol: float = REL_TOL,
             and math.isfinite(scale)):
         # max() above skips a NaN, so such values could read as agreeing
         return _UNRESOLVED
-    if max_dev <= rel_tol * scale + abs_tol:
+    if max_dev <= REL_TOL * scale + ABS_TOL:
         return CheckOutcome(Verdict.PASS, max_dev, scale, False)
-    if scale / max(mags, abs_tol) > cond_cap:
+    if scale / max(mags, ABS_TOL) > COND_CAP:
         return CheckOutcome(Verdict.INCONCLUSIVE, max_dev, scale, False)
     return CheckOutcome(Verdict.FAIL, max_dev, scale, False)
 
 
-def settle(evaluate, exact: bool, *, rel_tol: float = REL_TOL,
-           abs_tol: float = ABS_TOL, cond_cap: float = COND_CAP) -> CheckOutcome:
+def settle(evaluate, exact: bool) -> CheckOutcome:
     """The outcome of one check: where every evaluation ends as a verdict.
 
     ``evaluate()`` returns the values that must agree and their
@@ -420,7 +418,7 @@ def settle(evaluate, exact: bool, *, rel_tol: float = REL_TOL,
         if exact:
             raise
         return _UNRESOLVED
-    return judge(values, scale, exact, rel_tol=rel_tol, abs_tol=abs_tol, cond_cap=cond_cap)
+    return judge(values, scale, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +605,7 @@ def _substituted(record: IdentityRecord, s: _S) -> _S:
     return _S(Draw(s.qbase, s.n, new_slots))
 
 
-def check(record: IdentityRecord, draw: Draw, *, rel_tol: float = REL_TOL,
-          abs_tol: float = ABS_TOL, cond_cap: float = COND_CAP,
-          use_printed: bool = False) -> CheckOutcome:
+def check(record: IdentityRecord, draw: Draw, *, use_printed: bool = False) -> CheckOutcome:
     """Evaluate both sides of a record on one draw, and :func:`settle` them.
 
     ``use_printed`` selects the printed variant of a quarantined record.
@@ -626,8 +622,7 @@ def check(record: IdentityRecord, draw: Draw, *, rel_tol: float = REL_TOL,
         right, scale_r = rhs.evaluate(s)
         return [left, right], lambda: max(scale_l(), scale_r())
 
-    return settle(evaluate, draw.q.exact, rel_tol=rel_tol, abs_tol=abs_tol,
-                  cond_cap=cond_cap)
+    return settle(evaluate, draw.q.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +672,9 @@ class AwDerivation(_Frozen):
         b = sqrt_b * sqrt_b
         qb = q * b
         return poch_quotient(
-            q, n, lead=((q, 2 * binom2(n)), (-pow_int(sqrt_q * sqrt_b, 5), n)),
-            num=(qb,), den=([qb / c, qb / d, qb / e, qb / f],),
-            tail=((c * d * e * f, -n),), pole=DenominatorPole,
+            q, n, lead=((q, 2 * binom2(n)), (-pow_int(sqrt_q * sqrt_b, 5), n),
+                        (c * d * e * f, -n)),
+            num=(qb,), den=([qb / c, qb / d, qb / e, qb / f],), pole=DenominatorPole,
             message="multiplier pole: (qb/c..qb/f;q)_n = 0")
 
 

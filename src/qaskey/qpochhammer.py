@@ -67,11 +67,11 @@ def poch_list(bases, q, n: int):
 
 
 def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
-                  den_rows=None, tail=(), pole=None, message=None):
-    """The prefactor ``lead * (num;q)_n * num_rows / ((den;q)_n * den_rows)
-    * tail`` of a representation or transformation.
+                  den_rows=None, pole=None, message=None):
+    """The prefactor ``lead * (num;q)_n * num_rows / ((den;q)_n * den_rows)``
+    of a representation or transformation.
 
-    ``lead`` and ``tail`` hold factors: a scalar, or a pair ``(x, k)`` for
+    ``lead`` holds factors: a scalar, or a pair ``(x, k)`` for
     x^k with k of any sign.  An entry of ``num`` or ``den`` is a base a,
     for (a;q)_n, or a list or tuple of bases, for the product of theirs.
     ``num_rows`` and ``den_rows`` are kept guard rows (the ``den_rows`` of
@@ -100,7 +100,7 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
         if not (da or db):
             raise pole(message)
         na, nb, nd = _exact_product(num, num_rows, qt, n)
-        for f in (*lead, *tail):
+        for f in lead:
             if type(f) is tuple:
                 fa, fb, fd = _int_pow(parts(as_scalar(f[0], True)), f[1])
             else:
@@ -111,7 +111,7 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
     dm, de = _float_product((), den, den_rows, qv, n) if den or den_rows else (1, 0)
     if not dm:
         raise pole(message)
-    m, e = _float_product((*lead, *tail), num, num_rows, qv, n)
+    m, e = _float_product(lead, num, num_rows, qv, n)
     m, e = m / dm, e - de
     return complex(_ldexp(m.real, e), _ldexp(m.imag, e)) if e else m
 

@@ -5,7 +5,7 @@ tuple owns an independent substream, so sweeps reproduce byte-identical
 reports (timing aside) and remain reproducible under any execution
 order.  Draws are rejection-sampled against the target's own guards, so
 a sweep's SKIPPED tally stays near zero; a target whose guards reject
-``max_rejects`` candidates in a row raises :class:`SamplerExhausted`.
+``MAX_REJECTS`` candidates in a row raises :class:`SamplerExhausted`.
 
 Exact draws are small Gaussian rationals, formed from the drawn ints and
 reduced once (:func:`~qaskey.arithmetic.from_parts`); coupled slots (the
@@ -16,8 +16,11 @@ knows suite targets ``aw/*`` (representation consistency) and ``ops/*``
 
 Every check ends in :func:`~qaskey.identity_catalog.settle`: a record
 target runs :func:`~qaskey.identity_catalog.check`, and a suite is a
-plain evaluation ``draw -> (values, scale)`` that its target settles
-with the config's tolerances.  A SKIPPED outcome rejects the draw.
+plain evaluation ``draw -> (values, scale)`` that its target settles.
+A SKIPPED outcome rejects the draw.
+
+A :class:`DrawConfig` holds only what a caller sets; the draw policy and
+the verdict tolerances are fixed, and :data:`POLICY` records them.
 """
 
 from __future__ import annotations
@@ -64,78 +67,67 @@ class UnknownTarget(QError):
     """A non-glob target id does not name any record or suite."""
 
 
+# The draw policy, read by the draw helpers when they run.  The base's
+# modulus lies in Q_RANGE, or with ``q_big`` in its mirror (1/hi, 1/lo).
+# Exact parts are p/d with p, d <= RAT_MAX: a pool wide enough that pole
+# hits stay rare (the skip-rate budget is 5%), small enough to keep exact
+# arithmetic light.  Float moduli lie in MODULUS_RANGE.
+Q_RANGE = (0.15, 0.85)
+MODULUS_RANGE = (0.1, 10.0)
+RAT_MAX = 30
+GAUSSIAN_PROB = 0.5
+MAX_REJECTS = 500
+# the fixed policy and tolerances, which every report records beside its config
+POLICY = {"q_range": Q_RANGE, "modulus_range": MODULUS_RANGE, "rat_max_num": RAT_MAX,
+          "rat_max_den": RAT_MAX, "gaussian_prob": GAUSSIAN_PROB, "pole_eps": POLE_EPS,
+          "rel_tol": REL_TOL, "abs_tol": ABS_TOL, "cond_cap": COND_CAP,
+          "max_rejects": MAX_REJECTS}
+
+
 @dataclass(frozen=True)
 class DrawConfig:
-    """Sweep configuration; every knob has a desk-scale default.
-
-    ``q_range`` is the modulus window for the base (inside (0,1)); with
-    ``q_big`` the mirrored window (1/hi, 1/lo) exercises the |q| > 1
-    regime.  Exact draws use numerators/denominators up to the stated
-    caps (hard limit 97); float draws have moduli in ``modulus_range``.
-    ``backend`` is rational, float, or both; "both" sweeps each backend
-    separately with suffixed entry ids.  ``pole_eps`` records the float
-    guards' fixed pole margin in every report and takes no other value.
-    """
+    """What a sweep's caller sets.  ``backend`` is rational, float, or
+    both; "both" sweeps each backend separately with suffixed entry ids.
+    ``q_big`` draws the base from the mirrored |q| > 1 window."""
 
     seed: int = 20260808
     draws_per_record: int = 100
     n_range: tuple = (0, 6)
     backend: str = "rational"
-    q_range: tuple = (0.15, 0.85)
     q_big: bool = False
-    modulus_range: tuple = (0.1, 10.0)
-    # pool wide enough that accidental pole hits stay rare (the skip-rate
-    # budget is 5%), small enough to keep exact arithmetic light
-    rat_max_num: int = 30
-    rat_max_den: int = 30
-    gaussian_prob: float = 0.5
-    pole_eps: float = POLE_EPS
-    rel_tol: float = REL_TOL
-    abs_tol: float = ABS_TOL
-    cond_cap: float = COND_CAP
-    max_rejects: int = 500
 
     def __post_init__(self):
         if self.backend not in ("rational", "float", "both"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if not (0 < self.q_range[0] < self.q_range[1] < 1):
-            raise ValueError("q_range must satisfy 0 < lo < hi < 1")
-        if not (0 < self.modulus_range[0] < self.modulus_range[1]):
-            raise ValueError("modulus_range must satisfy 0 < lo < hi")
         if self.n_range[0] < 0 or self.n_range[0] > self.n_range[1]:
             raise ValueError("n_range must be a nonempty range of nonnegative degrees")
-        if not (1 <= self.rat_max_num <= 97 and 1 <= self.rat_max_den <= 97):
-            raise ValueError("rational caps must lie in 1..97")
-        if self.pole_eps != POLE_EPS:
-            raise ValueError(f"pole_eps is the guards' fixed margin {POLE_EPS:g} "
-                             "and cannot be changed")
-        if self.draws_per_record < 0 or self.max_rejects < 1:
-            raise ValueError("draws_per_record must be >= 0 and max_rejects >= 1")
+        if self.draws_per_record < 0:
+            raise ValueError("draws_per_record must be >= 0")
 
 
 # ---------------------------------------------------------------------------
 # scalar draws
 # ---------------------------------------------------------------------------
 
-def _rand_exact(rng, cfg) -> GaussianRational:
+def _rand_exact(rng) -> GaussianRational:
     """A small Gaussian rational: ``n1/d1``, or ``n1/d1 + (n2/d2) i`` with
-    probability ``cfg.gaussian_prob``, each numerator of random sign.
+    probability ``GAUSSIAN_PROB``, each numerator of random sign.
     The triple is formed on the drawn ints and reduced once."""
-    n1 = rng.randint(1, cfg.rat_max_num)
-    d1 = rng.randint(1, cfg.rat_max_den)
+    n1 = rng.randint(1, RAT_MAX)
+    d1 = rng.randint(1, RAT_MAX)
     if rng.random() < 0.5:
         n1 = -n1
-    if rng.random() >= cfg.gaussian_prob:
+    if rng.random() >= GAUSSIAN_PROB:
         return from_parts(n1, 0, d1)
-    n2 = rng.randint(1, cfg.rat_max_num)
-    d2 = rng.randint(1, cfg.rat_max_den)
+    n2 = rng.randint(1, RAT_MAX)
+    d2 = rng.randint(1, RAT_MAX)
     if rng.random() < 0.5:
         n2 = -n2
     return from_parts(n1 * d2, n2 * d1, d1 * d2)
 
 
-def _rand_float(rng, cfg) -> complex:
-    lo, hi = cfg.modulus_range
+def _rand_float(rng) -> complex:
+    lo, hi = MODULUS_RANGE
     mod = math.exp(rng.uniform(math.log(lo), math.log(hi)))
     phase = rng.uniform(0.0, 2.0 * math.pi)
     return complex(mod * math.cos(phase), mod * math.sin(phase))
@@ -146,28 +138,22 @@ def _rand_unit(rng) -> complex:
     return complex(math.cos(phase), math.sin(phase))
 
 
-def _rand_scalar(rng, cfg, exact: bool):
-    return _rand_exact(rng, cfg) if exact else _rand_float(rng, cfg)
+def _rand_scalar(rng, exact: bool):
+    return _rand_exact(rng) if exact else _rand_float(rng)
 
 
 def _rand_q(rng, cfg, exact: bool) -> QBase:
-    lo, hi = cfg.q_range
+    lo, hi = Q_RANGE
     if exact:
-        # a window may hold no p/d with p, d <= 40 at all, e.g. (0.5, 0.501).
         # lo < p/d < hi is decided exactly, on ints: the float window ends
-        # enter as their exact integer ratios.
+        # enter as their exact integer ratios
         lo_n, lo_d = lo.as_integer_ratio()
         hi_n, hi_d = hi.as_integer_ratio()
-        for _ in range(cfg.max_rejects):
+        while True:
             num = rng.randint(1, 40)
             den = rng.randint(1, 40)
             if lo_n * den < num * lo_d and num * hi_d < hi_n * den:
-                break
-        else:
-            raise SamplerExhausted(
-                f"no exact base q = p/d with p, d <= 40 in {cfg.q_range} "
-                f"within {cfg.max_rejects} candidates")
-        return QBase(from_parts(den, 0, num) if cfg.q_big else from_parts(num, 0, den))
+                return QBase(from_parts(den, 0, num) if cfg.q_big else from_parts(num, 0, den))
     q = rng.uniform(lo, hi)
     return QBase(complex(1.0 / q if cfg.q_big else q, 0.0))
 
@@ -187,18 +173,17 @@ class Target:
     id: str
     ref: str
     draw: object                      # (rng, cfg, exact) -> draw object
-    run: object                       # (draw, cfg, exact) -> CheckOutcome
+    run: object                       # (draw, exact) -> CheckOutcome
     record: object = None             # IdentityRecord for catalogue targets
 
 
 def _record_target(rec) -> Target:
     def draw_fn(rng, cfg, exact):
         return Draw(_rand_q(rng, cfg, exact), _rand_n(rng, cfg),
-                    {k: _rand_scalar(rng, cfg, exact) for k in "bcdef"})
+                    {k: _rand_scalar(rng, exact) for k in "bcdef"})
 
-    def run_fn(d, cfg, exact):
-        return check(rec, d, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                     cond_cap=cfg.cond_cap)
+    def run_fn(d, exact):
+        return check(rec, d)
 
     return Target(rec.id, rec.ref, draw_fn, run_fn, record=rec)
 
@@ -207,10 +192,10 @@ def _draw_aw(rng, cfg, exact) -> aw.AWParams:
     q = _rand_q(rng, cfg, exact)
     n = _rand_n(rng, cfg)
     if exact:
-        w = _rand_exact(rng, cfg)
+        w = _rand_exact(rng)
     else:
         w = _rand_unit(rng)
-    a = [_rand_scalar(rng, cfg, exact) for _ in range(4)]
+    a = [_rand_scalar(rng, exact) for _ in range(4)]
     return aw.AWParams(a, q, w, n)
 
 
@@ -234,9 +219,8 @@ def _suite_targets() -> list:
     suites = []
 
     def add(tid, ref, draw_fn, evaluate):
-        def run(draw, cfg, exact):
-            return settle(lambda: evaluate(draw), exact, rel_tol=cfg.rel_tol,
-                          abs_tol=cfg.abs_tol, cond_cap=cfg.cond_cap)
+        def run(draw, exact):
+            return settle(lambda: evaluate(draw), exact)
 
         suites.append(Target(tid, ref, draw_fn, run))
 
@@ -279,9 +263,9 @@ def _suite_targets() -> list:
     def draw_phi(rng, cfg, exact, width=3):
         q = _rand_q(rng, cfg, exact)
         n = _rand_n(rng, cfg)
-        num = [_rand_scalar(rng, cfg, exact) for _ in range(width)]
-        den = [_rand_scalar(rng, cfg, exact) for _ in range(width)]
-        z = _rand_scalar(rng, cfg, exact)
+        num = [_rand_scalar(rng, exact) for _ in range(width)]
+        den = [_rand_scalar(rng, exact) for _ in range(width)]
+        z = _rand_scalar(rng, exact)
         return SeriesSpec(num, den, z, q, n)
 
     def scaled_contract(transform):
@@ -300,9 +284,9 @@ def _suite_targets() -> list:
     def draw_w(rng, cfg, exact):
         q = _rand_q(rng, cfg, exact)
         n = _rand_n(rng, cfg)
-        b = _rand_scalar(rng, cfg, exact)
-        lower = [_rand_scalar(rng, cfg, exact) for _ in range(4)]
-        z = _rand_scalar(rng, cfg, exact)
+        b = _rand_scalar(rng, exact)
+        lower = [_rand_scalar(rng, exact) for _ in range(4)]
+        z = _rand_scalar(rng, exact)
         return VwpSpec(b, lower, z, q, n)
 
     add("ops/invert-w", "very-well-poised summation reversal contract",
@@ -312,7 +296,7 @@ def _suite_targets() -> list:
         # balance solved exactly for the last denominator slot
         q = _rand_q(rng, cfg, exact)
         n = _rand_n(rng, cfg)
-        a, b, c, d, e = (_rand_scalar(rng, cfg, exact) for _ in range(5))
+        a, b, c, d, e = (_rand_scalar(rng, exact) for _ in range(5))
         f = pow_int(q.q, 1 - n) * a * b * c / (d * e)
         if is_zero(f):
             raise GuardViolation("degenerate balance slot")
@@ -383,28 +367,28 @@ def _admissible(cfg: DrawConfig, target: Target, backend: str, index: int):
     ``index`` whose check is not SKIPPED.
 
     Candidates whose raw generator raises a guard violation, a division by
-    zero or an overflow are rejected as well; after ``cfg.max_rejects``
+    zero or an overflow are rejected as well; after ``MAX_REJECTS``
     rejections the target raises SamplerExhausted.
     """
     exact = backend == "rational"
     rng = _substream(cfg, target.id, backend, index)
-    for _ in range(cfg.max_rejects):
+    for _ in range(MAX_REJECTS):
         try:
             cand = target.draw(rng, cfg, exact)
         except (GuardViolation, ZeroDivisionError, OverflowError):
             continue
-        outcome = target.run(cand, cfg, exact)
+        outcome = target.run(cand, exact)
         if outcome.verdict is not Verdict.SKIPPED:
             return cand, outcome
     raise SamplerExhausted(
-        f"{target.id}: no admissible draw within {cfg.max_rejects} rejections")
+        f"{target.id}: no admissible draw within {MAX_REJECTS} rejections")
 
 
 def draw_params(cfg: DrawConfig, target, index: int = 0, backend: str | None = None):
     """One admissible draw for a target (record, suite, or id string).
 
     Rejection-samples the target's raw generator until its guards accept,
-    up to ``cfg.max_rejects`` candidates.
+    up to ``MAX_REJECTS`` candidates.
     """
     if isinstance(target, str):
         matches = resolve_targets([target])
@@ -460,6 +444,9 @@ class RecordTally:
 
 
 class SweepReport:
+    """A sweep's tallies.  ``config`` holds the :class:`DrawConfig` fields;
+    :meth:`as_dict` writes them beside :data:`POLICY`."""
+
     __slots__ = ("seed", "config", "entries", "wall_time_s")
 
     def __init__(self, seed: int, config: dict, entries: list, wall_time_s: float = 0.0):
@@ -475,7 +462,7 @@ class SweepReport:
     def as_dict(self, include_timing: bool = True) -> dict:
         out = {
             "seed": self.seed,
-            "config": self.config,
+            "config": {**POLICY, **self.config},
             "records": [e.as_dict() for e in self.entries],
         }
         if include_timing:
@@ -511,9 +498,7 @@ def _sweep_one(cfg: DrawConfig, target: Target, backend: str,
         draw, outcome = _admissible(cfg, target, backend, i)
         tally.add(outcome)
         if quarantined:
-            printed.add(check(target.record, draw, rel_tol=cfg.rel_tol,
-                              abs_tol=cfg.abs_tol, cond_cap=cfg.cond_cap,
-                              use_printed=True))
+            printed.add(check(target.record, draw, use_printed=True))
     if quarantined:
         tally.quarantine = {
             "reason": info.reason,

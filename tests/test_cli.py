@@ -152,8 +152,10 @@ def test_verify_cli_and_exit_codes(tmp_path, capsys):
     assert "targets=0" in out
 
     code, _, err = run_cli(capsys, "verify", "--targets", "cor3.6/r99",
-                           "--draws", "2", "--seed", "3")
+                           "--draws", "2", "--seed", "3", "--json", str(out_json))
     assert code == 2 and "unknown target" in err
+    # the report of the earlier run is left as it was
+    assert json.loads(out_json.read_text()) == payload
 
 
 def test_verify_reports_are_deterministic(tmp_path, capsys):
@@ -260,6 +262,33 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     bad.write_text("not-a-known-key = 1\n")
     code, _, err = run_cli(capsys, "verify", "--config", str(bad))
     assert code == 2 and "unknown config keys" in err
+
+
+def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    # exit 1 would read as a FAIL; an unreadable file is told in one line
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"draws = 1\n\xff = 2\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read config file: 'utf-8' codec can't decode")
+    assert len(err.splitlines()) == 1
+
+
+def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys, monkeypatch):
+    swept = []
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg, targets: swept.append(cfg))
+    # a directory as the report: refused before the sweep runs
+    code, out, err = run_cli(capsys, "verify", "--draws", "1", "--json", str(tmp_path))
+    assert (code, out, swept) == (2, "", [])
+    assert err == f"error: cannot write {str(tmp_path)!r}: Is a directory\n"
+    # a table into a directory that does not exist
+    missing = tmp_path / "missing" / "dir" / "x.csv"
+    code, out, err = run_cli(capsys, "table", "--a1", "0.4", "--a2", "0.3", "--a3", "0.2",
+                             "--a4", "0.1", "--q", "0.5", "--x-grid", "0:1:2",
+                             "--out", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {str(missing)!r}: No such file or directory\n"
+    assert not missing.parent.exists()
 
 
 @pytest.mark.parametrize("argv, line, key", [

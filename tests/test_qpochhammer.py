@@ -294,8 +294,8 @@ def loop_group(g, q, n):
 
 @st.composite
 def quotients(draw):
-    """``(q, n, lead, num, den, rows, tail)``: powers of every sign (zero
-    too) and plain factors in ``lead`` and ``tail``, single bases and
+    """``(q, n, lead, num, den, rows)``: powers of every sign (zero
+    too) and plain factors in ``lead``, single bases and
     lists of bases (possibly empty) in ``num`` and ``den``, and bases for
     kept guard rows; now and then a ``den`` base is q^{-k}, k < n, so
     that the denominator vanishes."""
@@ -303,19 +303,18 @@ def quotients(draw):
     n = draw(st.integers(0, 7))
     factor = st.one_of(st.tuples(NONZERO, st.integers(-4, 4)), NONZERO)
     group = st.one_of(GAUSS, st.lists(GAUSS, max_size=3))
-    lead = draw(st.lists(factor, max_size=3))
-    tail = draw(st.lists(factor, max_size=2))
+    lead = draw(st.lists(factor, max_size=5))
     num = draw(st.lists(group, max_size=3))
     den = draw(st.lists(group, max_size=3))
     rows = draw(st.none() | st.lists(GAUSS, max_size=3))
     if den and n and draw(st.booleans()):
         den[0] = loop_power(q, -draw(st.integers(0, n - 1)))
-    return q, n, lead, num, den, rows, tail
+    return q, n, lead, num, den, rows
 
 
-def _loop_quotient(q, n, lead, num, den, rows, rows_on_top, tail):
+def _loop_quotient(q, n, lead, num, den, rows, rows_on_top):
     out = ONE
-    for f in list(lead) + list(tail):
+    for f in lead:
         out = out * (loop_power(f[0], f[1]) if isinstance(f, tuple) else f)
     top = loop_product(loop_group(g, q, n) for g in num)
     bottom = loop_product(loop_group(g, q, n) for g in den)
@@ -329,14 +328,13 @@ def _loop_quotient(q, n, lead, num, den, rows, rows_on_top, tail):
 
 @settings(max_examples=100, deadline=None)
 @given(quotients(), st.booleans())
-@example((G(Fraction(1, 2), Fraction(1, 3)), 0, [(G(3), -2)], [], [], None, []), True)
-@example((G(Fraction(7, 2), -2), 4, [], [[]], [[]], [], []), False)          # empty lists
-@example((G(Fraction(1, 3), Fraction(2, 3)), 3, [(G(2, 1), 0), G(5)], [G(1, 1)],
-          [G(2)], [G(3, -1)], [(G(1, 2), 3)]), True)
-@example((G(3, 4), 5, [], [[G(1), G(2)]], [G(Fraction(1, 3), 1)], [G(1, 1), G(2)], []),
-         False)
+@example((G(Fraction(1, 2), Fraction(1, 3)), 0, [(G(3), -2)], [], [], None), True)
+@example((G(Fraction(7, 2), -2), 4, [], [[]], [[]], []), False)          # empty lists
+@example((G(Fraction(1, 3), Fraction(2, 3)), 3, [(G(2, 1), 0), G(5), (G(1, 2), 3)],
+          [G(1, 1)], [G(2)], [G(3, -1)]), True)
+@example((G(3, 4), 5, [], [[G(1), G(2)]], [G(Fraction(1, 3), 1)], [G(1, 1), G(2)]), False)
 def test_poch_quotient_matches_a_gaussian_rational_loop(case, rows_on_top):
-    q, n, lead, num, den, rows, tail = case
+    q, n, lead, num, den, rows = case
     qb = QBase(q)
     kept = {}
     if rows is not None:
@@ -347,14 +345,14 @@ def test_poch_quotient_matches_a_gaussian_rational_loop(case, rows_on_top):
         else:
             kept = {"num_rows" if rows_on_top else "den_rows": spec.den_rows}
     kept.update(pole=_Marker, message="the caller's message")
-    expected = _loop_quotient(q, n, lead, num, den, rows, rows_on_top, tail)
+    expected = _loop_quotient(q, n, lead, num, den, rows, rows_on_top)
     if expected is None:
         with pytest.raises(_Marker) as err:
-            poch_quotient(qb, n, lead, num, den, tail=tail, **kept)
+            poch_quotient(qb, n, lead, num, den, **kept)
         assert str(err.value) == "the caller's message"
         return
-    assert_same(poch_quotient(qb, n, lead, num, den, tail=tail, **kept), expected)
-    assert_same(poch_quotient(q, n, lead, num, den, tail=tail, **kept), expected)
+    assert_same(poch_quotient(qb, n, lead, num, den, **kept), expected)
+    assert_same(poch_quotient(q, n, lead, num, den, **kept), expected)
 
 
 def test_poch_quotient_pole_and_zero_power():
@@ -407,15 +405,15 @@ def test_poch_quotient_float_matches_the_exact_quotient_of_its_inputs():
             n = rng.randint(0, 7)
             if abs(abs(q) - 1) < 0.05 or not all(z):
                 continue
-            args = dict(lead=((z[0], -n), z[1]), num=(z[2], [z[3], z[4]]), den=(z[5],),
-                        rows="num_rows", tail=((z[8], 2), z[1]))
+            args = dict(lead=((z[0], -n), z[1], (z[8], 2), z[1]), num=(z[2], [z[3], z[4]]),
+                        den=(z[5],), rows="num_rows")
         else:
             q = complex(6 + dyadic(0.5), dyadic(1))
             n = 60
             if not all(z):
                 continue
-            args = dict(lead=((z[0], -n), z[1]), num=(z[2], [z[3], z[4]]), den=(z[5], z[8]),
-                        rows="den_rows", tail=((q, binom2(n)),))
+            args = dict(lead=((z[0], -n), z[1], (q, binom2(n))), num=(z[2], [z[3], z[4]]),
+                        den=(z[5], z[8]), rows="den_rows")
         cases += 1
         values = []
         for lift in (lambda v: v, _lifted):
@@ -423,8 +421,7 @@ def test_poch_quotient_float_matches_the_exact_quotient_of_its_inputs():
             spec = SeriesSpec([lift(1 + 0j)], lift(z[6:8]), lift(1 + 0j), qb, n)
             values.append(poch_quotient(
                 qb, n, lift(list(args["lead"])), lift(list(args["num"])),
-                lift(list(args["den"])), tail=lift(list(args["tail"])),
-                pole=PoleGuard, message="", **{args["rows"]: spec.den_rows}))
+                lift(list(args["den"])), pole=PoleGuard, message="", **{args["rows"]: spec.den_rows}))
         got, want = values
         assert math.isfinite(abs(got)) and got, (q, n)
         # |got - want| <= 1e-12 |want|, on the integer triples

@@ -21,6 +21,7 @@ from qaskey import (
 )
 from qaskey import askey_wilson as aw
 from qaskey import qseries, sampler_verifier
+from qaskey import arithmetic
 from qaskey.arithmetic import GuardViolation, QBase, is_zero, parts, pow_int
 from qaskey.identity_catalog import CheckOutcome, Verdict, judge, settle
 from qaskey.sampler_verifier import (
@@ -42,19 +43,35 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DrawConfig(backend="symbolic")
     with pytest.raises(ValueError):
-        DrawConfig(q_range=(0.9, 0.2))
-    with pytest.raises(ValueError):
         DrawConfig(n_range=(3, 1))
     with pytest.raises(ValueError):
-        DrawConfig(rat_max_num=200)
-    # the float guards' pole margin is fixed; the field only records it
-    for eps in (0.0, 1e-3):
-        with pytest.raises(ValueError, match="fixed margin"):
-            DrawConfig(pole_eps=eps)
-    # float moduli are drawn on a log scale, which needs 0 < lo < hi
-    for bad in ((0.0, 10.0), (-1.0, 10.0), (10.0, 0.1)):
-        with pytest.raises(ValueError, match="modulus_range"):
-            DrawConfig(backend="float", modulus_range=bad)
+        DrawConfig(n_range=(-1, 2))
+    with pytest.raises(ValueError):
+        DrawConfig(draws_per_record=-1)
+
+
+def test_draw_config_holds_what_callers_set():
+    # the draw policy and the tolerances are fixed, not config fields; a
+    # report records them beside the config, under the same ten names
+    assert [f.name for f in dataclasses.fields(DrawConfig)] == [
+        "seed", "draws_per_record", "n_range", "backend", "q_big"]
+    for key in sampler_verifier.POLICY:
+        with pytest.raises(TypeError):
+            DrawConfig(**{key: sampler_verifier.POLICY[key]})
+    assert sampler_verifier.POLICY == {
+        "q_range": (0.15, 0.85), "modulus_range": (0.1, 10.0),
+        "rat_max_num": 30, "rat_max_den": 30, "gaussian_prob": 0.5,
+        "pole_eps": arithmetic.POLE_EPS, "rel_tol": arithmetic.REL_TOL,
+        "abs_tol": arithmetic.ABS_TOL, "cond_cap": arithmetic.COND_CAP,
+        "max_rejects": 500}
+    cfg = DrawConfig(seed=16, draws_per_record=1, backend="both", q_big=True)
+    report = run_sweep(cfg, ["cor3.5/r7"])
+    assert report.config == dataclasses.asdict(cfg)
+    config = report.as_dict()["config"]
+    assert config == {**sampler_verifier.POLICY, **dataclasses.asdict(cfg)}
+    assert len(config) == 15
+    assert json.loads(report.to_json())["config"] == json.loads(
+        json.dumps(config))
 
 
 def test_target_inventory_and_resolution():
@@ -78,69 +95,67 @@ def test_resolution_follows_a_rebound_target_list(monkeypatch):
         assert all(any(t is w for w in wrapped) for t in resolve_targets(patterns))
 
 
-def _ref_rand_fraction(rng, cfg) -> Fraction:
-    num = rng.randint(1, cfg.rat_max_num)
-    den = rng.randint(1, cfg.rat_max_den)
+def _ref_rand_fraction(rng) -> Fraction:
+    num = rng.randint(1, sampler_verifier.RAT_MAX)
+    den = rng.randint(1, sampler_verifier.RAT_MAX)
     return Fraction(-num if rng.random() < 0.5 else num, den)
 
 
-def _ref_rand_exact(rng, cfg) -> GaussianRational:
+def _ref_rand_exact(rng) -> GaussianRational:
     # the reference draw: each part a reduced Fraction
-    re = _ref_rand_fraction(rng, cfg)
-    if rng.random() < cfg.gaussian_prob:
-        return GaussianRational(re, _ref_rand_fraction(rng, cfg))
+    re = _ref_rand_fraction(rng)
+    if rng.random() < sampler_verifier.GAUSSIAN_PROB:
+        return GaussianRational(re, _ref_rand_fraction(rng))
     return GaussianRational(re)
 
 
 def _ref_rand_q(rng, cfg) -> QBase:
     # the reference base: a Fraction tested against the float window ends
-    lo, hi = cfg.q_range
-    for _ in range(cfg.max_rejects):
+    lo, hi = sampler_verifier.Q_RANGE
+    while True:
         q = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         if lo < q < hi:
-            break
-    else:
-        raise SamplerExhausted(
-            f"no exact base q = p/d with p, d <= 40 in {cfg.q_range} "
-            f"within {cfg.max_rejects} candidates")
-    return QBase(GaussianRational(1 / q if cfg.q_big else q))
+            return QBase(GaussianRational(1 / q if cfg.q_big else q))
 
 
 def _draw_all(draw_q, draw_scalar, rng, cfg):
     # a catalogue draw's exact scalars: q, then five slots
-    try:
-        q = parts(draw_q(rng, cfg).q)
-    except SamplerExhausted as exc:
-        q = str(exc)
-    return q, [parts(draw_scalar(rng, cfg)) for _ in range(5)], rng.getstate()
+    q = parts(draw_q(rng, cfg).q)
+    return q, [parts(draw_scalar(rng)) for _ in range(5)], rng.getstate()
 
 
-def test_exact_draws_equal_the_fraction_reference():
-    # same triples and the same rng calls, hence the same generator state
-    cfgs = [DrawConfig(), DrawConfig(q_big=True), DrawConfig(q_range=(0.3, 0.7)),
-            DrawConfig(q_range=(0.3, 0.7), q_big=True, gaussian_prob=0.9,
-                       rat_max_num=97, rat_max_den=5)]
-    for i in range(10_000):
-        cfg = cfgs[i % len(cfgs)]
-        new = _draw_all(lambda r, c: _rand_q(r, c, True), _rand_exact,
-                        random.Random(f"diff:{i}"), cfg)
-        ref = _draw_all(_ref_rand_q, _ref_rand_exact, random.Random(f"diff:{i}"), cfg)
-        assert new == ref, (i, cfg)
-        assert all(type(x) is int for x in new[0] + sum(new[1], ())), i
+def test_exact_draws_equal_the_fraction_reference(monkeypatch):
+    # same triples and the same rng calls, hence the same generator state;
+    # the last two settings patch the draw policy, which the helpers read
+    # when they run
+    settings = [(DrawConfig(), {}), (DrawConfig(q_big=True), {}),
+                (DrawConfig(), {"Q_RANGE": (0.3, 0.7)}),
+                (DrawConfig(q_big=True),
+                 {"Q_RANGE": (0.3, 0.7), "GAUSSIAN_PROB": 0.9, "RAT_MAX": 97})]
+    for k, (cfg, policy) in enumerate(settings):
+        for name, value in policy.items():
+            monkeypatch.setattr(sampler_verifier, name, value)
+        for i in range(k, 10_000, len(settings)):
+            new = _draw_all(lambda r, c: _rand_q(r, c, True), _rand_exact,
+                            random.Random(f"diff:{i}"), cfg)
+            ref = _draw_all(_ref_rand_q, _ref_rand_exact, random.Random(f"diff:{i}"), cfg)
+            assert new == ref, (i, cfg, policy)
+            assert all(type(x) is int for x in new[0] + sum(new[1], ())), i
 
 
-def test_exact_q_from_an_empty_window_fails_like_the_reference():
-    # no p/d with p, d <= 40 lies in (0.5, 0.501)
-    for cfg in (DrawConfig(q_range=(0.5, 0.501)),
-                DrawConfig(q_range=(0.5, 0.501), q_big=True, max_rejects=37)):
-        for i in range(20):
-            rng, ref_rng = random.Random(f"empty:{i}"), random.Random(f"empty:{i}")
-            with pytest.raises(SamplerExhausted) as got:
-                _rand_q(rng, cfg, True)
-            with pytest.raises(SamplerExhausted) as want:
-                _ref_rand_q(ref_rng, cfg)
-            assert str(got.value) == str(want.value)
-            assert rng.getstate() == ref_rng.getstate()
+def test_exact_q_lies_in_the_window_or_its_mirror():
+    # lo < p/d < hi, decided on ints; with q_big the base is d/p
+    lo, hi = (Fraction(x) for x in sampler_verifier.Q_RANGE)
+    seen = set()
+    for cfg in (DrawConfig(), DrawConfig(q_big=True)):
+        for i in range(2000):
+            a, b, d = parts(_rand_q(random.Random(f"window:{i}"), cfg, True).q)
+            q = Fraction(a, d)
+            assert b == 0 and a > 0
+            assert lo < (1 / q if cfg.q_big else q) < hi, (i, q)
+            seen.add(q)
+    # the window holds many candidates, and the draws reach its ends
+    assert min(seen) < Fraction(1, 5) and max(seen) > 6
 
 
 def test_draws_are_deterministic():
@@ -176,25 +191,9 @@ def test_sampler_exhausted_on_impossible_target():
         raise GuardViolation("never admissible")
 
     target = Target("test/impossible", "synthetic", impossible_draw,
-                    lambda d, cfg, exact: None)
-    with pytest.raises(SamplerExhausted):
-        draw_params(DrawConfig(max_rejects=10), target)
-
-
-def test_exact_q_window_without_candidates_is_exhausted():
-    # no p/d with p, d <= 40 lies in (0.5, 0.501): |p/d - 1/2| >= 1/80
-    cfg = DrawConfig(seed=3, q_range=(0.5, 0.501), draws_per_record=2)
-    with pytest.raises(SamplerExhausted):
-        draw_params(cfg, "cor3.5/r7")
-    with pytest.raises(SamplerExhausted):
-        run_sweep(cfg, ["aw/seven-way"])
-    # the float backend draws q from the continuous window
-    report = run_sweep(dataclasses.replace(cfg, backend="float"), ["cor3.5/r7"])
-    assert report.entries[0].passed == cfg.draws_per_record
-    # a narrow window that holds candidates still yields its draws
-    cfg = DrawConfig(seed=3, q_range=(0.5, 0.52))
-    for i in range(5):
-        assert 0.5 < draw_params(cfg, "cor3.5/r7", i).q.q.re < 0.52
+                    lambda d, exact: None)
+    with pytest.raises(SamplerExhausted, match="within 500 rejections"):
+        draw_params(DrawConfig(), target)
 
 
 def test_skip_rate_of_raw_draws_is_low():
@@ -214,7 +213,7 @@ def test_skip_rate_of_raw_draws_is_low():
             except (GuardViolation, ZeroDivisionError):
                 rejected += 1
                 continue
-            if target.run(cand, cfg, True).verdict is Verdict.SKIPPED:
+            if target.run(cand, True).verdict is Verdict.SKIPPED:
                 rejected += 1
         assert rejected / total < 0.05, (tid, rejected)
 
@@ -252,7 +251,7 @@ def test_sweep_tallies_and_schema():
 def test_sweep_report_config_is_the_config_as_a_dict():
     for cfg in (DrawConfig(seed=14, draws_per_record=2),
                 DrawConfig(seed=15, draws_per_record=1, n_range=(1, 3), q_big=True,
-                           backend="both", q_range=(0.3, 0.7))):
+                           backend="both")):
         report = run_sweep(cfg, ["cor3.5/r7"])
         assert report.config == dataclasses.asdict(cfg)
         ref = SweepReport(report.seed, dataclasses.asdict(cfg), report.entries,
@@ -286,10 +285,11 @@ def test_both_backend_mode():
         assert total == cfg.draws_per_record
 
 
-def test_float_sweep_never_fails_any_record():
-    # every record PASSes or is INCONCLUSIVE on 1000 float draws each
-    cfg = DrawConfig(seed=13, draws_per_record=1000, backend="float",
-                     n_range=(0, 10), q_range=(0.1, 0.9))
+def test_float_sweep_never_fails_any_record(monkeypatch):
+    # every record PASSes or is INCONCLUSIVE on 1000 float draws each, from
+    # a base window wider than the default
+    monkeypatch.setattr(sampler_verifier, "Q_RANGE", (0.1, 0.9))
+    cfg = DrawConfig(seed=13, draws_per_record=1000, backend="float", n_range=(0, 10))
     report = run_sweep(cfg, ["cor*", "rem*"])
     assert len(report.entries) == 35
     for entry in report.entries:
@@ -368,7 +368,7 @@ def test_former_float_fails_of_true_identities_pass(target_id, seed, n_max, inde
     assert draw.n == n
     assert outcome.verdict is Verdict.PASS
     if n <= 20:
-        assert target.run(lifted(draw), cfg, True).verdict is Verdict.PASS
+        assert target.run(lifted(draw), True).verdict is Verdict.PASS
 
 
 def test_a_lifted_float_watson_draw_is_skipped_as_unbalanced():
@@ -380,7 +380,7 @@ def test_a_lifted_float_watson_draw_is_skipped_as_unbalanced():
     cfg = DrawConfig(backend="float")
     for index in range(20):
         draw, _ = _admissible(cfg, target, "float", index)
-        outcome = target.run(lifted(draw), cfg, True)
+        outcome = target.run(lifted(draw), True)
         assert outcome.verdict is Verdict.SKIPPED
         assert outcome.guard == "balance condition q^{1-n} a b c = d e f fails"
 
@@ -505,7 +505,7 @@ def test_overflow_while_checking_settles_by_backend():
     def target(evaluate):
         # a suite's run: its evaluation settled once
         return Target("test/overflow", "synthetic", draw,
-                      lambda d, cfg, exact: settle(lambda: evaluate(d), exact))
+                      lambda d, exact: settle(lambda: evaluate(d), exact))
 
     cfg = DrawConfig()
     for evaluate in (overflowing, non_finite):
