@@ -7,20 +7,16 @@ with cancellation-aware comparisons).
 """
 
 from .arithmetic import (
-    FLOAT,
-    RATIONAL,
-    Backend,
     GaussianRational,
     GuardViolation,
     QBase,
     QError,
     binom2,
     format_scalar,
-    get_backend,
     parse_scalar,
     pow_int,
 )
-from .qpochhammer import identity_suite, omega_contains, poch, poch_list, poch_qinv
+from .qpochhammer import identity_suite, poch, poch_list
 from .qseries import (
     SeriesSpec,
     TermTrace,
@@ -33,7 +29,6 @@ from .qseries import (
     invert_series,
     invert_w,
     qinvert_f,
-    vwp_as_phi,
     watson_whipple,
 )
 from .askey_wilson import (

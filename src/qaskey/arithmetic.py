@@ -408,11 +408,6 @@ def one_like(x):
     return _ONE if is_exact(x) else _ONE_FLOAT
 
 
-def is_zero(x) -> bool:
-    """Exact zero test (floats: literal 0; tolerances live elsewhere)."""
-    return not x
-
-
 def pow_int(x, k: int):
     """x**k for signed integer k by repeated squaring.
 
@@ -525,48 +520,6 @@ class QBase(_Frozen):
 
     def inverse(self) -> "QBase":
         return QBase(one_like(self.q) / self.q)
-
-    def squared(self) -> "QBase":
-        return QBase(self.q * self.q)
-
-    def pow(self, k: int):
-        return pow_int(self.q, k)
-
-    def one(self):
-        return one_like(self.q)
-
-
-class Backend(_Frozen):
-    """A named scalar backend; mostly a convenience for the CLI and sampler."""
-
-    __slots__ = ("name", "exact")
-
-    def __init__(self, name: str, exact: bool):
-        _set(self, "name", name)
-        _set(self, "exact", exact)
-
-    def scalar(self, re, im=0):
-        if self.exact:
-            return GaussianRational(re, im)
-        return complex(float(re), float(im))
-
-    def convert(self, x):
-        return as_scalar(x, self.exact)
-
-    def parse(self, text: str):
-        return parse_scalar(text, exact=self.exact)
-
-
-RATIONAL = Backend("rational", True)
-FLOAT = Backend("float", False)
-_BACKENDS = {"rational": RATIONAL, "float": FLOAT}
-
-
-def get_backend(name: str) -> Backend:
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r}; choose rational or float") from None
 
 
 def _format_part(v) -> str:

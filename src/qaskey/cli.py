@@ -25,15 +25,7 @@ import math
 import re
 import sys
 
-from .arithmetic import (
-    FLOAT,
-    GuardViolation,
-    QBase,
-    QError,
-    _quoted,
-    get_backend,
-    format_scalar,
-)
+from .arithmetic import GuardViolation, QBase, QError, _quoted, format_scalar, parse_scalar
 from .askey_wilson import AWParams, RepId, RepTag, eval_all, eval_rep
 from .identity_catalog import catalog
 from .qseries import SeriesSpec, VwpSpec, eval_series
@@ -137,28 +129,28 @@ def _require(opts: dict, *names):
             _die(EXIT_PARSE, f"missing required option --{name.replace('_', '-')}")
 
 
-def _parse_scalar(backend, text: str, what: str):
+def _parse_scalar(exact: bool, text: str, what: str):
     """A scalar flag's value; on the float backend its real and imaginary
     parts must be finite."""
     try:
-        value = backend.parse(text)
+        value = parse_scalar(text, exact)
     except ValueError as exc:
         _die(EXIT_PARSE, f"bad {what}: {exc}")
-    if not backend.exact and not cmath.isfinite(value):
+    if not exact and not cmath.isfinite(value):
         _die(EXIT_PARSE, f"bad {what}: not a finite number: {_quoted(text)}")
     return value
 
 
 def _parse_real(text: str, what: str) -> float:
-    value = _parse_scalar(FLOAT, text, what)
+    value = _parse_scalar(False, text, what)
     if value.imag:
         _die(EXIT_PARSE, f"bad {what}: not a real number: {_quoted(text)}")
     return value.real
 
 
-def _scalar_list(backend, text: str, what: str):
+def _scalar_list(exact: bool, text: str, what: str):
     items = [t for t in text.split(",") if t.strip()]
-    return [_parse_scalar(backend, t, what) for t in items]
+    return [_parse_scalar(exact, t, what) for t in items]
 
 
 def _json_float(x: float):
@@ -195,14 +187,14 @@ _EVAL_DEFAULTS = {
 }
 
 
-def _spectral_point(opts, backend):
+def _spectral_point(opts, exact: bool):
     picks = [k for k in ("w", "theta", "x") if opts[k] is not None]
     if len(picks) != 1:
         _die(EXIT_PARSE, "exactly one of --w / --theta / --x is required")
     kind = picks[0]
     if kind == "w":
-        return _parse_scalar(backend, opts["w"], "--w")
-    if backend.exact:
+        return _parse_scalar(exact, opts["w"], "--w")
+    if exact:
         _die(EXIT_PARSE, f"--{kind} needs the float backend; "
                          "rational runs require --w")
     if kind == "theta":
@@ -211,18 +203,24 @@ def _spectral_point(opts, backend):
         theta = abs(_parse_real(opts["theta"], "--theta"))
         return cmath.exp(1j * theta)
     x = _parse_real(opts["x"], "--x")
-    if abs(x) <= 1.0:
+    ax = abs(x)
+    if ax <= 1.0:
         return complex(x, math.sqrt(1.0 - x * x))
-    return complex(x + math.copysign(math.sqrt(x * x - 1.0), x), 0.0)
+    # x + sqrt(x^2 - 1) without forming x^2, which overflows above ~1.3e154
+    w = math.copysign(ax + math.sqrt(ax - 1.0) * math.sqrt(ax + 1.0), x)
+    if math.isinf(w):
+        _die(EXIT_PARSE, f"bad --x: w = x + sqrt(x^2 - 1) is beyond the float range: "
+                         f"{_quoted(opts['x'])}")
+    return complex(w, 0.0)
 
 
 def cmd_eval(args) -> int:
     opts = _resolve(args, _EVAL_DEFAULTS)
     _require(opts, "a1", "a2", "a3", "a4", "q", "n")
-    backend = get_backend(opts["backend"])
-    a = [_parse_scalar(backend, opts[k], f"--{k}") for k in ("a1", "a2", "a3", "a4")]
-    qval = _parse_scalar(backend, opts["q"], "--q")
-    w = _spectral_point(opts, backend)
+    exact = opts["backend"] == "rational"
+    a = [_parse_scalar(exact, opts[k], f"--{k}") for k in ("a1", "a2", "a3", "a4")]
+    qval = _parse_scalar(exact, opts["q"], "--q")
+    w = _spectral_point(opts, exact)
     params = _build(AWParams, a, QBase(qval), w, opts["n"])
     as_json = opts["format"] == "json"
 
@@ -273,18 +271,18 @@ _SERIES_DEFAULTS = {
 def cmd_eval_series(args) -> int:
     opts = _resolve(args, _SERIES_DEFAULTS)
     _require(opts, "z", "q", "n")
-    backend = get_backend(opts["backend"])
-    qbase = QBase(_parse_scalar(backend, opts["q"], "--q"))
-    z = _parse_scalar(backend, opts["z"], "--z")
+    exact = opts["backend"] == "rational"
+    qbase = QBase(_parse_scalar(exact, opts["q"], "--q"))
+    z = _parse_scalar(exact, opts["z"], "--z")
     n = opts["n"]
     if opts["kind"] == "phi":
         _require(opts, "num", "den")
-        spec = _build(SeriesSpec, _scalar_list(backend, opts["num"], "--num"),
-                      _scalar_list(backend, opts["den"], "--den"), z, qbase, n)
+        spec = _build(SeriesSpec, _scalar_list(exact, opts["num"], "--num"),
+                      _scalar_list(exact, opts["den"], "--den"), z, qbase, n)
     else:
         _require(opts, "b", "lower")
-        spec = _build(VwpSpec, _parse_scalar(backend, opts["b"], "--b"),
-                      _scalar_list(backend, opts["lower"], "--lower"), z, qbase, n)
+        spec = _build(VwpSpec, _parse_scalar(exact, opts["b"], "--b"),
+                      _scalar_list(exact, opts["lower"], "--lower"), z, qbase, n)
     value, trace = eval_series(spec)
     if opts["format"] == "json":
         print(json.dumps({"value": format_scalar(value),
@@ -387,8 +385,8 @@ def _parse_grid(text: str):
 def cmd_table(args) -> int:
     opts = _resolve(args, _TABLE_DEFAULTS)
     _require(opts, "a1", "a2", "a3", "a4", "q", "x_grid")
-    a = [_parse_scalar(FLOAT, opts[k], f"--{k}") for k in ("a1", "a2", "a3", "a4")]
-    qbase = QBase(_parse_scalar(FLOAT, opts["q"], "--q"))
+    a = [_parse_scalar(False, opts[k], f"--{k}") for k in ("a1", "a2", "a3", "a4")]
+    qbase = QBase(_parse_scalar(False, opts["q"], "--q"))
     n_max = opts["n_max"]
     if n_max < 0:
         _die(EXIT_PARSE, "degree n_max must be >= 0")

@@ -316,12 +316,15 @@ def _side(series: str, num=(), den=(), power: str = "") -> Side:
 
 
 class QuarantineInfo(_Frozen):
-    __slots__ = ("reason", "correction", "printed_rhs")
+    """Why a record is quarantined, and its printed variant: the same
+    record with the printed right side."""
 
-    def __init__(self, reason: str, correction: str, printed_rhs: Side):
+    __slots__ = ("reason", "correction", "printed")
+
+    def __init__(self, reason: str, correction: str, printed: "IdentityRecord"):
         _set(self, "reason", reason)
         _set(self, "correction", correction)
-        _set(self, "printed_rhs", printed_rhs)
+        _set(self, "printed", printed)
 
 
 @dataclass(frozen=True)
@@ -564,7 +567,7 @@ def _quarantined(rec: IdentityRecord) -> IdentityRecord:
     return replace(rec, quarantine=QuarantineInfo(
         reason="printed prefactor fails the exact sweep for every n >= 1",
         correction=correction,
-        printed_rhs=_side(rec.rhs.series_label, num, den)))
+        printed=replace(rec, rhs=_side(rec.rhs.series_label, num, den))))
 
 
 _CATALOG: tuple[IdentityRecord, ...] | None = None
@@ -605,21 +608,13 @@ def _substituted(record: IdentityRecord, s: _S) -> _S:
     return _S(Draw(s.qbase, s.n, new_slots))
 
 
-def check(record: IdentityRecord, draw: Draw, *, use_printed: bool = False) -> CheckOutcome:
-    """Evaluate both sides of a record on one draw, and :func:`settle` them.
-
-    ``use_printed`` selects the printed variant of a quarantined record.
-    """
-    rhs = record.rhs
-    if use_printed:
-        if record.quarantine is None:
-            raise ValueError(f"record {record.id} has no printed variant")
-        rhs = record.quarantine.printed_rhs
+def check(record: IdentityRecord, draw: Draw) -> CheckOutcome:
+    """Evaluate both sides of a record on one draw, and :func:`settle` them."""
 
     def evaluate():
         s = _substituted(record, _S(draw))
         left, scale_l = record.lhs.evaluate(s)
-        right, scale_r = rhs.evaluate(s)
+        right, scale_r = record.rhs.evaluate(s)
         return [left, right], lambda: max(scale_l(), scale_r())
 
     return settle(evaluate, draw.q.exact)
@@ -630,16 +625,16 @@ def check(record: IdentityRecord, draw: Draw, *, use_printed: bool = False) -> C
 # ---------------------------------------------------------------------------
 
 _AW_SOURCES = {
-    "cor3.3/3.5a.1": (RepTag.W_DEF4, True),
-    "cor3.3/3.5a.2": (RepTag.W_DEF5, False),
-    "cor3.3/3.5a.7": (RepTag.W_DEF7, False),
-    "cor3.3/3.5a.7b": (RepTag.W_DEF6, True),
-    "cor3.3/3.5a.6": (RepTag.W_DEF6, False),
-    "cor3.3/3.5a.7c": (RepTag.W_DEF7, True),
-    "cor3.3/3.5a.3": (RepTag.PHI_MIXED, False),
-    "cor3.3/3.5a.4": (RepTag.PHI_MIXED, True),
-    "cor3.3/3.5a.5": (RepTag.PHI_INV, False),
-    "cor3.3/3.5a.6b": (RepTag.PHI_STD, False),
+    "cor3.3/3.5a.1": RepTag.W_DEF4,
+    "cor3.3/3.5a.2": RepTag.W_DEF5,
+    "cor3.3/3.5a.7": RepTag.W_DEF7,
+    "cor3.3/3.5a.7b": RepTag.W_DEF6,
+    "cor3.3/3.5a.6": RepTag.W_DEF6,
+    "cor3.3/3.5a.7c": RepTag.W_DEF7,
+    "cor3.3/3.5a.3": RepTag.PHI_MIXED,
+    "cor3.3/3.5a.4": RepTag.PHI_MIXED,
+    "cor3.3/3.5a.5": RepTag.PHI_INV,
+    "cor3.3/3.5a.6b": RepTag.PHI_STD,
 }
 
 
@@ -652,12 +647,11 @@ class AwDerivation(_Frozen):
     parameters are (c, d, e, f) / (sqrt(q)^n sqrt(b)).
     """
 
-    __slots__ = ("record_id", "rep", "theta_negated", "description")
+    __slots__ = ("record_id", "rep", "description")
 
-    def __init__(self, record_id: str, rep: RepId, theta_negated: bool, description: str):
+    def __init__(self, record_id: str, rep: RepId, description: str):
         _set(self, "record_id", record_id)
         _set(self, "rep", rep)
-        _set(self, "theta_negated", theta_negated)
         _set(self, "description", description)
 
     def aw_params(self, sqrt_q, sqrt_b, c, d, e, f, n: int) -> AWParams:
@@ -686,11 +680,11 @@ def derive_from_aw(record_id: str) -> AwDerivation:
     the record.
     """
     try:
-        tag, flipped = _AW_SOURCES[record_id]
+        tag = _AW_SOURCES[record_id]
     except KeyError:
         raise NotACor33Record(record_id) from None
     return AwDerivation(
-        record_id, RepId(tag), flipped,
+        record_id, RepId(tag),
         "w^2 = q^n b, a_k = q^{-n/2} (c,d,e,f)_k / sqrt(b); multiply by the "
         "common factor q^{2 C(n,2)} (-1)^n (qb)^{5n/2} (qb;q)_n / "
         "((cdef)^n (qb/c, qb/d, qb/e, qb/f;q)_n)")

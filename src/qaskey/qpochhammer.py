@@ -37,7 +37,6 @@ from .arithmetic import (
     binom2,
     from_parts,
     is_exact,
-    is_zero,
     one_like,
     parts,
     pow_int,
@@ -215,7 +214,7 @@ def poch_qinv(a, q, n: int):
     """
     if n == 0:
         return one_like(_qval(q))
-    if is_zero(a):
+    if not a:
         raise ZeroBase("base inversion needs a != 0")
     qv = _qval(q)
     return poch(one_like(qv) / a, qv, n) * pow_int(-a, n) * pow_int(qv, -binom2(n))
@@ -242,7 +241,7 @@ def _check_index_add_high(a, q, n, k):
 
 def _check_reversal(a, q, n, k):
     qv = _qval(q)
-    if is_zero(a):
+    if not a:
         raise ZeroBase("reversal needs a != 0")
     rhs = poch(pow_int(qv, 1 - n) / a, qv, n) * pow_int(-a, n) * pow_int(qv, binom2(n))
     return poch(a, qv, n) - rhs
@@ -251,10 +250,10 @@ def _check_reversal(a, q, n, k):
 def _check_shifted_base(a, q, n, k):
     # (a q^{-n};q)_k = q^{-nk} (q/a;q)_n / (q^{1-k}/a;q)_n (a;q)_k
     qv = _qval(q)
-    if is_zero(a):
+    if not a:
         raise ZeroBase("shifted base needs a != 0")
     den = poch(pow_int(qv, 1 - k) / a, qv, n)
-    if is_zero(den):
+    if not den:
         raise PoleInIdentity("q^{1-k}/a lies in Omega_q^n")
     lhs = poch(a * pow_int(qv, -n), qv, k)
     rhs = pow_int(qv, -n * k) * poch(qv / a, qv, n) / den * poch(a, qv, k)
@@ -278,7 +277,7 @@ def _check_shifted_quotient(a, q, n, k):
     # (a q^n;q)_n = (a;q)_{2n} / (a;q)_n, valid for a outside Omega_q^n
     qv = _qval(q)
     den = poch(a, qv, n)
-    if is_zero(den):
+    if not den:
         raise PoleInIdentity("a lies in Omega_q^n")
     return poch(a * pow_int(qv, n), qv, n) - poch(a, qv, 2 * n) / den
 

@@ -77,7 +77,6 @@ from .arithmetic import (
     as_scalar,
     binom2,
     from_parts,
-    is_zero,
     one_like,
     parts,
     pow_int,
@@ -217,13 +216,6 @@ class _GuardRows(_Frozen):
     def __hash__(self):
         return hash(self._key())
 
-    @property
-    def den_factors(self) -> tuple:
-        """The guard rows as scalars; exact triples are reduced when read."""
-        if self.q.exact:
-            return tuple(tuple(from_parts(*f) for f in row) for row in self.den_rows)
-        return self.den_rows
-
     def den_poch(self):
         """The product of the denominator factors: (den;q)_n of a
         SeriesSpec, (q^{n+1} b, q b / a_1, ...;q)_n of a VwpSpec.  The
@@ -316,13 +308,13 @@ class VwpSpec(_GuardRows):
         _set(self, "z", as_scalar(self.z, exact))
         if not b:
             raise ZeroParameter("special parameter b must be nonzero")
-        d = b - q.one()
+        d = b - one_like(q.q)
         if not d or (not exact and abs(d) <= POLE_EPS):
             raise BEqualsOne("special parameter b = 1 makes the series singular")
         if not all(self.lower):
             raise ZeroParameter("lower parameters must be nonzero")
         qks = None if exact else _powers(q.q, n)
-        rows = [_guard_row(q.pow(n + 1) * b, q.q, n, qks, "q^{n+1} b lies in Omega_q^n")]
+        rows = [_guard_row(pow_int(q.q, n + 1) * b, q.q, n, qks, "q^{n+1} b lies in Omega_q^n")]
         qb = q.q * b
         for a in self.lower:
             rows.append(_guard_row(qb / a, q.q, n, qks, "q b / a_k lies in Omega_q^n"))
@@ -538,7 +530,7 @@ def eval_phi_direct(spec: SeriesSpec):
     terms = []
     for k in range(n + 1):
         den = poch(q, q, k) * poch_list(spec.den, q, k)
-        if is_zero(den):
+        if not den:
             raise DenominatorPole("pole encountered inside the summation")
         t = poch(qmn, q, k) * poch_list(spec.num, q, k) / den
         if e:
@@ -580,7 +572,7 @@ def eval_w_direct(spec: VwpSpec):
     for k in range(n + 1):
         den = poch(q, q, k) * poch(pow_int(q, n + 1) * b, q, k)
         den = den * poch_list([q * b / a for a in spec.lower], q, k)
-        if is_zero(den):
+        if not den:
             raise DenominatorPole("pole encountered inside the summation")
         t = poch(b, q, k) * poch(qmn, q, k) * poch_list(spec.lower, q, k) / den
         t = t * (one - b * pow_int(q, 2 * k)) / (one - b)
@@ -597,7 +589,7 @@ def vwp_as_phi(spec: VwpSpec, sqrt_b) -> SeriesSpec:
     """
     q = spec.q.q
     sb = as_scalar(sqrt_b, spec.q.exact)
-    if not is_zero(sb * sb - spec.b):
+    if sb * sb - spec.b:
         raise ValueError("sqrt_b is not a square root of the special parameter")
     num = [spec.b, q * sb, -(q * sb)] + list(spec.lower)
     den = [sb, -sb, pow_int(q, spec.n + 1) * spec.b] + [q * spec.b / a for a in spec.lower]
@@ -606,7 +598,7 @@ def vwp_as_phi(spec: VwpSpec, sqrt_b) -> SeriesSpec:
 
 def _require_nonzero(values, what: str):
     for v in values:
-        if is_zero(v):
+        if not v:
             raise ZeroParameter(f"{what} must be nonzero")
 
 
@@ -690,9 +682,9 @@ def watson_whipple(spec: SeriesSpec):
     zq = spec.z - q
     bal = pow_int(q, 1 - n) * a * b * c - d * e * f
     if spec.q.exact:
-        if not is_zero(zq):
+        if zq:
             raise NotBalanced("argument must equal q")
-        if not is_zero(bal):
+        if bal:
             raise NotBalanced("balance condition q^{1-n} a b c = d e f fails")
     else:
         scale = abs(d * e * f) + abs(pow_int(q, 1 - n) * a * b * c)

@@ -41,7 +41,6 @@ from .arithmetic import (
     QError,
     REL_TOL,
     from_parts,
-    is_zero,
     pow_int,
 )
 from . import askey_wilson as aw
@@ -298,7 +297,7 @@ def _suite_targets() -> list:
         n = _rand_n(rng, cfg)
         a, b, c, d, e = (_rand_scalar(rng, exact) for _ in range(5))
         f = pow_int(q.q, 1 - n) * a * b * c / (d * e)
-        if is_zero(f):
+        if not f:
             raise GuardViolation("degenerate balance slot")
         return SeriesSpec([a, b, c], [d, e, f], q.q, q, n)
 
@@ -327,16 +326,12 @@ def _suite_targets() -> list:
 
 
 _TARGETS: list | None = None
-# the ids of _TARGETS; the benchmark's tracer rebinds _TARGETS to wrapped
-# copies, which keep the ids
-_TARGET_IDS: frozenset = frozenset()
 
 
 def all_targets() -> list:
-    global _TARGETS, _TARGET_IDS
+    global _TARGETS
     if _TARGETS is None:
         _TARGETS = [_record_target(rec) for rec in catalog()] + _suite_targets()
-        _TARGET_IDS = frozenset(t.id for t in _TARGETS)
     return _TARGETS
 
 
@@ -347,11 +342,12 @@ def all_target_ids() -> list:
 def resolve_targets(patterns) -> list:
     """Expand globs over target ids; exact non-glob ids must exist."""
     targets = all_targets()
+    ids = [t.id for t in targets]
     picked = set()
     for pattern in patterns:
         if any(ch in pattern for ch in "*?["):
-            picked.update(t.id for t in targets if fnmatch.fnmatchcase(t.id, pattern))
-        elif pattern in _TARGET_IDS:
+            picked.update(i for i in ids if fnmatch.fnmatchcase(i, pattern))
+        elif pattern in ids:
             picked.add(pattern)
         else:
             raise UnknownTarget(pattern)
@@ -428,16 +424,17 @@ class RecordTally:
             self.skipped += 1
         self.worst_deviation = max(self.worst_deviation, outcome.deviation)
 
-    def as_dict(self) -> dict:
-        out = {
-            "record_id": self.record_id,
-            "ref": self.ref,
+    def counts(self) -> dict:
+        return {
             "pass": self.passed,
             "fail": self.failed,
             "inconclusive": self.inconclusive,
             "skipped": self.skipped,
             "worst_deviation": self.worst_deviation,
         }
+
+    def as_dict(self) -> dict:
+        out = {"record_id": self.record_id, "ref": self.ref, **self.counts()}
         if self.quarantine is not None:
             out["quarantine"] = self.quarantine
         return out
@@ -490,27 +487,16 @@ class SweepReport:
 def _sweep_one(cfg: DrawConfig, target: Target, backend: str,
                entry_id: str) -> RecordTally:
     tally = RecordTally(entry_id, target.ref)
-    quarantined = target.record is not None and target.record.quarantine is not None
-    if quarantined:
-        info = target.record.quarantine
-        printed = RecordTally(entry_id + "#printed", target.ref)
+    info = target.record.quarantine if target.record is not None else None
+    printed = RecordTally(entry_id, target.ref)
     for i in range(cfg.draws_per_record):
         draw, outcome = _admissible(cfg, target, backend, i)
         tally.add(outcome)
-        if quarantined:
-            printed.add(check(target.record, draw, use_printed=True))
-    if quarantined:
-        tally.quarantine = {
-            "reason": info.reason,
-            "correction": info.correction,
-            "printed": {
-                "pass": printed.passed,
-                "fail": printed.failed,
-                "inconclusive": printed.inconclusive,
-                "skipped": printed.skipped,
-                "worst_deviation": printed.worst_deviation,
-            },
-        }
+        if info is not None:
+            printed.add(check(info.printed, draw))
+    if info is not None:
+        tally.quarantine = {"reason": info.reason, "correction": info.correction,
+                            "printed": printed.counts()}
     return tally
 
 

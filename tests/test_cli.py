@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -468,6 +469,21 @@ def test_non_finite_config_value_is_a_usage_error(tmp_path, capsys):
                              "--config", str(cfg))
     assert code == 2 and out == ""
     assert err.startswith("error: bad --a1: not a finite number: '-inf'")
+
+
+def test_a_large_x_gives_a_finite_spectral_point(capsys):
+    # w = x + sqrt(x^2 - 1) is formed without x^2, which overflows above ~1.3e154;
+    # a w beyond the float range is a usage error
+    base = ("eval", "--a1", ".5", "--a2", ".3", "--a3", ".2", "--a4", ".1", "--q", ".5",
+            "--n", "1", "--backend", "float", "--rep", "phi-std")
+    for x, expected in (("1e160", 1.994e160), ("-1e160", -1.994e160), ("1e150", 1.994e150)):
+        code, out, _ = run_cli(capsys, *base, "--x", x)
+        value = parse_scalar(out, exact=False)
+        assert code == 0 and value.imag == 0
+        assert math.isclose(value.real, expected, rel_tol=1e-12)
+    code, out, err = run_cli(capsys, *base, "--x", "-1e308")
+    assert code == 2 and out == ""
+    assert err == "error: bad --x: w = x + sqrt(x^2 - 1) is beyond the float range: '-1e308'\n"
 
 
 @pytest.mark.parametrize("value, message", [

@@ -231,17 +231,19 @@ def test_quarantined_record_variants():
     rec = record_by_id("cor3.8/r6")
     assert rec.quarantine is not None
     assert rec.quarantine.correction == "denominator factor qb/de -> qb/cd"
+    # the printed variant is the same record with the printed right side
+    printed = rec.quarantine.printed
+    assert printed.rhs != rec.rhs
+    assert dataclasses.replace(printed, rhs=rec.rhs) == dataclasses.replace(rec, quarantine=None)
     rng = random.Random(127)
     printed_failures = 0
     for _ in range(12):
         d = _admissible_draw(rec, rng, n_min=1)
         assert check(rec, d).verdict is Verdict.PASS
-        out = check(rec, d, use_printed=True)
+        out = check(rec.quarantine.printed, d)
         assert out.verdict in (Verdict.FAIL, Verdict.SKIPPED)
         printed_failures += out.verdict is Verdict.FAIL
     assert printed_failures >= 10
-    with pytest.raises(ValueError):
-        check(record_by_id("cor3.5/r2"), _draw(rng), use_printed=True)
 
 
 def test_remark_records_head_image_is_sibling_series():
@@ -565,7 +567,7 @@ def test_derived_prefactors_match_the_printed_rows():
     derived = _keys(fac.label for fac in rec.rhs.pref_den)
     assert rec.quarantine.correction == "denominator factor qb/de -> qb/cd"
     assert (printed - derived, derived - printed) == (_keys(["qb/de"]), _keys(["qb/cd"]))
-    variant = rec.quarantine.printed_rhs
+    variant = rec.quarantine.printed.rhs
     assert (tuple(fac.label for fac in variant.pref_num),
             tuple(fac.label for fac in variant.pref_den)) == PRINTED[rec.id]
 

@@ -22,7 +22,7 @@ from qaskey import (
 from qaskey import askey_wilson as aw
 from qaskey import qseries, sampler_verifier
 from qaskey import arithmetic
-from qaskey.arithmetic import GuardViolation, QBase, is_zero, parts, pow_int
+from qaskey.arithmetic import GuardViolation, QBase, parts, pow_int
 from qaskey.identity_catalog import CheckOutcome, Verdict, judge, settle
 from qaskey.sampler_verifier import (
     Target,
@@ -174,7 +174,7 @@ def test_watson_draws_solve_balance_exactly():
         spec = draw_params(cfg, "ops/watson-whipple", i)
         a, b, c = spec.num
         d, e, f = spec.den
-        assert is_zero(pow_int(spec.q.q, 1 - spec.n) * a * b * c - d * e * f)
+        assert not pow_int(spec.q.q, 1 - spec.n) * a * b * c - d * e * f
         assert spec.z == spec.q.q
 
 

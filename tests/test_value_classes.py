@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import qaskey
-from qaskey import (RATIONAL, AWParams, CheckOutcome, QBase, RepId, RepTag, SeriesSpec,
+from qaskey import (AWParams, CheckOutcome, QBase, RepId, RepTag, SeriesSpec,
                     Verdict, VwpSpec, derive_from_aw, draw_params, eval_all, record_by_id)
 from qaskey.identity_catalog import Factor
 from qaskey.sampler_verifier import DrawConfig
@@ -62,7 +62,7 @@ def _params():
 def _read_only_values():
     params = _params()
     return [
-        QBase(HALF), RATIONAL, *_specs(True), *_specs(False), RepId(RepTag.W_DEF5, 2),
+        QBase(HALF), *_specs(True), *_specs(False), RepId(RepTag.W_DEF5, 2),
         params, eval_all(params),
         draw_params(DrawConfig(seed=1), "cor3.5/r7"),
         Factor("q^n b", ((1, 0), "b")),
@@ -74,7 +74,7 @@ def _read_only_values():
 
 def test_fields_of_the_read_only_classes_cannot_be_assigned():
     values = _read_only_values()
-    assert len({type(v).__name__ for v in values}) == 12
+    assert len({type(v).__name__ for v in values}) == 11
     for value in values:
         fields = [f for f in type(value).__slots__ if f != "__dict__"]
         assert fields, type(value)

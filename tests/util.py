@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qaskey import AWParams, GaussianRational, QBase, SeriesSpec, VwpSpec
+from qaskey.arithmetic import from_parts
 from qaskey.identity_catalog import Draw
 
 
@@ -44,6 +45,11 @@ def rand_aw_params(rng, n_max=6, big=False) -> AWParams:
     return AWParams([rand_scalar(rng) for _ in range(4)],
                     rand_qbase(rng, big=big), rand_scalar(rng),
                     rng.randint(0, n_max))
+
+
+def row_values(spec) -> tuple:
+    """The guard rows an exact spec keeps, each factor reduced to a scalar."""
+    return tuple(tuple(from_parts(*f) for f in row) for row in spec.den_rows)
 
 
 def divided_differences(xs, ys):
