@@ -449,7 +449,8 @@ def spread(values, exact: bool) -> tuple:
     values are canonical, so the family agrees iff every value ``==`` the
     first one, which takes m - 1 comparisons; the pairwise differences
     are formed only when one differs.  Float families always take the
-    pairwise differences; a NaN one gives ``(False, nan)``.
+    pairwise differences; a NaN one gives ``(False, nan)``, and one whose
+    modulus is above the float range reads as ``inf``.
     """
     if exact and all(v == values[0] for v in values):
         return True, 0.0
@@ -459,7 +460,10 @@ def spread(values, exact: bool) -> tuple:
         d = x - y
         if d:
             all_agree = False
-            d = abs(d)
+            try:
+                d = abs(d)
+            except OverflowError:
+                d = math.inf
             if d != d:
                 return False, d
             max_dev = max(max_dev, d)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from math import inf
 
 from .arithmetic import (
     GuardViolation,
@@ -41,7 +42,7 @@ from .arithmetic import (
     spread,
 )
 from .qpochhammer import poch_quotient
-from .qseries import SeriesSpec, TermTrace, VwpSpec, ZeroParameter, eval_series
+from .qseries import SeriesSpec, TermTrace, VwpSpec, ZeroParameter, eval_scaled
 
 
 class PoleGuard(GuardViolation):
@@ -302,8 +303,7 @@ def _evaluate(params, rep, builder):
         raise
     except GuardViolation as exc:
         raise PoleGuard(f"{rep.tag.value}: {exc}") from exc
-    value, trace = eval_series(spec)
-    return pref * value, trace.scaled(pref)
+    return eval_scaled(pref, spec)
 
 
 def rep_series(params: AWParams, rep):
@@ -335,7 +335,9 @@ class EvalReport(_Frozen):
     """Outcome of evaluating several representations on one draw.
 
     ``traces`` holds the term trace of each value; ``scale``, the largest
-    of their ``abs_scale``, is formed each time it is read.
+    of their ``abs_scale``, is formed each time it is read.  A modulus
+    above the float range reads as ``inf`` in ``scale`` and
+    ``rel_deviation``.
     """
 
     __slots__ = ("values", "skipped", "max_deviation", "traces", "exact", "all_agree")
@@ -357,7 +359,10 @@ class EvalReport(_Frozen):
     def rel_deviation(self) -> float:
         if not self.values:
             return 0.0
-        m = max(abs(v) for v in self.values.values())
+        try:
+            m = max(abs(v) for v in self.values.values())
+        except OverflowError:
+            m = inf
         return self.max_deviation / m if m > 0 else self.max_deviation
 
 
@@ -404,28 +409,21 @@ def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:
     aps = [ap * params.ak(s) for s in (2, 3, 4)]
     spec = SeriesSpec([pow_int(q, n - 1) * params.a1234, ap * w, ap / w],
                       aps, q, qi, n)
-    pref = poch_quotient(q, n, ((ap, -n),), num_rows=spec.den_rows)
-    value, trace = eval_series(spec)
-    return pref * value, trace.scaled(pref)
+    return eval_scaled(poch_quotient(q, n, ((ap, -n),), num_rows=spec.den_rows), spec)
 
 
-def _qinv_scaling(params: AWParams):
-    """``(d1, d2, ref, scale)``: the two differences of
-    :func:`check_qinv_scaling`, the derived base-inverted standard value
-    ``ref`` that the first one subtracts, and a callable that returns the
-    cancellation scale when a float verdict needs it: the largest of the
-    three evaluations' scales, plus ``abs(ref)``."""
-    lhs, ltrace = eval_qinv_direct(params)
-    ref, trace = eval_qinv_rep(params, RepTag.PHI_STD)
+def _qinv_scaling(params: AWParams) -> list:
+    """The three (value, trace) pairs that :func:`check_qinv_scaling`
+    compares: the direct oracle, the derived base-inverted standard
+    representation, and the factor times phi-mixed at the w-flipped
+    reciprocal point."""
+    direct = eval_qinv_direct(params)
+    derived = eval_qinv_rep(params, RepTag.PHI_STD)
     _, flipped, factor = params._qinv_point
     # phi-mixed, not phi-std: at 1/w the phi-std series only swaps a_p w
     # and a_p / w, so the second difference would repeat the first
     v2, t2 = eval_rep(flipped, RepTag.PHI_MIXED)
-    def scale():
-        scales = ltrace.abs_scale, trace.abs_scale, abs(factor) * t2.abs_scale
-        return max(scales) + abs(ref)
-
-    return lhs - ref, lhs - factor * v2, ref, scale
+    return [direct, derived, (factor * v2, t2.scaled(factor))]
 
 
 def check_qinv_scaling(params: AWParams):
@@ -444,5 +442,5 @@ def check_qinv_scaling(params: AWParams):
     mixed representation (phi-mixed) at the w-flipped reciprocal point,
     a different series from the first wherever w^2 != 1.
     """
-    d1, d2, _, _ = _qinv_scaling(params)
-    return d1, d2
+    (lhs, _), (ref, _), (right, _) = _qinv_scaling(params)
+    return lhs - ref, lhs - right

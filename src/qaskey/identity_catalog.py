@@ -78,7 +78,7 @@ from .arithmetic import (
 )
 from .askey_wilson import AWParams, RepId, RepTag
 from .qpochhammer import poch_quotient
-from .qseries import DenominatorPole, SeriesSpec, VwpSpec, eval_series
+from .qseries import DenominatorPole, SeriesSpec, VwpSpec, eval_scaled
 
 
 class NotACor33Record(QError):
@@ -286,17 +286,14 @@ class Side:
     power_label: str = ""
 
     def evaluate(self, s: _S):
-        """Return (value, cancellation scale as a callable); guard
-        failures raise.  Only a float verdict calls the scale.  The
-        prefactor's Pochhammer bases are formed before its pole test, the
-        power only after it."""
+        """Return the side's (value, TermTrace) pair; guard failures
+        raise.  The prefactor's Pochhammer bases are formed before its
+        pole test, the power only after it."""
         pref = poch_quotient(
             s.qbase, s.n, () if self.power is None else self.power(s),
             [s.values(self.pref_num)], [s.values(self.pref_den)], pole=DenominatorPole,
             message="prefactor pole: a denominator Pochhammer vanished")
-        spec = self.series(s)
-        value, trace = eval_series(spec)
-        return pref * value, lambda: abs(pref) * trace.abs_scale
+        return eval_scaled(pref, self.series(s))
 
     def describe(self) -> str:
         bits = []
@@ -401,17 +398,17 @@ def judge(values, scale, exact: bool) -> CheckOutcome:
 def settle(evaluate, exact: bool) -> CheckOutcome:
     """The outcome of one check: where every evaluation ends as a verdict.
 
-    ``evaluate()`` returns the values that must agree and their
-    cancellation scale as a callable, and :func:`judge` gives the
-    verdict on them.  A guard violation or a division by zero while
+    ``evaluate()`` returns the (value, TermTrace) pairs whose values must
+    agree, and :func:`judge` gives the verdict on the values; their
+    cancellation scale, formed only for a float verdict, is the largest
+    trace ``abs_scale``.  A guard violation or a division by zero while
     evaluating makes the check SKIPPED, its ``guard`` naming the cause.
-    On the float backend an OverflowError (``abs()`` of a prefactor or
-    term whose modulus leaves the range) makes it INCONCLUSIVE with
-    deviation 0.0, as :func:`judge` does for a value that is not finite;
-    on the exact backend it is raised.
+    On the float backend an OverflowError while evaluating makes it
+    INCONCLUSIVE with deviation 0.0, as :func:`judge` does for a value
+    that is not finite; on the exact backend it is raised.
     """
     try:
-        values, scale = evaluate()
+        pairs = evaluate()
     except GuardViolation as exc:
         return CheckOutcome(Verdict.SKIPPED, 0.0, 0.0, exact, guard=str(exc))
     except ZeroDivisionError as exc:
@@ -421,7 +418,7 @@ def settle(evaluate, exact: bool) -> CheckOutcome:
         if exact:
             raise
         return _UNRESOLVED
-    return judge(values, scale, exact)
+    return judge([v for v, _ in pairs], lambda: max(t.abs_scale for _, t in pairs), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +610,7 @@ def check(record: IdentityRecord, draw: Draw) -> CheckOutcome:
 
     def evaluate():
         s = _substituted(record, _S(draw))
-        left, scale_l = record.lhs.evaluate(s)
-        right, scale_r = record.rhs.evaluate(s)
-        return [left, right], lambda: max(scale_l(), scale_r())
+        return [record.lhs.evaluate(s), record.rhs.evaluate(s)]
 
     return settle(evaluate, draw.q.exact)
 

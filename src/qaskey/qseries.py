@@ -63,7 +63,7 @@ each for an exact zero; the kernel reads those triples as they are, and
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, inf
 
 from .arithmetic import (
     GuardViolation,
@@ -119,7 +119,8 @@ class TermTrace:
     ``abs_scale`` is formed each time it is read: no exact verdict reads
     it, and a float verdict reads it once.  It sums the magnitudes of the
     unscaled terms and then applies ``abs(f) * s`` for each recorded
-    factor f in order.
+    factor f in order.  A float modulus above the float range reads as
+    ``inf``, as :func:`~qaskey.arithmetic.abs_parts` does on exact.
     """
 
     __slots__ = ("_steps", "factors")
@@ -136,12 +137,15 @@ class TermTrace:
     @property
     def abs_scale(self) -> float:
         terms = self.unscaled_terms
-        if type(terms[0]) is tuple:
-            s = sum(abs_parts(*t) for t in terms)
-        else:
-            s = sum(map(abs, terms))
-        for f in self.factors:
-            s = abs(f) * s
+        try:
+            if type(terms[0]) is tuple:
+                s = sum(abs_parts(*t) for t in terms)
+            else:
+                s = sum(map(abs, terms))
+            for f in self.factors:
+                s = abs(f) * s
+        except OverflowError:
+            return inf
         return s
 
     @property
@@ -559,6 +563,14 @@ def eval_series(spec):
     in their place sees every evaluation that passes through here.
     """
     return (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec)
+
+
+def eval_scaled(pref, spec):
+    """``(pref * value, trace.scaled(pref))`` of :func:`eval_series`: a
+    prefactor times a series, the one step every representation and
+    scaled contract takes."""
+    value, trace = eval_series(spec)
+    return pref * value, trace.scaled(pref)
 
 
 def eval_w_direct(spec: VwpSpec):

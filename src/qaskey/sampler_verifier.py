@@ -16,8 +16,8 @@ knows suite targets ``aw/*`` (representation consistency) and ``ops/*``
 
 Every check ends in :func:`~qaskey.identity_catalog.settle`: a record
 target runs :func:`~qaskey.identity_catalog.check`, and a suite is a
-plain evaluation ``draw -> (values, scale)`` that its target settles.
-A SKIPPED outcome rejects the draw.
+plain evaluation ``draw -> [(value, TermTrace), ...]`` that its target
+settles.  A SKIPPED outcome rejects the draw.
 
 A :class:`DrawConfig` holds only what a caller sets; the draw policy and
 the verdict tolerances are fixed, and :data:`POLICY` records them.
@@ -50,6 +50,7 @@ from .qseries import (
     VwpSpec,
     connect_qinv,
     eval_phi,
+    eval_scaled,
     eval_series,
     invert_series,
     invert_w,
@@ -201,20 +202,13 @@ def _draw_aw(rng, cfg, exact) -> aw.AWParams:
 _PHI_STD_ROLES = tuple(aw.RepId(aw.RepTag.PHI_STD, p=k) for k in (1, 2, 3, 4))
 
 
-def _agreeing(evaluated) -> tuple:
-    """(values, scale) of evaluated (value, trace) pairs, taken in order so
-    that the first guard failure ends the check; the scale is the largest
-    trace scale, 0.0 for none."""
-    pairs = list(evaluated)
-    return [v for v, _ in pairs], lambda: max([0.0, *(t.abs_scale for _, t in pairs)])
-
-
 def _suite_targets() -> list:
-    """The suites: each is an evaluation ``draw -> (values, scale)`` of
-    values that must agree, settled by :func:`settle`.  Suites look up
-    the Askey-Wilson evaluators through the module when they run, so an
-    evaluator rebound there (by a test or the benchmark's tracer) is the
-    one called."""
+    """The suites: each is an evaluation ``draw -> [(value, TermTrace),
+    ...]`` of values that must agree, settled by :func:`settle`.  A list
+    is evaluated in order, so the first guard failure ends the check.
+    Suites look up the Askey-Wilson evaluators through the module when
+    they run, so an evaluator rebound there (by a test or the benchmark's
+    tracer) is the one called."""
     suites = []
 
     def add(tid, ref, draw_fn, evaluate):
@@ -225,7 +219,7 @@ def _suite_targets() -> list:
 
     # representation consistency ---------------------------------------
     add("aw/seven-way", "all seven representations agree", _draw_aw,
-        lambda params: _agreeing(aw.eval_rep(params, rep) for rep in aw.ALL_REPS))
+        lambda params: [aw.eval_rep(params, rep) for rep in aw.ALL_REPS])
 
     # The phi-std series singles out a_p alone: interchanging the other
     # three parameters reorders its numerator and denominator lists and
@@ -233,30 +227,22 @@ def _suite_targets() -> list:
     # evaluates the series of role p = perm[0] here, and the four roles
     # are the only distinct series.
     add("aw/permutation", "parameter-interchange invariance", _draw_aw,
-        lambda params: _agreeing(aw.eval_rep(params, rep) for rep in _PHI_STD_ROLES))
+        lambda params: [aw.eval_rep(params, rep) for rep in _PHI_STD_ROLES])
 
     def theta_flip(params):
         # phi-mixed, not phi-std: w -> 1/w only swaps a_p w and a_p / w in
         # the phi-std numerators, so that series would be compared with
         # itself; phi-mixed takes w and 1/w into different slots
-        v1, t1 = aw.eval_rep(params, aw.RepTag.PHI_MIXED)
-        v2, t2 = aw.eval_rep(params.flip_w(), aw.RepTag.PHI_MIXED)
-        return [v1, v2], lambda: max(t1.abs_scale, t2.abs_scale)
+        return [aw.eval_rep(params, aw.RepTag.PHI_MIXED),
+                aw.eval_rep(params.flip_w(), aw.RepTag.PHI_MIXED)]
 
     add("aw/theta-flip", "invariance under w -> 1/w", _draw_aw, theta_flip)
 
-    def qinverse(params):
-        evaluated = [aw.eval_qinv_rep(params, rep) for rep in aw.ALL_REPS]
-        return _agreeing(evaluated + [aw.eval_qinv_direct(params)])
-
-    add("aw/qinverse", "base-inverted representations agree", _draw_aw, qinverse)
-
-    def qinv_scaling(params):
-        d1, d2, ref, scale = aw._qinv_scaling(params)
-        return [d1, ref - ref, d2], scale
-
+    add("aw/qinverse", "base-inverted representations agree", _draw_aw,
+        lambda params: [*(aw.eval_qinv_rep(params, rep) for rep in aw.ALL_REPS),
+                        aw.eval_qinv_direct(params)])
     add("aw/qinv-scaling", "base-inverted family: reciprocal-parameter scaling",
-        _draw_aw, qinv_scaling)
+        _draw_aw, lambda params: aw._qinv_scaling(params))
 
     # transformation contracts ------------------------------------------
     def draw_phi(rng, cfg, exact, width=3):
@@ -272,9 +258,7 @@ def _suite_targets() -> list:
         ``transform(spec) -> (pref, image)``."""
         def evaluate(spec):
             pref, image = transform(spec)
-            v1, t1 = eval_series(spec)
-            v2, t2 = eval_series(image)
-            return [v1, pref * v2], lambda: max(t1.abs_scale, abs(pref) * t2.abs_scale)
+            return [eval_series(spec), eval_scaled(pref, image)]
         return evaluate
 
     add("ops/invert-series", "summation reversal contract",
@@ -306,19 +290,13 @@ def _suite_targets() -> list:
 
     def connect(spec):
         inv_spec, (pref, rev) = connect_qinv(spec)
-        v, t = eval_phi(spec)
-        vi, ti = eval_phi(inv_spec)
-        vr, tr = eval_phi(rev)
-        return ([v, vi, pref * vr],
-                lambda: max(t.abs_scale, ti.abs_scale, abs(pref) * tr.abs_scale))
+        return [eval_phi(spec), eval_phi(inv_spec), eval_scaled(pref, rev)]
 
     add("ops/connect-qinv", "base connection: three-way equality", draw_phi, connect)
 
     def qinvert(spec):
         spec2 = qinvert_f(spec)
-        v1, t1 = eval_phi(spec)
-        v2, t2 = eval_phi(spec2)
-        return [v1, v2], lambda: max(t1.abs_scale, t2.abs_scale)
+        return [eval_phi(spec), eval_phi(spec2)]
 
     add("ops/qinvert-f", "base-inversion recipe contract", draw_phi, qinvert)
 

@@ -581,3 +581,25 @@ def test_eval_reports_a_nan_deviation_as_nan(capsys):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     payload = _strict_json(out)
     assert payload["max_deviation"] is None and payload["all_agree"] is False
+
+
+@pytest.mark.parametrize("argv, text_line, field", [
+    (["eval-series", "--num", "1/2", "--den", "1/3", "--z", "1e308+1e308 i", "--q", "0.5",
+      "--n", "1", "--backend", "float"], "abs_scale inf", "abs_scale"),
+    (["eval", "--a1", "0.5", "--a2", "0.3", "--a3", "0.2", "--a4", "0.1", "--q", "0.5",
+      "--w", "1.3e154+0.54e154 i", "--n", "2", "--backend", "float"],
+     "condition scale    inf", "scale"),
+], ids=["eval-series", "eval"])
+def test_a_float_modulus_beyond_the_float_range_reads_as_inf(argv, text_line, field):
+    # the parts are finite, but abs() of a term or a value raises
+    # OverflowError; the scale reads as inf, and JSON writes null
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    outputs = []
+    for extra in ([], ["--format", "json"]):
+        out = subprocess.run([sys.executable, "-m", "qaskey", *argv, *extra], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+        outputs.append(out.stdout)
+    assert text_line in outputs[0].splitlines()
+    assert _strict_json(outputs[1])[field] is None

@@ -40,7 +40,7 @@ from qaskey.identity_catalog import (
 )
 from qaskey import qpochhammer, qseries
 from qaskey.sampler_verifier import all_targets
-from qaskey.qseries import SeriesSpec, VwpSpec, eval_phi, eval_w, invert_w
+from qaskey.qseries import SeriesSpec, TermTrace, VwpSpec, eval_phi, eval_w, invert_w
 from qaskey.arithmetic import GuardViolation, binom2, pow_int
 
 from util import rand_qbase, rand_scalar
@@ -378,7 +378,8 @@ def test_settle_is_where_an_evaluation_ends():
         settle(overflow, True)
     # otherwise judge's verdict at the fixed tolerances: within REL_TOL of
     # the scale, within the ABS_TOL floor, beyond both on a scale within
-    # COND_CAP of the values, and beyond COND_CAP
+    # COND_CAP of the values, and beyond COND_CAP.  The scale is the
+    # largest trace abs_scale of the evaluated pairs
     cases = [([1.0 + 0j, 1.0 + 1e-11 + 0j], 1.0),
              ([0.0 + 0j, 1e-13 + 0j], 0.0),
              ([1.0 + 0j, 1.0 + 1e-6 + 0j], 1.0),
@@ -386,11 +387,14 @@ def test_settle_is_where_an_evaluation_ends():
              ([1e-3 + 0j, 0j], 1e6)]
     verdicts = []
     for values, scale in cases:
-        outcome = settle(lambda: (values, lambda: scale), False)
+        pairs = [(values[0], TermTrace((complex(scale),))),
+                 *((v, TermTrace((0j,))) for v in values[1:])]
+        outcome = settle(lambda: pairs, False)
         assert outcome == judge(values, lambda: scale, False)
         verdicts.append(outcome.verdict.value)
     assert verdicts == ["PASS", "PASS", "FAIL", "FAIL", "INCONCLUSIVE"]
-    assert settle(lambda: ([G(1, 2), G(1, 2)], lambda: 1.0), True) == judge(
+    one = TermTrace((G(1),))
+    assert settle(lambda: [(G(1, 2), one), (G(1, 2), one)], True) == judge(
         [G(1, 2), G(1, 2)], lambda: 1.0, True)
 
 

@@ -334,15 +334,35 @@ def test_float_qinverse_tally_with_large_base():
     assert (entry.passed, entry.failed, entry.inconclusive) == (100, 0, 0)
 
 
+# (pass, fail, inconclusive, skipped) of every target on float at 20
+# draws, recorded before the checks handed settle (value, trace) pairs; a
+# target not named is (20, 0, 0, 0).  A refactor of the float path must
+# leave them unchanged
+_FLOAT_TALLIES = [
+    ({}, {}),
+    (dict(q_big=True, n_range=(0, 20)),
+     {"aw/seven-way": (19, 0, 1, 0), "aw/permutation": (19, 0, 1, 0),
+      "aw/theta-flip": (19, 0, 1, 0), "ops/invert-w": (19, 0, 1, 0)}),
+]
+
+
+@pytest.mark.parametrize("overrides, tallies", _FLOAT_TALLIES, ids=["defaults", "q-big-n20"])
+def test_float_verdict_tallies_are_pinned(overrides, tallies):
+    report = run_sweep(DrawConfig(draws_per_record=20, backend="float", **overrides))
+    assert [e.record_id for e in report.entries] == all_target_ids()
+    for e in report.entries:
+        expected = tallies.get(e.record_id, (20, 0, 0, 0))
+        assert (e.passed, e.failed, e.inconclusive, e.skipped) == expected, e.record_id
+
+
 def test_float_qinv_scaling_tallies_with_large_base():
-    # the first difference and the scale read the derived base-inverted
-    # value, whose prefactor takes the factor into its product; the plain
-    # value at the reciprocal point times the factor overflows on more
-    # draws.  The second difference reads phi-mixed at the w-flipped point;
-    # phi-std there left 6 and 34 of the first two settings' draws
-    # INCONCLUSIVE.  The scale counts every evaluation: without the direct
-    # oracle's, one draw of the last setting FAILed while the derived value
-    # underflowed to 0
+    # the second value is the derived base-inverted one, whose prefactor
+    # takes the factor into its product; the plain value at the reciprocal
+    # point times the factor overflows on more draws.  The third value
+    # reads phi-mixed at the w-flipped point; phi-std there left 6 and 34
+    # of the first two settings' draws INCONCLUSIVE.  The scale counts
+    # every evaluation: without the direct oracle's, one draw of the last
+    # setting FAILed while the derived value underflowed to 0
     for seed, n_max, tally in ((20260808, 20, (98, 0, 2, 0)), (2, 40, (70, 0, 30, 0)),
                                (20260808, 40, (71, 0, 29, 0))):
         cfg = DrawConfig(seed=seed, backend="float", q_big=True, n_range=(0, n_max))
@@ -500,7 +520,8 @@ def test_overflow_while_checking_settles_by_backend():
 
     def non_finite(d):
         # two finite values whose difference overflows
-        return [1e308 + 0j, -1e308 + 0j], lambda: 1.0
+        trace = qseries.TermTrace((1 + 0j,))
+        return [(1e308 + 0j, trace), (-1e308 + 0j, trace)]
 
     def target(evaluate):
         # a suite's run: its evaluation settled once
