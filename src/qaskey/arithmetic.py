@@ -4,10 +4,10 @@ Two scalar types realize the same abstract complex field:
 
 * exact backend -- :class:`GaussianRational`, a complex number stored as
   three integers ``(a + b*i) / d`` in canonical form (``d > 0``,
-  ``gcd(a, b, d) == 1``).  ``*`` and ``/`` normalise with one gcd;
-  ``+`` and ``-`` take the gcd of the two denominators and then at most
-  one gcd on a divisor of it, so many-word operands never meet a gcd of
-  the doubled size.  Every ring identity holds bit-exactly, so it
+  ``gcd(a, b, d) == 1``).  ``+``, ``-``, ``*``, ``/`` and the
+  constructor form their integer triple and hand it to
+  :func:`from_parts`, the one place where a result is reduced, with one
+  gcd.  Every ring identity holds bit-exactly, so it
   serves as the ground-truth oracle: a verified identity either cancels
   to zero or it does not.  :func:`parts`, :func:`from_parts` and
   :func:`abs_parts` hand the triple to loops that run on plain ints,
@@ -82,11 +82,10 @@ class GaussianRational:
 
     The stored triple is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``,
     and zero is ``(0, 0, 1)``.  Equal values therefore have equal
-    triples.  ``*`` and ``/`` do their integer arithmetic and then at most
-    one gcd normalisation.  ``+`` and ``-`` take ``gcd(d1, d2)`` and then
-    at most one gcd on a divisor of it (Knuth's rational addition); with
-    a denominator of 1 they need none, and neither do negation and
-    conjugation.
+    triples.  Every operator that can leave a common factor forms its
+    integer triple (``+`` and ``-`` the cross sum over ``d1*d2``) and
+    reduces it with one gcd in :func:`from_parts`; negation, conjugation
+    and the coercion of an ``int`` or ``Fraction`` need none.
     :attr:`re` and :attr:`im` read the parts back as reduced ``Fraction``
     values.
 
@@ -102,20 +101,10 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
-        if not isinstance(re, _EXACT_PARTS):
-            re = Fraction(re)
-        if not isinstance(im, _EXACT_PARTS):
-            im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
         p, q = re.numerator, re.denominator
         r, s = im.numerator, im.denominator
-        if s == 1:
-            self._a, self._b, self._d = p, r * q, q
-        elif q == s:
-            self._a, self._b, self._d = p, r, q
-        else:
-            a, b, d = p * s, r * q, q * s
-            g = gcd(a, b, d)
-            self._a, self._b, self._d = a // g, b // g, d // g
+        self._a, self._b, self._d = parts(from_parts(p * s, r * q, q * s))
 
     @property
     def re(self) -> Fraction:
@@ -129,14 +118,8 @@ class GaussianRational:
         o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        a1, b1, d1 = self._a, self._b, self._d
-        a2, b2, d2 = o._a, o._b, o._d
-        # with a unit denominator on either side the sum is already canonical
-        if d2 == 1:
-            return _make(a1 + a2 * d1, b1 + b2 * d1, d1)
-        if d1 == 1:
-            return _make(a1 * d2 + a2, b1 * d2 + b2, d2)
-        return _sum(a1, b1, d1, a2, b2, d2)
+        d1, d2 = self._d, o._d
+        return from_parts(self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -144,13 +127,15 @@ class GaussianRational:
         o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        return _difference(self, o)
+        d1, d2 = self._d, o._d
+        return from_parts(self._a * d2 - o._a * d1, self._b * d2 - o._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return _difference(o, self)
+        d1, d2 = o._d, self._d
+        return from_parts(o._a * d2 - self._a * d1, o._b * d2 - self._b * d1, d1 * d2)
 
     def __mul__(self, other):
         o = other if type(other) is GaussianRational else _coerce(other)
@@ -200,8 +185,6 @@ class GaussianRational:
     def __hash__(self):
         if self._b:
             return hash((self._a, self._b, self._d))
-        if self._d == 1:
-            return hash(self._a)
         return hash(Fraction(self._a, self._d))
 
     def __bool__(self):
@@ -320,44 +303,6 @@ def _int_pow(x, k: int) -> tuple:
             # the square after the top bit would be the largest, and unused
             a, b, d = a * a - b * b, 2 * a * b, d * d
     return ra, rb, rd
-
-
-def _sum(a1, b1, d1, a2, b2, d2):
-    """``(a1 + b1*i)/d1 + (a2 + b2*i)/d2`` for canonical triples.
-
-    Knuth's rational addition (TAOCP vol. 2, 4.5.1): with
-    ``g = gcd(d1, d2)``, ``d1 = g*s`` and ``d2 = g*u``, the sum is
-    ``(a1*u + a2*s + (b1*u + b2*s)*i) / (g*s*u)``.  A prime of ``s`` or
-    ``u`` dividing both numerator parts would divide ``gcd(a1, b1, d1)``
-    or ``gcd(a2, b2, d2)``, so only a divisor of ``g`` can cancel, and
-    coprime denominators need no second gcd at all.  A zero sum has
-    ``d1 == d2``, so ``s == u == 1`` and ``gcd(g, 0, 0) == g`` leave
-    ``(0, 0, 1)``.
-    """
-    g = gcd(d1, d2)
-    if g == 1:
-        return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
-    s = d1 // g
-    u = d2 // g
-    a = a1 * u + a2 * s
-    b = b1 * u + b2 * s
-    # g first: gcd(g, a) is one cheap remainder on a long a, and gcd
-    # stops as soon as the running value is 1
-    g2 = gcd(g, a, b)
-    if g2 == 1:
-        return _make(a, b, s * d2)
-    return _make(a // g2, b // g2, s * (d2 // g2))
-
-
-def _difference(x, y):
-    """``x - y``; like ``__add__``, it skips the gcd when a denominator is 1."""
-    a1, b1, d1 = x._a, x._b, x._d
-    a2, b2, d2 = y._a, y._b, y._d
-    if d2 == 1:
-        return _make(a1 - a2 * d1, b1 - b2 * d1, d1)
-    if d1 == 1:
-        return _make(a1 * d2 - a2, b1 * d2 - b2, d2)
-    return _sum(a1, b1, d1, -a2, -b2, d2)
 
 
 def _coerce(x):

@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 an identity check FAILed, 2 parse/usage error,
 not find an admissible draw.
 
 Every flag can also be supplied from a ``key = value`` config file via
---config; explicit flags win over the file.
+--config; explicit flags win over the file, and every value in it is
+checked as its flag would be.
 """
 
 from __future__ import annotations
@@ -79,45 +80,41 @@ def _load_config(path: str) -> dict:
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
-# keys whose config value is an integer (argparse converts the flags)
-_INT_KEYS = {"n", "n_max", "draws", "seed"}
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Merge CLI values, config-file values and defaults (in that order).
+def _config_values(p, path: str) -> dict:
+    """The values of the config file ``path``, keyed by the dests of the
+    subcommand parser ``p``'s flags, for ``p.set_defaults``.
 
-    A config value is checked as its flag would be: a boolean must be one
-    of the ``_TRUE`` or ``_FALSE`` words, an integer key must parse, and a
-    key whose flag has fixed choices must name one of them."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    choices = getattr(args, "config_choices", {})
+    Each value is checked as its flag would be, also when a flag given on
+    the command line overrides it: a boolean must be one of the ``_TRUE``
+    or ``_FALSE`` words, an integer flag's value must parse, and a flag
+    with fixed choices must name one of them."""
+    config = _load_config(path)
+    actions = [a for a in p._actions if a.dest not in ("help", "config")]
     out = {}
-    for key, fallback in defaults.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            out[key] = cli_val
+    for action in actions:
+        key = action.dest
+        if key not in config:
             continue
-        if key in config:
-            raw = config[key]
-            if isinstance(fallback, bool):
-                word = raw.lower()
-                if word not in _TRUE and word not in _FALSE:
-                    _die(EXIT_PARSE, f"config key {key}: expected one of "
-                                     f"{', '.join(sorted(_TRUE | _FALSE))}, got {_quoted(raw)}")
-                out[key] = word in _TRUE
-            elif key in _INT_KEYS:
-                try:
-                    out[key] = int(raw)
-                except ValueError:
-                    _die(EXIT_PARSE, f"config key {key}: expected an integer, got {_quoted(raw)}")
-            elif key in choices and raw not in choices[key]:
+        raw = config[key]
+        if isinstance(action.default, bool):
+            word = raw.lower()
+            if word not in _TRUE and word not in _FALSE:
                 _die(EXIT_PARSE, f"config key {key}: expected one of "
-                                 f"{', '.join(choices[key])}, got {_quoted(raw)}")
-            else:
-                out[key] = raw
-            continue
-        out[key] = fallback
-    unknown = set(config) - set(defaults)
+                                 f"{', '.join(sorted(_TRUE | _FALSE))}, got {_quoted(raw)}")
+            out[key] = word in _TRUE
+        elif action.type is int:
+            try:
+                out[key] = int(raw)
+            except ValueError:
+                _die(EXIT_PARSE, f"config key {key}: expected an integer, got {_quoted(raw)}")
+        elif action.choices and raw not in action.choices:
+            _die(EXIT_PARSE, f"config key {key}: expected one of "
+                             f"{', '.join(action.choices)}, got {_quoted(raw)}")
+        else:
+            out[key] = raw
+    unknown = set(config) - {a.dest for a in actions}
     if unknown:
         _die(EXIT_PARSE, f"unknown config keys: {', '.join(sorted(unknown))}")
     return out
@@ -180,13 +177,6 @@ def _build(make, *args, **kwargs):
 # eval
 # ---------------------------------------------------------------------------
 
-_EVAL_DEFAULTS = {
-    "a1": None, "a2": None, "a3": None, "a4": None, "q": None,
-    "w": None, "theta": None, "x": None, "n": None,
-    "rep": "all", "backend": "rational", "format": "text",
-}
-
-
 def _spectral_point(opts, exact: bool):
     picks = [k for k in ("w", "theta", "x") if opts[k] is not None]
     if len(picks) != 1:
@@ -215,7 +205,7 @@ def _spectral_point(opts, exact: bool):
 
 
 def cmd_eval(args) -> int:
-    opts = _resolve(args, _EVAL_DEFAULTS)
+    opts = vars(args)
     _require(opts, "a1", "a2", "a3", "a4", "q", "n")
     exact = opts["backend"] == "rational"
     a = [_parse_scalar(exact, opts[k], f"--{k}") for k in ("a1", "a2", "a3", "a4")]
@@ -262,14 +252,8 @@ def cmd_eval(args) -> int:
 # eval-series
 # ---------------------------------------------------------------------------
 
-_SERIES_DEFAULTS = {
-    "kind": "phi", "num": None, "den": None, "b": None, "lower": None,
-    "z": None, "q": None, "n": None, "backend": "rational", "format": "text",
-}
-
-
 def cmd_eval_series(args) -> int:
-    opts = _resolve(args, _SERIES_DEFAULTS)
+    opts = vars(args)
     _require(opts, "z", "q", "n")
     exact = opts["backend"] == "rational"
     qbase = QBase(_parse_scalar(exact, opts["q"], "--q"))
@@ -297,20 +281,16 @@ def cmd_eval_series(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_VERIFY_DEFAULTS = {
-    "targets": "*", "draws": 100, "seed": 20260808, "backend": "rational",
-    "n_max": 6, "q_big": False, "json": None,
-}
-
-
 def cmd_verify(args) -> int:
-    opts = _resolve(args, _VERIFY_DEFAULTS)
+    opts = vars(args)
     cfg = _build(DrawConfig, seed=opts["seed"],
                  draws_per_record=opts["draws"],
                  n_range=(0, opts["n_max"]),
                  backend=opts["backend"],
-                 q_big=bool(opts["q_big"]))
+                 q_big=opts["q_big"])
     patterns = [p.strip() for p in opts["targets"].split(",") if p.strip()]
+    if not patterns:
+        _die(EXIT_PARSE, f"--targets names no target: {_quoted(opts['targets'])}")
     resolve_targets(patterns)   # an unknown target exits before the report file is touched
     # opened first, so that a path that cannot be written fails before the sweep
     with _open_out(opts["json"]) if opts["json"] else contextlib.nullcontext() as out:
@@ -331,11 +311,8 @@ def cmd_verify(args) -> int:
 # list
 # ---------------------------------------------------------------------------
 
-_LIST_DEFAULTS = {"format": "text"}
-
-
 def cmd_list(args) -> int:
-    opts = _resolve(args, _LIST_DEFAULTS)
+    opts = vars(args)
     records = catalog()
     if opts["format"] == "json":
         payload = [{
@@ -359,12 +336,6 @@ def cmd_list(args) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-_TABLE_DEFAULTS = {
-    "a1": None, "a2": None, "a3": None, "a4": None, "q": None,
-    "n_max": 4, "x_grid": None, "format": "csv", "out": None,
-}
-
-
 def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -383,7 +354,7 @@ def _parse_grid(text: str):
 
 
 def cmd_table(args) -> int:
-    opts = _resolve(args, _TABLE_DEFAULTS)
+    opts = vars(args)
     _require(opts, "a1", "a2", "a3", "a4", "q", "x_grid")
     a = [_parse_scalar(False, opts[k], f"--{k}") for k in ("a1", "a2", "a3", "a4")]
     qbase = QBase(_parse_scalar(False, opts["q"], "--q"))
@@ -420,11 +391,12 @@ def cmd_table(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    """Add --config, after every other flag of ``p``: the choices of those
-    flags are kept for :func:`_resolve` to check config values against."""
+def _add_common(p, func):
+    """Add --config to the subcommand parser ``p`` and bind it to ``func``;
+    :func:`main` reads ``p`` back from the parsed arguments to apply a
+    config file to it."""
     p.add_argument("--config", help="key = value file mirroring the flags")
-    p.set_defaults(config_choices={a.dest: a.choices for a in p._actions if a.choices})
+    p.set_defaults(func=func, parser=p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,14 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", help="angle; w = e^{i|theta|} (float backend)")
     p.add_argument("--x", help="polynomial argument in [-1,1] (float backend)")
     p.add_argument("--n", type=int)
-    p.add_argument("--rep", choices=_REP_CHOICES)
-    p.add_argument("--backend", choices=["rational", "float"])
-    p.add_argument("--format", choices=["text", "json"])
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--rep", choices=_REP_CHOICES, default="all")
+    p.add_argument("--backend", choices=["rational", "float"], default="rational")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    _add_common(p, cmd_eval)
 
     p = sub.add_parser("eval-series", help="evaluate a terminating series")
-    p.add_argument("--kind", choices=["phi", "w"])
+    p.add_argument("--kind", choices=["phi", "w"], default="phi")
     p.add_argument("--num", help="comma-separated numerator parameters")
     p.add_argument("--den", help="comma-separated denominator parameters")
     p.add_argument("--b", help="special parameter of the very-well-poised shape")
@@ -458,38 +429,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z")
     p.add_argument("--q")
     p.add_argument("--n", type=int)
-    p.add_argument("--backend", choices=["rational", "float"])
-    p.add_argument("--format", choices=["text", "json"])
-    _add_common(p)
-    p.set_defaults(func=cmd_eval_series)
+    p.add_argument("--backend", choices=["rational", "float"], default="rational")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    _add_common(p, cmd_eval_series)
 
     p = sub.add_parser("verify", help="run randomized identity sweeps")
-    p.add_argument("--targets", help="comma-separated id globs (default *)")
-    p.add_argument("--draws", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--backend", choices=["rational", "float", "both"])
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--q-big", action="store_true", default=None, dest="q_big",
+    p.add_argument("--targets", default="*", help="comma-separated id globs (default *)")
+    p.add_argument("--draws", type=int, default=100)
+    p.add_argument("--seed", type=int, default=20260808)
+    p.add_argument("--backend", choices=["rational", "float", "both"], default="rational")
+    p.add_argument("--n-max", type=int, default=6, dest="n_max")
+    p.add_argument("--q-big", action="store_true", dest="q_big",
                    help="use the mirrored |q| > 1 regime")
     p.add_argument("--json", help="write the full report to this file")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    _add_common(p, cmd_verify)
 
     p = sub.add_parser("list", help="list the identity catalogue")
-    p.add_argument("--format", choices=["text", "json"])
-    _add_common(p)
-    p.set_defaults(func=cmd_list)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    _add_common(p, cmd_list)
 
     p = sub.add_parser("table", help="tabulate polynomial values over a grid")
     for k in ("a1", "a2", "a3", "a4"):
         p.add_argument(f"--{k}")
     p.add_argument("--q")
-    p.add_argument("--n-max", type=int, dest="n_max")
+    p.add_argument("--n-max", type=int, default=4, dest="n_max")
     p.add_argument("--x-grid", dest="x_grid", help="lo:hi:count with x in [-1,1]")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="output file (default stdout)")
-    _add_common(p)
-    p.set_defaults(func=cmd_table)
+    _add_common(p, cmd_table)
 
     # let scalar values like -1/3 or -0.5+2i pass as option values; set
     # after add_argument so registered options keep the stock matcher
@@ -508,6 +475,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
+        if args.config:
+            # the file's values become the defaults of the second parse, so
+            # a flag on the command line still wins
+            args.parser.set_defaults(**_config_values(args.parser, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -318,17 +318,24 @@ def all_target_ids() -> list:
 
 
 def resolve_targets(patterns) -> list:
-    """Expand globs over target ids; exact non-glob ids must exist."""
+    """The targets whose ids the patterns name, in inventory order.
+
+    A pattern is a glob over the ids or one exact id.  A glob that
+    matches no id, or an id that does not exist, raises UnknownTarget,
+    so a mistyped pattern never verifies nothing.  An empty list of
+    patterns picks no target.
+    """
     targets = all_targets()
     ids = [t.id for t in targets]
     picked = set()
     for pattern in patterns:
         if any(ch in pattern for ch in "*?["):
-            picked.update(i for i in ids if fnmatch.fnmatchcase(i, pattern))
-        elif pattern in ids:
-            picked.add(pattern)
+            matched = [i for i in ids if fnmatch.fnmatchcase(i, pattern)]
         else:
+            matched = [pattern] if pattern in ids else []
+        if not matched:
             raise UnknownTarget(pattern)
+        picked.update(matched)
     return [t for t in targets if t.id in picked]
 
 
@@ -365,10 +372,7 @@ def draw_params(cfg: DrawConfig, target, index: int = 0, backend: str | None = N
     up to ``MAX_REJECTS`` candidates.
     """
     if isinstance(target, str):
-        matches = resolve_targets([target])
-        if not matches:
-            raise UnknownTarget(target)
-        target = matches[0]
+        target = resolve_targets([target])[0]
     elif not isinstance(target, Target):
         target = _record_target(target)
     backend = backend or ("rational" if cfg.backend == "both" else cfg.backend)

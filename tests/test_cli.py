@@ -147,10 +147,10 @@ def test_verify_cli_and_exit_codes(tmp_path, capsys):
     payload = json.loads(out_json.read_text())
     assert len(payload["records"]) == 3
 
-    code, out, _ = run_cli(capsys, "verify", "--targets", "nosuch/*",
-                           "--draws", "4", "--seed", "3")
-    assert code == 0
-    assert "targets=0" in out
+    code, out, err = run_cli(capsys, "verify", "--targets", "nosuch/*",
+                             "--draws", "4", "--seed", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown target: 'nosuch/*'\n"
 
     code, _, err = run_cli(capsys, "verify", "--targets", "cor3.6/r99",
                            "--draws", "2", "--seed", "3", "--json", str(out_json))
@@ -179,7 +179,7 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
     tally = RecordTally("fake/record", "Cor 0.0", passed=1, failed=2)
     fake = SweepReport(1, {}, [tally], 0.01)
     monkeypatch.setattr(cli, "run_sweep", lambda cfg, targets: fake)
-    code, out, _ = run_cli(capsys, "verify", "--targets", "fake/*")
+    code, out, _ = run_cli(capsys, "verify", "--targets", "cor3.6/r2")
     assert code == 1
     assert "fail=2" in out
 
@@ -191,7 +191,7 @@ def test_verify_sampler_exhausted_exit_code(capsys, monkeypatch):
         raise SamplerExhausted("fake/record")
 
     monkeypatch.setattr(cli, "run_sweep", explode)
-    code, _, err = run_cli(capsys, "verify", "--targets", "fake/*")
+    code, _, err = run_cli(capsys, "verify", "--targets", "cor3.6/r2")
     assert code == 4 and "sampler" in err
 
 
@@ -332,6 +332,56 @@ def test_config_booleans_take_the_true_and_false_words(tmp_path, word, q_big):
     cfg.write_text(f"targets = cor3.6/r2\ndraws = 1\nq_big = {word}\n")
     assert cli.main(["verify", "--config", str(cfg), "--json", str(report)]) == 0
     assert json.loads(report.read_text())["config"]["q_big"] is q_big
+
+
+@pytest.mark.parametrize("line, flags, message", [
+    ("draws = many", ("--draws", "1"), "config key draws: expected an integer"),
+    ("backend = floats", ("--backend", "float"), "config key backend: expected one of "),
+    ("q_big = ture", ("--q-big",), "config key q_big: expected one of "),
+], ids=["int", "choices", "bool"])
+def test_a_config_value_that_a_flag_overrides_is_still_checked(tmp_path, capsys,
+                                                               line, flags, message):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "verify", "--targets", "cor3.6/r2", "--draws", "1",
+                             *flags, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("targets", ["zzz*", "cor3.6/*,nosuch/*", ",", " , "])
+def test_targets_that_pick_nothing_exit_2_and_leave_the_report(tmp_path, capsys, targets):
+    # a mistyped glob in CI must not verify nothing and pass
+    report = tmp_path / "report.json"
+    report.write_text("earlier report\n")
+    code, out, err = run_cli(capsys, "verify", "--targets", targets, "--draws", "1",
+                             "--json", str(report))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert report.read_text() == "earlier report\n"
+
+
+def test_verify_from_a_config_file_matches_the_same_flags(tmp_path, capsys):
+    by_flags, by_config = tmp_path / "flags.json", tmp_path / "config.json"
+    code, out_flags, _ = run_cli(
+        capsys, "verify", "--targets", "cor3.6/*,ops/invert-w", "--draws", "3",
+        "--seed", "11", "--backend", "both", "--n-max", "9", "--q-big",
+        "--json", str(by_flags))
+    assert code == 0
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("targets = cor3.6/*,ops/invert-w\ndraws = 3\nseed = 11\n"
+                   "backend = both\nn-max = 9\nq_big = yes\n")
+    code, out_config, _ = run_cli(capsys, "verify", "--config", str(cfg),
+                                  "--json", str(by_config))
+    assert code == 0
+    reports = [json.loads(path.read_text()) for path in (by_flags, by_config)]
+    for report in reports:
+        report.pop("wall_time_s")
+    assert reports[0] == reports[1]
+    assert reports[0]["config"]["n_range"] == [0, 9]
+    assert reports[0]["config"]["q_big"] is True
+    assert len(reports[0]["records"]) == 8      # four targets on both backends
+    assert out_flags.splitlines()[:-2] == out_config.splitlines()[:-2]
 
 
 # deep exact values: more digits than str() of an int may give under the

@@ -80,7 +80,8 @@ def test_target_inventory_and_resolution():
     assert "aw/seven-way" in ids and "ops/watson-whipple" in ids
     assert [t.id for t in resolve_targets(["cor3.6/*"])] == [
         "cor3.6/r2", "cor3.6/r3", "cor3.6/r4"]
-    assert resolve_targets(["nosuch/*"]) == []
+    with pytest.raises(UnknownTarget):
+        resolve_targets(["nosuch/*"])
     with pytest.raises(UnknownTarget):
         resolve_targets(["cor3.6/r9"])
 
