@@ -15,10 +15,11 @@ Two scalar types realize the same abstract complex field:
   run fraction-free, with one gcd per product rather than per factor:
   :func:`pow_int` squares plain ints (``_int_pow``),
   ``_one_minus_row`` forms the row of factors ``1 - x q^k`` that a pole
-  guard of :mod:`qaskey.qseries` keeps, and ``_times_poch`` multiplies
-  (x;q)_n into an unreduced triple for
-  :func:`qaskey.qpochhammer.poch_quotient`, the one quotient path of
-  every prefactor, which reduces once.
+  guard of :mod:`qaskey.qseries` keeps, and ``_poch_numerator``
+  multiplies the Gaussian-integer numerators of the factors of (x;q)_n
+  for :func:`qaskey.qpochhammer.poch_quotient`, the one quotient path
+  of every prefactor, which carries their denominators in closed form
+  and reduces once.
 * float backend -- the builtin ``complex``.  Fast, but a failed check may
   be cancellation rather than a genuine discrepancy, so verdicts are
   scale-aware (see :func:`qaskey.identity_catalog.judge`).
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -269,19 +270,21 @@ def _one_minus_row(x, q, n: int) -> tuple:
     return tuple(row)
 
 
-def _times_poch(acc, x, q, n: int) -> tuple:
-    """The unreduced triple of acc (x;q)_n from the triples of acc, x and
-    q: each factor 1 - x q^k is multiplied in as it is formed, with no
-    triple built for it."""
-    pa, pb, pd = acc
+def _poch_numerator(acc, x, q, n: int) -> tuple:
+    """The Gaussian integer ``acc`` times the numerators of the factors
+    1 - x q^k, k < n, of (x;q)_n, from the pair ``acc`` and the triples
+    of x and q.  Over the reduced triple of x, the k-th factor sits over
+    x_d q_d^k, so the denominators that are left out multiply to
+    x_d^n q_d^{C(n,2)}."""
+    pa, pb = acc
     a, b, d = x
     qa, qb, qd = q
     for k in range(n):
         if k:
             a, b, d = a * qa - b * qb, a * qb + b * qa, d * qd
         fa = d - a
-        pa, pb, pd = pa * fa + pb * b, pb * fa - pa * b, pd * d
-    return pa, pb, pd
+        pa, pb = pa * fa + pb * b, pb * fa - pa * b
+    return pa, pb
 
 
 def _int_pow(x, k: int) -> tuple:
@@ -471,13 +474,75 @@ class QBase(_Frozen):
         return QBase(one_like(self.q) / self.q)
 
 
+# Decimal digits of ints of any length, in time below quadratic.  str()
+# and int() refuse more digits than the interpreter's limit
+# (sys.get_int_max_str_digits), which a deep exact value exceeds, and
+# the conversions through Decimal(n) and int(Decimal(s)) take time
+# quadratic in the digits.  Both conversions below halve their input and
+# join the halves with one product by a power of the other radix, cached
+# per call; short parts convert directly.
+_DIRECT_BITS = 128
+_DIRECT_DIGITS = 600    # below 640, the least limit the interpreter allows
+
+
+def _int_digits(n: int) -> str:
+    """The decimal digits of the int ``n``, with a leading ``-`` if
+    negative.  n is halved in binary and the halves joined as
+    ``lo + hi * 2^w`` in Decimal at unbounded precision, whose products
+    of long operands are subquadratic (as CPython 3.12's ``_pylong``)."""
+    powers = {}
+
+    def pow2(w):
+        p = powers.get(w)
+        if p is None:
+            if w <= _DIRECT_BITS:
+                p = Decimal(1 << w)
+            elif w - 1 in powers:
+                p = powers[w - 1] * 2
+            else:
+                p = pow2(w >> 1) * pow2(w - (w >> 1))
+            powers[w] = p
+        return p
+
+    def inner(m, w):
+        if w <= _DIRECT_BITS:
+            return Decimal(m)
+        w2 = w >> 1
+        hi = m >> w2
+        return inner(m - (hi << w2), w2) + inner(hi, w - w2) * pow2(w2)
+
+    m = abs(n)
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+        ctx.traps[Inexact] = True
+        digits = str(inner(m, m.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+def _digits_int(digits: str) -> int:
+    """The int that the ASCII decimal ``digits`` spell, with an optional
+    sign: the string is halved and the halves joined as
+    ``hi * 10^w + lo``, with Python's Karatsuba product."""
+    powers = {}
+
+    def inner(a, b):
+        if b - a <= _DIRECT_DIGITS:
+            return int(digits[a:b])
+        mid = (a + b) >> 1
+        w = b - mid
+        p = powers.get(w)
+        if p is None:
+            p = powers[w] = 10 ** w
+        return inner(a, mid) * p + inner(mid, b)
+
+    m = inner(1 if digits[0] in "+-" else 0, len(digits))
+    return -m if digits[0] == "-" else m
+
+
 def _format_part(v) -> str:
     if isinstance(v, Fraction):
-        # str() of an int refuses more digits than the interpreter's limit
-        # (sys.get_int_max_str_digits), which a deep exact value exceeds;
-        # Decimal converts an int of any size exactly
-        num = str(Decimal(v.numerator))
-        return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
+        num = _int_digits(v.numerator)
+        return num if v.denominator == 1 else f"{num}/{_int_digits(v.denominator)}"
     return f"{v:.17g}"
 
 
@@ -497,15 +562,15 @@ def format_scalar(x) -> str:
 
 def _fraction(token: str) -> Fraction:
     """The rational a token spells.  ``p`` and ``p/q`` (ASCII digits, an
-    optional sign) go through Decimal, which converts digits of any length
-    exactly, as :func:`_format_part` prints them; int() and Fraction()
+    optional sign) are read by :func:`_digits_int`, which reads digits of
+    any length, as :func:`_format_part` prints them; int() and Fraction()
     refuse more digits than ``sys.get_int_max_str_digits()``.  Other
     forms, such as ``1.5e-3``, go through Fraction."""
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] in "+-" else num
     if digits.isascii() and digits.isdigit() and (
             not slash or (den.isascii() and den.isdigit())):
-        return Fraction(int(Decimal(num)), int(Decimal(den)) if slash else 1)
+        return Fraction(_digits_int(num), _digits_int(den) if slash else 1)
     return Fraction(token)
 
 

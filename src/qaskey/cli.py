@@ -288,6 +288,8 @@ def cmd_verify(args) -> int:
                  n_range=(0, opts["n_max"]),
                  backend=opts["backend"],
                  q_big=opts["q_big"])
+    if not cfg.draws_per_record:
+        _die(EXIT_PARSE, "--draws must be >= 1: a sweep of 0 draws verifies nothing")
     patterns = [p.strip() for p in opts["targets"].split(",") if p.strip()]
     if not patterns:
         _die(EXIT_PARSE, f"--targets names no target: {_quoted(opts['targets'])}")

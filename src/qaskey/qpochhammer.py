@@ -8,9 +8,13 @@ times (num;q)_n and any kept guard rows, divided by (den;q)_n.  The
 representations, the catalogue sides and the series transformations
 form their prefactors with it, and :func:`poch` and :func:`poch_list`
 are its one-sided case.  On the exact backend the numerator and the
-denominator are one unreduced integer triple each, into which every
-(a;q)_n is multiplied as its factors 1 - a q^k are formed
-(:func:`~qaskey.arithmetic._times_poch`); their quotient is one division
+denominator are one Gaussian integer each, into which the numerator of
+every factor 1 - a q^k is multiplied as it is formed
+(:func:`~qaskey.arithmetic._poch_numerator` for a base, the kept triples
+for a guard row).  Their real denominators are known in closed form,
+a_d^n q_d^{C(n,2)} for a base with denominator a_d when q has q_d, and
+are carried as such: the powers of q_d cancel by exponent, the
+products of the a_d by one small gcd.  The quotient is one division
 through the conjugate, reduced once.  On the float backend each is a
 complex mantissa with an int binary exponent kept apart, so no partial
 product leaves the float range.
@@ -24,7 +28,7 @@ The exact backend therefore never needs radicals.
 
 from __future__ import annotations
 
-from math import copysign, frexp, inf, ldexp
+from math import copysign, frexp, gcd, inf, ldexp
 
 from .arithmetic import (
     GuardViolation,
@@ -32,7 +36,7 @@ from .arithmetic import (
     QBase,
     _ONE_FLOAT,
     _int_pow,
-    _times_poch,
+    _poch_numerator,
     as_scalar,
     binom2,
     from_parts,
@@ -82,9 +86,11 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
     ``pole(message)`` is raised.
 
     On the exact backend the numerator and the denominator are each one
-    unreduced integer triple, the factors multiplied in as they are
-    formed, and the quotient is one division through the conjugate and
-    one :func:`~qaskey.arithmetic.from_parts`.  On the float backend each
+    Gaussian integer, the numerators of the factors multiplied in as they
+    are formed, over a real denominator known in closed form (the kept
+    rows must be formed on the base ``q``, as a spec's guards are); the
+    quotient is one division through the conjugate and one
+    :func:`~qaskey.arithmetic.from_parts`.  On the float backend each
     is a complex mantissa and an int binary exponent, applied once to the
     quotient: only a quotient beyond the float range is infinite or zero.
     """
@@ -95,17 +101,27 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
     qv = _qval(q)
     if is_exact(qv):
         qt = parts(as_scalar(qv, True))
-        da, db, dd = _exact_product(den, den_rows, qt, n)
+        da, db, dc, dm = _exact_numerator(den, den_rows, qt, n)
         if not (da or db):
             raise pole(message)
-        na, nb, nd = _exact_product(num, num_rows, qt, n)
+        na, nb, nc, nm = _exact_numerator(num, num_rows, qt, n)
+        nd = 1
         for f in lead:
             if type(f) is tuple:
                 fa, fb, fd = _int_pow(parts(as_scalar(f[0], True)), f[1])
             else:
                 fa, fb, fd = parts(as_scalar(f, True))
             na, nb, nd = na * fa - nb * fb, na * fb + nb * fa, nd * fd
-        return from_parts((na * da + nb * db) * dd, (nb * da - na * db) * dd,
+        # (num / (nc^n q_d^{nm C(n,2)})) / (den / (dc^n q_d^{dm C(n,2)})):
+        # the powers of q_d cancel by exponent, nc and dc by one gcd
+        g = gcd(nc, dc)
+        top, nd = (dc // g) ** n, nd * (nc // g) ** n
+        e = binom2(n) * (dm - nm)
+        if e > 0:
+            top *= qt[2] ** e
+        elif e:
+            nd *= qt[2] ** -e
+        return from_parts((na * da + nb * db) * top, (nb * da - na * db) * top,
                           nd * (da * da + db * db))
     dm, de = _float_product((), den, den_rows, qv, n) if den or den_rows else (1, 0)
     if not dm:
@@ -115,18 +131,29 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
     return complex(_ldexp(m.real, e), _ldexp(m.imag, e)) if e else m
 
 
-def _exact_product(groups, rows, q, n: int) -> tuple:
-    """The unreduced triple of (a;q)_n over every base a in ``groups``
-    (``q`` a triple), times every factor of the kept guard ``rows``."""
-    p = 1, 0, 1
+def _exact_numerator(groups, rows, q, n: int) -> tuple:
+    """``(a, b, c, m)``: the product of (x;q)_n over every base x in
+    ``groups`` and of every factor of the kept guard ``rows`` is
+    ``(a + b i) / (c^n q_d^{m C(n,2)})`` for the triple ``q`` with
+    denominator q_d.  c is the product of the k = 0 denominators x_d and
+    m counts the bases and rows; a row's k-th triple sits over its k = 0
+    denominator times q_d^k, as :func:`~qaskey.arithmetic._one_minus_row`
+    forms it on the same base."""
+    p, c, m = (1, 0), 1, 0
     for g in groups:
-        for a in g if isinstance(g, (list, tuple)) else (g,):
-            p = _times_poch(p, parts(as_scalar(a, True)), q, n)
-    a, b, d = p
+        for x in g if isinstance(g, (list, tuple)) else (g,):
+            x = parts(as_scalar(x, True))
+            p = _poch_numerator(p, x, q, n)
+            c *= x[2]
+            m += 1
+    a, b = p
     for row in rows or ():
-        for fa, fb, fd in row:
-            a, b, d = a * fa - b * fb, a * fb + b * fa, d * fd
-    return a, b, d
+        for fa, fb, _ in row:
+            a, b = a * fa - b * fb, a * fb + b * fa
+        if row:
+            c *= row[0][2]
+            m += 1
+    return a, b, c, m
 
 
 def _float_product(factors, groups, rows, q, n: int) -> tuple:

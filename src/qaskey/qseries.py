@@ -32,7 +32,7 @@ oracle: no code that forms a factor ``1 - x q^k`` is shared with the
 recurrence.  The kernel forms its numerator factors inline and reads its
 denominator factors from the guard rows of
 :func:`~qaskey.arithmetic._one_minus_row`; the oracle's products come
-from :func:`~qaskey.arithmetic._times_poch`.  The tests check both
+from :func:`~qaskey.arithmetic._poch_numerator`.  The tests check both
 helpers against plain :class:`~qaskey.arithmetic.GaussianRational`
 loops.
 
@@ -50,7 +50,12 @@ it is read, from the unscaled terms and then the recorded factors in
 order, so an exact check, whose verdict is equality, never forms it.
 Summed from the triples, it is the same float as the sum over the
 reduced terms.  The prefactors of the transformations here come from
-:func:`~qaskey.qpochhammer.poch_quotient`.
+:func:`~qaskey.qpochhammer.poch_quotient`.  :func:`eval_scaled` hands a
+prefactor through :func:`eval_series` to :func:`eval_phi` or
+:func:`eval_w` and so into the kernel: the exact kernel multiplies the
+prefactor's triple into its unreduced Horner sum and reduces the
+product once, the float kernel returns ``pref * value``, and both
+record the prefactor in the trace.
 
 The pole guards of :class:`SeriesSpec` and :class:`VwpSpec` form every
 denominator factor ``1 - x q^k`` of the terminating sum once and keep
@@ -380,7 +385,7 @@ class _Steps:
         return self._formed
 
 
-def _kernel(spec, xs, e=0, pair=None):
+def _kernel(spec, xs, e=0, pair=None, pref=None):
     """Value and trace of sum_k t_k, t_0 = 1, t_{k+1} = t_k r_k, on plain
     ints: one pass forms the reduced step ratios, and Horner's rule sums
     them backward.
@@ -405,8 +410,9 @@ def _kernel(spec, xs, e=0, pair=None):
     w_k = (1 - b q^{2k}) / (1 - b) as Gaussian integers over the common
     denominator wd = d^{2n} N, where d is q's denominator and
     N = |bd (1 - b)|^2; b q^{2k} advances by one product with q^2.  The
-    value is reduced once; the trace keeps the ratios and weights and
-    forms its triples only when it is read (:class:`_Steps`).
+    value, times the triple of the prefactor ``pref`` when one is given,
+    is reduced once; the trace keeps the ratios and weights and forms its
+    triples only when it is read (:class:`_Steps`), and records ``pref``.
     """
     xs = [parts(x) for x in xs]
     za, zb, zd = parts(spec.z)
@@ -472,10 +478,14 @@ def _kernel(spec, xs, e=0, pair=None):
             wa, wb = weights[k]
             p *= rd
             sa, sb = wa * p + sa * ra - sb * rb, wb * p + sa * rb + sb * ra
-    return from_parts(sa, sb, wd * p), TermTrace(_Steps(ratios, weights, wd))
+    trace = TermTrace(_Steps(ratios, weights, wd))
+    if pref is None:
+        return from_parts(sa, sb, wd * p), trace
+    fa, fb, fd = parts(as_scalar(pref, True))
+    return from_parts(sa * fa - sb * fb, sa * fb + sb * fa, wd * p * fd), trace.scaled(pref)
 
 
-def _float_kernel(spec, xs, e=0, pair=None):
+def _float_kernel(spec, xs, e=0, pair=None, pref=None):
     """Value and trace of the series of :func:`_kernel` on the float
     backend, summed forward from the running term.
 
@@ -483,7 +493,8 @@ def _float_kernel(spec, xs, e=0, pair=None):
     sign factor (-q^k)^e) and only then multiplies the running term; for
     a very-well-poised series term k + 1 is the running term times the
     pair factor (1 - b q^{2k+2}) / (1 - b), b = ``pair``.  Term 0 is
-    exactly one.
+    exactly one.  A prefactor ``pref`` multiplies the sum, as
+    ``pref * value``, and is recorded in the trace.
     """
     q = spec.q.q
     one = one_like(q)
@@ -513,16 +524,21 @@ def _float_kernel(spec, xs, e=0, pair=None):
         else:
             q2k = q2k * q * q
             terms.append(term * ((one - pair * q2k) * inv_1mb))
-    return _trace(terms)
+    value, trace = _trace(terms)
+    if pref is None:
+        return value, trace
+    return pref * value, trace.scaled(pref)
 
 
-def eval_phi(spec: SeriesSpec):
+def eval_phi(spec: SeriesSpec, pref=None):
     """Evaluate a terminating series by term-ratio recurrence: the
     fraction-free kernel on the exact backend, the float kernel on the
-    float one.  Returns (value, TermTrace).
+    float one.  Returns (value, TermTrace); with a prefactor ``pref``,
+    (pref * value, trace.scaled(pref)).
     """
     kernel = _kernel if spec.q.exact else _float_kernel
-    return kernel(spec, (pow_int(spec.q.q, -spec.n), *spec.num), spec.sign_exponent)
+    return kernel(spec, (pow_int(spec.q.q, -spec.n), *spec.num), spec.sign_exponent,
+                  pref=pref)
 
 
 def eval_phi_direct(spec: SeriesSpec):
@@ -544,33 +560,35 @@ def eval_phi_direct(spec: SeriesSpec):
     return _trace(terms)
 
 
-def eval_w(spec: VwpSpec):
+def eval_w(spec: VwpSpec, pref=None):
     """Evaluate a terminating very-well-poised series (radical-free).
 
     The +-pair contributes (1 - b q^{2k})/(1 - b) per term; the remaining
     factors advance by a term-ratio recurrence, in the kernel of the
-    backend.  Returns (value, TermTrace).
+    backend.  Returns (value, TermTrace); with a prefactor ``pref``,
+    (pref * value, trace.scaled(pref)).
     """
     kernel = _kernel if spec.q.exact else _float_kernel
     b = spec.b
-    return kernel(spec, (b, pow_int(spec.q.q, -spec.n), *spec.lower), pair=b)
+    return kernel(spec, (b, pow_int(spec.q.q, -spec.n), *spec.lower), pair=b, pref=pref)
 
 
-def eval_series(spec):
-    """:func:`eval_w` of a VwpSpec, :func:`eval_phi` of a SeriesSpec.
+def eval_series(spec, pref=None):
+    """:func:`eval_w` of a VwpSpec, :func:`eval_phi` of a SeriesSpec,
+    with the prefactor ``pref`` if one is given.
 
     Both are looked up as module globals at each call, so a wrapper bound
     in their place sees every evaluation that passes through here.
     """
-    return (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec)
+    return (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec, pref)
 
 
 def eval_scaled(pref, spec):
     """``(pref * value, trace.scaled(pref))`` of :func:`eval_series`: a
     prefactor times a series, the one step every representation and
-    scaled contract takes."""
-    value, trace = eval_series(spec)
-    return pref * value, trace.scaled(pref)
+    scaled contract takes.  The kernel applies the prefactor: the exact
+    one multiplies its triple into the unreduced sum and reduces once."""
+    return eval_series(spec, pref)
 
 
 def eval_w_direct(spec: VwpSpec):

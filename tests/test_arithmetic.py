@@ -255,6 +255,34 @@ def test_wire_format_round_trip():
         parse_scalar("not a number", exact=True)
 
 
+def test_wire_format_round_trips_long_ints_as_str_and_int_do():
+    # the divide-and-conquer digit conversions against str() and int()
+    # (called with the interpreter's digit limit lifted) on ints of 10^3
+    # to 2*10^5 digits, of both signs, alone, as p/q and in Gaussian values
+    rng = random.Random(18)
+
+    def big(digits):
+        return rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+
+    cases = [G(big(1000)), G(Fraction(big(1000), big(999))),
+             G(big(1000), Fraction(big(800), big(30))), G(Fraction(big(30), big(4301)), big(4301)),
+             G(Fraction(big(30_000), big(12_000))), G(big(30_000), big(29_999)),
+             G(Fraction(big(200_000), big(1000)), big(1000))]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for v in cases:
+            texts = [str(f.numerator) if f.denominator == 1
+                     else f"{f.numerator}/{f.denominator}" for f in (v.re, abs(v.im))]
+            expected = texts[0] if not v.im else f"{texts[0]}{'+' if v.im > 0 else '-'}{texts[1]} i"
+            assert format_scalar(v) == expected
+            back = parse_scalar(expected, exact=True)
+            assert [back.re, abs(back.im)] == [Fraction(*map(int, t.split("/"))) for t in texts]
+            assert back == v
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------------------
 # differential check against the Fraction-pair form (the oracle)
 # ---------------------------------------------------------------------------

@@ -361,6 +361,24 @@ def test_targets_that_pick_nothing_exit_2_and_leave_the_report(tmp_path, capsys,
     assert report.read_text() == "earlier report\n"
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_zero_draws_exit_2_and_leave_the_report(tmp_path, capsys, source):
+    # a sweep of no draws verifies nothing, so it must not pass
+    report = tmp_path / "report.json"
+    report.write_text("earlier report\n")
+    if source == "flag":
+        args = ("--draws", "0")
+    else:
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("draws = 0\n")
+        args = ("--config", str(cfg))
+    code, out, err = run_cli(capsys, "verify", "--targets", "cor3.6/r2", *args,
+                             "--json", str(report))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --draws must be >= 1") and len(err.splitlines()) == 1
+    assert report.read_text() == "earlier report\n"
+
+
 def test_verify_from_a_config_file_matches_the_same_flags(tmp_path, capsys):
     by_flags, by_config = tmp_path / "flags.json", tmp_path / "config.json"
     code, out_flags, _ = run_cli(

@@ -356,6 +356,48 @@ def test_poch_quotient_matches_a_gaussian_rational_loop(case, rows_on_top):
     assert_same(poch_quotient(q, n, lead, num, den, **kept), expected)
 
 
+_NUM_POOL = (G(Fraction(3, 14), Fraction(-5, 6)), G(Fraction(-7, 9)), G(2, Fraction(1, 21)),
+             G(Fraction(4, 15), Fraction(1, 10)))
+_DEN_POOL = (G(Fraction(5, 12), Fraction(2, 7)), G(Fraction(-8, 3), Fraction(1, 4)),
+             G(Fraction(1, 35)), G(Fraction(9, 10), Fraction(-3, 8)))
+
+
+@pytest.mark.parametrize("q", [G(Fraction(2, 7), Fraction(-1, 3)), G(Fraction(9, 4), Fraction(5, 6))],
+                         ids=["inside", "outside"])
+@pytest.mark.parametrize("n", [0, 1, 16])
+@pytest.mark.parametrize("counts", [(1, 0, 2, 1), (3, 1, 1, 0), (2, 0, 1, 1), (1, 0, 0, 2)],
+                         ids=["more-below", "more-on-top", "even", "rows-only-below"])
+def test_poch_quotient_cancels_the_known_denominators(q, n, counts):
+    # the exact branch carries each side's denominators in closed form,
+    # x_d^n q_d^{C(n,2)} per base or kept row, and cancels the powers of
+    # q_d by their exponent difference: (bases + rows) below minus (bases
+    # + rows) on top is positive, negative and zero across ``counts``
+    # (numerator bases, numerator rows, denominator bases, denominator
+    # rows).  The denominators share factors with each other and with q_d
+    qb = QBase(q)
+    num_bases, num_rows, den_bases, den_rows = counts
+    num = [_NUM_POOL[0], list(_NUM_POOL[1:num_bases])]
+    den = list(_DEN_POOL[:den_bases])
+    lead = [(G(Fraction(3, 7), 1), -n), G(Fraction(-6, 5)), (q, binom2(n))]
+    kept = {}
+    expected = loop_power(*lead[0]) * lead[1] * loop_power(*lead[2])
+    expected = expected * loop_group(num[0], q, n) * loop_group(num[1], q, n)
+    below = loop_group(den, q, n)
+    if num_rows:
+        rows = list(_DEN_POOL[-num_rows:])
+        kept["num_rows"] = SeriesSpec([ONE], rows, ONE, qb, n).den_rows
+        expected = expected * loop_group(rows, q, n)
+    if den_rows:
+        rows = list(_NUM_POOL[-den_rows:])
+        kept["den_rows"] = SeriesSpec([ONE], rows, ONE, qb, n).den_rows
+        below = below * loop_group(rows, q, n)
+    expected = expected / below
+    if den:
+        kept.update(pole=_Marker, message="")
+    assert_same(poch_quotient(qb, n, lead, num, den, **kept), expected)
+    assert_same(poch_quotient(q, n, lead, num, den, **kept), expected)
+
+
 def test_poch_quotient_pole_and_zero_power():
     q = QBase(G(Fraction(1, 2)))
     # a denominator needs the caller's class and message; then they are raised

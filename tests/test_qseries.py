@@ -301,6 +301,47 @@ def test_exact_kernel_reduces_once_and_traces_on_read(monkeypatch):
         assert terms == tuple(g * (f * t) for t in dtrace.terms)
 
 
+def test_eval_scaled_is_the_prefactor_times_the_series(monkeypatch):
+    # the prefactor rides into the kernel: exactly the product of the two
+    # on rational, the same float operation pref * value on float, and
+    # the trace records it as scaled() does; the exact product is one
+    # reduction, the kernel's
+    calls = []
+    reduce = qseries.from_parts
+
+    def counting(*triple):
+        calls.append(triple)
+        return reduce(*triple)
+
+    monkeypatch.setattr(qseries, "from_parts", counting)
+    rng = random.Random(25)
+    exact = _draw(lambda r: _spec(r, n_max=9), rng, 6) + _draw(_vwp_spec, rng, 6)
+    exact.append(SeriesSpec([G(2)], [G(3)], G(1), rand_qbase(rng, big=True), 12))
+    for spec in exact:
+        pref = rand_scalar(rng, gaussian=0.5)
+        value, trace = qseries.eval_series(spec)
+        del calls[:]
+        scaled, strace = qseries.eval_scaled(pref, spec)
+        assert len(calls) == 1
+        assert type(scaled) is G and parts(scaled) == parts(pref * value)
+        assert strace.factors == (pref,)
+        assert strace.terms == trace.scaled(pref).terms
+    fl = random.Random(26)
+    for kind in ("phi", "w"):
+        for base in _FLOAT_BASES.values():
+            for n in (0, 1, 7, 20):
+                if kind == "phi":
+                    spec = SeriesSpec(_FLOAT_POOL[:3], _FLOAT_POOL[3:6], 0.6 - 0.35j, QBase(base), n)
+                else:
+                    spec = VwpSpec(-0.7 + 0.45j, _FLOAT_POOL[:4], 0.6 - 0.35j, QBase(base), n)
+                pref = complex(fl.uniform(-3, 3), fl.uniform(-3, 3))
+                value, trace = qseries.eval_series(spec)
+                scaled, strace = qseries.eval_scaled(pref, spec)
+                want = pref * value
+                assert (scaled.real.hex(), scaled.imag.hex()) == (want.real.hex(), want.imag.hex())
+                assert strace.factors == (pref,) and strace.terms == trace.scaled(pref).terms
+
+
 def test_series_spec_shape_fields():
     spec = SeriesSpec([G(2), G(3)], [G(5)], G(1, 1), rand_qbase(random.Random(1)), 2)
     assert spec.r == 3 and spec.s == 1 and spec.sign_exponent == -1

@@ -467,9 +467,9 @@ def test_qinv_scaling_suite_compares_different_series(monkeypatch):
     specs, checks = [], []
     eval_phi, qinv_scaling = qseries.eval_phi, aw._qinv_scaling
 
-    def recording_phi(spec):
+    def recording_phi(spec, pref=None):
         specs.append(spec)
-        return eval_phi(spec)
+        return eval_phi(spec, pref)
 
     def recording(params):
         start = len(specs)
