@@ -1,5 +1,6 @@
 """Representation agreement, invariances, and the base-inverted family."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -334,3 +335,80 @@ def test_polynomial_degree_bound_and_leading_coefficient():
         if n > 0 and dd[n] == G(0):
             continue  # nongeneric draw: resample for the degree-exact half
         checked += 1
+
+
+# the evaluations the value pin covers: every representation at its
+# default roles, and one permuted RepId of each role-dependent shape
+_PIN_REPS = (*ALL_REPS, RepId(RepTag.PHI_STD, p=3), RepId(RepTag.PHI_INV, p=4),
+             RepId(RepTag.PHI_MIXED, p=3, r=4, t=1, u=2), RepId(RepTag.W_DEF6, p=2),
+             RepId(RepTag.W_DEF7, p=4, r=2), RepId(RepTag.W_DEF5, p=2, r=1, t=3, u=4))
+
+
+def _pin_draws() -> list:
+    """46 fixed exact draws: 20 random ones (Gaussian parameters, real and
+    non-real bases, |q| > 1 for every third), and 26 built so that a
+    guard of some representation or of its base-inverted twin fires."""
+    rng = random.Random(2026)
+    draws = [rand_aw_params(rng, n_max=5, big=k % 3 == 2) for k in range(20)]
+    s = G(Fraction(2, 3), Fraction(1, 5))
+    q = QBase(s * s)
+    qq = q.q
+    a = [G(Fraction(1, 2), 1), G(Fraction(-3, 4)), G(2, Fraction(-1, 3)), G(Fraction(5, 7))]
+    w = G(Fraction(3, 5), Fraction(1, 2))
+    n = 3
+    for k in range(3):
+        # w^2 = q^{-k}, and w^2 = q^{k+1}
+        draws.append(AWParams(a, q, 1 / pow(s, k), n))
+        draws.append(AWParams(a, q, pow(s, k + 1), n))
+        # a_1 a_2 = q^{-k}, and a_1 a_3 = q^k
+        draws.append(AWParams([1 / (pow(qq, k) * a[1]), *a[1:]], q, w, n))
+        draws.append(AWParams([pow(qq, k) / a[2], a[1], a[2], a[3]], q, w, n))
+        # q^{n-1} a_2 a_3 a_4 / w = q^{-k}, and a_2 a_3 a_4 w = q^{-k}
+        draws.append(AWParams(a, q, pow(qq, n - 1 + k) * a[1] * a[2] * a[3], n))
+        draws.append(AWParams(a, q, 1 / (pow(qq, k) * a[1] * a[2] * a[3]), n))
+    # q^{1-n} w / a_1 = 1, q^{1-n} w a_1 = 1, q^{2-2n} / a_1234 = q^{-1}, and
+    # q^{n-1} w / (a_2 a_3 a_4) = 1 (the base-inverted w-def6)
+    draws.append(AWParams(a, q, pow(qq, n - 1) * a[0], n))
+    draws.append(AWParams(a, q, pow(qq, n - 1) / a[0], n))
+    draws.append(AWParams([*a[:3], pow(qq, 2 * n - 1) / (a[0] * a[1] * a[2])], q, w, n))
+    draws.append(AWParams(a, q, a[1] * a[2] * a[3] / pow(qq, n - 1), n))
+    # a_r = a_p, w = 1 and w = -1
+    draws.append(AWParams([a[0], a[0], a[2], a[3]], q, w, n))
+    draws.append(AWParams([a[1], a[2], a[2], a[1]], q, w, n))
+    draws.append(AWParams(a, q, G(1), n))
+    draws.append(AWParams(a, q, G(-1), n))
+    return draws
+
+
+def _pin_lines() -> list:
+    lines = []
+    for params in _pin_draws():
+        for evaluate in (eval_rep, eval_qinv_rep):
+            for rep in _PIN_REPS:
+                try:
+                    value, _ = evaluate(params, rep)
+                except PoleGuard:
+                    lines.append("guard")
+                    continue
+                lines.append(str(value))
+    return lines
+
+
+# recorded on the hand-written representations: the number of guards
+# that fire, and the sha256 of the lines
+_PIN_GUARDS = 79
+_PIN_DIGEST = "5be74f6e813ae53b6fdcfe9425e027dec1fc6c1079122a47a6df7a7c3e34d6d3"
+
+
+def test_fourteen_evaluations_are_pinned_value_by_value():
+    # each of the seven representations and their base-inverted twins, at
+    # default and permuted roles, on 46 fixed exact draws: its exact value
+    # or the fact that a guard fired (not its message).  The sweep report
+    # pins hold only per-target counts, which cannot see a changed set of
+    # admissible draws or an error that all seven representations share
+    lines = _pin_lines()
+    assert len(lines) == 46 * 2 * len(_PIN_REPS)
+    assert lines.count("guard") == _PIN_GUARDS
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _PIN_DIGEST
+
