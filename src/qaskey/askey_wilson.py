@@ -1,32 +1,22 @@
-"""The four-parameter symmetric polynomial family and its seven
-terminating series representations, plus the base-inverted family.
+"""The four-parameter symmetric polynomial family: its seven terminating
+series representations and the base-inverted family.
 
-Parameters are carried as (a1, a2, a3, a4), the base q and the spectral
-point w; the polynomial argument is x = (w + 1/w)/2, i.e. w plays the
-role of the unit-circle exponential and both w and 1/w enter every
-formula.  Carrying w instead of x keeps the exact backend radical-free
-and extends evaluation off the real segment.
-
-Three representations are plain terminating 4 phi 3 sums, four are
-very-well-poised series.  All seven agree wherever their pole guards
-admit the parameters; representations whose guard fails report the
-violated constraint instead of a value.
-
-The base-inverted family (the polynomial at base 1/q) is not typed out a
-second time: each of its representations is the plain one at reciprocal
-parameters times q^{-3 binom(n,2)} (-a1234)^n.  An :class:`AWParams`
-builds that reciprocal point, its w-flipped twin and the factor once, on
-first use, and every base-inverted evaluation at the point shares them:
-the seven representations of :func:`eval_qinv_all`, :func:`eval_qinv_rep`
-and :func:`check_qinv_scaling`.  :func:`eval_qinv_direct` stays an
-independent oracle for the family, substituting 1/q into the standard
-representation.
+Parameters are (a1, a2, a3, a4), the base q and the spectral point w; the
+argument is x = (w + 1/w)/2, so the exact backend stays radical-free.
+Each representation is one row of ``_ROWS``, the printed form of a side
+in the series language of :mod:`~qaskey.labels`, with role placeholders
+{p}, {r}, {t}, {u} that a :class:`RepId` fills; :func:`eval_rep`
+evaluates its cached :class:`~qaskey.labels.Side` as a catalogue side is
+evaluated.  All seven agree wherever their guards admit the parameters.
+The base-inverted family is each row under the substitution a -> 1/a,
+and w -> 1/w where the row says so, times q^{-3 binom(n,2)} (-a1234)^n;
+:func:`eval_qinv_direct` stays an independent, hand-written oracle.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from math import inf
 
 from .arithmetic import (
@@ -41,8 +31,9 @@ from .arithmetic import (
     pow_int,
     spread,
 )
+from .labels import Draw, _S, _factor, parse_side, substituted
 from .qpochhammer import poch_quotient
-from .qseries import SeriesSpec, TermTrace, VwpSpec, ZeroParameter, eval_scaled
+from .qseries import SeriesSpec, TermTrace, ZeroParameter, eval_scaled
 
 
 class PoleGuard(GuardViolation):
@@ -73,7 +64,7 @@ class RepId(_Frozen):
     indices in ascending order.
     """
 
-    __slots__ = ("tag", "p", "r", "t", "u")
+    __slots__ = ("tag", "p", "r", "t", "u", "_hash")
 
     def __init__(self, tag: RepTag, p: int = 1, r: int | None = None,
                  t: int | None = None, u: int | None = None):
@@ -86,6 +77,7 @@ class RepId(_Frozen):
         _set(self, "r", free.pop(0) if r is None else r)
         _set(self, "t", free.pop(0) if t is None else t)
         _set(self, "u", free.pop(0) if u is None else u)
+        _set(self, "_hash", hash((tag, *self.roles)))    # each evaluation looks it up
 
     def __eq__(self, other):
         if type(other) is not RepId:
@@ -93,7 +85,7 @@ class RepId(_Frozen):
         return (self.tag, *self.roles) == (other.tag, *other.roles)
 
     def __hash__(self):
-        return hash((self.tag, *self.roles))
+        return self._hash
 
     @property
     def roles(self) -> tuple[int, int, int, int]:
@@ -131,9 +123,6 @@ class AWParams(_Frozen):
     def __repr__(self):
         return f"AWParams(a={self.a!r}, q={self.q!r}, w={self.w!r}, n={self.n!r})"
 
-    def ak(self, k: int):
-        return self.a[k - 1]
-
     @cached_property
     def a1234(self):
         """a1 a2 a3 a4, formed on first use."""
@@ -164,129 +153,52 @@ class AWParams(_Frozen):
             raise InvalidIndices("perm must be a permutation of 1..4")
         return AWParams(tuple(self.a[j - 1] for j in perm), self.q, self.w, self.n)
 
-    def reciprocal(self) -> "AWParams":
-        one = one_like(self.w)
-        return AWParams(tuple(one / v for v in self.a), self.q, self.w, self.n)
-
     @cached_property
-    def _qinv_point(self):
-        """(reciprocal point, the same with w -> 1/w, q^{-3 binom(n,2)}
-        (-a1234)^n): what every base-inverted build at this point needs,
-        formed on first use and then shared.  The factor is one product, so
-        that on float neither power underflows or overflows on its own."""
-        recip = self.reciprocal()
-        flipped = recip.flip_w()
-        q, n = self.q.q, self.n
-        factor = poch_quotient(q, n, ((q, -3 * binom2(n)), (-self.a1234, n)))
-        return recip, flipped, factor
+    def _draw(self) -> _S:
+        """The draw, over the slots a, b, c, d (a1..a4) and w, that every
+        representation here evaluates on; its 1/w is ``wi``."""
+        s = _S(Draw(self.q, self.n, dict(zip("abcdw", (*self.a, self.w)))))
+        s.memo[_factor("1/w").key] = self.wi
+        return s
 
 
-def _build(params: AWParams, rep: RepId, lead=()):
-    """(prefactor, series spec) for one representation.
+# each representation's printed form, {p}, {r}, {t}, {u} standing for the
+# slots of its RepId's roles, and whether base inversion flips w
+_ROWS = {
+    RepTag.PHI_STD: ("{p}^-n * ({p}{r},{p}{t},{p}{u};q)_n"
+                     " * phi(q^{{n-1}}abcd, {p}w, {p}/w; {p}{r}, {p}{t}, {p}{u} | q, q)", False),
+    RepTag.PHI_INV: ("q^-C(n,2) (-{p})^-n * (q^{{n-1}}abcd,{p}w,{p}/w;q)_n * phi("
+                     "q^{{1-n}}/{p}{r}, q^{{1-n}}/{p}{t}, q^{{1-n}}/{p}{u}; q^{{2-2n}}/abcd, "
+                     "q^{{1-n}}w/{p}, q^{{1-n}}/{p}w | q, q)", False),
+    RepTag.PHI_MIXED: ("w^n * ({p}{r},{t}/w,{u}/w;q)_n * phi({p}w, {r}w, q^{{1-n}}/{t}{u};"
+                       " {p}{r}, q^{{1-n}}w/{t}, q^{{1-n}}w/{u} | q, q)", True),
+    RepTag.W_DEF6: ("w^n * (q^{{n-1}}abcd,{r}/w,{t}/w,{u}/w;q)_n/(q^{{n-1}}{r}{t}{u}/w;q)_n"
+                    " * W(q^{{1-2n}}w/{r}{t}{u}; q^{{1-n}}/{t}{u}, q^{{1-n}}/{r}{u},"
+                    " q^{{1-n}}/{r}{t}, {p}w | q, qw/{p})", True),
+    RepTag.W_DEF7: ("w^n * ({p}/w,{t}{u},{r}{u},{r}{t};q)_n/({r}{t}{u}w;q)_n"
+                    " * W({r}{t}{u}w/q; {r}w, {t}w, {u}w, q^{{n-1}}abcd | q, q/{p}w)", True),
+    RepTag.W_DEF5: ("{p}^-n * ({p}{t},{p}{u},{r}w,{r}/w;q)_n/({r}/{p};q)_n * W(q^-n {p}/{r};"
+                    " q^{{1-n}}/{r}{t}, q^{{1-n}}/{r}{u}, {p}w, {p}/w | q, q^n {t}{u})", False),
+    RepTag.W_DEF4: ("w^n * (a/w,b/w,c/w,d/w;q)_n/(1/w^2;q)_n"
+                    " * W(q^-n w^2; aw, bw, cw, dw | q, q^{{2-n}}/abcd)", True),
+}
 
-    ``lead`` is a tuple of further prefactor factors for
-    :func:`~qaskey.qpochhammer.poch_quotient`.
-    """
-    q = params.q.q
-    n = params.n
-    w = params.w
-    wi = params.wi
-    p, r, t, u = rep.roles
-    ap, ar, at, au = (params.ak(k) for k in rep.roles)
-    a1234 = params.a1234
-    others = (r, t, u)
-    aps = [ap * params.ak(s) for s in others]
-    tag = rep.tag
-
-    if tag is RepTag.PHI_STD:
-        spec = SeriesSpec([pow_int(q, n - 1) * a1234, ap * w, ap * wi],
-                          aps, q, params.q, n)
-        return poch_quotient(q, n, lead + ((ap, -n),), num_rows=spec.den_rows), spec
-
-    if tag is RepTag.PHI_INV:
-        # (a1234/q;q)_{2n} / (a1234/q;q)_n collapses to (a1234 q^{n-1};q)_n
-        pref = poch_quotient(q, n, lead + ((q, -binom2(n)), (-ap, -n)),
-                             (a1234 * pow_int(q, n - 1), ap * w, ap * wi))
-        q1n = pow_int(q, 1 - n)
-        spec = SeriesSpec([q1n / x for x in aps],
-                          [pow_int(q, 2 - 2 * n) / a1234, q1n * w / ap, q1n * wi / ap],
-                          q, params.q, n)
-        return pref, spec
-
-    if tag is RepTag.PHI_MIXED:
-        q1n = pow_int(q, 1 - n)
-        pref = poch_quotient(q, n, lead + ((w, n),), (ap * ar, at * wi, au * wi))
-        spec = SeriesSpec([ap * w, ar * w, q1n / (at * au)],
-                          [ap * ar, q1n * w / at, q1n * w / au], q, params.q, n)
-        return pref, spec
-
-    if tag is RepTag.W_DEF6:
-        # trailing quotient collapses to 1 / (a1234 q^{n-1} / (ap w);q)_n
-        top = a1234 * pow_int(q, n - 1)
-        pref = poch_quotient(q, n, lead + ((w, n),),
-                             (top, [params.ak(s) * wi for s in others]),
-                             (top / (ap * w),), pole=PoleGuard,
-                             message="pole guard failed: (q^{n-1} a1234 / (a_p w);q)_n = 0")
-        spec = VwpSpec(pow_int(q, 1 - 2 * n) * ap * w / a1234,
-                       [pow_int(q, 1 - n) * x / a1234 for x in aps] + [ap * w],
-                       q * w / ap, params.q, n)
-        return pref, spec
-
-    if tag is RepTag.W_DEF7:
-        pref = poch_quotient(q, n, lead + ((w, n),), (ap * wi, [a1234 / x for x in aps]),
-                             (a1234 * w / ap,), pole=PoleGuard,
-                             message="pole guard failed: (a1234 w / a_p;q)_n = 0")
-        spec = VwpSpec(a1234 * w / (q * ap),
-                       [params.ak(s) * w for s in others] + [pow_int(q, n - 1) * a1234],
-                       q * wi / ap, params.q, n)
-        return pref, spec
-
-    if tag is RepTag.W_DEF5:
-        pref = poch_quotient(q, n, lead + ((ap, -n),),
-                             (ap * at, ap * au, ar * w, ar * wi), (ar / ap,), pole=PoleGuard,
-                             message="pole guard failed: (a_r / a_p;q)_n = 0")
-        q1n = pow_int(q, 1 - n)
-        spec = VwpSpec(pow_int(q, -n) * ap / ar,
-                       [q1n / (ar * at), q1n / (ar * au), ap * w, ap * wi],
-                       pow_int(q, n) * at * au, params.q, n)
-        return pref, spec
-
-    if tag is RepTag.W_DEF4:
-        pref = poch_quotient(q, n, lead + ((w, n),), ([v * wi for v in params.a],),
-                             (wi * wi,), pole=PoleGuard,
-                             message="pole guard failed: (1/w^2;q)_n = 0")
-        spec = VwpSpec(pow_int(q, -n) * w * w, [v * w for v in params.a],
-                       pow_int(q, 2 - n) / a1234, params.q, n)
-        return pref, spec
-
-    raise InvalidIndices(f"unknown representation tag {tag!r}")
+# p_n(w; a | 1/q) = q^{-3C(n,2)} (-abcd)^n p_n(w; 1/a | q), and w -> 1/w
+# leaves the polynomial unchanged
+_QINV = "(a,b,c,d) -> (1/a, 1/b, 1/c, 1/d)"
+_QINV_W = "(a,b,c,d,w) -> (1/a, 1/b, 1/c, 1/d, 1/w)"
+_QINV_POWER = "q^-3C(n,2) (-abcd)^n"
 
 
-# tags whose base-inverted build also takes w -> 1/w
-_QINV_FLIPS_W = frozenset((RepTag.PHI_MIXED, RepTag.W_DEF4, RepTag.W_DEF6, RepTag.W_DEF7))
-
-
-def _build_qinv(params: AWParams, rep: RepId):
-    """(prefactor, series spec) for one base-inverted representation.
-
-    Derived from :func:`_build` by the reciprocal-parameter scaling law
-
-        p_n(w; a | 1/q) = q^{-3 binom(n,2)} (-a1234)^n p_n(w; 1/a | q),
-
-    where phi-mixed, w-def4, w-def6 and w-def7 also take w -> 1/w, which
-    leaves the polynomial unchanged.  The substituted points and the
-    factor come from ``params``, which builds them once.  A pole guard
-    names its constraint in the substituted parameters and says so.
-    """
-    recip, flipped, factor = params._qinv_point
-    where = "a -> 1/a"
-    if rep.tag in _QINV_FLIPS_W:
-        recip = flipped
-        where = "a -> 1/a, w -> 1/w"
-    try:
-        return _build(recip, rep, (factor,))
-    except PoleGuard as exc:
-        raise PoleGuard(f"at {where}: {exc}") from exc
+@cache
+def _rep_side(rep: RepId, inverted: bool) -> tuple:
+    """(Side, the name its guard messages carry) of a row or its twin."""
+    row, flips_w = _ROWS[rep.tag]
+    text = row.format(**dict(zip("prtu", ("abcd"[k - 1] for k in rep.roles))))
+    if not inverted:
+        return parse_side(text), rep.tag.value
+    sub = _QINV_W if flips_w else _QINV
+    return parse_side(f"{_QINV_POWER} {substituted(sub, text)}"), f"{rep.tag.value} at {sub}"
 
 
 def _as_rep(rep) -> RepId:
@@ -295,40 +207,23 @@ def _as_rep(rep) -> RepId:
     return _DEFAULT_REPS[RepTag(rep)]
 
 
-def _evaluate(params, rep, builder):
-    rep = _as_rep(rep)
+def _evaluate(params, rep, inverted: bool):
+    side, name = _rep_side(_as_rep(rep), inverted)
     try:
-        pref, spec = builder(params, rep)
-    except PoleGuard:
-        raise
+        return side.evaluate(params._draw)
     except GuardViolation as exc:
-        raise PoleGuard(f"{rep.tag.value}: {exc}") from exc
-    return eval_scaled(pref, spec)
-
-
-def rep_series(params: AWParams, rep):
-    """(prefactor, raw series spec) of one representation, unevaluated.
-
-    Useful for structural arguments, e.g. applying a series transformation
-    to a representation and recognizing the result as another one.
-    """
-    return _build(params, _as_rep(rep))
-
-
-def qinv_rep_series(params: AWParams, rep):
-    """(prefactor, raw series spec) of one base-inverted representation."""
-    return _build_qinv(params, _as_rep(rep))
+        raise PoleGuard(f"{name}: {exc}") from exc
 
 
 def eval_rep(params: AWParams, rep) -> tuple[object, TermTrace]:
     """Evaluate one representation; all seven return the same value on
     admissible parameters."""
-    return _evaluate(params, rep, _build)
+    return _evaluate(params, rep, False)
 
 
 def eval_qinv_rep(params: AWParams, rep) -> tuple[object, TermTrace]:
     """Evaluate one representation of the polynomial at base 1/q."""
-    return _evaluate(params, rep, _build_qinv)
+    return _evaluate(params, rep, True)
 
 
 class EvalReport(_Frozen):
@@ -367,9 +262,7 @@ class EvalReport(_Frozen):
 
 
 def _report(params, reps, evaluator) -> EvalReport:
-    values = {}
-    skipped = {}
-    traces = []
+    values, skipped, traces = {}, {}, []
     for rep in reps:
         rep = _as_rep(rep)
         try:
@@ -405,8 +298,8 @@ def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:
     q = qi.q
     n = params.n
     w = params.w
-    ap = params.ak(1)
-    aps = [ap * params.ak(s) for s in (2, 3, 4)]
+    ap = params.a[0]
+    aps = [ap * x for x in params.a[1:]]
     spec = SeriesSpec([pow_int(q, n - 1) * params.a1234, ap * w, ap / w],
                       aps, q, qi, n)
     return eval_scaled(poch_quotient(q, n, ((ap, -n),), num_rows=spec.den_rows), spec)
@@ -419,10 +312,14 @@ def _qinv_scaling(params: AWParams) -> list:
     reciprocal point."""
     direct = eval_qinv_direct(params)
     derived = eval_qinv_rep(params, RepTag.PHI_STD)
-    _, flipped, factor = params._qinv_point
+    q, n = params.q.q, params.n
+    # one product, so that on float neither power underflows or overflows
+    # on its own
+    factor = poch_quotient(q, n, ((q, -3 * binom2(n)), (-params.a1234, n)))
     # phi-mixed, not phi-std: at 1/w the phi-std series only swaps a_p w
     # and a_p / w, so the second difference would repeat the first
-    v2, t2 = eval_rep(flipped, RepTag.PHI_MIXED)
+    recip = AWParams(tuple(one_like(q) / v for v in params.a), params.q, params.w, n)
+    v2, t2 = eval_rep(recip.flip_w(), RepTag.PHI_MIXED)
     return [direct, derived, (factor * v2, t2.scaled(factor))]
 
 

@@ -1,65 +1,30 @@
 """The catalogue of terminating-series transformation identities.
 
-A record is a row of printed strings.  Each side is a series label, the
-labels of its index-n Pochhammer prefactor factors and an optional power
-label; an interchange family derives its prefactor labels (see below),
-and a remark's substitution is read from its ``ref`` text.  The strings
-are parsed once, when :func:`catalog` builds, and a check evaluates the
-parse, so the formula ``qaskey list`` prints is the formula that runs.
-A malformed label raises ValueError naming it when the catalogue builds.
+A record is a row of printed strings in the series language of
+:mod:`~qaskey.labels`, over the slots b..f: per side a series label, its
+Pochhammer prefactor labels and an optional power label.  The strings are
+parsed once, when :func:`catalog` builds (a malformed label raises
+ValueError naming it), and a check evaluates the parse, so the formula
+``qaskey list`` prints is the formula that runs.
 
-Label grammar (spaces between tokens are ignored):
-
-* monomial ``NUM`` or ``NUM/DEN``: each part is a run of tokens, ``q``
-  with an optional exponent affine in n (``q2``, ``q^2``, ``q^n``,
-  ``q^-n``, ``q^-2n``, ``q^{1-n}``, ``q^{-2n-1}``) or a slot letter
-  b..f with an optional ``^2``/``2``.  Examples: ``qb/cd``,
-  ``q^-n c/b``, ``q^{-n-1}cdef/b^2``, ``q2b2/cdef``, ``def/qb``.  The
-  value is the product of the numerator tokens in printed order, divided
-  by the product of the denominator tokens in printed order.
-* series: ``W(B; L1, ..., Lk | q, Z)`` is the very-well-poised series
-  (:class:`VwpSpec`) and ``phi(N1, ...; D1, ... | q, Z)`` the balanced one
-  (:class:`SeriesSpec`, its ``q^-n`` numerator implicit); every entry is
-  a monomial.
-* power: a product of space-separated terms ``X^n`` or ``X^C(n,2)``,
-  where X is ``q``, a slot letter or a parenthesised monomial with an
-  optional leading minus: ``q^C(n,2) (-qb/c)^n``, ``c^n``.
-* substitution: ``(b,c,d,e,f) -> (M1, ..., M5)`` with monomials Mi.
-
-Families:
-
-* ``cor3.3/*``  -- ten siblings of the principal very-well-poised head
-  whose argument is coupled to q^{n+2} b^2/(cdef);
-* ``cor3.5/*``  -- eleven parameter-interchange transformations of a
-  very-well-poised series with free argument structure ef/b;
-* ``cor3.6/*``, ``cor3.8/*``, ``cor3.10/*`` -- interchange families of
-  three further shapes;
-* ``rem3.6/a7``, ``rem3.8/a4``, ``rem3.10/a6b`` -- the substitutions that
-  transport each interchange family onto its sibling family.  The head of
-  the substituted family coincides with the sibling series exactly (the
-  linking multiplier is 1), so the record checks the transported
-  first-interchange identity.
-
-An interchange family is one series template over the placeholders x, y,
-u, v; each record assigns them a permutation of c, d, e, f, and the head
-is the template at the identity assignment.  A family's prefactors are not
-typed: each is derived from the family's cor3.3 head record, whose 8W7
-series is symmetric in c..f (see :func:`_family`).  To add a record, add
-its ``(id, assignment)`` pair to its family's row of ``_FAMILIES``; a new
-family needs a template and a cor3.3 head.
-
-One record, ``cor3.8/r6``, ships QUARANTINED: its printed prefactor fails
-the exact sweep systematically, and the derivation gives it ``qb/cd``
-where the paper prints the denominator factor ``qb/de``.  The derived
-form runs; the printed form is kept as data and reported beside it.
+The families are ``cor3.3/*``, ten siblings of the very-well-poised head
+W(b; c,d,e,f | q, q^{n+2} b^2/cdef); the interchange families
+``cor3.5/*``, ``cor3.6/*``, ``cor3.8/*`` and ``cor3.10/*``; and the
+remarks ``rem3.6/a7``, ``rem3.8/a4`` and ``rem3.10/a6b``, substitutions
+read from their ``ref`` text that carry an interchange family onto its
+sibling family.  An interchange family is one series template over the
+placeholders x, y, u, v, which each record assigns a permutation of c, d,
+e, f; its prefactors are derived from its cor3.3 head (:func:`_family`).
+To add a record, add its ``(id, assignment)`` pair to its family's row of
+``_FAMILIES``.  One record, ``cor3.8/r6``, ships QUARANTINED: the paper
+prints its denominator factor ``qb/de`` where the derivation gives
+``qb/cd``; the derived form runs, and the printed one is kept beside it.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -77,8 +42,9 @@ from .arithmetic import (
     spread,
 )
 from .askey_wilson import AWParams, RepId, RepTag
+from .labels import Draw, Side, _S, _key, _side, _substitution
 from .qpochhammer import poch_quotient
-from .qseries import DenominatorPole, SeriesSpec, VwpSpec, eval_scaled
+from .qseries import DenominatorPole
 
 
 class NotACor33Record(QError):
@@ -90,226 +56,6 @@ class Verdict(str, Enum):
     FAIL = "FAIL"
     INCONCLUSIVE = "INCONCLUSIVE"
     SKIPPED = "SKIPPED"
-
-
-class Draw(_Frozen):
-    """A concrete slot assignment for one check."""
-
-    __slots__ = ("q", "n", "slots")
-
-    def __init__(self, q: QBase, n: int, slots: dict):
-        _set(self, "q", q)
-        _set(self, "n", n)
-        _set(self, "slots", slots)
-
-    def __repr__(self):
-        return f"Draw(q={self.q!r}, n={self.n!r}, slots={self.slots!r})"
-
-
-class _S:
-    """One draw.  ``memo`` keeps its values by slot letter, by q-power
-    token and by monomial label, so both sides of a record share them."""
-
-    __slots__ = ("qbase", "n", "q", "memo")
-
-    def __init__(self, draw: Draw):
-        self.qbase = draw.q
-        self.n = draw.n
-        self.q = draw.q.q
-        self.memo = {k: draw.slots[k] for k in "bcdef"}
-        self.memo[0, 1] = self.q
-
-    def values(self, factors) -> list:
-        """The monomials' values, each computed on its first use."""
-        memo, out = self.memo, []
-        for fac in factors:
-            value = memo.get(fac.label)
-            if value is None:
-                value = self._product(fac.num)
-                if fac.den:
-                    value = value / self._product(fac.den)
-                memo[fac.label] = value
-            out.append(value)
-        return out
-
-    def _product(self, tokens):
-        """The tokens multiplied in printed order; the token (a, k) is
-        q^{a n + k}."""
-        memo, value = self.memo, None
-        for tok in tokens:
-            x = memo.get(tok)
-            if x is None:
-                x = memo[tok] = pow_int(self.q, tok[0] * self.n + tok[1])
-            value = x if value is None else value * x
-        return value
-
-
-class Factor(_Frozen):
-    """A monomial label and its parse: numerator and denominator tokens in
-    printed order, each a slot letter or the pair (a, k) for q^{a n + k}."""
-
-    __slots__ = ("label", "num", "den")
-
-    def __init__(self, label: str, num: tuple, den: tuple = ()):
-        _set(self, "label", label)
-        _set(self, "num", num)
-        _set(self, "den", den)
-
-
-# ---------------------------------------------------------------------------
-# the label parser
-# ---------------------------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(?:q(?:\^(?:\{([^{}]*)\}|(-?\d*n|-?\d+))|(\d+))?"
-                    r"|([b-f])(?:\^?(\d+))?)")
-_AFFINE = re.compile(r"[+-]?(?:\d+n?|n)(?:[+-](?:\d+n?|n))*")
-_AFFINE_TERM = re.compile(r"([+-]?)(\d*)(n?)")
-_SERIES = re.compile(r"(W|phi)\((.*);(.*)\|\s*q\s*,(.*)\)")
-_POWER_TERM = re.compile(r"\s*(?:\((-?)([^()]+)\)|(q|[b-f]))\^(n|C\(n,2\))")
-_SUBSTITUTION = re.compile(r"\(b,c,d,e,f\) -> \((.*)\)")
-
-
-def _malformed(kind: str, label: str) -> ValueError:
-    return ValueError(f"malformed {kind} label {label!r}")
-
-
-def _exponent(text: str, label: str) -> tuple:
-    """(a, k) for the exponent text a n + k."""
-    text = text.replace(" ", "")
-    if not _AFFINE.fullmatch(text):
-        raise _malformed("monomial", label)
-    a = k = 0
-    for sign, coef, var in _AFFINE_TERM.findall(text):
-        c = -int(coef or 1) if sign == "-" else int(coef or 1)
-        if var:
-            a += c
-        elif coef:
-            k += c
-    return a, k
-
-
-def _tokens(part: str, label: str) -> tuple:
-    part = part.strip()
-    tokens, pos = [], 0
-    while pos < len(part):
-        m = _TOKEN.match(part, pos)
-        if m is None:
-            raise _malformed("monomial", label)
-        braced, bare, digits, letter, power = m.groups()
-        if letter:
-            tokens += [letter] * int(power or 1)
-        else:
-            text = braced if braced is not None else bare or digits or "1"
-            tokens.append(_exponent(text, label))
-        pos = m.end()
-    if not tokens:
-        raise _malformed("monomial", label)
-    return tuple(tokens)
-
-
-@functools.cache
-def _factor(label: str) -> Factor:
-    parts = label.split("/")
-    if len(parts) > 2:
-        raise _malformed("monomial", label)
-    return Factor(label, *(_tokens(part, label) for part in parts))
-
-
-def _factors(labels) -> tuple:
-    return tuple(_factor(label) for label in labels)
-
-
-def _entries(text: str) -> tuple:
-    return _factors(e.strip() for e in text.split(","))
-
-
-@functools.cache
-def _series(label: str):
-    m = _SERIES.fullmatch(label)
-    if m is None:
-        raise _malformed("series", label)
-    kind, top, bottom, z = m.groups()
-    top, bottom, z = _entries(top), _entries(bottom), _entries(z)
-    if len(z) != 1 or (kind == "W" and len(top) != 1):
-        raise _malformed("series", label)
-    entries, k = top + bottom + z, len(top)
-    if kind == "phi":
-        def series(s):
-            v = s.values(entries)
-            return SeriesSpec(v[:k], v[k:-1], v[-1], s.qbase, s.n)
-    else:
-        def series(s):
-            v = s.values(entries)
-            return VwpSpec(v[0], v[1:-1], v[-1], s.qbase, s.n)
-    return series
-
-
-@functools.cache
-def _power(label: str):
-    bases, kinds, pos = [], [], 0
-    while pos < len(label):
-        m = _POWER_TERM.match(label, pos)
-        if m is None:
-            raise _malformed("power", label)
-        minus, mono, atom, exp = m.groups()
-        bases.append(_factor(mono or atom))
-        kinds.append((bool(minus), exp != "n"))
-        pos = m.end()
-    if not bases:
-        raise _malformed("power", label)
-
-    def power(s):
-        # the factors (x, k) of x^k, for poch_quotient to multiply
-        return [(-x if minus else x, binom2(s.n) if choose else s.n)
-                for x, (minus, choose) in zip(s.values(bases), kinds)]
-
-    return power
-
-
-def _substitution(ref: str):
-    m = _SUBSTITUTION.search(ref)
-    items = _entries(m.group(1)) if m else ()
-    if len(items) != 5:
-        raise _malformed("substitution", ref)
-    return lambda s: dict(zip("bcdef", s.values(items)))
-
-
-@dataclass(frozen=True)
-class Side:
-    """One side of a record: scalar power * Pochhammer ratio * series."""
-
-    series_label: str
-    series: object                      # compiled series_label: (_S) -> spec
-    pref_num: tuple = ()
-    pref_den: tuple = ()
-    power: object = None                # compiled power_label, or None
-    power_label: str = ""
-
-    def evaluate(self, s: _S):
-        """Return the side's (value, TermTrace) pair; guard failures
-        raise.  The prefactor's Pochhammer bases are formed before its
-        pole test, the power only after it."""
-        pref = poch_quotient(
-            s.qbase, s.n, () if self.power is None else self.power(s),
-            [s.values(self.pref_num)], [s.values(self.pref_den)], pole=DenominatorPole,
-            message="prefactor pole: a denominator Pochhammer vanished")
-        return eval_scaled(pref, self.series(s))
-
-    def describe(self) -> str:
-        bits = []
-        if self.power_label:
-            bits.append(self.power_label)
-        if self.pref_num or self.pref_den:
-            num = ",".join(fac.label for fac in self.pref_num) or "1"
-            den = ",".join(fac.label for fac in self.pref_den)
-            bits.append(f"({num};q)_n/({den};q)_n" if den else f"({num};q)_n")
-        bits.append(self.series_label)
-        return " * ".join(bits)
-
-
-def _side(series: str, num=(), den=(), power: str = "") -> Side:
-    return Side(series, _series(series), _factors(num), _factors(den),
-                _power(power) if power else None, power)
 
 
 class QuarantineInfo(_Frozen):
@@ -506,20 +252,6 @@ _REMARK_SUMMARY = ("substituted slots must satisfy the host family's guards; "
                    "head image equals the sibling series with multiplier 1")
 
 
-@functools.cache
-def _key(label: str) -> tuple:
-    """The monomial's exponent vector over (q^n, q, b, c, d, e, f)."""
-    fac, vec = _factor(label), [0] * 7
-    for sign, tokens in ((1, fac.num), (-1, fac.den)):
-        for tok in tokens:
-            if isinstance(tok, str):
-                vec["bcdef".index(tok) + 2] += sign
-            else:
-                vec[0] += sign * tok[0]
-                vec[1] += sign * tok[1]
-    return tuple(vec)
-
-
 def _cancelled(num: list, den: list) -> tuple:
     """Both label lists less the monomials common to them, once per
     occurrence; ``den`` is consumed."""
@@ -598,18 +330,13 @@ def record_by_id(rid: str) -> IdentityRecord:
     raise KeyError(rid)
 
 
-def _substituted(record: IdentityRecord, s: _S) -> _S:
-    if record.substitution is None:
-        return s
-    new_slots = record.substitution(s)
-    return _S(Draw(s.qbase, s.n, new_slots))
-
-
 def check(record: IdentityRecord, draw: Draw) -> CheckOutcome:
     """Evaluate both sides of a record on one draw, and :func:`settle` them."""
 
     def evaluate():
-        s = _substituted(record, _S(draw))
+        s = _S(draw)
+        if record.substitution is not None:
+            s = _S(Draw(draw.q, draw.n, record.substitution(s)))
         return [record.lhs.evaluate(s), record.rhs.evaluate(s)]
 
     return settle(evaluate, draw.q.exact)

@@ -611,21 +611,6 @@ def eval_w_direct(spec: VwpSpec):
     return _trace(terms)
 
 
-def vwp_as_phi(spec: VwpSpec, sqrt_b) -> SeriesSpec:
-    """The explicit (r+1) phi r expansion of a very-well-poised series.
-
-    Needs an explicit square root of b, so it exists in the exact backend
-    only when b is a perfect square; used for cross-checks.
-    """
-    q = spec.q.q
-    sb = as_scalar(sqrt_b, spec.q.exact)
-    if sb * sb - spec.b:
-        raise ValueError("sqrt_b is not a square root of the special parameter")
-    num = [spec.b, q * sb, -(q * sb)] + list(spec.lower)
-    den = [sb, -sb, pow_int(q, spec.n + 1) * spec.b] + [q * spec.b / a for a in spec.lower]
-    return SeriesSpec(num, den, spec.z, spec.q, spec.n)
-
-
 def _require_nonzero(values, what: str):
     for v in values:
         if not v:

@@ -25,12 +25,16 @@ from qaskey import (
     invert_w,
 )
 from qaskey.askey_wilson import (
+    _QINV,
+    _QINV_POWER,
+    _QINV_W,
+    _ROWS,
     InvalidIndices,
     PoleGuard,
     _report,
-    qinv_rep_series,
-    rep_series,
+    _rep_side,
 )
+from qaskey.labels import SLOTS, _SERIES, _key, substituted
 from qaskey.qseries import ZeroParameter
 
 from util import divided_differences, rand_aw_params, rand_qbase, rand_scalar
@@ -206,7 +210,7 @@ def test_pole_guard_names_constraint():
     params = AWParams([G(2), G(2), G(5), G(7)], q, G(3), 2)
     with pytest.raises(PoleGuard) as err:
         eval_rep(params, RepTag.W_DEF5)
-    assert "a_r / a_p" in str(err.value)
+    assert str(err.value) == "w-def5: prefactor pole: (b/a;q)_n = 0"
 
 
 def test_qinv_w_def4_guard_names_the_substitution():
@@ -216,7 +220,8 @@ def test_qinv_w_def4_guard_names_the_substitution():
     params = AWParams([G(2), G(3), G(5), G(7)], q, G(-1), 2)
     with pytest.raises(PoleGuard) as err:
         eval_qinv_rep(params, RepTag.W_DEF4)
-    assert str(err.value) == "at a -> 1/a, w -> 1/w: pole guard failed: (1/w^2;q)_n = 0"
+    assert str(err.value) == ("w-def4 at (a,b,c,d,w) -> (1/a, 1/b, 1/c, 1/d, 1/w): "
+                              "prefactor pole: (w^2;q)_n = 0")
 
 
 def test_qinv_w_def5_guard_names_the_substitution():
@@ -225,7 +230,8 @@ def test_qinv_w_def5_guard_names_the_substitution():
     params = AWParams([G(2), G(2), G(5), G(7)], q, G(3), 2)
     with pytest.raises(PoleGuard) as err:
         eval_qinv_rep(params, RepTag.W_DEF5)
-    assert str(err.value) == "at a -> 1/a: pole guard failed: (a_r / a_p;q)_n = 0"
+    assert str(err.value) == ("w-def5 at (a,b,c,d) -> (1/a, 1/b, 1/c, 1/d): "
+                              "prefactor pole: (a/b;q)_n = 0")
 
 
 def test_exact_report_deviation_is_the_largest_pairwise_difference():
@@ -252,25 +258,60 @@ def test_exact_report_deviation_is_the_largest_pairwise_difference():
     assert report.all_agree and report.max_deviation == 0.0
 
 
+def _vectors(label: str) -> tuple:
+    """A series label as its kind, the sorted exponent vectors of its
+    upper and lower entries, and that of its argument."""
+    kind, top, bottom, z = _SERIES.fullmatch(label).groups()
+    top, bottom = (sorted(_key(x.strip()) for x in part.split(",")) for part in (top, bottom))
+    return kind, top, bottom, _key(z.strip())
+
+
+def _lin(*terms) -> tuple:
+    """The exponent vector sum of c * v over the pairs (c, v)."""
+    return tuple(sum(c * v[i] for c, v in terms) for i in range(len(SLOTS) + 2))
+
+
+def _series_label(rep) -> str:
+    return _rep_side(rep, False)[0].series_label
+
+
 def test_reversal_of_mixed_representation_flips_w_and_swaps_roles():
-    rng = random.Random(31)
-    params = _admissible(rng, n_max=4)
-    pref, spec = rep_series(params, RepId(RepTag.PHI_MIXED))
-    _, rev = invert_series(spec)
+    # as labels: reversing phi(N; D | q, z) gives q^{1-n}/D over q^{1-n}/N
+    # at q^{n+1} prod(D) / (z prod(N)), which is phi-mixed with roles
+    # (3, 4, 1, 2) at w -> 1/w
+    kind, num, den, z = _vectors(_series_label(RepId(RepTag.PHI_MIXED)))
+    q1n, qn1 = _key("q^{1-n}"), _key("q^{n+1}")
+    reversed_ = (kind, sorted(_lin((1, q1n), (-1, v)) for v in den),
+                 sorted(_lin((1, q1n), (-1, v)) for v in num),
+                 _lin((1, qn1), (-1, z), *((1, v) for v in den), *((-1, v) for v in num)))
+    swapped = _series_label(RepId(RepTag.PHI_MIXED, p=3, r=4, t=1, u=2))
+    assert reversed_ == _vectors(substituted("(w) -> (1/w)", swapped))
+    # and as values: invert_series on the series at a draw
+    params = _admissible(random.Random(31), n_max=4)
     flipped = AWParams(params.a, params.q, G(1) / params.w, params.n)
-    _, expected = rep_series(flipped, RepId(RepTag.PHI_MIXED, p=3, r=4, t=1, u=2))
+    _, rev = invert_series(_rep_side(RepId(RepTag.PHI_MIXED), False)[0].series(params._draw))
+    expected = _rep_side(RepId(RepTag.PHI_MIXED, p=3, r=4, t=1, u=2), False)[0].series(
+        flipped._draw)
     # parameter lists match as multisets (summation order is immaterial)
     assert sorted(map(str, rev.num)) == sorted(map(str, expected.num))
     assert sorted(map(str, rev.den)) == sorted(map(str, expected.den))
-    assert rev.z == expected.z == spec.q.q
+    assert rev.z == expected.z == params.q.q
 
 
 def test_reversal_of_w5_representation_swaps_p_and_r():
-    rng = random.Random(37)
-    params = _admissible(rng, n_max=4)
-    _, spec = rep_series(params, RepId(RepTag.W_DEF5))
-    _, rev = invert_w(spec)
-    _, expected = rep_series(params, RepId(RepTag.W_DEF5, p=2, r=1, t=3, u=4))
+    # as labels: reversing W(B; L | q, z) with four L gives
+    # W(q^{-2n}/B; q^{-n} L/B | q, q^{2n+4} B^4 / (prod(L)^2 z)), which is
+    # w-def5 with p and r interchanged
+    kind, (b,), lower, z = _vectors(_series_label(RepId(RepTag.W_DEF5)))
+    reversed_ = (kind, [_lin((1, _key("q^-2n")), (-1, b))],
+                 sorted(_lin((1, _key("q^-n")), (1, v), (-1, b)) for v in lower),
+                 _lin((1, _key("q^{2n+4}")), (4, b), *((-2, v) for v in lower), (-1, z)))
+    assert reversed_ == _vectors(_series_label(RepId(RepTag.W_DEF5, p=2, r=1, t=3, u=4)))
+    # and as values: invert_w on the series at a draw
+    params = _admissible(random.Random(37), n_max=4)
+    _, rev = invert_w(_rep_side(RepId(RepTag.W_DEF5), False)[0].series(params._draw))
+    expected = _rep_side(RepId(RepTag.W_DEF5, p=2, r=1, t=3, u=4), False)[0].series(
+        params._draw)
     assert rev.b == expected.b
     assert sorted(map(str, rev.lower)) == sorted(map(str, expected.lower))
     assert rev.z == expected.z
@@ -302,12 +343,29 @@ def test_qinv_scaling_identity():
 
 
 def test_qinv_rep_series_shapes_mirror_plain_ones():
-    rng = random.Random(47)
-    params = _admissible(rng, n_max=3, qinv=True)
+    # each base-inverted row is its plain row under a -> 1/a, and w -> 1/w
+    # for phi-mixed, w-def4, w-def6 and w-def7, behind the power
+    # q^{-3C(n,2)} (-abcd)^n: the same shape, each monomial's exponents of
+    # the substituted slots negated and its q exponent kept
+    flips = {RepTag.PHI_MIXED, RepTag.W_DEF4, RepTag.W_DEF6, RepTag.W_DEF7}
     for rep in ALL_REPS:
-        pref, spec = qinv_rep_series(params, rep)
-        assert spec.n == params.n
-        assert spec.q.q == params.q.q
+        (plain, _), (inverted, name) = _rep_side(rep, False), _rep_side(rep, True)
+        sign = [1, 1, -1, -1, -1, -1, 1, 1, -1 if rep.tag in flips else 1]
+        assert name == f"{rep.tag.value} at " + (_QINV_W if rep.tag in flips else _QINV)
+        for got, want in ((inverted.series.entries, plain.series.entries),
+                          (inverted.pref_num, plain.pref_num),
+                          (inverted.pref_den, plain.pref_den)):
+            assert [f.vec for f in got] == [tuple(map(int.__mul__, sign, f.vec)) for f in want]
+        assert inverted.series.vwp == plain.series.vwp
+        assert inverted.power_label.startswith(_QINV_POWER + " ")
+
+
+def test_each_representation_prints_as_its_row():
+    # the Side a RepId selects prints back as its row with the roles
+    # filled: the formula printed is the formula that runs
+    for rep in (*ALL_REPS, RepId(RepTag.W_DEF5, p=3, r=1, t=4, u=2)):
+        row = _ROWS[rep.tag][0].format(**dict(zip("prtu", ("abcd"[k - 1] for k in rep.roles))))
+        assert _rep_side(rep, False)[0].describe() == row
 
 
 def test_polynomial_degree_bound_and_leading_coefficient():

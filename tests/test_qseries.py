@@ -32,11 +32,10 @@ from qaskey.qseries import (
     NotBalanced,
     ShapeMismatch,
     ZeroParameter,
-    vwp_as_phi,
 )
 from qaskey.sampler_verifier import DrawConfig, run_sweep
 
-from util import rand_qbase, rand_scalar, row_values
+from util import rand_qbase, rand_scalar, row_values, vwp_as_phi
 
 G = GaussianRational
 

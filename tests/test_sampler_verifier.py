@@ -456,7 +456,8 @@ def test_theta_flip_suite_compares_different_series(monkeypatch):
         assert p2.w == GaussianRational(1) / p1.w and rep1 == rep2
         if p1.w * p1.w == GaussianRational(1):
             continue                    # w = +-1 is its own flip
-        s1, s2 = (aw.rep_series(p, rep1)[1] for p in (p1, p2))
+        side, _ = aw._rep_side(aw._as_rep(rep1), False)
+        s1, s2 = (side.series(p._draw) for p in (p1, p2))
         assert (Counter(s1.num), Counter(s1.den)) != (Counter(s2.num), Counter(s2.den))
 
 

@@ -11,7 +11,7 @@ import pytest
 import qaskey
 from qaskey import (AWParams, CheckOutcome, QBase, RepId, RepTag, SeriesSpec,
                     Verdict, VwpSpec, derive_from_aw, draw_params, eval_all, record_by_id)
-from qaskey.identity_catalog import Factor
+from qaskey.labels import Factor
 from qaskey.sampler_verifier import DrawConfig
 
 HALF, THIRD, FIFTH = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)

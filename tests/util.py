@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qaskey import AWParams, GaussianRational, QBase, SeriesSpec, VwpSpec
-from qaskey.arithmetic import from_parts
+from qaskey.arithmetic import as_scalar, from_parts, pow_int
 from qaskey.identity_catalog import Draw
 
 
@@ -45,6 +45,21 @@ def rand_aw_params(rng, n_max=6, big=False) -> AWParams:
     return AWParams([rand_scalar(rng) for _ in range(4)],
                     rand_qbase(rng, big=big), rand_scalar(rng),
                     rng.randint(0, n_max))
+
+
+def vwp_as_phi(spec: VwpSpec, sqrt_b) -> SeriesSpec:
+    """The explicit (r+1) phi r expansion of a very-well-poised series.
+
+    Needs an explicit square root of b, so it exists in the exact backend
+    only when b is a perfect square; used for cross-checks.
+    """
+    q = spec.q.q
+    sb = as_scalar(sqrt_b, spec.q.exact)
+    if sb * sb - spec.b:
+        raise ValueError("sqrt_b is not a square root of the special parameter")
+    num = [spec.b, q * sb, -(q * sb)] + list(spec.lower)
+    den = [sb, -sb, pow_int(q, spec.n + 1) * spec.b] + [q * spec.b / a for a in spec.lower]
+    return SeriesSpec(num, den, spec.z, spec.q, spec.n)
 
 
 def row_values(spec) -> tuple:
