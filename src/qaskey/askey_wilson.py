@@ -262,7 +262,9 @@ class EvalReport(_Frozen):
 
 
 def _report(params, reps, evaluator) -> EvalReport:
-    values, skipped, traces = {}, {}, []
+    values = {}
+    skipped = {}
+    traces = []
     for rep in reps:
         rep = _as_rep(rep)
         try:

@@ -75,7 +75,7 @@ class _S:
 
     def __init__(self, draw):
         self.qbase, self.n, self.q, self.slots = draw.q, draw.n, draw.q.q, draw.slots
-        self.memo = {_UNITS[x]: v for x, v in self.slots.items()}
+        self.memo = {_factor(x).key: v for x, v in self.slots.items()}
         self.qpow = {}
 
     def values(self, factors) -> list:
@@ -98,9 +98,9 @@ class _S:
             value = self.qpow.get(e)
             if value is None:
                 value = self.qpow[e] = pow_int(self.q, e)
-        for x, e in letters:
-            x = slots[x] if e in (1, -1) else pow_int(slots[x], abs(e))
-            if e > 0:
+        for x, k in letters:
+            x = slots[x] if k in (1, -1) else pow_int(slots[x], abs(k))
+            if k > 0:
                 value = x if value is None else value * x
             else:
                 den = x if den is None else den * x
@@ -162,9 +162,7 @@ def _factor(label: str) -> Factor:
     return Factor(label, *(_tokens(half, label) for half in halves))
 
 
-_UNITS = {x: _factor(x).key for x in SLOTS}
-
-
+@functools.cache
 def _key(label: str) -> tuple:
     """The monomial's exponent vector over (q^n, q, a, b, c, d, e, f, w)."""
     return _factor(label).vec
@@ -346,12 +344,11 @@ class Side:
         (num, den), (num_rows, den_rows) = self._formed, self._rows
         try:
             spec = self.series(s)
-            rows = spec.den_rows
             pref = poch_quotient(
                 s.qbase, s.n, () if self.power is None else self.power(s),
                 (s.values(num),), (s.values(den),) if den else (),
-                num_rows=num_rows and [rows[i] for i in num_rows],
-                den_rows=den_rows and [rows[i] for i in den_rows],
+                num_rows=num_rows and [spec.den_rows[i] for i in num_rows],
+                den_rows=den_rows and [spec.den_rows[i] for i in den_rows],
                 pole=DenominatorPole, message="prefactor pole: a denominator vanished")
         except GuardViolation:
             for fac, x in zip(self.pref_den, s.values(self.pref_den)):
