@@ -12,13 +12,16 @@ W(b; c,d,e,f | q, q^{n+2} b^2/cdef); the interchange families
 ``cor3.5/*``, ``cor3.6/*``, ``cor3.8/*`` and ``cor3.10/*``; and the
 remarks ``rem3.6/a7``, ``rem3.8/a4`` and ``rem3.10/a6b``, substitutions
 read from their ``ref`` text that carry an interchange family onto its
-sibling family.  An interchange family is one series template over the
+sibling family, whose series the substituted head equals exactly
+(multiplier 1).  An interchange family is one series template over the
 placeholders x, y, u, v, which each record assigns a permutation of c, d,
-e, f; its prefactors are derived from its cor3.3 head (:func:`_family`).
-To add a record, add its ``(id, assignment)`` pair to its family's row of
-``_FAMILIES``.  One record, ``cor3.8/r6``, ships QUARANTINED: the paper
-prints its denominator factor ``qb/de`` where the derivation gives
-``qb/cd``; the derived form runs, and the printed one is kept beside it.
+e, f; its prefactors are derived from its cor3.3 head, whose 8W7 series
+is symmetric in c..f (:func:`_family`).  To add a record, add its ``(id,
+assignment)`` pair to its family's row of ``_FAMILIES``; a new family
+needs a template and a cor3.3 head.  One record, ``cor3.8/r6``, ships
+QUARANTINED: the paper prints its denominator factor ``qb/de`` where the
+derivation gives ``qb/cd``; the derived form runs, and the printed one
+is kept beside it.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 
-from .arithmetic import GuardViolation, _Frozen, _set, binom2, one_like, pow_int
+from .arithmetic import GuardViolation, QBase, _Frozen, _set, binom2, one_like, pow_int
 from .qpochhammer import poch, poch_quotient
 from .qseries import DenominatorPole, SeriesSpec, VwpSpec, eval_scaled
 
@@ -57,7 +57,7 @@ class Draw(_Frozen):
 
     __slots__ = ("q", "n", "slots")
 
-    def __init__(self, q, n: int, slots: dict):
+    def __init__(self, q: QBase, n: int, slots: dict):
         _set(self, "q", q)
         _set(self, "n", n)
         _set(self, "slots", slots)
@@ -191,7 +191,7 @@ class _Series(_Frozen):
         if vwp:
             qb = (top[0].vec[0], top[0].vec[1] + 1, *top[0].vec[2:])
             rows = [(qb[0] + 1, *qb[1:])]
-            rows += [tuple(i - j for i, j in zip(qb, x.vec)) for x in bottom]
+            rows += [tuple(map(int.__sub__, qb, x.vec)) for x in bottom]
             _set(self, "rows", tuple(_KEYS.setdefault(v, len(_KEYS)) for v in rows))
         else:
             _set(self, "rows", tuple(x.key for x in bottom))
@@ -295,10 +295,8 @@ def substituted(sub: str, text: str) -> str:
     out = []
     for part in head:
         m = _PREFACTOR.fullmatch(part)
-        if m:
-            out.append("/".join(f"({monos(g)};q)_n" for g in m.groups() if g))
-            continue
-        out.append(_POWER_TERM.sub(lambda t: power_term(*t.groups()), part).strip())
+        out.append("/".join(f"({monos(g)};q)_n" for g in m.groups() if g) if m
+                   else _POWER_TERM.sub(lambda t: power_term(*t.groups()), part).strip())
     shape, top, bottom, z = _SERIES.fullmatch(series).groups()
     return " * ".join(out + [f"{shape}({monos(top)}; {monos(bottom)} | q, {mono(z)})"])
 
