@@ -177,10 +177,9 @@ def _entries(text: str) -> tuple:
 
 
 class _Series(_Frozen):
-    """A parsed series label; called on a draw, it builds the spec.
-    ``rows`` holds the keys of the bases of the spec's guard rows, in
-    ``den_rows`` order: a phi's denominators, or a W's q^{n+1} B and then
-    q B / L for each lower parameter L."""
+    """A parsed series label; called on a draw, it builds the spec.  ``rows``
+    keys the bases of the spec's guard rows in ``den_rows`` order: a phi's
+    denominators, or a W's q^{n+1} B and then q B / L for each L."""
 
     __slots__ = ("vwp", "entries", "split", "rows")
 
@@ -235,7 +234,9 @@ class _Power(_Frozen):
                 for x, (minus, coef, choose) in zip(s.values(self.bases), self.kinds)]
 
 
-_power = functools.cache(_Power)
+@functools.cache
+def _power(label: str) -> _Power:
+    return _Power(label)
 
 
 @functools.cache
@@ -336,9 +337,9 @@ class Side:
         object.__setattr__(self, "_rows", tuple(rows))
 
     def evaluate(self, s: _S):
-        """Return the side's (value, TermTrace) pair; guard failures
-        raise.  A vanishing prefactor denominator raises DenominatorPole
-        naming the factor's label, ahead of any guard of the series."""
+        """The side's (value, TermTrace) pair.  A vanishing prefactor
+        denominator raises DenominatorPole naming the factor's label,
+        ahead of any guard of the series."""
         (num, den), (num_rows, den_rows) = self._formed, self._rows
         try:
             spec = self.series(s)
