@@ -10,9 +10,10 @@ ValueError naming it), and a check evaluates the parse, so the formula
 The families are ``cor3.3/*``, ten siblings of the very-well-poised head
 W(b; c,d,e,f | q, q^{n+2} b^2/cdef); the interchange families
 ``cor3.5/*``, ``cor3.6/*``, ``cor3.8/*`` and ``cor3.10/*``; and the
-remarks ``rem3.6/a7``, ``rem3.8/a4`` and ``rem3.10/a6b``, substitutions
-read from their ``ref`` text that carry an interchange family onto its
-sibling family, whose series the substituted head equals exactly
+remarks ``rem3.6/a7``, ``rem3.8/a4`` and ``rem3.10/a6b``, whose sides are
+their host's printed sides under the substitution in their ``ref`` text
+(:func:`~qaskey.labels.substituted`); it carries an interchange family
+onto its sibling family, whose series the substituted head is exactly
 (multiplier 1).  An interchange family is one series template over the
 placeholders x, y, u, v, which each record assigns a permutation of c, d,
 e, f; its prefactors are derived from its cor3.3 head, whose 8W7 series
@@ -31,23 +32,9 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .arithmetic import (
-    ABS_TOL,
-    COND_CAP,
-    GuardViolation,
-    QBase,
-    QError,
-    REL_TOL,
-    _Frozen,
-    _set,
-    binom2,
-    pow_int,
-    spread,
-)
-from .askey_wilson import AWParams, RepId, RepTag
-from .labels import Draw, Side, _S, _key, _side, _substitution
-from .qpochhammer import poch_quotient
-from .qseries import DenominatorPole
+from .arithmetic import ABS_TOL, COND_CAP, REL_TOL, GuardViolation, QError, _Frozen, _set, spread
+from .askey_wilson import ALL_REPS, RepId, RepTag, _rep_side
+from .labels import Draw, Side, _S, _key, _series, _side, parse_side, substituted
 
 
 class NotACor33Record(QError):
@@ -82,8 +69,6 @@ class IdentityRecord:
     lhs: Side
     rhs: Side
     constraint_summary: str
-    substitution: object = None         # callable (_S) -> slot dict, or None
-    sibling_series: object = None       # head image under the substitution
     quarantine: QuarantineInfo | None = None
 
 
@@ -242,14 +227,14 @@ _FAMILIES = [
 _MISPRINT = ("cor3.8/r6", ("qb/ef", "qb/c", "qb/d"), ("qb/de", "qb/e", "qb/f"),
              "denominator factor qb/de -> qb/cd")
 
-# (id, ref with the substitution, host record, cor3.3 record of the sibling series)
+# (id, ref with the substitution, host record)
 _REMARKS = [
     ("rem3.6/a7", "Cor 3.6 remark: (b,c,d,e,f) -> (q^{-2n-1}def/b^2, "
-     "q^{-n-1}cdef/b^2, q^-n f/b, q^-n e/b, q^-n d/b)", "cor3.6/r2", "cor3.3/3.5a.7"),
+     "q^{-n-1}cdef/b^2, q^-n f/b, q^-n e/b, q^-n d/b)", "cor3.6/r2"),
     ("rem3.8/a4", "Cor 3.8 remark: (b,c,d,e,f) -> (q^{-2n}/b, q^-n c/b, q^-n d/b, "
-     "q^-n e/b, q^-n f/b)", "cor3.8/r2", "cor3.3/3.5a.4"),
+     "q^-n e/b, q^-n f/b)", "cor3.8/r2"),
     ("rem3.10/a6b", "Cor 3.10 remark: (b,c,d,e,f) -> (q^-n f/e, qb/ce, qb/de, f, "
-     "q^-n f/b)", "cor3.10/r2", "cor3.3/3.5a.6b"),
+     "q^-n f/b)", "cor3.10/r2"),
 ]
 _REMARK_SUMMARY = ("substituted slots must satisfy the host family's guards; "
                    "head image equals the sibling series with multiplier 1")
@@ -318,10 +303,10 @@ def catalog() -> tuple[IdentityRecord, ...]:
             recs += _family(name, template, heads[f"cor3.3/{head}"], rows)
         recs = [_quarantined(rec) if rec.id == _MISPRINT[0] else rec for rec in recs]
         by_id = {rec.id: rec for rec in recs}
-        recs += [IdentityRecord(
-            rid, ref, by_id[host].lhs, by_id[host].rhs, _REMARK_SUMMARY,
-            substitution=_substitution(ref), sibling_series=by_id[sibling].rhs.series)
-            for rid, ref, host, sibling in _REMARKS]
+        for rid, ref, host in _REMARKS:
+            lhs, rhs = (parse_side(substituted(ref, side.describe()))
+                        for side in (by_id[host].lhs, by_id[host].rhs))
+            recs.append(IdentityRecord(rid, ref, lhs, rhs, _REMARK_SUMMARY))
         _CATALOG = tuple(recs)
     return _CATALOG
 
@@ -338,8 +323,6 @@ def check(record: IdentityRecord, draw: Draw) -> CheckOutcome:
 
     def evaluate():
         s = _S(draw)
-        if record.substitution is not None:
-            s = _S(Draw(draw.q, draw.n, record.substitution(s)))
         return [record.lhs.evaluate(s), record.rhs.evaluate(s)]
 
     return settle(evaluate, draw.q.exact)
@@ -349,67 +332,42 @@ def check(record: IdentityRecord, draw: Draw) -> CheckOutcome:
 # derivation from the polynomial family (cor3.3/* only)
 # ---------------------------------------------------------------------------
 
-_AW_SOURCES = {
-    "cor3.3/3.5a.1": RepTag.W_DEF4,
-    "cor3.3/3.5a.2": RepTag.W_DEF5,
-    "cor3.3/3.5a.7": RepTag.W_DEF7,
-    "cor3.3/3.5a.7b": RepTag.W_DEF6,
-    "cor3.3/3.5a.6": RepTag.W_DEF6,
-    "cor3.3/3.5a.7c": RepTag.W_DEF7,
-    "cor3.3/3.5a.3": RepTag.PHI_MIXED,
-    "cor3.3/3.5a.4": RepTag.PHI_MIXED,
-    "cor3.3/3.5a.5": RepTag.PHI_INV,
-    "cor3.3/3.5a.6b": RepTag.PHI_STD,
-}
+# b = q^-n w^2 and (c, d, e, f) = (a1, a2, a3, a4) w: it sends the cor3.3
+# head W(b; c,d,e,f | q, q^{n+2}b^2/cdef) onto the w-def4 series
+_SIGMA = "(b,c,d,e,f) -> (q^-n w^2, aw, bw, cw, dw)"
 
 
-class AwDerivation(_Frozen):
-    """The substitution carrying the polynomial family onto a cor3.3 record.
+def _rep_series(rep: RepId, at_wi: bool) -> str:
+    """A representation's series label at w or at 1/w, printed canonically."""
+    return substituted("(w) -> (1/w)" if at_wi else "(w) -> (w)",
+                       _rep_side(rep, False)[0].series_label)
 
-    Works in the squared variables: callers supply square roots of q and
-    of the slot b, so the exact backend stays radical-free.  The spectral
-    point becomes w = sqrt(q)^n sqrt(b) (so w^2 = q^n b) and the four
-    parameters are (c, d, e, f) / (sqrt(q)^n sqrt(b)).
+
+def _entry_vecs(label: str) -> tuple:
+    """A series label's kind and its entries' exponent vectors, each
+    parameter list sorted."""
+    series = _series(label)
+    top, bottom = series.entries[:series.split], series.entries[series.split:-1]
+    return (series.vwp, sorted(fac.vec for fac in top), sorted(fac.vec for fac in bottom),
+            series.entries[-1].vec)
+
+
+def derive_from_aw(record_id: str) -> tuple[RepId, bool]:
+    """(rep, at 1/w): the representation, at default roles, whose series at
+    w, or else at 1/w, has the entries of the image under ``_SIGMA`` of a
+    cor3.3 record's right-hand series.
+
+    ``_SIGMA`` sends the record's left side, the head, onto the w-def4
+    series; a record whose left side it sends elsewhere raises
+    NotACor33Record.  Contract (checked by the tests): ``_SIGMA`` carries
+    both sides of the record to one value, which times the w-def4
+    prefactor is the polynomial; the common multiplier is the reciprocal
+    of that prefactor.
     """
-
-    __slots__ = ("record_id", "rep", "description")
-
-    def __init__(self, record_id: str, rep: RepId, description: str):
-        _set(self, "record_id", record_id)
-        _set(self, "rep", rep)
-        _set(self, "description", description)
-
-    def aw_params(self, sqrt_q, sqrt_b, c, d, e, f, n: int) -> AWParams:
-        q = sqrt_q * sqrt_q
-        scale = pow_int(sqrt_q, n) * sqrt_b
-        return AWParams([c / scale, d / scale, e / scale, f / scale],
-                        QBase(q), scale, n)
-
-    def multiplier(self, sqrt_q, sqrt_b, c, d, e, f, n: int):
-        """The common factor applied to every representation; 1 at n = 0."""
-        q = sqrt_q * sqrt_q
-        b = sqrt_b * sqrt_b
-        qb = q * b
-        return poch_quotient(
-            q, n, lead=((q, 2 * binom2(n)), (-pow_int(sqrt_q * sqrt_b, 5), n),
-                        (c * d * e * f, -n)),
-            num=(qb,), den=([qb / c, qb / d, qb / e, qb / f],), pole=DenominatorPole,
-            message="multiplier pole: (qb/c..qb/f;q)_n = 0")
-
-
-def derive_from_aw(record_id: str) -> AwDerivation:
-    """Substitution description for a cor3.3 record.
-
-    Contract (checked by the tests): multiplier * polynomial value at the
-    substituted parameters equals the head series, hence both sides of
-    the record.
-    """
-    try:
-        tag = _AW_SOURCES[record_id]
-    except KeyError:
-        raise NotACor33Record(record_id) from None
-    return AwDerivation(
-        record_id, RepId(tag),
-        "w^2 = q^n b, a_k = q^{-n/2} (c,d,e,f)_k / sqrt(b); multiply by the "
-        "common factor q^{2 C(n,2)} (-1)^n (qb)^{5n/2} (qb;q)_n / "
-        "((cdef)^n (qb/c, qb/d, qb/e, qb/f;q)_n)")
+    rec = next((rec for rec in catalog() if rec.id == record_id), None)
+    if rec is None or (substituted(_SIGMA, rec.lhs.describe())
+                       != _rep_series(RepId(RepTag.W_DEF4), False)):
+        raise NotACor33Record(record_id)
+    image = _entry_vecs(substituted(_SIGMA, rec.rhs.series_label))
+    return next((rep, at_wi) for at_wi in (False, True) for rep in ALL_REPS
+                if _entry_vecs(_rep_series(rep, at_wi)) == image)

@@ -249,12 +249,6 @@ def _mapping(ref: str) -> tuple:
     return tuple(letters), items
 
 
-def _substitution(ref: str):
-    """The substitution in ``ref`` applied to a draw: (_S) -> new slots."""
-    letters, items = _mapping(ref)
-    return lambda s: dict(zip(letters, s.values(items)))
-
-
 def _render(vec) -> str:
     """The canonical label of an exponent vector: q's power, then the slot
     letters in order, over the letters (and q) with negative exponents."""
@@ -275,18 +269,20 @@ def _render(vec) -> str:
 
 def substituted(sub: str, text: str) -> str:
     """A side's printed form (:func:`parse_side`) under the substitution
-    ``sub``, each monomial printed by :func:`_render`."""
+    ``sub``, each monomial printed by :func:`_render`.  Every letter is
+    mapped at once: each image's exponent is read from the original vector."""
     letters, items = _mapping(sub)
+    moved = [SLOTS.index(x) + 2 for x in letters]
 
     def mono(label: str) -> str:
-        vec = list(_key(label.strip()))
-        for x, item in zip(letters, items):
-            e, vec[SLOTS.index(x) + 2] = vec[SLOTS.index(x) + 2], 0
-            vec = [v + e * i for v, i in zip(vec, item.vec)]
-        return _render(vec)
+        vec = _key(label.strip())
+        out = [0 if i in moved else v for i, v in enumerate(vec)]
+        for i, item in zip(moved, items):
+            out = [v + vec[i] * u for v, u in zip(out, item.vec)]
+        return _render(out)
 
-    def monos(labels: str) -> str:
-        return ", ".join(map(mono, labels.split(",")))
+    def monos(labels: str, sep: str = ", ") -> str:
+        return sep.join(map(mono, labels.split(",")))
 
     def power_term(minus, base, atom, coef, exp) -> str:
         base = ("-" if minus else "") + mono(base or atom)
@@ -296,7 +292,7 @@ def substituted(sub: str, text: str) -> str:
     out = []
     for part in head:
         m = _PREFACTOR.fullmatch(part)
-        out.append("/".join(f"({monos(g)};q)_n" for g in m.groups() if g) if m
+        out.append("/".join(f"({monos(g, ',')};q)_n" for g in m.groups() if g) if m
                    else _POWER_TERM.sub(lambda t: power_term(*t.groups()), part).strip())
     shape, top, bottom, z = _SERIES.fullmatch(series).groups()
     return " * ".join(out + [f"{shape}({monos(top)}; {monos(bottom)} | q, {mono(z)})"])

@@ -23,12 +23,14 @@ from qaskey import (
     eval_rep,
     record_by_id,
 )
-from qaskey.identity_catalog import _AW_SOURCES, _FAMILIES, NotACor33Record, _at, judge, settle
-from qaskey.labels import (_S, _SERIES, _entries, _factor, _key, _power, _series, _substitution,
-                           parse_side)
+from qaskey.askey_wilson import ALL_REPS, AWParams, RepId, RepTag
+from qaskey.identity_catalog import (_FAMILIES, _SIGMA, NotACor33Record, _at, _entry_vecs,
+                                     _rep_series, judge, settle)
+from qaskey.labels import (_S, _SERIES, _entries, _factor, _key, _mapping, _power, _series,
+                           parse_side, substituted)
 from qaskey import qpochhammer, qseries
 from qaskey.sampler_verifier import all_targets
-from qaskey.qseries import SeriesSpec, TermTrace, VwpSpec, eval_phi, eval_w, invert_w
+from qaskey.qseries import SeriesSpec, TermTrace, VwpSpec, eval_w, invert_w
 from qaskey.arithmetic import GuardViolation, binom2, pow_int
 
 from util import rand_qbase, rand_scalar
@@ -235,77 +237,114 @@ def test_quarantined_record_variants():
 
 
 def test_remark_records_head_image_is_sibling_series():
-    # the substitution sends the host family's head onto the sibling
-    # series with multiplier exactly 1
-    rng = random.Random(129)
-    for rid in ("rem3.6/a7", "rem3.8/a4", "rem3.10/a6b"):
-        rec = record_by_id(rid)
-        assert rec.substitution is not None and rec.sibling_series is not None
-        done = 0
-        while done < 6:
-            d = _draw(rng, n_max=4)
-            s = _S(d)
-            try:
-                sub_slots = rec.substitution(s)
-                sub_s = _S(Draw(d.q, d.n, sub_slots))
-                head_spec = rec.lhs.series(sub_s)
-                sib_spec = rec.sibling_series(s)
-                v1 = (eval_w if isinstance(head_spec, VwpSpec) else eval_phi)(head_spec)[0]
-                v2 = (eval_w if isinstance(sib_spec, VwpSpec) else eval_phi)(sib_spec)[0]
-            except Exception:
-                continue
-            assert v1 == v2, rid
-            done += 1
+    # a remark's sides are its host's under its substitution, and the
+    # substituted head is the sibling cor3.3 row's series, entry for entry
+    for rid, host, sibling in (("rem3.6/a7", "cor3.6/r2", "3.5a.7"),
+                               ("rem3.8/a4", "cor3.8/r2", "3.5a.4"),
+                               ("rem3.10/a6b", "cor3.10/r2", "3.5a.6b")):
+        rec, host = record_by_id(rid), record_by_id(host)
+        assert rec.lhs.describe() == substituted(rec.ref, host.lhs.describe()), rid
+        assert rec.rhs.describe() == substituted(rec.ref, host.rhs.describe()), rid
+        assert (_entry_vecs(rec.lhs.series_label)
+                == _entry_vecs(record_by_id(f"cor3.3/{sibling}").rhs.series_label)), rid
+
+
+def test_substitution_maps_every_letter_at_once():
+    # each image's exponents are read from the original vector: a swap
+    # swaps, and a remark's substituted sides equal its host's sides on
+    # the substituted draw
+    assert (substituted("(b,e) -> (e, b)", "(qb/e;q)_n * W(b; c, d, e, q^n b/e | q, b^2/e)")
+            == "(qe/b;q)_n * W(e; c, d, b, q^{n}e/b | q, e^2/b)")
+    sub = "(b,c,d,e,f) -> (q^-n f/e, qb/ce, qb/de, f, q^-n f/b)"
+    host = record_by_id("cor3.10/r2")
+    letters, images = _mapping(sub)
+    rng = random.Random(128)
+    done = 0
+    while done < 6:
+        d = _draw(rng, n_min=1)
+        s = _S(d)
+        moved = _S(Draw(d.q, d.n, dict(zip(letters, s.values(images)))))
+        try:
+            pairs = [(parse_side(substituted(sub, side.describe())).evaluate(s)[0],
+                      side.evaluate(moved)[0]) for side in (host.lhs, host.rhs)]
+        except (GuardViolation, ZeroDivisionError):
+            continue
+        for mapped, direct in pairs:
+            assert mapped == direct
+        done += 1
+
+
+# the representation each cor3.3 row derives from, at default roles, and
+# whether its series matched at 1/w
+DERIVED = {
+    "cor3.3/3.5a.1": (RepTag.W_DEF4, True),
+    "cor3.3/3.5a.2": (RepTag.W_DEF5, False),
+    "cor3.3/3.5a.7": (RepTag.W_DEF7, False),
+    "cor3.3/3.5a.7b": (RepTag.W_DEF6, True),
+    "cor3.3/3.5a.6": (RepTag.W_DEF6, False),
+    "cor3.3/3.5a.7c": (RepTag.W_DEF7, True),
+    "cor3.3/3.5a.3": (RepTag.PHI_MIXED, False),
+    "cor3.3/3.5a.4": (RepTag.PHI_MIXED, True),
+    "cor3.3/3.5a.5": (RepTag.PHI_INV, False),
+    "cor3.3/3.5a.6b": (RepTag.PHI_STD, False),
+}
 
 
 def test_derive_from_aw_rejects_other_families():
     with pytest.raises(NotACor33Record):
         derive_from_aw("cor3.5/r2")
+    with pytest.raises(NotACor33Record):
+        derive_from_aw("cor3.3/nosuch")
 
 
-def test_derivation_multiplier_trivial_at_degree_zero():
-    der = derive_from_aw("cor3.3/3.5a.3")
-    assert der.multiplier(G(Fraction(1, 2)), G(3), G(2), G(5), G(7), G(-2), 0) == G(1)
-
-
-def test_derivation_multiplier_pole_on_a_vanishing_pochhammer():
-    # c = qb makes the factor 1 - qb/c of (qb/c;q)_n vanish for n >= 1
-    der = derive_from_aw("cor3.3/3.5a.3")
-    for one in (G(1), 1 + 0j):
-        sq, sb = one / 2, 3 * one
-        others = (5 * one, 7 * one, -2 * one)
-        qb = sq * sq * sb * sb
-        assert der.multiplier(sq, sb, qb, *others, 0) == 1
-        with pytest.raises(qseries.DenominatorPole, match="multiplier pole"):
-            der.multiplier(sq, sb, qb, *others, 2)
+def test_sigma_sends_the_head_of_exactly_the_cor33_rows_to_w_def4():
+    # the cor3.3 head, printed canonically, becomes the w-def4 series
+    head = record_by_id("cor3.3/3.5a.1").lhs.describe()
+    assert (substituted(_SIGMA, head) == _rep_series(RepId(RepTag.W_DEF4), False)
+            == "W(q^{-n}w^2; aw, bw, cw, dw | q, q^{2-n}/abcd)")
+    derived = {}
+    for rec in catalog():
+        try:
+            derived[rec.id] = derive_from_aw(rec.id)
+        except NotACor33Record:
+            continue
+    assert derived == {rid: (RepId(tag), at_wi) for rid, (tag, at_wi) in DERIVED.items()}
+    # each row's image matches one tag only; at 1/w only where it must
+    for rid, (tag, at_wi) in DERIVED.items():
+        image = _entry_vecs(substituted(_SIGMA, record_by_id(rid).rhs.series_label))
+        found = {(rep.tag, flip) for rep in ALL_REPS for flip in (False, True)
+                 if _entry_vecs(_rep_series(rep, flip)) == image}
+        assert {t for t, _ in found} == {tag}, rid
+        assert ((tag, False) not in found) is at_wi, rid
 
 
 def test_derivation_reproduces_both_record_sides():
-    # every cor3.3 row is multiplier * its representation, in exact values
-    # at Gaussian draws of degree 1..3 (so q = sq^2 is non-real on some);
-    # only a guard or a division by zero skips a draw, and a row with
-    # fewer than five admissible draws in 200 fails
+    # on Askey-Wilson draws, exact and radical-free, the image under sigma
+    # of both sides of every cor3.3 row is one value, and the w-def4
+    # prefactor w^n (a/w,b/w,c/w,d/w;q)_n / (1/w^2;q)_n times it is the
+    # derived representation, evaluated at 1/w where its series matched
+    # there; only a guard or a division by zero skips a draw, and a row
+    # with fewer than five admissible draws in 200 fails
     rng = random.Random(130)
-    for rid in _AW_SOURCES:
+    for rid, (tag, at_wi) in DERIVED.items():
         rec = record_by_id(rid)
-        der = derive_from_aw(rid)
+        lhs, rhs = (parse_side(substituted(_SIGMA, side.describe())) for side in (rec.lhs, rec.rhs))
         done = 0
         for _ in range(200):
-            sq, sb = rand_scalar(rng), rand_scalar(rng)
-            c, d_, e, f = (rand_scalar(rng) for _ in range(4))
-            n = rng.randint(1, 3)
+            params = AWParams([rand_scalar(rng) for _ in range(4)], rand_qbase(rng),
+                              rand_scalar(rng), rng.randint(1, 3))
+            q, n, w = params.q.q, params.n, params.w
             try:
-                params = der.aw_params(sq, sb, c, d_, e, f, n)
-                mult = der.multiplier(sq, sb, c, d_, e, f, n)
-                value, _ = eval_rep(params, der.rep)
-                dr = Draw(params.q, n,
-                          {"b": sb * sb, "c": c, "d": d_, "e": e, "f": f})
-                s = _S(dr)
-                lhs, _ = rec.lhs.evaluate(s)
-                rhs, _ = rec.rhs.evaluate(s)
+                value, _ = lhs.evaluate(params._draw)
+                other, _ = rhs.evaluate(params._draw)
+                rep_value, _ = eval_rep(params.flip_w() if at_wi else params, RepId(tag))
+                pref = pow_int(w, n) / qpochhammer.poch(1 / (w * w), q, n)
             except (GuardViolation, ZeroDivisionError):
                 continue
-            assert mult * value == lhs == rhs, rid
+            for a in params.a:
+                pref = pref * qpochhammer.poch(a / w, q, n)
+            assert value == other, rid
+            assert pref * value == rep_value, rid
             done += 1
             if done == 5:
                 break
@@ -473,7 +512,7 @@ def test_monomial_label_parses_to_printed_order(label, num, den):
     (_series, "W(b; c, d, e, f, q^{n+2}b^2/cdef)"),
     (_series, "W(b, c; d, e | q, q)"),
     (_power, "(qb/c)^m"),
-    (_substitution, "Cor 3.6 remark: (b,c,d,e,f) -> (b, c, d)"),
+    (_mapping, "Cor 3.6 remark: (b,c,d,e,f) -> (b, c, d)"),
 ])
 def test_malformed_label_raises_naming_it(parse, label):
     with pytest.raises(ValueError, match=re.escape(repr(label))):
@@ -501,9 +540,11 @@ def test_series_power_and_substitution_labels_evaluate_as_printed():
     # a power evaluates to its factors (x, k) of x^k
     assert _power("q^C(n,2) (-qb/c)^n")(s) == [(q, binom2(n)), (-qb / c, n)]
     assert _power("c^n")(s) == [(c, n)]
-    assert _substitution("(b,c,d,e,f) -> (q^-n f/e, qb/ce, qb/de, f, q^-n f/b)")(s) == {
-        "b": qmn * f / e, "c": qb / (c * e), "d": qb / (dd * e), "e": f,
-        "f": qmn * f / b}
+    # a substitution maps each slot to its image, every slot at once
+    sub = "(b,c,d,e,f) -> (q^-n f/e, qb/ce, qb/de, f, q^-n f/b)"
+    assert (_series(substituted(sub, "phi(b, c, d; e, f, q | q, b)"))(s)
+            == SeriesSpec([qmn * f / e, qb / (c * e), qb / (dd * e)], [f, qmn * f / b, q],
+                          qmn * f / e, d.q, n))
 
 
 def test_printed_sides_parse_back_to_the_same_side():
@@ -517,13 +558,6 @@ def test_printed_sides_parse_back_to_the_same_side():
                 assert ([f.key for f in getattr(again, part)]
                         == [f.key for f in getattr(side, part)]), rec.id
             assert again.series is side.series and again.power is side.power, rec.id
-
-
-def test_remark_sibling_series_is_its_cor33_record():
-    for rid, sibling in (("rem3.6/a7", "3.5a.7"), ("rem3.8/a4", "3.5a.4"),
-                         ("rem3.10/a6b", "3.5a.6b")):
-        assert (record_by_id(rid).sibling_series
-                is record_by_id(f"cor3.3/{sibling}").rhs.series)
 
 
 # the prefactors of the interchange families as the paper prints them:

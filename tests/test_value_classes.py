@@ -10,7 +10,7 @@ import pytest
 
 import qaskey
 from qaskey import (AWParams, CheckOutcome, QBase, RepId, RepTag, SeriesSpec,
-                    Verdict, VwpSpec, derive_from_aw, draw_params, eval_all, record_by_id)
+                    Verdict, VwpSpec, draw_params, eval_all, record_by_id)
 from qaskey.labels import Factor
 from qaskey.sampler_verifier import DrawConfig
 
@@ -68,13 +68,12 @@ def _read_only_values():
         Factor("q^n b", ((1, 0), "b")),
         record_by_id("cor3.8/r6").quarantine,
         CheckOutcome(Verdict.PASS, 0.0, 0.0, True),
-        derive_from_aw("cor3.3/3.5a.4"),
     ]
 
 
 def test_fields_of_the_read_only_classes_cannot_be_assigned():
     values = _read_only_values()
-    assert len({type(v).__name__ for v in values}) == 11
+    assert len({type(v).__name__ for v in values}) == 10
     for value in values:
         fields = [f for f in type(value).__slots__ if f != "__dict__"]
         assert fields, type(value)
