@@ -31,9 +31,9 @@ from .arithmetic import (
     pow_int,
     spread,
 )
-from .labels import Draw, _S, _factor, parse_side, substituted
+from .labels import Draw, _factor, parse_side, substituted
 from .qpochhammer import poch_quotient
-from .qseries import SeriesSpec, TermTrace, ZeroParameter, eval_scaled
+from .qseries import SeriesSpec, TermTrace, ZeroParameter, eval_series
 
 
 class PoleGuard(GuardViolation):
@@ -154,12 +154,12 @@ class AWParams(_Frozen):
         return AWParams(tuple(self.a[j - 1] for j in perm), self.q, self.w, self.n)
 
     @cached_property
-    def _draw(self) -> _S:
+    def _draw(self) -> Draw:
         """The draw, over the slots a, b, c, d (a1..a4) and w, that every
         representation here evaluates on; its 1/w is ``wi``."""
-        s = _S(Draw(self.q, self.n, dict(zip("abcdw", (*self.a, self.w)))))
-        s.memo[_factor("1/w").key] = self.wi
-        return s
+        d = Draw(self.q, self.n, dict(zip("abcdw", (*self.a, self.w))))
+        d.memo[_factor("1/w").key] = self.wi
+        return d
 
 
 # each representation's printed form, {p}, {r}, {t}, {u} standing for the
@@ -304,7 +304,7 @@ def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:
     aps = [ap * x for x in params.a[1:]]
     spec = SeriesSpec([pow_int(q, n - 1) * params.a1234, ap * w, ap / w],
                       aps, q, qi, n)
-    return eval_scaled(poch_quotient(q, n, ((ap, -n),), num_rows=spec.den_rows), spec)
+    return eval_series(spec, poch_quotient(q, n, ((ap, -n),), num_rows=spec.den_rows))
 
 
 def _qinv_scaling(params: AWParams) -> list:

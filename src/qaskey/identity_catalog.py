@@ -34,7 +34,7 @@ from enum import Enum
 
 from .arithmetic import ABS_TOL, COND_CAP, REL_TOL, GuardViolation, QError, _Frozen, _set, spread
 from .askey_wilson import ALL_REPS, RepId, RepTag, _rep_side
-from .labels import Draw, Side, _S, _key, _series, _side, parse_side, substituted
+from .labels import Draw, Side, _factor, _series, _side, parse_side, substituted
 
 
 class NotACor33Record(QError):
@@ -245,7 +245,8 @@ def _cancelled(num: list, den: list) -> tuple:
     occurrence; ``den`` is consumed."""
     kept = []
     for label in num:
-        twin = next((other for other in den if _key(other) == _key(label)), None)
+        key = _factor(label).key
+        twin = next((other for other in den if _factor(other).key == key), None)
         if twin is None:
             kept.append(label)
         else:
@@ -319,13 +320,11 @@ def record_by_id(rid: str) -> IdentityRecord:
 
 
 def check(record: IdentityRecord, draw: Draw) -> CheckOutcome:
-    """Evaluate both sides of a record on one draw, and :func:`settle` them."""
-
-    def evaluate():
-        s = _S(draw)
-        return [record.lhs.evaluate(s), record.rhs.evaluate(s)]
-
-    return settle(evaluate, draw.q.exact)
+    """Evaluate both sides of a record on one draw, and :func:`settle` them.
+    The monomials formed on the draw stay in its ``memo`` for any later
+    check on it."""
+    return settle(lambda: [record.lhs.evaluate(draw), record.rhs.evaluate(draw)],
+                  draw.q.exact)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ labels: monomials (``qb/cd``, ``q^{1-n}w/a``, ``1/w^2``), series
 (``q^-3C(n,2) (-abcd)^n``) and substitutions (``(a,b) -> (1/a, 1/b)``);
 README.md has the grammar.  :func:`parse_side` reads a side's printed
 form into a :class:`Side`, power * Pochhammer ratio * series, which
-:meth:`Side.evaluate` runs on a draw, :class:`_S`.  A monomial is
-compiled once to its exponent vector over (q^n, q, a, b, c, d, e, f, w)
-and that vector's ``key``, by which a draw memoises the values it forms.
-:func:`substituted` maps the vectors of a side under a substitution and
-prints each in one canonical spelling.
+:meth:`Side.evaluate` runs on a :class:`Draw`.  A monomial is compiled
+once to its exponent vector over (q^n, q, a, b, c, d, e, f, w) and that
+vector's ``key``, by which a draw memoises the values it forms: every
+side evaluated on one draw (both sides of a record, a quarantined
+record's printed variant, the representations at one point) forms each
+monomial once.  :func:`substituted` maps the vectors of a side under a
+substitution and prints each in one canonical spelling.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import re
 from dataclasses import dataclass, field
 
 from .arithmetic import GuardViolation, QBase, _Frozen, _set, binom2, one_like, pow_int
-from .qpochhammer import poch, poch_quotient
-from .qseries import DenominatorPole, SeriesSpec, VwpSpec, eval_scaled
+from .qpochhammer import DenominatorPole, poch, poch_quotient
+from .qseries import SeriesSpec, VwpSpec, eval_series
 
 SLOTS = "abcdefw"
 _KEYS: dict = {}        # exponent vector -> key, in order of first use
@@ -53,30 +55,22 @@ class Factor(_Frozen):
 
 
 class Draw(_Frozen):
-    """A concrete slot assignment for one check."""
+    """A concrete slot assignment for one check, and the values formed on
+    it.  ``memo`` keeps the value of each monomial formed so far by its
+    key, so every side evaluated on the draw shares it; ``qpow`` keeps q^e
+    by e."""
 
-    __slots__ = ("q", "n", "slots")
+    __slots__ = ("q", "n", "slots", "memo", "qpow")
 
     def __init__(self, q: QBase, n: int, slots: dict):
         _set(self, "q", q)
         _set(self, "n", n)
         _set(self, "slots", slots)
+        _set(self, "memo", {_factor(x).key: v for x, v in slots.items()})
+        _set(self, "qpow", {})
 
     def __repr__(self):
         return f"Draw(q={self.q!r}, n={self.n!r}, slots={self.slots!r})"
-
-
-class _S:
-    """One draw: its base, degree and slot values.  ``memo`` keeps the
-    value of each monomial formed so far by its key, so every side
-    evaluated on the draw shares it; ``qpow`` keeps q^e by e."""
-
-    __slots__ = ("qbase", "n", "q", "slots", "memo", "qpow")
-
-    def __init__(self, draw):
-        self.qbase, self.n, self.q, self.slots = draw.q, draw.n, draw.q.q, draw.slots
-        self.memo = {_factor(x).key: v for x, v in self.slots.items()}
-        self.qpow = {}
 
     def values(self, factors) -> list:
         """The monomials' values, each formed on its first use."""
@@ -92,12 +86,12 @@ class _S:
         """q^{a n + k} times the slots with positive exponents, over those
         with negative ones."""
         qa, qk, letters = plan
-        slots, value, den = self.slots, None, None
+        slots, q, value, den = self.slots, self.q.q, None, None
         e = qa * self.n + qk
         if e:
             value = self.qpow.get(e)
             if value is None:
-                value = self.qpow[e] = pow_int(self.q, e)
+                value = self.qpow[e] = pow_int(q, e)
         for x, k in letters:
             x = slots[x] if k in (1, -1) else pow_int(slots[x], abs(k))
             if k > 0:
@@ -105,7 +99,7 @@ class _S:
             else:
                 den = x if den is None else den * x
         if value is None:
-            value = one_like(self.q)
+            value = one_like(q)
         return value if den is None else value / den
 
 
@@ -162,12 +156,6 @@ def _factor(label: str) -> Factor:
     return Factor(label, *(_tokens(half, label) for half in halves))
 
 
-@functools.cache
-def _key(label: str) -> tuple:
-    """The monomial's exponent vector over (q^n, q, a, b, c, d, e, f, w)."""
-    return _factor(label).vec
-
-
 def _factors(labels) -> tuple:
     return tuple(_factor(label) for label in labels)
 
@@ -195,12 +183,12 @@ class _Series(_Frozen):
         else:
             _set(self, "rows", tuple(x.key for x in bottom))
 
-    def __call__(self, s: _S):
-        v = s.values(self.entries)
+    def __call__(self, d: Draw):
+        v = d.values(self.entries)
         if self.vwp:
-            return VwpSpec(v[0], v[1:-1], v[-1], s.qbase, s.n)
+            return VwpSpec(v[0], v[1:-1], v[-1], d.q, d.n)
         k = self.split
-        return SeriesSpec(v[:k], v[k:-1], v[-1], s.qbase, s.n)
+        return SeriesSpec(v[:k], v[k:-1], v[-1], d.q, d.n)
 
 
 @functools.cache
@@ -229,9 +217,9 @@ class _Power(_Frozen):
         _set(self, "kinds", tuple((bool(m[1]), int(m[4] + "1" if m[4] in ("", "-") else m[4]),
                                    m[5] != "n") for m in terms))
 
-    def __call__(self, s: _S) -> list:
-        return [(-x if minus else x, coef * (binom2(s.n) if choose else s.n))
-                for x, (minus, coef, choose) in zip(s.values(self.bases), self.kinds)]
+    def __call__(self, d: Draw) -> list:
+        return [(-x if minus else x, coef * (binom2(d.n) if choose else d.n))
+                for x, (minus, coef, choose) in zip(d.values(self.bases), self.kinds)]
 
 
 @functools.cache
@@ -275,7 +263,7 @@ def substituted(sub: str, text: str) -> str:
     moved = [SLOTS.index(x) + 2 for x in letters]
 
     def mono(label: str) -> str:
-        vec = _key(label.strip())
+        vec = _factor(label.strip()).vec
         out = [0 if i in moved else v for i, v in enumerate(vec)]
         for i, item in zip(moved, items):
             out = [v + vec[i] * u for v, u in zip(out, item.vec)]
@@ -307,7 +295,7 @@ class Side:
     others are formed by :func:`~qaskey.qpochhammer.poch_quotient`."""
 
     series_label: str
-    series: object                      # compiled series_label: (_S) -> spec
+    series: object                      # compiled series_label: (Draw) -> spec
     pref_num: tuple = ()
     pref_den: tuple = ()
     power: object = None                # compiled power_label, or None
@@ -332,25 +320,24 @@ class Side:
         object.__setattr__(self, "_formed", tuple(formed))
         object.__setattr__(self, "_rows", tuple(rows))
 
-    def evaluate(self, s: _S):
-        """The side's (value, TermTrace) pair.  A vanishing prefactor
-        denominator raises DenominatorPole naming the factor's label,
-        ahead of any guard of the series."""
+    def evaluate(self, d: Draw):
+        """The side's (value, TermTrace) pair on the draw ``d``.  A
+        vanishing prefactor denominator raises DenominatorPole naming the
+        factor's label, ahead of any guard of the series."""
         (num, den), (num_rows, den_rows) = self._formed, self._rows
+        q, n = d.q.q, d.n
         try:
-            spec = self.series(s)
+            spec = self.series(d)
             pref = poch_quotient(
-                s.qbase, s.n, () if self.power is None else self.power(s),
-                (s.values(num),), (s.values(den),) if den else (),
-                num_rows=num_rows and [spec.den_rows[i] for i in num_rows],
-                den_rows=den_rows and [spec.den_rows[i] for i in den_rows],
-                pole=DenominatorPole, message="prefactor pole: a denominator vanished")
+                q, n, () if self.power is None else self.power(d), d.values(num),
+                d.values(den), num_rows=num_rows and [spec.den_rows[i] for i in num_rows],
+                den_rows=den_rows and [spec.den_rows[i] for i in den_rows])
         except GuardViolation:
-            for fac, x in zip(self.pref_den, s.values(self.pref_den)):
-                if not poch(x, s.q, s.n):
+            for fac, x in zip(self.pref_den, d.values(self.pref_den)):
+                if not poch(x, q, n):
                     raise DenominatorPole(f"prefactor pole: ({fac.label};q)_n = 0") from None
             raise
-        return eval_scaled(pref, spec)
+        return eval_series(spec, pref)
 
     def describe(self) -> str:
         bits = [self.power_label] if self.power_label else []

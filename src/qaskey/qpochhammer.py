@@ -7,9 +7,14 @@ up to their own arithmetic; nothing in this module sums a series.
 times (num;q)_n and any kept guard rows, divided by (den;q)_n.  The
 representations, the catalogue sides and the series transformations
 form their prefactors with it, and :func:`poch` and :func:`poch_list`
-are its one-sided case.  On the exact backend the numerator and the
-denominator are one Gaussian integer each, into which the numerator of
-every factor 1 - a q^k is multiplied as it is formed
+are its one-sided case.  Each argument has one shape: the scalar base,
+``(x, k)`` pairs for the powers, flat lists of bases.  A vanishing
+denominator raises :class:`DenominatorPole` with one fixed message; a
+caller that knows the factor's label names it
+(:meth:`~qaskey.labels.Side.evaluate`).
+
+On the exact backend the numerator and the denominator are one
+Gaussian integer each, into which the numerator of every factor 1 - a q^k is multiplied as it is formed
 (:func:`~qaskey.arithmetic._poch_numerator` for a base, the kept triples
 for a guard row).  Their real denominators are known in closed form,
 a_d^n q_d^{C(n,2)} for a base with denominator a_d when q has q_d, and
@@ -55,6 +60,10 @@ class PoleInIdentity(GuardViolation):
     """A precondition such as a not in Omega_q^n failed for an identity check."""
 
 
+class DenominatorPole(GuardViolation):
+    """A denominator parameter hit Omega_q^n (or a prefactor vanished)."""
+
+
 def _qval(q):
     return q.q if isinstance(q, QBase) else q
 
@@ -69,21 +78,20 @@ def poch_list(bases, q, n: int):
     return poch_quotient(_qval(q), n, num=bases)
 
 
-def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
-                  den_rows=None, pole=None, message=None):
-    """The prefactor ``lead * (num;q)_n * num_rows / ((den;q)_n * den_rows)``
-    of a representation or transformation.
+_POLE = "prefactor pole: a denominator vanished"
 
-    ``lead`` holds factors: a scalar, or a pair ``(x, k)`` for
-    x^k with k of any sign.  An entry of ``num`` or ``den`` is a base a,
-    for (a;q)_n, or a list or tuple of bases, for the product of theirs.
-    ``num_rows`` and ``den_rows`` are kept guard rows (the ``den_rows`` of
-    a :class:`~qaskey.qseries.SeriesSpec` or
+
+def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None, den_rows=None):
+    """The prefactor ``lead * (num;q)_n * num_rows / ((den;q)_n * den_rows)``
+    of a representation or transformation, on the scalar base ``q``.
+
+    ``lead`` holds pairs ``(x, k)`` for x^k, k of any sign; ``num`` and
+    ``den`` hold bases a, each for (a;q)_n.  ``num_rows`` and ``den_rows``
+    are kept guard rows (the ``den_rows`` of a
+    :class:`~qaskey.qseries.SeriesSpec` or
     :class:`~qaskey.qseries.VwpSpec`): their factors ``1 - x q^k`` are
-    multiplied as the guard formed them; they are nonzero.  A call with
-    ``den`` must name the caller's exception class ``pole`` and its
-    ``message``.  The denominator is formed first; if it is zero,
-    ``pole(message)`` is raised.
+    multiplied as the guard formed them; they are nonzero.  The
+    denominator is formed first; if it is zero, DenominatorPole is raised.
 
     On the exact backend the numerator and the denominator are each one
     Gaussian integer, the numerators of the factors multiplied in as they
@@ -96,21 +104,15 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
     """
     if n < 0:
         raise ValueError("poch requires n >= 0")
-    if den and (pole is None or message is None):
-        raise TypeError("poch_quotient with a denominator needs pole and message")
-    qv = _qval(q)
-    if is_exact(qv):
-        qt = parts(as_scalar(qv, True))
+    if is_exact(q):
+        qt = parts(as_scalar(q, True))
         da, db, dc, dm = _exact_numerator(den, den_rows, qt, n)
         if not (da or db):
-            raise pole(message)
+            raise DenominatorPole(_POLE)
         na, nb, nc, nm = _exact_numerator(num, num_rows, qt, n)
         nd = 1
-        for f in lead:
-            if type(f) is tuple:
-                fa, fb, fd = _int_pow(parts(as_scalar(f[0], True)), f[1])
-            else:
-                fa, fb, fd = parts(as_scalar(f, True))
+        for x, k in lead:
+            fa, fb, fd = _int_pow(parts(as_scalar(x, True)), k)
             na, nb, nd = na * fa - nb * fb, na * fb + nb * fa, nd * fd
         # (num / (nc^n q_d^{nm C(n,2)})) / (den / (dc^n q_d^{dm C(n,2)})):
         # the powers of q_d cancel by exponent, nc and dc by one gcd
@@ -123,29 +125,28 @@ def poch_quotient(q, n: int, lead=(), num=(), den=(), *, num_rows=None,
             nd *= qt[2] ** -e
         return from_parts((na * da + nb * db) * top, (nb * da - na * db) * top,
                           nd * (da * da + db * db))
-    dm, de = _float_product((), den, den_rows, qv, n) if den or den_rows else (1, 0)
+    dm, de = _float_product((), den, den_rows, q, n) if den or den_rows else (1, 0)
     if not dm:
-        raise pole(message)
-    m, e = _float_product(lead, num, num_rows, qv, n)
+        raise DenominatorPole(_POLE)
+    m, e = _float_product(lead, num, num_rows, q, n)
     m, e = m / dm, e - de
     return complex(_ldexp(m.real, e), _ldexp(m.imag, e)) if e else m
 
 
-def _exact_numerator(groups, rows, q, n: int) -> tuple:
-    """``(a, b, c, m)``: the product of (x;q)_n over every base x in
-    ``groups`` and of every factor of the kept guard ``rows`` is
+def _exact_numerator(bases, rows, q, n: int) -> tuple:
+    """``(a, b, c, m)``: the product of (x;q)_n over the ``bases`` and of
+    every factor of the kept guard ``rows`` is
     ``(a + b i) / (c^n q_d^{m C(n,2)})`` for the triple ``q`` with
     denominator q_d.  c is the product of the k = 0 denominators x_d and
     m counts the bases and rows; a row's k-th triple sits over its k = 0
     denominator times q_d^k, as :func:`~qaskey.arithmetic._one_minus_row`
     forms it on the same base."""
     p, c, m = (1, 0), 1, 0
-    for g in groups:
-        for x in g if isinstance(g, (list, tuple)) else (g,):
-            x = parts(as_scalar(x, True))
-            p = _poch_numerator(p, x, q, n)
-            c *= x[2]
-            m += 1
+    for x in bases:
+        x = parts(as_scalar(x, True))
+        p = _poch_numerator(p, x, q, n)
+        c *= x[2]
+        m += 1
     a, b = p
     for row in rows or ():
         for fa, fb, _ in row:
@@ -156,39 +157,37 @@ def _exact_numerator(groups, rows, q, n: int) -> tuple:
     return a, b, c, m
 
 
-def _float_product(factors, groups, rows, q, n: int) -> tuple:
-    """``(m, e)``: m 2^e is the product of the ``factors``, of (a;q)_n over
-    the bases in ``groups`` and of the ``rows``' factors.  m is scaled by a
-    power of two when it leaves [2^-500, 2^500] or ``abs()`` raises."""
+def _float_product(lead, bases, rows, q, n: int) -> tuple:
+    """``(m, e)``: m 2^e is the product of x^k over the pairs ``(x, k)``
+    of ``lead``, of (a;q)_n over the ``bases`` and of the ``rows``'
+    factors.  m is scaled by a power of two when it leaves [2^-500, 2^500]
+    or ``abs()`` raises."""
     one = _ONE_FLOAT
     small, big = 2.0 ** -500, 2.0 ** 500
     m, e = one, 0
-    scalars = []
-    for f in factors:
-        if type(f) is tuple:
-            x, k = f
-            f = pow_int(x, k)
-            if not small <= abs(f.real) + abs(f.imag) <= big:
-                # x^k left the window: b^k 2^(be k), |b| in [1/2, 2), in powers b^j, |j| <= 500
-                b, be = _normalised(x, 0)
-                e += be * k
-                while abs(k) > 500:
-                    scalars.append(pow_int(b, 500 if k > 0 else -500))
-                    k -= 500 if k > 0 else -500
-                f = pow_int(b, k)
-        scalars.append(f)
-    for g in groups:
-        for x in g if isinstance(g, (list, tuple)) else (g,):
-            for _ in range(n):
-                m = m * (one - x)
-                x = x * q
-                try:
-                    if small <= abs(m) <= big:
-                        continue
-                except OverflowError:
-                    pass
-                m, e = _normalised(m, e)
-    for row in (scalars, *(rows or ())):
+    powers = []
+    for x, k in lead:
+        f = pow_int(x, k)
+        if not small <= abs(f.real) + abs(f.imag) <= big:
+            # x^k left the window: b^k 2^(be k), |b| in [1/2, 2), in powers b^j, |j| <= 500
+            b, be = _normalised(x, 0)
+            e += be * k
+            while abs(k) > 500:
+                powers.append(pow_int(b, 500 if k > 0 else -500))
+                k -= 500 if k > 0 else -500
+            f = pow_int(b, k)
+        powers.append(f)
+    for x in bases:
+        for _ in range(n):
+            m = m * (one - x)
+            x = x * q
+            try:
+                if small <= abs(m) <= big:
+                    continue
+            except OverflowError:
+                pass
+            m, e = _normalised(m, e)
+    for row in (powers, *(rows or ())):
         for f in row:
             m = m * f
             try:

@@ -43,27 +43,27 @@ square root.  Every evaluation returns a :class:`TermTrace` whose
 ``abs_scale`` (the summed term magnitudes) is the cancellation scale that
 tolerance-aware comparisons should use; :meth:`TermTrace.scaled` records
 a prefactor and applies it to the terms only when they are read.  An
-exact trace keeps the kernel's reduced ratios and pair weights, forms the
-unreduced term triples of a forward sum on first read, and reduces them
-when they are read, too.  On both backends ``abs_scale`` is formed when
-it is read, from the unscaled terms and then the recorded factors in
-order, so an exact check, whose verdict is equality, never forms it.
-Summed from the triples, it is the same float as the sum over the
-reduced terms.  The prefactors of the transformations here come from
-:func:`~qaskey.qpochhammer.poch_quotient`.  :func:`eval_scaled` hands a
-prefactor through :func:`eval_series` to :func:`eval_phi` or
-:func:`eval_w` and so into the kernel: the exact kernel multiplies the
-prefactor's triple into its unreduced Horner sum and reduces the
-product once, the float kernel returns ``pref * value``, and both
-record the prefactor in the trace.
+exact trace keeps the kernel's reduced ratios and pair weights and forms
+the terms of a forward sum, as values, on first read.  On both backends
+``abs_scale`` is formed when it is read, from the unscaled terms and then
+the recorded factors in order, so an exact check, whose verdict is
+equality, never forms it.  The prefactors of the transformations here
+come from :func:`~qaskey.qpochhammer.poch_quotient`.
+``eval_series(spec, pref)`` is the one prefactor × series step: it hands
+the prefactor to :func:`eval_phi` or :func:`eval_w` and so into the
+kernel; the exact kernel multiplies the prefactor's triple into its
+unreduced Horner sum and reduces the product once, the float kernel
+returns ``pref * value``, and both record the prefactor in the trace.
 
 The pole guards of :class:`SeriesSpec` and :class:`VwpSpec` form every
 denominator factor ``1 - x q^k`` of the terminating sum once and keep
 them: the term loops and the prefactor products ``(den;q)_n`` reuse them.
 On the exact backend the guards form each row of factors as unreduced
 integer triples with :func:`~qaskey.arithmetic._one_minus_row` and test
-each for an exact zero; the kernel reads those triples as they are, and
-:meth:`~SeriesSpec.den_poch` multiplies them all and reduces once.
+each for an exact zero; the kernel and
+:func:`~qaskey.qpochhammer.poch_quotient` read those triples as they are.
+:class:`DenominatorPole` is defined in :mod:`~qaskey.qpochhammer`, where
+the prefactor products raise it, and re-exported here.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .arithmetic import (
     _Frozen,
     _one_minus_row,
     _set,
-    abs_parts,
     as_scalar,
     binom2,
     from_parts,
@@ -86,11 +85,7 @@ from .arithmetic import (
     parts,
     pow_int,
 )
-from .qpochhammer import poch, poch_list, poch_quotient
-
-
-class DenominatorPole(GuardViolation):
-    """A denominator parameter hit Omega_q^n (or a prefactor vanished)."""
+from .qpochhammer import DenominatorPole, poch, poch_list, poch_quotient
 
 
 class BEqualsOne(GuardViolation):
@@ -118,8 +113,7 @@ class TermTrace:
     ``terms`` and ``abs_scale`` apply the recorded factors when they are
     read.  ``steps`` is the tuple of unscaled terms, or the exact kernel's
     :class:`_Steps`, which keeps only its reduced step ratios and pair
-    weights and forms the unreduced integer triples ``(a, b, d)`` of the
-    terms on first read; they are reduced when read, too.
+    weights and forms the terms on first read.
 
     ``abs_scale`` is formed each time it is read: no exact verdict reads
     it, and a float verdict reads it once.  It sums the magnitudes of the
@@ -141,12 +135,8 @@ class TermTrace:
 
     @property
     def abs_scale(self) -> float:
-        terms = self.unscaled_terms
         try:
-            if type(terms[0]) is tuple:
-                s = sum(abs_parts(*t) for t in terms)
-            else:
-                s = sum(map(abs, terms))
+            s = sum(map(abs, self.unscaled_terms))
             for f in self.factors:
                 s = abs(f) * s
         except OverflowError:
@@ -155,8 +145,7 @@ class TermTrace:
 
     @property
     def terms(self) -> tuple:
-        values = tuple(from_parts(*v) if type(v) is tuple else v
-                       for v in self.unscaled_terms)
+        values = self.unscaled_terms
         for f in self.factors:
             values = tuple(f * v for v in values)
         return values
@@ -225,12 +214,6 @@ class _GuardRows(_Frozen):
     def __hash__(self):
         return hash(self._key())
 
-    def den_poch(self):
-        """The product of the denominator factors: (den;q)_n of a
-        SeriesSpec, (q^{n+1} b, q b / a_1, ...;q)_n of a VwpSpec.  The
-        exact backend reduces it once."""
-        return poch_quotient(self.q, self.n, num_rows=self.den_rows)
-
 
 class SeriesSpec(_GuardRows):
     """A terminating series: numerator list (the q^{-n} slot is implicit),
@@ -240,7 +223,7 @@ class SeriesSpec(_GuardRows):
     ``((-1)^k q^{binom(k,2)})^{1+s-r}``.  Denominator entries must avoid
     Omega_q^n; violations raise DenominatorPole at construction.  The
     guard keeps what it forms: ``den_rows[j][k]`` is ``1 - den[j] q^k``
-    for k < n, which :func:`eval_phi` and :meth:`den_poch` reuse.
+    for k < n, which :func:`eval_phi` and the prefactors reuse.
     """
 
     __slots__ = ("num", "den", "z", "q", "n", "den_rows")
@@ -292,7 +275,7 @@ class VwpSpec(_GuardRows):
     Guards: b nonzero and not 1; q^{n+1} b and q b / a_k outside
     Omega_q^n and nonzero.  The guard keeps what it forms:
     ``den_rows`` holds the rows ``1 - x q^k`` (k < n) for x = q^{n+1} b
-    and then each q b / a_k, which :func:`eval_w` and :meth:`den_poch`
+    and then each q b / a_k, which :func:`eval_w` and the prefactors
     reuse.
     """
 
@@ -357,10 +340,10 @@ class _Steps:
     very-well-poised series, its pair weights w_k (k <= n) over their
     common denominator ``wd``.
 
-    :meth:`terms` forms the unreduced term triples on its first call and
-    keeps them: term k + 1 is term k times r_k (then times w_{k+1} for
-    the pair), and sits over ``wd`` times the product of the ratio
-    denominators so far.
+    :meth:`terms` forms the terms on its first call and keeps them: term
+    k + 1 is term k times r_k (then times w_{k+1} for the pair), carried
+    forward as an unreduced triple over ``wd`` times the product of the
+    ratio denominators so far, and reduced once.
     """
 
     __slots__ = ("ratios", "weights", "wd", "_formed")
@@ -372,15 +355,15 @@ class _Steps:
     def terms(self) -> tuple:
         if self._formed is None:
             weights, wd = self.weights, self.wd
-            terms = [(wd, 0, wd)]
+            terms = [from_parts(1, 0, 1)]
             a, b, d = 1, 0, 1
             for k, (ra, rb, rd) in enumerate(self.ratios):
                 a, b, d = a * ra - b * rb, a * rb + b * ra, d * rd
                 if weights is None:
-                    terms.append((a, b, d * wd))
+                    terms.append(from_parts(a, b, d))
                 else:
                     wa, wb = weights[k + 1]
-                    terms.append((a * wa - b * wb, a * wb + b * wa, d * wd))
+                    terms.append(from_parts(a * wa - b * wb, a * wb + b * wa, d * wd))
             self._formed = tuple(terms)
         return self._formed
 
@@ -575,20 +558,14 @@ def eval_w(spec: VwpSpec, pref=None):
 
 def eval_series(spec, pref=None):
     """:func:`eval_w` of a VwpSpec, :func:`eval_phi` of a SeriesSpec,
-    with the prefactor ``pref`` if one is given.
+    with the prefactor ``pref`` if one is given: ``(pref * value,
+    trace.scaled(pref))``, the one prefactor × series step that every
+    representation and scaled contract takes.
 
     Both are looked up as module globals at each call, so a wrapper bound
     in their place sees every evaluation that passes through here.
     """
     return (eval_w if isinstance(spec, VwpSpec) else eval_phi)(spec, pref)
-
-
-def eval_scaled(pref, spec):
-    """``(pref * value, trace.scaled(pref))`` of :func:`eval_series`: a
-    prefactor times a series, the one step every representation and
-    scaled contract takes.  The kernel applies the prefactor: the exact
-    one multiplies its triple into the unreduced sum and reduces once."""
-    return eval_series(spec, pref)
 
 
 def eval_w_direct(spec: VwpSpec):
@@ -641,7 +618,7 @@ def invert_series(spec: SeriesSpec):
     q = spec.q.q
     one = one_like(q)
     n = spec.n
-    pref = poch_quotient(q, n, ((-spec.z / q, n), (q, -binom2(n))), (spec.num,),
+    pref = poch_quotient(q, n, ((-spec.z / q, n), (q, -binom2(n))), spec.num,
                          den_rows=spec.den_rows)
     q1n = pow_int(q, 1 - n)
     new_num = [q1n / b for b in spec.den]
@@ -666,8 +643,8 @@ def invert_w(spec: VwpSpec):
     b = spec.b
     r = spec.r
     pair_ratio = (one - b * pow_int(q, 2 * n)) / (one - b)
-    pref = poch_quotient(q, n, ((q, -binom2(n)), (-spec.z / q, n), pair_ratio),
-                         (b, spec.lower), den_rows=spec.den_rows)
+    pref = poch_quotient(q, n, ((q, -binom2(n)), (-spec.z / q, n), (pair_ratio, 1)),
+                         (b, *spec.lower), den_rows=spec.den_rows)
     new_b = pow_int(q, -2 * n) / b
     new_lower = [pow_int(q, -n) * a / b for a in spec.lower]
     prod_sq = _product(spec.lower, one)
@@ -708,9 +685,7 @@ def watson_whipple(spec: SeriesSpec):
         if abs(bal) > 1e-9 * max(scale, 1.0):
             raise NotBalanced("balance condition q^{1-n} a b c = d e f fails")
     de = d * e
-    pref = poch_quotient(q, n, (), (de / (a * b), de / (a * c)),
-                         (de / a, de / (a * b * c)), pole=DenominatorPole,
-                         message="prefactor pole: (de/a, de/(abc);q)_n = 0")
+    pref = poch_quotient(q, n, (), (de / (a * b), de / (a * c)), (de / a, de / (a * b * c)))
     w = VwpSpec(de / (q * a), [d / a, e / a, b, c], q * a / f, spec.q, n)
     return pref, w
 
@@ -725,11 +700,9 @@ def connect_qinv(spec: SeriesSpec):
                        == prefactor * eval_phi(reversed_spec)
 
     The base-inverted spec is :func:`qinvert_f` and the reversed form is
-    :func:`invert_series`.
+    :func:`invert_series`; their guards (ShapeMismatch, ZeroParameter)
+    are this map's.
     """
-    if len(spec.num) != len(spec.den):
-        raise ShapeMismatch("base connection needs the (r+1) phi r shape")
-    _require_nonzero(spec.num + spec.den + (spec.z,), "series parameters and argument")
     return qinvert_f(spec), invert_series(spec)
 
 

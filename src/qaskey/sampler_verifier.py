@@ -50,7 +50,6 @@ from .qseries import (
     VwpSpec,
     connect_qinv,
     eval_phi,
-    eval_scaled,
     eval_series,
     invert_series,
     invert_w,
@@ -258,7 +257,7 @@ def _suite_targets() -> list:
         ``transform(spec) -> (pref, image)``."""
         def evaluate(spec):
             pref, image = transform(spec)
-            return [eval_series(spec), eval_scaled(pref, image)]
+            return [eval_series(spec), eval_series(image, pref)]
         return evaluate
 
     add("ops/invert-series", "summation reversal contract",
@@ -290,7 +289,7 @@ def _suite_targets() -> list:
 
     def connect(spec):
         inv_spec, (pref, rev) = connect_qinv(spec)
-        return [eval_phi(spec), eval_phi(inv_spec), eval_scaled(pref, rev)]
+        return [eval_phi(spec), eval_phi(inv_spec), eval_series(rev, pref)]
 
     add("ops/connect-qinv", "base connection: three-way equality", draw_phi, connect)
 

@@ -34,7 +34,7 @@ from qaskey.askey_wilson import (
     _report,
     _rep_side,
 )
-from qaskey.labels import SLOTS, _SERIES, _key, substituted
+from qaskey.labels import SLOTS, _SERIES, _factor, substituted
 from qaskey.qseries import ZeroParameter
 
 from util import divided_differences, rand_aw_params, rand_qbase, rand_scalar
@@ -262,8 +262,9 @@ def _vectors(label: str) -> tuple:
     """A series label as its kind, the sorted exponent vectors of its
     upper and lower entries, and that of its argument."""
     kind, top, bottom, z = _SERIES.fullmatch(label).groups()
-    top, bottom = (sorted(_key(x.strip()) for x in part.split(",")) for part in (top, bottom))
-    return kind, top, bottom, _key(z.strip())
+    top, bottom = (sorted(_factor(x.strip()).vec for x in part.split(","))
+                   for part in (top, bottom))
+    return kind, top, bottom, _factor(z.strip()).vec
 
 
 def _lin(*terms) -> tuple:
@@ -280,7 +281,7 @@ def test_reversal_of_mixed_representation_flips_w_and_swaps_roles():
     # at q^{n+1} prod(D) / (z prod(N)), which is phi-mixed with roles
     # (3, 4, 1, 2) at w -> 1/w
     kind, num, den, z = _vectors(_series_label(RepId(RepTag.PHI_MIXED)))
-    q1n, qn1 = _key("q^{1-n}"), _key("q^{n+1}")
+    q1n, qn1 = _factor("q^{1-n}").vec, _factor("q^{n+1}").vec
     reversed_ = (kind, sorted(_lin((1, q1n), (-1, v)) for v in den),
                  sorted(_lin((1, q1n), (-1, v)) for v in num),
                  _lin((1, qn1), (-1, z), *((1, v) for v in den), *((-1, v) for v in num)))
@@ -303,9 +304,9 @@ def test_reversal_of_w5_representation_swaps_p_and_r():
     # W(q^{-2n}/B; q^{-n} L/B | q, q^{2n+4} B^4 / (prod(L)^2 z)), which is
     # w-def5 with p and r interchanged
     kind, (b,), lower, z = _vectors(_series_label(RepId(RepTag.W_DEF5)))
-    reversed_ = (kind, [_lin((1, _key("q^-2n")), (-1, b))],
-                 sorted(_lin((1, _key("q^-n")), (1, v), (-1, b)) for v in lower),
-                 _lin((1, _key("q^{2n+4}")), (4, b), *((-2, v) for v in lower), (-1, z)))
+    reversed_ = (kind, [_lin((1, _factor("q^-2n").vec), (-1, b))],
+                 sorted(_lin((1, _factor("q^-n").vec), (1, v), (-1, b)) for v in lower),
+                 _lin((1, _factor("q^{2n+4}").vec), (4, b), *((-2, v) for v in lower), (-1, z)))
     assert reversed_ == _vectors(_series_label(RepId(RepTag.W_DEF5, p=2, r=1, t=3, u=4)))
     # and as values: invert_w on the series at a draw
     params = _admissible(random.Random(37), n_max=4)

@@ -20,13 +20,14 @@ from qaskey import (
     catalog,
     check,
     derive_from_aw,
+    draw_params,
     eval_rep,
     record_by_id,
 )
 from qaskey.askey_wilson import ALL_REPS, AWParams, RepId, RepTag
 from qaskey.identity_catalog import (_FAMILIES, _SIGMA, NotACor33Record, _at, _entry_vecs,
                                      _rep_series, judge, settle)
-from qaskey.labels import (_S, _SERIES, _entries, _factor, _key, _mapping, _power, _series,
+from qaskey.labels import (_SERIES, _entries, _factor, _mapping, _power, _series,
                            parse_side, substituted)
 from qaskey import qpochhammer, qseries
 from qaskey.sampler_verifier import all_targets
@@ -74,11 +75,10 @@ def test_catalog_inventory():
 def test_record_structure_examples():
     rng = random.Random(120)
     d = _draw(rng)
-    s = _S(d)
     q, n = d.q.q, d.n
     b, c, dd, e, f = (d.slots[k] for k in "bcdef")
 
-    spec = record_by_id("cor3.3/3.5a.3").rhs.series(s)
+    spec = record_by_id("cor3.3/3.5a.3").rhs.series(d)
     assert isinstance(spec, SeriesSpec)
     assert spec.num == (q * b / (e * f), c, dd)
     assert spec.den == (pow_int(q, -n) * c * dd / b, q * b / e, q * b / f)
@@ -90,7 +90,7 @@ def test_record_structure_examples():
     assert Counter(fac.label for fac in rec.rhs.pref_den) == Counter(
         ["qb/ce", "qb/cf", "qb/d", "c/d", "d"])
 
-    head = record_by_id("cor3.3/3.5a.1").lhs.series(s)
+    head = record_by_id("cor3.3/3.5a.1").lhs.series(d)
     assert isinstance(head, VwpSpec)
     assert head.z == pow_int(q, n + 2) * b * b / (c * dd * e * f)
 
@@ -182,20 +182,18 @@ def test_interchange_transformations_compose_to_identity():
     rng = random.Random(125)
     for _ in range(10):
         d = _admissible_draw(rec, rng, n_min=1)
-        s = _S(d)
         swapped = Draw(d.q, d.n, {**d.slots, "c": d.slots["d"], "d": d.slots["c"]})
-        s_swapped = _S(swapped)
         try:
-            left1, _ = rec.lhs.evaluate(s)
-            right1, _ = rec.rhs.evaluate(s)
-            left2, _ = rec.lhs.evaluate(s_swapped)
-            right2, _ = rec.rhs.evaluate(s_swapped)
+            left1, _ = rec.lhs.evaluate(d)
+            right1, _ = rec.rhs.evaluate(d)
+            left2, _ = rec.lhs.evaluate(swapped)
+            right2, _ = rec.rhs.evaluate(swapped)
         except Exception:
             continue
         assert left1 == right1
         assert left2 == right2
         # rhs series of the swapped draw is the original head series
-        assert rec.rhs.series(s_swapped) == rec.lhs.series(s)
+        assert rec.rhs.series(swapped) == rec.lhs.series(d)
 
 
 def test_balanced_sides_stay_balanced_on_draws():
@@ -206,8 +204,7 @@ def test_balanced_sides_stay_balanced_on_draws():
         rec = record_by_id(rid)
         for _ in range(4):
             d = _admissible_draw(rec, rng)
-            s = _S(d)
-            spec = rec.rhs.series(s)
+            spec = rec.rhs.series(d)
             if not isinstance(spec, SeriesSpec):
                 continue
             lhsprod = pow_int(d.q.q, 1 - d.n)
@@ -236,6 +233,36 @@ def test_quarantined_record_variants():
     assert printed_failures >= 10
 
 
+def test_checks_on_one_draw_share_its_memo(monkeypatch):
+    # a check leaves the monomials it formed in the draw's memo: checking
+    # the record again forms none, and the printed variant forms exactly
+    # those of its monomials whose keys the memo does not hold yet
+    rec = record_by_id("cor3.8/r6")
+    printed = rec.quarantine.printed.rhs
+    read = {fac.key: fac.plan for fac in (*printed.series.entries, *printed.pref_num,
+                                          *printed.pref_den)}
+    formed = []
+    form = Draw.form
+
+    def counting(self, plan):
+        formed.append(plan)
+        return form(self, plan)
+
+    monkeypatch.setattr(Draw, "form", counting)
+    for backend in ("rational", "float"):
+        for index in range(5):
+            d = draw_params(DrawConfig(seed=3, n_range=(1, 6)), rec, index, backend)
+            before = set(d.memo)
+            del formed[:]
+            assert check(rec, d).verdict is Verdict.PASS
+            assert formed == [] and set(d.memo) == before
+            new = {key: plan for key, plan in read.items() if key not in before}
+            assert new
+            check(rec.quarantine.printed, d)
+            assert sorted(formed) == sorted(new.values())
+            assert set(d.memo) == before | set(new)
+
+
 def test_remark_records_head_image_is_sibling_series():
     # a remark's sides are its host's under its substitution, and the
     # substituted head is the sibling cor3.3 row's series, entry for entry
@@ -262,10 +289,9 @@ def test_substitution_maps_every_letter_at_once():
     done = 0
     while done < 6:
         d = _draw(rng, n_min=1)
-        s = _S(d)
-        moved = _S(Draw(d.q, d.n, dict(zip(letters, s.values(images)))))
+        moved = Draw(d.q, d.n, dict(zip(letters, d.values(images))))
         try:
-            pairs = [(parse_side(substituted(sub, side.describe())).evaluate(s)[0],
+            pairs = [(parse_side(substituted(sub, side.describe())).evaluate(d)[0],
                       side.evaluate(moved)[0]) for side in (host.lhs, host.rhs)]
         except (GuardViolation, ZeroDivisionError):
             continue
@@ -358,13 +384,12 @@ def test_derivation_for_reversed_head_matches_invert_w():
     done = 0
     while done < 8:
         d = _draw(rng, n_max=4)
-        s = _S(d)
         try:
-            head_spec = rec.lhs.series(s)
+            head_spec = rec.lhs.series(d)
             pref, rev = invert_w(head_spec)
-            sib_spec = rec.rhs.series(s)
-            lhs, _ = rec.lhs.evaluate(s)
-            rhs, _ = rec.rhs.evaluate(s)
+            sib_spec = rec.rhs.series(d)
+            lhs, _ = rec.lhs.evaluate(d)
+            rhs, _ = rec.rhs.evaluate(d)
         except Exception:
             continue
         assert rev == sib_spec
@@ -472,7 +497,7 @@ def test_check_settles_a_float_modulus_overflow_as_unresolved():
                                       "e": 2.3 + 0.5j, "f": 0.8 - 1.3j})
     assert check(rec, draw).verdict is Verdict.PASS
     lhs = dataclasses.replace(rec.lhs, pref_num=(), pref_den=(),
-                              power=lambda s: (complex(1.5e308, 1.5e308),))
+                              power=lambda d: ((complex(1.5e308, 1.5e308), 1),))
     out = check(dataclasses.replace(rec, lhs=lhs), draw)
     assert out == CheckOutcome(Verdict.INCONCLUSIVE, 0.0, 0.0, False)
 
@@ -523,10 +548,9 @@ def test_series_power_and_substitution_labels_evaluate_as_printed():
     rng = random.Random(132)
     while True:
         d = _draw(rng, n_min=1)
-        s = _S(d)
         try:
-            w = _series("W(q^-n c/d; q^-n c/b, qb/de, qb/df, c | q, ef/b)")(s)
-            phi = _series("phi(qb/ef, c, d; q^-n cd/b, qb/e, qb/f | q, q)")(s)
+            w = _series("W(q^-n c/d; q^-n c/b, qb/de, qb/df, c | q, ef/b)")(d)
+            phi = _series("phi(qb/ef, c, d; q^-n cd/b, qb/e, qb/f | q, q)")(d)
             break
         except GuardViolation:
             continue
@@ -538,11 +562,11 @@ def test_series_power_and_substitution_labels_evaluate_as_printed():
     assert phi == SeriesSpec([qb / (e * f), c, dd], [qmn * c * dd / b, qb / e, qb / f],
                              q, d.q, n)
     # a power evaluates to its factors (x, k) of x^k
-    assert _power("q^C(n,2) (-qb/c)^n")(s) == [(q, binom2(n)), (-qb / c, n)]
-    assert _power("c^n")(s) == [(c, n)]
+    assert _power("q^C(n,2) (-qb/c)^n")(d) == [(q, binom2(n)), (-qb / c, n)]
+    assert _power("c^n")(d) == [(c, n)]
     # a substitution maps each slot to its image, every slot at once
     sub = "(b,c,d,e,f) -> (q^-n f/e, qb/ce, qb/de, f, q^-n f/b)"
-    assert (_series(substituted(sub, "phi(b, c, d; e, f, q | q, b)"))(s)
+    assert (_series(substituted(sub, "phi(b, c, d; e, f, q | q, b)"))(d)
             == SeriesSpec([qmn * f / e, qb / (c * e), qb / (dd * e)], [f, qmn * f / b, q],
                           qmn * f / e, d.q, n))
 
@@ -594,7 +618,7 @@ PRINTED = {
 
 
 def _keys(labels) -> Counter:
-    return Counter(map(_key, labels))
+    return Counter(_factor(label).vec for label in labels)
 
 
 def test_derived_prefactors_match_the_printed_rows():
@@ -619,9 +643,8 @@ def _canonical(label: str) -> tuple:
     """A series label up to the order of a W's parameters and of a phi's
     numerator and denominator lists, monomials compared as exponent vectors."""
     kind, top, bottom, z = _SERIES.fullmatch(label).groups()
-    top, bottom = (tuple(sorted(_key(fac.label) for fac in _entries(part)))
-                   for part in (top, bottom))
-    return kind, top, bottom, _key(z.strip())
+    top, bottom = (tuple(sorted(fac.vec for fac in _entries(part))) for part in (top, bottom))
+    return kind, top, bottom, _factor(z.strip()).vec
 
 
 @pytest.mark.parametrize("family, orbit_size", [
@@ -644,4 +667,5 @@ def test_families_are_the_head_orbits_less_the_identity(family, orbit_size):
     ("q^-n c/b", "q^n c/b", False),
 ])
 def test_monomial_key_compares_exponent_vectors(a, b, same):
-    assert (_key(a) == _key(b)) is same
+    assert (_factor(a).vec == _factor(b).vec) is same
+    assert (_factor(a).key == _factor(b).key) is same

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qaskey import GaussianRational, QBase, poch, poch_list
 from qaskey.qpochhammer import (
+    DenominatorPole,
     PoleInIdentity,
     ZeroBase,
     identity_suite,
@@ -17,9 +18,8 @@ from qaskey.qpochhammer import (
     poch_qinv,
     poch_quotient,
 )
-from qaskey.arithmetic import GuardViolation, ZeroToNegativePower, binom2, parts, pow_int
-from qaskey.askey_wilson import PoleGuard
-from qaskey.qseries import DenominatorPole, SeriesSpec, VwpSpec
+from qaskey.arithmetic import ZeroToNegativePower, binom2, parts, pow_int
+from qaskey.qseries import SeriesSpec, VwpSpec
 
 from util import lifted, rand_qbase, rand_scalar, row_values
 
@@ -247,10 +247,11 @@ def _guard_message(rows, messages):
 @example(([G(8)], G(Fraction(1, 2)), 6), G(3), [G(1), G(2), G(3), G(4)], -1, 0)
 @example(([G(1, 1)], G(2, 1), 5), G(Fraction(1, 2)), [G(1), G(2), G(3), G(4)], 2, 3)
 @example(([], G(Fraction(1, 2)), 3), G(32), [G(1), G(2), G(3), G(5)], -1, 0)
-def test_guard_rows_and_den_poch_match_a_gaussian_rational_loop(case, b, lower, pole_at, k):
-    """The rows the guards keep and their product ``den_poch()``; a row
-    with an exact zero, at its start or mid-row, raises DenominatorPole
-    with its row's message."""
+def test_guard_rows_and_their_product_match_a_gaussian_rational_loop(case, b, lower, pole_at,
+                                                                    k):
+    """The rows the guards keep and their product through
+    ``poch_quotient``; a row with an exact zero, at its start or mid-row,
+    raises DenominatorPole with its row's message."""
     den, q, n = case
     qb = QBase(q)
     rows = [loop_factors(x, q, n) for x in den]
@@ -262,7 +263,8 @@ def test_guard_rows_and_den_poch_match_a_gaussian_rational_loop(case, b, lower, 
     else:
         spec = SeriesSpec([ONE], den, ONE, qb, n)
         assert row_values(spec) == tuple(map(tuple, rows))
-        assert_same(spec.den_poch(), loop_product(f for row in rows for f in row))
+        assert_same(poch_quotient(spec.q.q, spec.n, num_rows=spec.den_rows),
+                    loop_product(f for row in rows for f in row))
     if n and pole_at >= 0:
         # q b / a = q^{-k} for one lower parameter a
         lower[pole_at] = b * loop_power(q, k % n + 1)
@@ -277,36 +279,32 @@ def test_guard_rows_and_den_poch_match_a_gaussian_rational_loop(case, b, lower, 
     else:
         spec = VwpSpec(b, lower, ONE, qb, n)
         assert row_values(spec) == tuple(map(tuple, rows))
-        assert_same(spec.den_poch(), loop_product(f for row in rows for f in row))
+        assert_same(poch_quotient(spec.q.q, spec.n, num_rows=spec.den_rows),
+                    loop_product(f for row in rows for f in row))
 
 
 # ---------------------------------------------------------------------------
 # poch_quotient, the one prefactor path, against plain GaussianRational loops
 # ---------------------------------------------------------------------------
 
-class _Marker(GuardViolation):
-    """A caller's pole class: poch_quotient must raise it as given."""
+POLE = "prefactor pole: a denominator vanished"
 
 
-def loop_group(g, q, n):
-    bases = g if isinstance(g, list) else [g]
+def loop_group(bases, q, n):
     return loop_product(f for a in bases for f in loop_factors(a, q, n))
 
 
 @st.composite
 def quotients(draw):
-    """``(q, n, lead, num, den, rows)``: powers of every sign (zero
-    too) and plain factors in ``lead``, single bases and
-    lists of bases (possibly empty) in ``num`` and ``den``, and bases for
-    kept guard rows; now and then a ``den`` base is q^{-k}, k < n, so
-    that the denominator vanishes."""
+    """``(q, n, lead, num, den, rows)``: powers of every sign (zero too)
+    in ``lead``, lists of bases (possibly empty) in ``num`` and ``den``,
+    and bases for kept guard rows; now and then a ``den`` base is q^{-k},
+    k < n, so that the denominator vanishes."""
     q = draw(BASE_Q)
     n = draw(st.integers(0, 7))
-    factor = st.one_of(st.tuples(NONZERO, st.integers(-4, 4)), NONZERO)
-    group = st.one_of(GAUSS, st.lists(GAUSS, max_size=3))
-    lead = draw(st.lists(factor, max_size=5))
-    num = draw(st.lists(group, max_size=3))
-    den = draw(st.lists(group, max_size=3))
+    lead = draw(st.lists(st.tuples(NONZERO, st.integers(-4, 4)), max_size=5))
+    num = draw(st.lists(GAUSS, max_size=5))
+    den = draw(st.lists(GAUSS, max_size=5))
     rows = draw(st.none() | st.lists(GAUSS, max_size=3))
     if den and n and draw(st.booleans()):
         den[0] = loop_power(q, -draw(st.integers(0, n - 1)))
@@ -314,12 +312,8 @@ def quotients(draw):
 
 
 def _loop_quotient(q, n, lead, num, den, rows, rows_on_top):
-    out = ONE
-    for f in lead:
-        out = out * (loop_power(f[0], f[1]) if isinstance(f, tuple) else f)
-    top = loop_product(loop_group(g, q, n) for g in num)
-    bottom = loop_product(loop_group(g, q, n) for g in den)
-    kept = loop_product(loop_group(x, q, n) for x in rows or [])
+    out = loop_product(loop_power(x, k) for x, k in lead)
+    top, bottom, kept = (loop_group(bases, q, n) for bases in (num, den, rows or []))
     if rows_on_top:
         top = top * kept
     else:
@@ -330,10 +324,10 @@ def _loop_quotient(q, n, lead, num, den, rows, rows_on_top):
 @settings(max_examples=100, deadline=None)
 @given(quotients(), st.booleans())
 @example((G(Fraction(1, 2), Fraction(1, 3)), 0, [(G(3), -2)], [], [], None), True)
-@example((G(Fraction(7, 2), -2), 4, [], [[]], [[]], []), False)          # empty lists
-@example((G(Fraction(1, 3), Fraction(2, 3)), 3, [(G(2, 1), 0), G(5), (G(1, 2), 3)],
+@example((G(Fraction(7, 2), -2), 4, [], [], [], []), False)          # empty lists
+@example((G(Fraction(1, 3), Fraction(2, 3)), 3, [(G(2, 1), 0), (G(5), 1), (G(1, 2), 3)],
           [G(1, 1)], [G(2)], [G(3, -1)]), True)
-@example((G(3, 4), 5, [], [[G(1), G(2)]], [G(Fraction(1, 3), 1)], [G(1, 1), G(2)]), False)
+@example((G(3, 4), 5, [], [G(1), G(2)], [G(Fraction(1, 3), 1)], [G(1, 1), G(2)]), False)
 def test_poch_quotient_matches_a_gaussian_rational_loop(case, rows_on_top):
     q, n, lead, num, den, rows = case
     qb = QBase(q)
@@ -345,14 +339,12 @@ def test_poch_quotient_matches_a_gaussian_rational_loop(case, rows_on_top):
             rows = None
         else:
             kept = {"num_rows" if rows_on_top else "den_rows": spec.den_rows}
-    kept.update(pole=_Marker, message="the caller's message")
     expected = _loop_quotient(q, n, lead, num, den, rows, rows_on_top)
     if expected is None:
-        with pytest.raises(_Marker) as err:
-            poch_quotient(qb, n, lead, num, den, **kept)
-        assert str(err.value) == "the caller's message"
+        with pytest.raises(DenominatorPole) as err:
+            poch_quotient(q, n, lead, num, den, **kept)
+        assert str(err.value) == POLE
         return
-    assert_same(poch_quotient(qb, n, lead, num, den, **kept), expected)
     assert_same(poch_quotient(q, n, lead, num, den, **kept), expected)
 
 
@@ -376,12 +368,11 @@ def test_poch_quotient_cancels_the_known_denominators(q, n, counts):
     # rows).  The denominators share factors with each other and with q_d
     qb = QBase(q)
     num_bases, num_rows, den_bases, den_rows = counts
-    num = [_NUM_POOL[0], list(_NUM_POOL[1:num_bases])]
+    num = list(_NUM_POOL[:num_bases])
     den = list(_DEN_POOL[:den_bases])
-    lead = [(G(Fraction(3, 7), 1), -n), G(Fraction(-6, 5)), (q, binom2(n))]
+    lead = [(G(Fraction(3, 7), 1), -n), (G(Fraction(-6, 5)), 1), (q, binom2(n))]
     kept = {}
-    expected = loop_power(*lead[0]) * lead[1] * loop_power(*lead[2])
-    expected = expected * loop_group(num[0], q, n) * loop_group(num[1], q, n)
+    expected = loop_product(loop_power(x, k) for x, k in lead) * loop_group(num, q, n)
     below = loop_group(den, q, n)
     if num_rows:
         rows = list(_DEN_POOL[-num_rows:])
@@ -392,26 +383,19 @@ def test_poch_quotient_cancels_the_known_denominators(q, n, counts):
         kept["den_rows"] = SeriesSpec([ONE], rows, ONE, qb, n).den_rows
         below = below * loop_group(rows, q, n)
     expected = expected / below
-    if den:
-        kept.update(pole=_Marker, message="")
-    assert_same(poch_quotient(qb, n, lead, num, den, **kept), expected)
     assert_same(poch_quotient(q, n, lead, num, den, **kept), expected)
 
 
 def test_poch_quotient_pole_and_zero_power():
-    q = QBase(G(Fraction(1, 2)))
-    # a denominator needs the caller's class and message; then they are raised
-    for kept in ({"den": [G(3)]}, {"den": [G(3)], "pole": PoleGuard}):
-        with pytest.raises(TypeError):
-            poch_quotient(q, 3, **kept)
-    for cls in (DenominatorPole, PoleGuard):
-        with pytest.raises(cls, match=r"^pole at \(2;q\)_3$"):
-            poch_quotient(q, 3, num=[G(5)], den=[[G(7), G(2)]], pole=cls,
-                          message="pole at (2;q)_3")
-    # the float backend tests the same exact zero: 1 - 2 (1/2) = 0
-    with pytest.raises(DenominatorPole, match="float pole"):
-        poch_quotient(QBase(0.5 + 0j), 3, den=[2.0 + 0j], pole=DenominatorPole,
-                      message="float pole")
+    q = G(Fraction(1, 2))
+    # a vanishing denominator raises DenominatorPole with the one message,
+    # on both backends: 1 - 2 (1/2) = 0
+    with pytest.raises(DenominatorPole) as err:
+        poch_quotient(q, 3, num=[G(5)], den=[G(7), G(2)])
+    assert str(err.value) == POLE
+    with pytest.raises(DenominatorPole) as err:
+        poch_quotient(0.5 + 0j, 3, den=[2.0 + 0j])
+    assert str(err.value) == POLE
     # a zero base to a negative power, as pow_int
     with pytest.raises(ZeroToNegativePower):
         poch_quotient(q, 2, [(G(0), -1)], [G(3)])
@@ -448,14 +432,14 @@ def test_poch_quotient_float_matches_the_exact_quotient_of_its_inputs():
             n = rng.randint(0, 7)
             if abs(abs(q) - 1) < 0.05 or not all(z):
                 continue
-            args = dict(lead=((z[0], -n), z[1], (z[8], 2), z[1]), num=(z[2], [z[3], z[4]]),
-                        den=(z[5],), rows="num_rows")
+            args = dict(lead=((z[0], -n), (z[1], 1), (z[8], 2), (z[1], 1)),
+                        num=(z[2], z[3], z[4]), den=(z[5],), rows="num_rows")
         else:
             q = complex(6 + dyadic(0.5), dyadic(1))
             n = 60
             if not all(z):
                 continue
-            args = dict(lead=((z[0], -n), z[1], (q, binom2(n))), num=(z[2], [z[3], z[4]]),
+            args = dict(lead=((z[0], -n), (z[1], 1), (q, binom2(n))), num=(z[2], z[3], z[4]),
                         den=(z[5], z[8]), rows="den_rows")
         cases += 1
         values = []
@@ -463,30 +447,29 @@ def test_poch_quotient_float_matches_the_exact_quotient_of_its_inputs():
             qb = QBase(lift(q))
             spec = SeriesSpec([lift(1 + 0j)], lift(z[6:8]), lift(1 + 0j), qb, n)
             values.append(poch_quotient(
-                qb, n, lift(list(args["lead"])), lift(list(args["num"])),
-                lift(list(args["den"])), pole=PoleGuard, message="", **{args["rows"]: spec.den_rows}))
+                qb.q, n, lift(list(args["lead"])), lift(list(args["num"])),
+                lift(list(args["den"])), **{args["rows"]: spec.den_rows}))
         got, want = values
         assert math.isfinite(abs(got)) and got, (q, n)
         # |got - want| <= 1e-12 |want|, on the integer triples
         da, db, dd = parts(_lifted(got) - want)
         wa, wb, wd = parts(want)
         assert (da * da + db * db) * wd * wd * 10**24 <= (wa * wa + wb * wb) * dd * dd, (q, n)
-    # rows alone, with no pole class: guard rows are nonzero
+    # rows alone, below and on top: guard rows are nonzero
     spec = SeriesSpec([1 + 0j], [2 + 1j, -0.5j], 1 + 0j, QBase(0.3 + 0.4j), 5)
     assert poch_quotient(0.3 + 0.4j, 5, den_rows=spec.den_rows) == pytest.approx(
-        1 / spec.den_poch(), rel=1e-14)
+        1 / poch_quotient(0.3 + 0.4j, 5, num_rows=spec.den_rows), rel=1e-14)
 
 
 def test_poch_quotient_float_keeps_any_modulus_and_never_raises_overflow():
     # (3 + i;q)_60 at q = 1e5 is ~10^8880: numerator and denominator each
     # leave the float range, their quotient is 1
-    assert poch_quotient(1e5 + 0j, 60, num=(3 + 1j,), den=(3 + 1j,), pole=PoleGuard,
-                         message="") == 1
+    assert poch_quotient(1e5 + 0j, 60, num=(3 + 1j,), den=(3 + 1j,)) == 1
     # finite parts whose modulus is beyond the float range: abs() of them
     # raises OverflowError, poch_quotient does not
     big = 1.5e308 + 1.5e308j
-    assert poch_quotient(2 + 0j, 2, [big, (big, -1)]) == pytest.approx(1, rel=1e-15)
-    value = poch_quotient(0.5 + 0j, 2, [big, (big, 2)], [big])
+    assert poch_quotient(2 + 0j, 2, [(big, 1), (big, -1)]) == pytest.approx(1, rel=1e-15)
+    value = poch_quotient(0.5 + 0j, 2, [(big, 1), (big, 2)], [big])
     assert math.isinf(value.real) and math.isinf(value.imag)
     # (1 - big)(1 - big/2) / big^3 = 1 / (2 big) to 1e-308, a subnormal
     assert poch_quotient(0.5 + 0j, 2, [(big, -3)], [big]) == pytest.approx(

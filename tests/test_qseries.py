@@ -25,7 +25,8 @@ from qaskey import (
     watson_whipple,
 )
 from qaskey import qseries
-from qaskey.arithmetic import _one_minus_row, from_parts, parts, pow_int
+from qaskey.arithmetic import _one_minus_row, abs_parts, from_parts, parts, pow_int
+from qaskey.qpochhammer import poch_quotient
 from qaskey.qseries import (
     BEqualsOne,
     DenominatorPole,
@@ -236,7 +237,8 @@ def test_exact_trace_is_the_forward_accumulation_of_the_kernel_ratios(big):
         steps = trace._steps
         assert isinstance(steps, qseries._Steps) and steps._formed is None
         assert len(steps.ratios) == spec.n
-        assert _forward(steps.ratios, steps.weights, steps.wd) == trace.unscaled_terms
+        assert (tuple(from_parts(*t) for t in _forward(steps.ratios, steps.weights, steps.wd))
+                == trace.unscaled_terms)
         dvalue, dtrace = direct(spec)
         assert value == dvalue
         dterms = dtrace.terms
@@ -272,7 +274,8 @@ def _vwp_spec(rng, width=4, n_max=8):
 
 def test_exact_kernel_reduces_once_and_traces_on_read(monkeypatch):
     # the value is the one reduction of a series, on both shapes; scaled()
-    # only records its factor, and the terms are reduced when they are read
+    # only records its factor, and the terms are reduced on the first read
+    # of abs_scale or terms, once
     calls = []
     reduce = qseries.from_parts
 
@@ -293,6 +296,7 @@ def test_exact_kernel_reduces_once_and_traces_on_read(monkeypatch):
         twice = trace.scaled(f).scaled(g)
         assert len(calls) == 1
         assert twice.abs_scale == abs(g) * (abs(f) * trace.abs_scale)
+        assert len(calls) == 1 + spec.n + 1
         terms = twice.terms
         assert len(calls) == 1 + spec.n + 1
         dvalue, dtrace = direct(spec)
@@ -300,7 +304,7 @@ def test_exact_kernel_reduces_once_and_traces_on_read(monkeypatch):
         assert terms == tuple(g * (f * t) for t in dtrace.terms)
 
 
-def test_eval_scaled_is_the_prefactor_times_the_series(monkeypatch):
+def test_eval_series_with_a_prefactor_is_the_prefactor_times_the_series(monkeypatch):
     # the prefactor rides into the kernel: exactly the product of the two
     # on rational, the same float operation pref * value on float, and
     # the trace records it as scaled() does; the exact product is one
@@ -320,7 +324,7 @@ def test_eval_scaled_is_the_prefactor_times_the_series(monkeypatch):
         pref = rand_scalar(rng, gaussian=0.5)
         value, trace = qseries.eval_series(spec)
         del calls[:]
-        scaled, strace = qseries.eval_scaled(pref, spec)
+        scaled, strace = qseries.eval_series(spec, pref)
         assert len(calls) == 1
         assert type(scaled) is G and parts(scaled) == parts(pref * value)
         assert strace.factors == (pref,)
@@ -335,7 +339,7 @@ def test_eval_scaled_is_the_prefactor_times_the_series(monkeypatch):
                     spec = VwpSpec(-0.7 + 0.45j, _FLOAT_POOL[:4], 0.6 - 0.35j, QBase(base), n)
                 pref = complex(fl.uniform(-3, 3), fl.uniform(-3, 3))
                 value, trace = qseries.eval_series(spec)
-                scaled, strace = qseries.eval_scaled(pref, spec)
+                scaled, strace = qseries.eval_series(spec, pref)
                 want = pref * value
                 assert (scaled.real.hex(), scaled.imag.hex()) == (want.real.hex(), want.imag.hex())
                 assert strace.factors == (pref,) and strace.terms == trace.scaled(pref).terms
@@ -486,7 +490,7 @@ def test_guard_factors_give_the_pochhammer_products(big):
         q = spec.q.q
         assert row_values(spec) == tuple(
             tuple(1 - x * pow_int(q, k) for k in range(n)) for x in spec.den)
-        assert spec.den_poch() == poch_list(spec.den, q, n)
+        assert poch_quotient(q, n, num_rows=spec.den_rows) == poch_list(spec.den, q, n)
         w, = _draw(lambda r: VwpSpec(
             rand_scalar(r), [rand_scalar(r) for _ in range(4)],
             rand_scalar(r), rand_qbase(r, big=big), n), rng, 1)
@@ -494,7 +498,7 @@ def test_guard_factors_give_the_pochhammer_products(big):
         xs = [pow_int(q, n + 1) * w.b] + [q * w.b / a for a in w.lower]
         assert row_values(w) == tuple(
             tuple(1 - x * pow_int(q, k) for k in range(n)) for x in xs)
-        assert w.den_poch() == poch_list(xs, q, n)
+        assert poch_quotient(q, n, num_rows=w.den_rows) == poch_list(xs, q, n)
 
 
 def test_invert_series_contract_and_involution():
@@ -543,12 +547,16 @@ def test_invert_series_balanced_argument_is_q2_over_z():
 
 
 def test_invert_series_shape_errors():
+    # connect_qinv raises them through qinvert_f and invert_series
     rng = random.Random(3)
     q = rand_qbase(rng)
-    with pytest.raises(ShapeMismatch):
-        invert_series(SeriesSpec([G(2), G(3)], [G(5)], G(1), q, 2))
-    with pytest.raises(ZeroParameter):
-        invert_series(SeriesSpec([G(0)], [G(5)], G(1), q, 2))
+    for transform in (invert_series, connect_qinv):
+        with pytest.raises(ShapeMismatch):
+            transform(SeriesSpec([G(2), G(3)], [G(5)], G(1), q, 2))
+        with pytest.raises(ZeroParameter):
+            transform(SeriesSpec([G(0)], [G(5)], G(1), q, 2))
+        with pytest.raises(ZeroParameter):
+            transform(SeriesSpec([G(2)], [G(5)], G(0), q, 2))
 
 
 def test_invert_w_contract_all_widths():
@@ -762,19 +770,12 @@ def test_trace_scale_is_term_magnitude_sum():
         assert trace.terms == unscaled
 
 
-def test_exact_abs_scale_is_formed_when_read_and_equals_the_eager_float(monkeypatch):
-    # the kernel and scaled() form no magnitude; abs_scale, read after
-    # zero, one and two scaled() calls, is the float the eager scale gave:
-    # the magnitudes of the unreduced terms summed in order, then
-    # abs(f) * s for each factor
-    calls = []
-    magnitude = qseries.abs_parts
-
-    def counting(*triple):
-        calls.append(triple)
-        return magnitude(*triple)
-
-    monkeypatch.setattr(qseries, "abs_parts", counting)
+def test_exact_abs_scale_is_formed_when_read_and_equals_the_eager_float():
+    # the kernel and scaled() form no term; abs_scale, read after zero, one
+    # and two scaled() calls, is the float the eager scale gave: the
+    # magnitudes of the unreduced forward terms summed in order, then
+    # abs(f) * s for each factor.  abs_parts rounds each magnitude
+    # correctly, so the reduced terms the trace holds give the same floats
     rng = random.Random(12)
     def w(r):
         return VwpSpec(rand_scalar(r), [rand_scalar(r) for _ in range(4)], rand_scalar(r),
@@ -786,16 +787,16 @@ def test_exact_abs_scale_is_formed_when_read_and_equals_the_eager_float(monkeypa
         fast, direct = ((eval_w, eval_w_direct) if isinstance(spec, VwpSpec)
                         else (eval_phi, eval_phi_direct))
         f, g = rand_scalar(rng), rand_scalar(rng)
-        del calls[:]
         _, trace = fast(spec)
         once, twice = trace.scaled(f), trace.scaled(f).scaled(g)
-        assert not calls
-        eager = sum(magnitude(*t) for t in trace.unscaled_terms)
+        steps = trace._steps
+        assert steps._formed is None
+        eager = sum(abs_parts(*t) for t in _forward(steps.ratios, steps.weights, steps.wd))
         assert trace.abs_scale == eager
-        assert len(calls) == spec.n + 1
+        assert len(steps._formed) == spec.n + 1
         assert once.abs_scale == abs(f) * eager
         assert twice.abs_scale == abs(g) * (abs(f) * eager)
-        # the direct oracle's trace holds reduced terms: the same floats
+        # the direct oracle's trace holds the same reduced terms
         _, dtrace = direct(spec)
         assert dtrace.scaled(f).scaled(g).abs_scale == twice.abs_scale
     # a float trace: the sum over its terms, then abs(f) * s
