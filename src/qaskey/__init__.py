@@ -9,7 +9,6 @@ with cancellation-aware comparisons).
 from .arithmetic import (
     GaussianRational,
     GuardViolation,
-    QBase,
     QError,
     binom2,
     format_scalar,

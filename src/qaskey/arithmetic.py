@@ -24,10 +24,12 @@ Two scalar types realize the same abstract complex field:
   be cancellation rather than a genuine discrepancy, so verdicts are
   scale-aware (see :func:`qaskey.identity_catalog.judge`).
 
-Higher modules settle the backend once per call, from ``q`` or the
-first operand (``QBase.exact``, :func:`is_exact`, :func:`one_like`), and
-then run their loops on ordinary Python operators only: no loop calls a
-dispatch helper per iteration, and a zero test is ``not x``.  Values are
+The base q is a scalar of one backend like any other; :func:`check_base`
+coerces it and guards it (q != 0, |q| != 1) where a value class takes
+it.  Higher modules settle the backend once per call, from ``q`` or the
+first operand (:func:`is_exact`, :func:`one_like`), and then run their
+loops on ordinary Python operators only: no loop calls a dispatch
+helper per iteration, and a zero test is ``not x``.  Values are
 immutable after construction and safe to share between threads, so
 :func:`one_like` hands out one shared constant per backend.
 """
@@ -431,47 +433,26 @@ class _Frozen:
 _set = object.__setattr__
 
 
-class QBase(_Frozen):
-    """The deformation base q with its validity guards: q != 0, |q| != 1.
+def check_base(q):
+    """The deformation base q as its backend's scalar, guarded: q != 0 and
+    |q| != 1.  An int or Fraction becomes a GaussianRational, any other
+    non-GaussianRational a complex.
 
     In the float backend the unit-circle guard uses the fixed margin
     ``EPSILON_UNIT``: ``||q| - 1| > EPSILON_UNIT`` must hold.
     """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q):
-        if not isinstance(q, GaussianRational):
-            q = GaussianRational(q) if is_exact(q) else complex(q)
-        _set(self, "q", q)
-        if not q:
-            raise ZeroQ("q must be nonzero")
-        if isinstance(q, GaussianRational):
-            a, b, d = parts(q)
-            if a * a + b * b == d * d:
-                raise UnitModulusQ("|q| = 1 is not allowed")
-        else:
-            if abs(abs(q) - 1.0) <= EPSILON_UNIT:
-                raise UnitModulusQ(
-                    f"| |q| - 1 | <= {EPSILON_UNIT:g}: q too close to the unit circle")
-
-    def __eq__(self, other):
-        if type(other) is not QBase:
-            return NotImplemented
-        return self.q == other.q
-
-    def __hash__(self):
-        return hash(self.q)
-
-    def __repr__(self):
-        return f"QBase(q={self.q!r})"
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.q, GaussianRational)
-
-    def inverse(self) -> "QBase":
-        return QBase(one_like(self.q) / self.q)
+    if not isinstance(q, GaussianRational):
+        q = GaussianRational(q) if is_exact(q) else complex(q)
+    if not q:
+        raise ZeroQ("q must be nonzero")
+    if isinstance(q, GaussianRational):
+        a, b, d = parts(q)
+        if a * a + b * b == d * d:
+            raise UnitModulusQ("|q| = 1 is not allowed")
+    elif abs(abs(q) - 1.0) <= EPSILON_UNIT:
+        raise UnitModulusQ(
+            f"| |q| - 1 | <= {EPSILON_UNIT:g}: q too close to the unit circle")
+    return q
 
 
 # Decimal digits of ints of any length, in time below quadratic.  str()

@@ -21,12 +21,13 @@ from math import inf
 
 from .arithmetic import (
     GuardViolation,
-    QBase,
     QError,
     _Frozen,
     _set,
     as_scalar,
     binom2,
+    check_base,
+    is_exact,
     one_like,
     pow_int,
     spread,
@@ -103,12 +104,13 @@ class AWParams(_Frozen):
 
     __slots__ = ("a", "q", "w", "n", "__dict__")
 
-    def __init__(self, a, q: QBase, w, n: int):
+    def __init__(self, a, q, w, n: int):
+        q = check_base(q)
         if len(a) != 4:
             raise ValueError("exactly four parameters required")
         if n < 0:
             raise ValueError("degree n must be >= 0")
-        exact = q.exact
+        exact = is_exact(q)
         a = tuple(as_scalar(v, exact) for v in a)
         w = as_scalar(w, exact)
         if not all(a):
@@ -274,7 +276,7 @@ def _report(params, reps, evaluator) -> EvalReport:
             continue
         values[rep.tag.value] = value
         traces.append(trace)
-    exact = params.q.exact
+    exact = is_exact(params.q)
     all_agree, max_dev = spread(list(values.values()), exact)
     return EvalReport(values, skipped, max_dev, tuple(traces), exact, all_agree)
 
@@ -296,14 +298,13 @@ def eval_qinv_all(params: AWParams) -> EvalReport:
 def eval_qinv_direct(params: AWParams) -> tuple[object, TermTrace]:
     """Independent oracle for the base-inverted value: substitute 1/q
     directly into the standard representation and evaluate on base 1/q."""
-    qi = params.q.inverse()
-    q = qi.q
+    q = one_like(params.q) / params.q
     n = params.n
     w = params.w
     ap = params.a[0]
     aps = [ap * x for x in params.a[1:]]
     spec = SeriesSpec([pow_int(q, n - 1) * params.a1234, ap * w, ap / w],
-                      aps, q, qi, n)
+                      aps, q, q, n)
     return eval_series(spec, poch_quotient(q, n, ((ap, -n),), num_rows=spec.den_rows))
 
 
@@ -314,7 +315,7 @@ def _qinv_scaling(params: AWParams) -> list:
     reciprocal point."""
     direct = eval_qinv_direct(params)
     derived = eval_qinv_rep(params, RepTag.PHI_STD)
-    q, n = params.q.q, params.n
+    q, n = params.q, params.n
     # one product, so that on float neither power underflows or overflows
     # on its own
     factor = poch_quotient(q, n, ((q, -3 * binom2(n)), (-params.a1234, n)))

@@ -26,7 +26,8 @@ import math
 import re
 import sys
 
-from .arithmetic import GuardViolation, QBase, QError, _quoted, format_scalar, parse_scalar
+from .arithmetic import (GuardViolation, QError, _quoted, check_base, format_scalar,
+                         parse_scalar)
 from .askey_wilson import AWParams, RepId, RepTag, eval_all, eval_rep
 from .identity_catalog import catalog
 from .qseries import SeriesSpec, VwpSpec, eval_series
@@ -209,9 +210,9 @@ def cmd_eval(args) -> int:
     _require(opts, "a1", "a2", "a3", "a4", "q", "n")
     exact = opts["backend"] == "rational"
     a = [_parse_scalar(exact, opts[k], f"--{k}") for k in ("a1", "a2", "a3", "a4")]
-    qval = _parse_scalar(exact, opts["q"], "--q")
+    q = _parse_scalar(exact, opts["q"], "--q")
     w = _spectral_point(opts, exact)
-    params = _build(AWParams, a, QBase(qval), w, opts["n"])
+    params = _build(AWParams, a, q, w, opts["n"])
     as_json = opts["format"] == "json"
 
     if opts["rep"] != "all":
@@ -256,17 +257,19 @@ def cmd_eval_series(args) -> int:
     opts = vars(args)
     _require(opts, "z", "q", "n")
     exact = opts["backend"] == "rational"
-    qbase = QBase(_parse_scalar(exact, opts["q"], "--q"))
+    # the base is guarded before the other values are read, so that a bad
+    # base exits 3 ahead of a usage error in --z, the lists or --n
+    q = check_base(_parse_scalar(exact, opts["q"], "--q"))
     z = _parse_scalar(exact, opts["z"], "--z")
     n = opts["n"]
     if opts["kind"] == "phi":
         _require(opts, "num", "den")
         spec = _build(SeriesSpec, _scalar_list(exact, opts["num"], "--num"),
-                      _scalar_list(exact, opts["den"], "--den"), z, qbase, n)
+                      _scalar_list(exact, opts["den"], "--den"), z, q, n)
     else:
         _require(opts, "b", "lower")
         spec = _build(VwpSpec, _parse_scalar(exact, opts["b"], "--b"),
-                      _scalar_list(exact, opts["lower"], "--lower"), z, qbase, n)
+                      _scalar_list(exact, opts["lower"], "--lower"), z, q, n)
     value, trace = eval_series(spec)
     if opts["format"] == "json":
         print(json.dumps({"value": format_scalar(value),
@@ -359,7 +362,7 @@ def cmd_table(args) -> int:
     opts = vars(args)
     _require(opts, "a1", "a2", "a3", "a4", "q", "x_grid")
     a = [_parse_scalar(False, opts[k], f"--{k}") for k in ("a1", "a2", "a3", "a4")]
-    qbase = QBase(_parse_scalar(False, opts["q"], "--q"))
+    q = check_base(_parse_scalar(False, opts["q"], "--q"))   # first, as in eval-series
     n_max = opts["n_max"]
     if n_max < 0:
         _die(EXIT_PARSE, "degree n_max must be >= 0")
@@ -368,7 +371,7 @@ def cmd_table(args) -> int:
     for x in xs:
         w = complex(x, math.sqrt(max(0.0, 1.0 - x * x)))
         for n in range(n_max + 1):
-            value, _ = eval_rep(AWParams(a, qbase, w, n), RepTag.PHI_STD)
+            value, _ = eval_rep(AWParams(a, q, w, n), RepTag.PHI_STD)
             rows.append((x, n, value.real, value.imag))
     if opts["format"] == "json":
         payload = [{"x": x, "n": n, "value_re": _json_float(re), "value_im": _json_float(im)}

@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .arithmetic import ABS_TOL, COND_CAP, REL_TOL, GuardViolation, QError, _Frozen, _set, spread
+from .arithmetic import (ABS_TOL, COND_CAP, REL_TOL, GuardViolation, QError, _Frozen, _set,
+                         is_exact, spread)
 from .askey_wilson import ALL_REPS, RepId, RepTag, _rep_side
 from .labels import Draw, Side, _factor, _series, _side, parse_side, substituted
 
@@ -324,7 +325,7 @@ def check(record: IdentityRecord, draw: Draw) -> CheckOutcome:
     The monomials formed on the draw stay in its ``memo`` for any later
     check on it."""
     return settle(lambda: [record.lhs.evaluate(draw), record.rhs.evaluate(draw)],
-                  draw.q.exact)
+                  is_exact(draw.q))
 
 
 # ---------------------------------------------------------------------------

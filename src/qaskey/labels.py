@@ -21,7 +21,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 
-from .arithmetic import GuardViolation, QBase, _Frozen, _set, binom2, one_like, pow_int
+from .arithmetic import GuardViolation, _Frozen, _set, binom2, check_base, one_like, pow_int
 from .qpochhammer import DenominatorPole, poch, poch_quotient
 from .qseries import SeriesSpec, VwpSpec, eval_series
 
@@ -62,8 +62,8 @@ class Draw(_Frozen):
 
     __slots__ = ("q", "n", "slots", "memo", "qpow")
 
-    def __init__(self, q: QBase, n: int, slots: dict):
-        _set(self, "q", q)
+    def __init__(self, q, n: int, slots: dict):
+        _set(self, "q", check_base(q))
         _set(self, "n", n)
         _set(self, "slots", slots)
         _set(self, "memo", {_factor(x).key: v for x, v in slots.items()})
@@ -86,7 +86,7 @@ class Draw(_Frozen):
         """q^{a n + k} times the slots with positive exponents, over those
         with negative ones."""
         qa, qk, letters = plan
-        slots, q, value, den = self.slots, self.q.q, None, None
+        slots, q, value, den = self.slots, self.q, None, None
         e = qa * self.n + qk
         if e:
             value = self.qpow.get(e)
@@ -325,7 +325,7 @@ class Side:
         vanishing prefactor denominator raises DenominatorPole naming the
         factor's label, ahead of any guard of the series."""
         (num, den), (num_rows, den_rows) = self._formed, self._rows
-        q, n = d.q.q, d.n
+        q, n = d.q, d.n
         try:
             spec = self.series(d)
             pref = poch_quotient(

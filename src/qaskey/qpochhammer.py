@@ -7,11 +7,13 @@ up to their own arithmetic; nothing in this module sums a series.
 times (num;q)_n and any kept guard rows, divided by (den;q)_n.  The
 representations, the catalogue sides and the series transformations
 form their prefactors with it, and :func:`poch` and :func:`poch_list`
-are its one-sided case.  Each argument has one shape: the scalar base,
-``(x, k)`` pairs for the powers, flat lists of bases.  A vanishing
-denominator raises :class:`DenominatorPole` with one fixed message; a
-caller that knows the factor's label names it
-(:meth:`~qaskey.labels.Side.evaluate`).
+are its one-sided case.  Each argument has one shape: the base is the
+scalar q that the value classes hold (guarded there by
+:func:`~qaskey.arithmetic.check_base`), in every function here and in
+the identity checkers; the powers are ``(x, k)`` pairs; the bases are
+flat lists.  A vanishing denominator raises :class:`DenominatorPole`
+with one fixed message; a caller that knows the factor's label names
+it (:meth:`~qaskey.labels.Side.evaluate`).
 
 On the exact backend the numerator and the denominator are one
 Gaussian integer each, into which the numerator of every factor 1 - a q^k is multiplied as it is formed
@@ -38,7 +40,6 @@ from math import copysign, frexp, gcd, inf, ldexp
 from .arithmetic import (
     GuardViolation,
     POLE_EPS,
-    QBase,
     _ONE_FLOAT,
     _int_pow,
     _poch_numerator,
@@ -64,18 +65,14 @@ class DenominatorPole(GuardViolation):
     """A denominator parameter hit Omega_q^n (or a prefactor vanished)."""
 
 
-def _qval(q):
-    return q.q if isinstance(q, QBase) else q
-
-
 def poch(a, q, n: int):
     """(a;q)_n = (1-a)(1-aq)...(1-aq^{n-1}); the empty product is 1."""
-    return poch_quotient(_qval(q), n, num=(a,))
+    return poch_quotient(q, n, num=(a,))
 
 
 def poch_list(bases, q, n: int):
     """Product of (a;q)_n over a list of bases; empty list gives 1."""
-    return poch_quotient(_qval(q), n, num=bases)
+    return poch_quotient(q, n, num=bases)
 
 
 _POLE = "prefactor pole: a denominator vanished"
@@ -221,15 +218,14 @@ def omega_contains(a, q, n: int) -> bool:
     below ``POLE_EPS`` counts as a pole hit (the sets are exact in theory;
     the margin is the numeric proxy).
     """
-    qv = _qval(q)
-    one = one_like(qv)
-    inexact = not is_exact(qv)
+    one = one_like(q)
+    inexact = not is_exact(q)
     t = a
     for _ in range(n):
         d = t - one
         if not d or (inexact and abs(d) < POLE_EPS):
             return True
-        t = t * qv
+        t = t * q
     return False
 
 
@@ -239,73 +235,64 @@ def poch_qinv(a, q, n: int):
     Contract: equals poch(a, 1/q, n).  Requires a != 0 for n >= 1.
     """
     if n == 0:
-        return one_like(_qval(q))
+        return one_like(q)
     if not a:
         raise ZeroBase("base inversion needs a != 0")
-    qv = _qval(q)
-    return poch(one_like(qv) / a, qv, n) * pow_int(-a, n) * pow_int(qv, -binom2(n))
+    return poch(one_like(q) / a, q, n) * pow_int(-a, n) * pow_int(q, -binom2(n))
 
 
 def _check_qinv(a, q, n, k):
     # base-inversion law, both routes evaluated independently
-    qv = _qval(q)
-    lhs = poch(a, one_like(qv) / qv, n)
-    return lhs - poch_qinv(a, qv, n)
+    lhs = poch(a, one_like(q) / q, n)
+    return lhs - poch_qinv(a, q, n)
 
 
 def _check_index_add_low(a, q, n, k):
-    qv = _qval(q)
-    lhs = poch(a, qv, n + k)
-    return lhs - poch(a, qv, k) * poch(a * pow_int(qv, k), qv, n)
+    lhs = poch(a, q, n + k)
+    return lhs - poch(a, q, k) * poch(a * pow_int(q, k), q, n)
 
 
 def _check_index_add_high(a, q, n, k):
-    qv = _qval(q)
-    lhs = poch(a, qv, n + k)
-    return lhs - poch(a, qv, n) * poch(a * pow_int(qv, n), qv, k)
+    lhs = poch(a, q, n + k)
+    return lhs - poch(a, q, n) * poch(a * pow_int(q, n), q, k)
 
 
 def _check_reversal(a, q, n, k):
-    qv = _qval(q)
     if not a:
         raise ZeroBase("reversal needs a != 0")
-    rhs = poch(pow_int(qv, 1 - n) / a, qv, n) * pow_int(-a, n) * pow_int(qv, binom2(n))
-    return poch(a, qv, n) - rhs
+    rhs = poch(pow_int(q, 1 - n) / a, q, n) * pow_int(-a, n) * pow_int(q, binom2(n))
+    return poch(a, q, n) - rhs
 
 
 def _check_shifted_base(a, q, n, k):
     # (a q^{-n};q)_k = q^{-nk} (q/a;q)_n / (q^{1-k}/a;q)_n (a;q)_k
-    qv = _qval(q)
     if not a:
         raise ZeroBase("shifted base needs a != 0")
-    den = poch(pow_int(qv, 1 - k) / a, qv, n)
+    den = poch(pow_int(q, 1 - k) / a, q, n)
     if not den:
         raise PoleInIdentity("q^{1-k}/a lies in Omega_q^n")
-    lhs = poch(a * pow_int(qv, -n), qv, k)
-    rhs = pow_int(qv, -n * k) * poch(qv / a, qv, n) / den * poch(a, qv, k)
+    lhs = poch(a * pow_int(q, -n), q, k)
+    rhs = pow_int(q, -n * k) * poch(q / a, q, n) / den * poch(a, q, k)
     return lhs - rhs
 
 
 def _check_square_base(a, q, n, k):
     # (a^2;q^2)_n = (a;q)_n (-a;q)_n
-    qv = _qval(q)
-    return poch(a * a, qv * qv, n) - poch(a, qv, n) * poch(-a, qv, n)
+    return poch(a * a, q * q, n) - poch(a, q, n) * poch(-a, q, n)
 
 
 def _check_duplication(a, q, n, k):
     # (a;q)_{2n} = (a;q^2)_n (a q;q^2)_n
-    qv = _qval(q)
-    q2 = qv * qv
-    return poch(a, qv, 2 * n) - poch(a, q2, n) * poch(a * qv, q2, n)
+    q2 = q * q
+    return poch(a, q, 2 * n) - poch(a, q2, n) * poch(a * q, q2, n)
 
 
 def _check_shifted_quotient(a, q, n, k):
     # (a q^n;q)_n = (a;q)_{2n} / (a;q)_n, valid for a outside Omega_q^n
-    qv = _qval(q)
-    den = poch(a, qv, n)
+    den = poch(a, q, n)
     if not den:
         raise PoleInIdentity("a lies in Omega_q^n")
-    return poch(a * pow_int(qv, n), qv, n) - poch(a, qv, 2 * n) / den
+    return poch(a * pow_int(q, n), q, n) - poch(a, q, 2 * n) / den
 
 
 def identity_suite():

@@ -55,6 +55,10 @@ kernel; the exact kernel multiplies the prefactor's triple into its
 unreduced Horner sum and reduces the product once, the float kernel
 returns ``pref * value``, and both record the prefactor in the trace.
 
+Every function here reads the base as the scalar ``spec.q``, which the
+spec's first guard, :func:`~qaskey.arithmetic.check_base`, coerced and
+checked.
+
 The pole guards of :class:`SeriesSpec` and :class:`VwpSpec` form every
 denominator factor ``1 - x q^k`` of the terminating sum once and keep
 them: the term loops and the prefactor products ``(den;q)_n`` reuse them.
@@ -73,14 +77,15 @@ from math import gcd, inf
 from .arithmetic import (
     GuardViolation,
     POLE_EPS,
-    QBase,
     QError,
     _Frozen,
     _one_minus_row,
     _set,
     as_scalar,
     binom2,
+    check_base,
     from_parts,
+    is_exact,
     one_like,
     parts,
     pow_int,
@@ -200,7 +205,9 @@ class _GuardRows(_Frozen):
     float backend, an unreduced integer triple ``(a, b, d)`` on the exact
     one.  The guards run in ``__post_init__``, which ``__init__`` looks up
     on the class, so a wrapper bound there (the benchmark's tracer) sees
-    every construction.  Specs are equal, and hash alike, when their
+    every construction; the first of them is
+    :func:`~qaskey.arithmetic.check_base`, which stores q as its
+    backend's scalar.  Specs are equal, and hash alike, when their
     fields other than ``den_rows`` are equal.
     """
 
@@ -228,7 +235,7 @@ class SeriesSpec(_GuardRows):
 
     __slots__ = ("num", "den", "z", "q", "n", "den_rows")
 
-    def __init__(self, num, den, z, q: QBase, n: int):
+    def __init__(self, num, den, z, q, n: int):
         _set(self, "num", num)
         _set(self, "den", den)
         _set(self, "z", z)
@@ -237,16 +244,18 @@ class SeriesSpec(_GuardRows):
         self.__post_init__()
 
     def __post_init__(self):
+        q = check_base(self.q)
+        _set(self, "q", q)
         if self.n < 0:
             raise ValueError("termination degree n must be >= 0")
-        exact = self.q.exact
+        exact = is_exact(q)
         _set(self, "num", _coerce_all(exact, self.num))
         _set(self, "den", _coerce_all(exact, self.den))
         _set(self, "z", as_scalar(self.z, exact))
-        qks = None if exact else _powers(self.q.q, self.n)
+        qks = None if exact else _powers(q, self.n)
         message = "denominator parameter lies in Omega_q^n"
         _set(self, "den_rows", tuple(
-            _guard_row(b, self.q.q, self.n, qks, message) for b in self.den))
+            _guard_row(b, q, self.n, qks, message) for b in self.den))
 
     def _key(self) -> tuple:
         return self.num, self.den, self.z, self.q, self.n
@@ -281,7 +290,7 @@ class VwpSpec(_GuardRows):
 
     __slots__ = ("b", "lower", "z", "q", "n", "den_rows")
 
-    def __init__(self, b, lower, z, q: QBase, n: int):
+    def __init__(self, b, lower, z, q, n: int):
         _set(self, "b", b)
         _set(self, "lower", lower)
         _set(self, "z", z)
@@ -290,26 +299,28 @@ class VwpSpec(_GuardRows):
         self.__post_init__()
 
     def __post_init__(self):
+        q = check_base(self.q)
+        _set(self, "q", q)
         if self.n < 0:
             raise ValueError("termination degree n must be >= 0")
-        q, n = self.q, self.n
-        exact = q.exact
+        n = self.n
+        exact = is_exact(q)
         b = as_scalar(self.b, exact)
         _set(self, "b", b)
         _set(self, "lower", _coerce_all(exact, self.lower))
         _set(self, "z", as_scalar(self.z, exact))
         if not b:
             raise ZeroParameter("special parameter b must be nonzero")
-        d = b - one_like(q.q)
+        d = b - one_like(q)
         if not d or (not exact and abs(d) <= POLE_EPS):
             raise BEqualsOne("special parameter b = 1 makes the series singular")
         if not all(self.lower):
             raise ZeroParameter("lower parameters must be nonzero")
-        qks = None if exact else _powers(q.q, n)
-        rows = [_guard_row(pow_int(q.q, n + 1) * b, q.q, n, qks, "q^{n+1} b lies in Omega_q^n")]
-        qb = q.q * b
+        qks = None if exact else _powers(q, n)
+        rows = [_guard_row(pow_int(q, n + 1) * b, q, n, qks, "q^{n+1} b lies in Omega_q^n")]
+        qb = q * b
         for a in self.lower:
-            rows.append(_guard_row(qb / a, q.q, n, qks, "q b / a_k lies in Omega_q^n"))
+            rows.append(_guard_row(qb / a, q, n, qks, "q b / a_k lies in Omega_q^n"))
         _set(self, "den_rows", tuple(rows))
 
     def _key(self) -> tuple:
@@ -399,7 +410,7 @@ def _kernel(spec, xs, e=0, pair=None, pref=None):
     """
     xs = [parts(x) for x in xs]
     za, zb, zd = parts(spec.z)
-    qa, qb, qd = parts(spec.q.q)
+    qa, qb, qd = parts(spec.q)
     rows = spec.den_rows
     n = spec.n
     if pair is None:
@@ -479,7 +490,7 @@ def _float_kernel(spec, xs, e=0, pair=None, pref=None):
     exactly one.  A prefactor ``pref`` multiplies the sum, as
     ``pref * value``, and is recorded in the trace.
     """
-    q = spec.q.q
+    q = spec.q
     one = one_like(q)
     z, rows = spec.z, spec.den_rows
     x0, rest = xs[0], xs[1:]
@@ -519,14 +530,14 @@ def eval_phi(spec: SeriesSpec, pref=None):
     float one.  Returns (value, TermTrace); with a prefactor ``pref``,
     (pref * value, trace.scaled(pref)).
     """
-    kernel = _kernel if spec.q.exact else _float_kernel
-    return kernel(spec, (pow_int(spec.q.q, -spec.n), *spec.num), spec.sign_exponent,
+    kernel = _kernel if is_exact(spec.q) else _float_kernel
+    return kernel(spec, (pow_int(spec.q, -spec.n), *spec.num), spec.sign_exponent,
                   pref=pref)
 
 
 def eval_phi_direct(spec: SeriesSpec):
     """Oracle evaluator: every term from fresh Pochhammer products."""
-    q = spec.q.q
+    q = spec.q
     n = spec.n
     qmn = pow_int(q, -n)
     e = spec.sign_exponent
@@ -551,9 +562,9 @@ def eval_w(spec: VwpSpec, pref=None):
     backend.  Returns (value, TermTrace); with a prefactor ``pref``,
     (pref * value, trace.scaled(pref)).
     """
-    kernel = _kernel if spec.q.exact else _float_kernel
+    kernel = _kernel if is_exact(spec.q) else _float_kernel
     b = spec.b
-    return kernel(spec, (b, pow_int(spec.q.q, -spec.n), *spec.lower), pair=b, pref=pref)
+    return kernel(spec, (b, pow_int(spec.q, -spec.n), *spec.lower), pair=b, pref=pref)
 
 
 def eval_series(spec, pref=None):
@@ -570,7 +581,7 @@ def eval_series(spec, pref=None):
 
 def eval_w_direct(spec: VwpSpec):
     """Oracle evaluator for the very-well-poised series."""
-    q = spec.q.q
+    q = spec.q
     one = one_like(q)
     n = spec.n
     b = spec.b
@@ -615,7 +626,7 @@ def invert_series(spec: SeriesSpec):
     if len(spec.num) != len(spec.den):
         raise ShapeMismatch("summation reversal needs the (r+1) phi r shape")
     _require_nonzero(spec.num + spec.den + (spec.z,), "series parameters and argument")
-    q = spec.q.q
+    q = spec.q
     one = one_like(q)
     n = spec.n
     pref = poch_quotient(q, n, ((-spec.z / q, n), (q, -binom2(n))), spec.num,
@@ -637,7 +648,7 @@ def invert_w(spec: VwpSpec):
     eval_w(spec) == prefactor * eval_w(reversed_spec).
     """
     _require_nonzero((spec.z,), "argument z")
-    q = spec.q.q
+    q = spec.q
     one = one_like(q)
     n = spec.n
     b = spec.b
@@ -667,13 +678,13 @@ def watson_whipple(spec: SeriesSpec):
     if len(spec.num) != 3 or len(spec.den) != 3:
         raise ShapeMismatch("need a 4 phi 3 spec")
     _require_nonzero(spec.num + spec.den, "parameters")
-    q = spec.q.q
+    q = spec.q
     n = spec.n
     a, b, c = spec.num
     d, e, f = spec.den
     zq = spec.z - q
     bal = pow_int(q, 1 - n) * a * b * c - d * e * f
-    if spec.q.exact:
+    if is_exact(spec.q):
         if zq:
             raise NotBalanced("argument must equal q")
         if bal:
@@ -718,9 +729,9 @@ def qinvert_f(spec: SeriesSpec) -> SeriesSpec:
     Applying the map twice returns an equivalent spec.
     """
     _require_nonzero(spec.num + spec.den, "series parameters")
-    one = one_like(spec.q.q)
-    new_base = spec.q.inverse()
-    z2 = (pow_int(new_base.q, spec.n + 1) * _product(spec.num, one) * spec.z
+    one = one_like(spec.q)
+    new_base = one / spec.q
+    z2 = (pow_int(new_base, spec.n + 1) * _product(spec.num, one) * spec.z
           / _product(spec.den, one))
     return SeriesSpec([one / a for a in spec.num], [one / b for b in spec.den],
                       z2, new_base, spec.n)

@@ -37,7 +37,6 @@ from .arithmetic import (
     GaussianRational,
     GuardViolation,
     POLE_EPS,
-    QBase,
     QError,
     REL_TOL,
     from_parts,
@@ -141,7 +140,7 @@ def _rand_scalar(rng, exact: bool):
     return _rand_exact(rng) if exact else _rand_float(rng)
 
 
-def _rand_q(rng, cfg, exact: bool) -> QBase:
+def _rand_q(rng, cfg, exact: bool):
     lo, hi = Q_RANGE
     if exact:
         # lo < p/d < hi is decided exactly, on ints: the float window ends
@@ -152,9 +151,9 @@ def _rand_q(rng, cfg, exact: bool) -> QBase:
             num = rng.randint(1, 40)
             den = rng.randint(1, 40)
             if lo_n * den < num * lo_d and num * hi_d < hi_n * den:
-                return QBase(from_parts(den, 0, num) if cfg.q_big else from_parts(num, 0, den))
+                return from_parts(den, 0, num) if cfg.q_big else from_parts(num, 0, den)
     q = rng.uniform(lo, hi)
-    return QBase(complex(1.0 / q if cfg.q_big else q, 0.0))
+    return complex(1.0 / q if cfg.q_big else q, 0.0)
 
 
 def _rand_n(rng, cfg) -> int:
@@ -279,10 +278,10 @@ def _suite_targets() -> list:
         q = _rand_q(rng, cfg, exact)
         n = _rand_n(rng, cfg)
         a, b, c, d, e = (_rand_scalar(rng, exact) for _ in range(5))
-        f = pow_int(q.q, 1 - n) * a * b * c / (d * e)
+        f = pow_int(q, 1 - n) * a * b * c / (d * e)
         if not f:
             raise GuardViolation("degenerate balance slot")
-        return SeriesSpec([a, b, c], [d, e, f], q.q, q, n)
+        return SeriesSpec([a, b, c], [d, e, f], q, q, n)
 
     add("ops/watson-whipple", "Watson q-Whipple map: balanced 4phi3 vs 8W7",
         draw_watson, scaled_contract(watson_whipple))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaskey import GaussianRational, QBase, Verdict, binom2, pow_int
+from qaskey import GaussianRational, Verdict, binom2, pow_int
 from qaskey.arithmetic import (
     ABS_TOL,
     POLE_EPS,
@@ -18,6 +18,7 @@ from qaskey.arithmetic import (
     ZeroQ,
     ZeroToNegativePower,
     as_scalar,
+    check_base,
     format_scalar,
     is_exact,
     one_like,
@@ -150,9 +151,9 @@ def test_exact_backend_still_rejects_floats_after_dispatch():
             as_scalar(inexact, True)
         assert as_scalar(G(Fraction(1, 2)), False) == 0.5 + 0j
         with pytest.raises(TypeError):
-            poch(inexact, QBase(G(Fraction(1, 2))), 2)
+            poch(inexact, G(Fraction(1, 2)), 2)
         with pytest.raises(TypeError):
-            omega_contains(inexact, QBase(G(Fraction(1, 3))), 2)
+            omega_contains(inexact, G(Fraction(1, 3)), 2)
 
 
 def _ref_poch(a, q, n):
@@ -224,16 +225,20 @@ def test_constructor_accepts_what_fraction_accepts():
         G("one")
 
 
-def test_qbase_guards():
+def test_check_base_guards():
     with pytest.raises(ZeroQ):
-        QBase(G(0))
+        check_base(G(0))
     with pytest.raises(UnitModulusQ):
-        QBase(G(1))
+        check_base(G(1))
     with pytest.raises(UnitModulusQ):
-        QBase(G(Fraction(3, 5), Fraction(4, 5)))  # exactly on the unit circle
+        check_base(G(Fraction(3, 5), Fraction(4, 5)))  # exactly on the unit circle
     with pytest.raises(UnitModulusQ):
-        QBase(complex(1.0 + 1e-9, 0.0))
-    assert QBase(G(Fraction(1, 2))).inverse().q == G(2)
+        check_base(complex(1.0 + 1e-9, 0.0))
+    # an int or Fraction becomes a GaussianRational, anything else a complex
+    for q, want in ((Fraction(1, 2), G(Fraction(1, 2))), (3, G(3)), (0.5, 0.5 + 0j),
+                    (G(2), G(2)), (2 + 1j, 2 + 1j)):
+        got = check_base(q)
+        assert got == want and type(got) is type(want), q
 
 
 def test_wire_format_round_trip():

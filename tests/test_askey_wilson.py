@@ -11,7 +11,6 @@ from qaskey import (
     ALL_REPS,
     AWParams,
     GaussianRational,
-    QBase,
     RepId,
     RepTag,
     TermTrace,
@@ -94,7 +93,7 @@ def test_degree_one_standard_representation_hand_formula():
     params = _admissible(rng, n_max=1)
     params = AWParams(params.a, params.q, params.w, 1)
     a1, a2, a3, a4 = params.a
-    q, w = params.q.q, params.w
+    q, w = params.q, params.w
     one = G(1)
     bracket = one + ((one - one / q) * (one - params.a1234)
                      * (one - a1 * w) * (one - a1 / w) * q
@@ -120,7 +119,7 @@ def test_seven_way_agreement_float():
 
     checked = 0
     while checked < 50:
-        q = QBase(complex(rng.uniform(0.15, 0.85), 0.0))
+        q = complex(rng.uniform(0.15, 0.85), 0.0)
         w = cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
         a = [cmath.rect(math.exp(rng.uniform(math.log(0.2), math.log(4.0))),
                         rng.uniform(0, 2 * math.pi)) for _ in range(4)]
@@ -296,7 +295,7 @@ def test_reversal_of_mixed_representation_flips_w_and_swaps_roles():
     # parameter lists match as multisets (summation order is immaterial)
     assert sorted(map(str, rev.num)) == sorted(map(str, expected.num))
     assert sorted(map(str, rev.den)) == sorted(map(str, expected.den))
-    assert rev.z == expected.z == params.q.q
+    assert rev.z == expected.z == params.q
 
 
 def test_reversal_of_w5_representation_swaps_p_and_r():
@@ -410,8 +409,7 @@ def _pin_draws() -> list:
     rng = random.Random(2026)
     draws = [rand_aw_params(rng, n_max=5, big=k % 3 == 2) for k in range(20)]
     s = G(Fraction(2, 3), Fraction(1, 5))
-    q = QBase(s * s)
-    qq = q.q
+    q = s * s
     a = [G(Fraction(1, 2), 1), G(Fraction(-3, 4)), G(2, Fraction(-1, 3)), G(Fraction(5, 7))]
     w = G(Fraction(3, 5), Fraction(1, 2))
     n = 3
@@ -420,17 +418,17 @@ def _pin_draws() -> list:
         draws.append(AWParams(a, q, 1 / pow(s, k), n))
         draws.append(AWParams(a, q, pow(s, k + 1), n))
         # a_1 a_2 = q^{-k}, and a_1 a_3 = q^k
-        draws.append(AWParams([1 / (pow(qq, k) * a[1]), *a[1:]], q, w, n))
-        draws.append(AWParams([pow(qq, k) / a[2], a[1], a[2], a[3]], q, w, n))
+        draws.append(AWParams([1 / (pow(q, k) * a[1]), *a[1:]], q, w, n))
+        draws.append(AWParams([pow(q, k) / a[2], a[1], a[2], a[3]], q, w, n))
         # q^{n-1} a_2 a_3 a_4 / w = q^{-k}, and a_2 a_3 a_4 w = q^{-k}
-        draws.append(AWParams(a, q, pow(qq, n - 1 + k) * a[1] * a[2] * a[3], n))
-        draws.append(AWParams(a, q, 1 / (pow(qq, k) * a[1] * a[2] * a[3]), n))
+        draws.append(AWParams(a, q, pow(q, n - 1 + k) * a[1] * a[2] * a[3], n))
+        draws.append(AWParams(a, q, 1 / (pow(q, k) * a[1] * a[2] * a[3]), n))
     # q^{1-n} w / a_1 = 1, q^{1-n} w a_1 = 1, q^{2-2n} / a_1234 = q^{-1}, and
     # q^{n-1} w / (a_2 a_3 a_4) = 1 (the base-inverted w-def6)
-    draws.append(AWParams(a, q, pow(qq, n - 1) * a[0], n))
-    draws.append(AWParams(a, q, pow(qq, n - 1) / a[0], n))
-    draws.append(AWParams([*a[:3], pow(qq, 2 * n - 1) / (a[0] * a[1] * a[2])], q, w, n))
-    draws.append(AWParams(a, q, a[1] * a[2] * a[3] / pow(qq, n - 1), n))
+    draws.append(AWParams(a, q, pow(q, n - 1) * a[0], n))
+    draws.append(AWParams(a, q, pow(q, n - 1) / a[0], n))
+    draws.append(AWParams([*a[:3], pow(q, 2 * n - 1) / (a[0] * a[1] * a[2])], q, w, n))
+    draws.append(AWParams(a, q, a[1] * a[2] * a[3] / pow(q, n - 1), n))
     # a_r = a_p, w = 1 and w = -1
     draws.append(AWParams([a[0], a[0], a[2], a[3]], q, w, n))
     draws.append(AWParams([a[1], a[2], a[2], a[1]], q, w, n))

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qaskey import (AWParams, QBase, RepTag, SeriesSpec, VwpSpec, cli, eval_phi,
-                    eval_rep, eval_w)
+from qaskey import AWParams, RepTag, SeriesSpec, VwpSpec, cli, eval_phi, eval_rep, eval_w
 from qaskey.arithmetic import parse_scalar
 from qaskey.sampler_verifier import RecordTally, SweepReport
 
@@ -45,7 +44,7 @@ def test_eval_single_rep_round_trips_rationals(capsys):
     q = rand_qbase(rng)
     code, out, _ = run_cli(capsys, "eval",
                            *(x for kv in args.items() for x in kv),
-                           "--q", str(q.q), "--w", "4/3", "--n", "3",
+                           "--q", str(q), "--w", "4/3", "--n", "3",
                            "--rep", "phi-std")
     assert code == 0
     printed = out.strip()
@@ -215,6 +214,32 @@ def test_negative_counts_are_usage_errors(capsys, argv, message):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+_NEAR_UNIT = "| |q| - 1 | <= 1e-08: q too close to the unit circle"
+_BAD_Q = {("0", "rational"): "q must be nonzero", ("0", "float"): "q must be nonzero",
+          ("3/5+4/5i", "rational"): "|q| = 1 is not allowed", ("3/5+4/5i", "float"): _NEAR_UNIT,
+          ("1", "rational"): "|q| = 1 is not allowed", ("1", "float"): _NEAR_UNIT}
+_Q_FREE = {
+    "eval": (*_AW_ARGS[:8], *_AW_ARGS[10:], "--n"),
+    "eval-series": (*_PHI_ARGS[:6], "--n"),
+    "table": (*_AW_ARGS[:8], "--x-grid", "-1:1:3", "--n-max"),
+}
+
+
+@pytest.mark.parametrize("command, backend", [
+    ("eval", "rational"), ("eval", "float"), ("eval-series", "rational"),
+    ("eval-series", "float"), ("table", "float")])
+@pytest.mark.parametrize("q", ["0", "3/5+4/5i", "1"])
+@pytest.mark.parametrize("degree", ["1", "-1"])
+def test_a_base_of_zero_or_on_the_unit_circle_exits_3(capsys, command, backend, q, degree):
+    # the base guard runs before the degree's check, so a negative degree
+    # does not turn the pole guard's exit 3 into a usage error's exit 2
+    backend_flag = ("--backend", backend) if command != "table" else ()
+    code, out, err = run_cli(capsys, command, *_Q_FREE[command], degree, "--q", q,
+                             *backend_flag)
+    assert code == 3 and out == ""
+    assert err == f"error: pole guard: {_BAD_Q[q, backend]}\n"
 
 
 def test_table_csv_contract(capsys):
@@ -410,12 +435,12 @@ _DEEP = [
       "--z", "1/3", "--q", "7/3", "--n", "30", "--backend", "rational"],
      lambda: eval_w(VwpSpec(parse_scalar("3/7+1/2 i", True),
                             [parse_scalar(t, True) for t in ("1/2", "2/3", "-1/5 i", "5/3")],
-                            parse_scalar("1/3", True), QBase(parse_scalar("7/3", True)), 30))),
+                            parse_scalar("1/3", True), parse_scalar("7/3", True), 30))),
     (["eval", "--a1", "1/2", "--a2", "1/3", "--a3", "2/5+1/7 i", "--a4", "3/4", "--q", "2/7",
       "--w", "3/5+1/3 i", "--n", "60", "--backend", "rational", "--rep", "phi-std"],
      lambda: eval_rep(AWParams([parse_scalar(t, True) for t in ("1/2", "1/3", "2/5+1/7 i", "3/4")],
-                               QBase(parse_scalar("2/7", True)),
-                               parse_scalar("3/5+1/3 i", True), 60), RepTag.PHI_STD)),
+                               parse_scalar("2/7", True), parse_scalar("3/5+1/3 i", True), 60),
+                      RepTag.PHI_STD)),
 ]
 
 
@@ -608,8 +633,7 @@ def test_deep_exact_value_reads_back_through_the_cli(capsys):
     argv = ["eval-series", "--num", "1/2", "--den", "1/3", "--q", "2/7", "--n", "1"]
     code, out, err = run_cli(capsys, *argv, "--z", printed)
     assert code == 0 and err == ""
-    expected, _ = eval_phi(SeriesSpec([Fraction(1, 2)], [Fraction(1, 3)], value,
-                                      QBase(Fraction(2, 7)), 1))
+    expected, _ = eval_phi(SeriesSpec([Fraction(1, 2)], [Fraction(1, 3)], value, Fraction(2, 7), 1))
     assert parse_scalar(out.splitlines()[0], exact=True) == expected
     assert sys.get_int_max_str_digits() == limit
 

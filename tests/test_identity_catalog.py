@@ -15,7 +15,6 @@ from qaskey import (
     Draw,
     DrawConfig,
     GaussianRational,
-    QBase,
     Verdict,
     catalog,
     check,
@@ -75,7 +74,7 @@ def test_catalog_inventory():
 def test_record_structure_examples():
     rng = random.Random(120)
     d = _draw(rng)
-    q, n = d.q.q, d.n
+    q, n = d.q, d.n
     b, c, dd, e, f = (d.slots[k] for k in "bcdef")
 
     spec = record_by_id("cor3.3/3.5a.3").rhs.series(d)
@@ -149,7 +148,7 @@ def test_prefactor_pole_draw_is_skipped():
     rng = random.Random(123)
     q = rand_qbase(rng)
     slots = {k: rand_scalar(rng) for k in "bcdef"}
-    slots["c"] = q.q * slots["b"]  # qb/c = 1 zeroes a prefactor denominator
+    slots["c"] = q * slots["b"]  # qb/c = 1 zeroes a prefactor denominator
     out = check(rec, Draw(q, 2, slots))
     assert out.verdict is Verdict.SKIPPED
     assert "prefactor" in out.guard or "Omega" in out.guard
@@ -165,7 +164,7 @@ def test_float_draws_never_fail():
         attempts = 0
         while done < 15 and attempts < 400:
             attempts += 1
-            q = QBase(complex(rng.uniform(0.1, 0.9), 0.0))
+            q = complex(rng.uniform(0.1, 0.9), 0.0)
             slots = {k: cmath.rect(
                 math.exp(rng.uniform(math.log(0.1), math.log(10.0))),
                 rng.uniform(0.0, 2 * math.pi)) for k in "bcdef"}
@@ -207,7 +206,7 @@ def test_balanced_sides_stay_balanced_on_draws():
             spec = rec.rhs.series(d)
             if not isinstance(spec, SeriesSpec):
                 continue
-            lhsprod = pow_int(d.q.q, 1 - d.n)
+            lhsprod = pow_int(d.q, 1 - d.n)
             for a in spec.num:
                 lhsprod = lhsprod * a
             rhsprod = spec.den[0] * spec.den[1] * spec.den[2]
@@ -359,7 +358,7 @@ def test_derivation_reproduces_both_record_sides():
         for _ in range(200):
             params = AWParams([rand_scalar(rng) for _ in range(4)], rand_qbase(rng),
                               rand_scalar(rng), rng.randint(1, 3))
-            q, n, w = params.q.q, params.n, params.w
+            q, n, w = params.q, params.n, params.w
             try:
                 value, _ = lhs.evaluate(params._draw)
                 other, _ = rhs.evaluate(params._draw)
@@ -493,8 +492,8 @@ def test_check_settles_a_float_modulus_overflow_as_unresolved():
     # range, so that abs() of it raises OverflowError when the verdict
     # reads the scale
     rec = record_by_id("cor3.5/r2")
-    draw = Draw(QBase(0.5 + 0j), 2, {"b": 0.3 + 0.2j, "c": 1.7 - 0.4j, "d": -0.6 + 1.1j,
-                                      "e": 2.3 + 0.5j, "f": 0.8 - 1.3j})
+    draw = Draw(0.5 + 0j, 2, {"b": 0.3 + 0.2j, "c": 1.7 - 0.4j, "d": -0.6 + 1.1j,
+                              "e": 2.3 + 0.5j, "f": 0.8 - 1.3j})
     assert check(rec, draw).verdict is Verdict.PASS
     lhs = dataclasses.replace(rec.lhs, pref_num=(), pref_den=(),
                               power=lambda d: ((complex(1.5e308, 1.5e308), 1),))
@@ -554,7 +553,7 @@ def test_series_power_and_substitution_labels_evaluate_as_printed():
             break
         except GuardViolation:
             continue
-    q, n, qb = d.q.q, d.n, d.q.q * d.slots["b"]
+    q, n, qb = d.q, d.n, d.q * d.slots["b"]
     b, c, dd, e, f = (d.slots[k] for k in "bcdef")
     qmn = pow_int(q, -n)
     assert w == VwpSpec(qmn * c / dd, [qmn * c / b, qb / (dd * e), qb / (dd * f), c],

@@ -9,7 +9,6 @@ import pytest
 
 from qaskey import (
     GaussianRational,
-    QBase,
     SeriesSpec,
     VwpSpec,
     connect_qinv,
@@ -66,12 +65,11 @@ def test_eval_phi_degree_zero():
 
 
 def test_eval_phi_two_term_hand_formula():
-    q = QBase(G(Fraction(1, 3)))
+    q = G(Fraction(1, 3))
     a, b, z = G(Fraction(2, 5)), G(Fraction(3, 7)), G(Fraction(1, 2))
     value, trace = eval_phi(SeriesSpec([a], [b], z, q, 1))
     one = G(1)
-    qq = q.q
-    expected = one + ((one - one / qq) * (one - a)) / ((one - qq) * (one - b)) * z
+    expected = one + ((one - one / q) * (one - a)) / ((one - q) * (one - b)) * z
     assert value == expected
     assert len(trace.terms) == 2
 
@@ -119,17 +117,16 @@ def _assert_matches_oracle(spec):
     assert t1.abs_scale == sum(map(abs, t1.terms)) == t2.abs_scale
 
 
-@pytest.mark.parametrize("qv", [G(Fraction(1, 3), Fraction(1, 5)),
-                                G(Fraction(5, 2), Fraction(-3, 2))],
+@pytest.mark.parametrize("q", [G(Fraction(1, 3), Fraction(1, 5)),
+                               G(Fraction(5, 2), Fraction(-3, 2))],
                          ids=["q_small", "q_big"])
-def test_recurrences_match_direct_oracle_at_gaussian_base(qv):
+def test_recurrences_match_direct_oracle_at_gaussian_base(q):
     # no sampler draw has a non-real base, so only here do the integer
     # powers of q carry an imaginary part; the widths (1, 2), (0, 2),
     # (2, 1) and (3, 1) give the sign factor (-q^k)^e the exponents 1, 2,
     # -1 and -2, and the very-well-poised series run with 2, 4 and 6
     # lower parameters
     rng = random.Random(31)
-    q = QBase(qv)
     for n in range(17):
         for width_num, width_den in ((3, 3), (1, 2), (0, 2), (2, 1), (3, 1)):
             for spec in _draw(lambda r: SeriesSpec(
@@ -174,7 +171,7 @@ def test_float_kernel_is_pinned_bit_for_bit(shape, base):
     # replaced, in their order; abs_scale goes through libm's hypot and
     # is left out
     kind, width = shape
-    q, z = QBase(_FLOAT_BASES[base]), 0.6 - 0.35j
+    q, z = _FLOAT_BASES[base], 0.6 - 0.35j
     hexes = []
     for n in range(21):
         if kind == "phi":
@@ -197,7 +194,7 @@ def test_guard_row_k_sits_over_x_d_times_q_d_to_the_k():
     # sitting over x_d q_d^k, with q's and x's canonical denominators
     rng = random.Random(16)
     for _ in range(40):
-        x, q, n = rand_scalar(rng), rand_qbase(rng, big=rng.random() < 0.5).q, rng.randint(0, 9)
+        x, q, n = rand_scalar(rng), rand_qbase(rng, big=rng.random() < 0.5), rng.randint(0, 9)
         (_, _, xd), (_, _, qd) = parts(x), parts(q)
         row = _one_minus_row(parts(x), parts(q), n)
         assert len(row) == n
@@ -245,7 +242,7 @@ def test_exact_trace_is_the_forward_accumulation_of_the_kernel_ratios(big):
         weights = ([G(1)] * (spec.n + 1) if steps.weights is None else
                    [from_parts(wa, wb, steps.wd) for wa, wb in steps.weights])
         if steps.weights is not None:
-            q, b = spec.q.q, spec.b
+            q, b = spec.q, spec.b
             assert weights == [(1 - b * pow_int(q, 2 * k)) / (1 - b)
                                for k in range(spec.n + 1)]
         for k, ratio in enumerate(steps.ratios):
@@ -334,9 +331,9 @@ def test_eval_series_with_a_prefactor_is_the_prefactor_times_the_series(monkeypa
         for base in _FLOAT_BASES.values():
             for n in (0, 1, 7, 20):
                 if kind == "phi":
-                    spec = SeriesSpec(_FLOAT_POOL[:3], _FLOAT_POOL[3:6], 0.6 - 0.35j, QBase(base), n)
+                    spec = SeriesSpec(_FLOAT_POOL[:3], _FLOAT_POOL[3:6], 0.6 - 0.35j, base, n)
                 else:
-                    spec = VwpSpec(-0.7 + 0.45j, _FLOAT_POOL[:4], 0.6 - 0.35j, QBase(base), n)
+                    spec = VwpSpec(-0.7 + 0.45j, _FLOAT_POOL[:4], 0.6 - 0.35j, base, n)
                 pref = complex(fl.uniform(-3, 3), fl.uniform(-3, 3))
                 value, trace = qseries.eval_series(spec)
                 scaled, strace = qseries.eval_series(spec, pref)
@@ -365,11 +362,11 @@ _RATIO_POLE = "q b / a_k lies in Omega_q^n"
 
 
 def _half(exact):
-    return QBase(G(Fraction(1, 2))) if exact else QBase(0.5 + 0j)
+    return G(Fraction(1, 2)) if exact else 0.5 + 0j
 
 
 def test_series_spec_pole_guard_at_construction():
-    q = QBase(G(Fraction(1, 2)))
+    q = G(Fraction(1, 2))
     with pytest.raises(DenominatorPole):
         SeriesSpec([G(3)], [G(4)], G(1), q, 3)  # 4 = q^{-2} lies in Omega
     SeriesSpec([G(3)], [G(4)], G(1), q, 2)      # n = 2 leaves 4 outside
@@ -401,14 +398,13 @@ def test_eval_w_degree_zero_and_hand_two_terms():
     spec = VwpSpec(b, lower, z, q, 1)
     value, _ = eval_w(spec)
     one = G(1)
-    qq = q.q
-    t1 = (one - b) * (one - one / qq)
+    t1 = (one - b) * (one - one / q)
     for a in lower:
         t1 = t1 * (one - a)
-    t1 = t1 / ((one - qq) * (one - qq * qq * b))
+    t1 = t1 / ((one - q) * (one - q * q * b))
     for a in lower:
-        t1 = t1 / (one - qq * b / a)
-    t1 = t1 * (one - b * qq * qq) / (one - b) * z
+        t1 = t1 / (one - q * b / a)
+    t1 = t1 * (one - b * q * q) / (one - b) * z
     assert value == one + t1
 
 
@@ -432,7 +428,7 @@ def test_eval_w_oracle_and_phi_expansion_on_squares():
 
 def test_eval_w_zero_factor_mid_sum():
     # b = q^{-2} zeroes the k=1 pair factor without poisoning later terms
-    q = QBase(G(Fraction(1, 2)))
+    q = G(Fraction(1, 2))
     b = G(4)
     spec = VwpSpec(b, [G(3), G(5), G(7), G(-2)], G(Fraction(1, 3)), q, 3)
     v1, trace = eval_w(spec)
@@ -442,7 +438,7 @@ def test_eval_w_zero_factor_mid_sum():
 
 
 def test_vwp_guards():
-    q = QBase(G(Fraction(1, 2)))
+    q = G(Fraction(1, 2))
     with pytest.raises(BEqualsOne):
         VwpSpec(G(1), [G(2), G(3), G(5), G(7)], G(1), q, 2)
     with pytest.raises(ZeroParameter):
@@ -487,14 +483,14 @@ def test_guard_factors_give_the_pochhammer_products(big):
         spec, = _draw(lambda r: SeriesSpec(
             [rand_scalar(r) for _ in range(3)], [rand_scalar(r) for _ in range(3)],
             rand_scalar(r), rand_qbase(r, big=big), n), rng, 1)
-        q = spec.q.q
+        q = spec.q
         assert row_values(spec) == tuple(
             tuple(1 - x * pow_int(q, k) for k in range(n)) for x in spec.den)
         assert poch_quotient(q, n, num_rows=spec.den_rows) == poch_list(spec.den, q, n)
         w, = _draw(lambda r: VwpSpec(
             rand_scalar(r), [rand_scalar(r) for _ in range(4)],
             rand_scalar(r), rand_qbase(r, big=big), n), rng, 1)
-        q = w.q.q
+        q = w.q
         xs = [pow_int(q, n + 1) * w.b] + [q * w.b / a for a in w.lower]
         assert row_values(w) == tuple(
             tuple(1 - x * pow_int(q, k) for k in range(n)) for x in xs)
@@ -536,13 +532,13 @@ def test_invert_series_balanced_argument_is_q2_over_z():
         b1, b2 = rand_scalar(rng), rand_scalar(rng)
         prod_num = num[0] * num[1] * num[2]
         try:
-            b3 = pow_int(q.q, 1 - n) * prod_num / (b1 * b2)
+            b3 = pow_int(q, 1 - n) * prod_num / (b1 * b2)
             z = rand_scalar(rng)
             spec = SeriesSpec(num, [b1, b2, b3], z, q, n)
             pref, rev = invert_series(spec)
         except (DenominatorPole, ZeroParameter, ZeroDivisionError):
             continue
-        assert rev.z == q.q * q.q / z
+        assert rev.z == q * q / z
         checked += 1
 
 
@@ -587,7 +583,7 @@ def test_invert_w_classical_width_structure():
             break
         except (DenominatorPole, BEqualsOne, ZeroParameter, ZeroDivisionError):
             continue
-    n, q = spec.n, spec.q.q
+    n, q = spec.n, spec.q
     assert rev.b == pow_int(q, -2 * n) / spec.b
     assert rev.lower == tuple(pow_int(q, -n) * a / spec.b for a in spec.lower)
     prod = spec.lower[0] * spec.lower[1] * spec.lower[2] * spec.lower[3]
@@ -598,8 +594,8 @@ def _balanced_43(rng, n=None):
     q = rand_qbase(rng)
     n = rng.randint(0, 5) if n is None else n
     a, b, c, d, e = (rand_scalar(rng) for _ in range(5))
-    f = pow_int(q.q, 1 - n) * a * b * c / (d * e)
-    return SeriesSpec([a, b, c], [d, e, f], q.q, q, n)
+    f = pow_int(q, 1 - n) * a * b * c / (d * e)
+    return SeriesSpec([a, b, c], [d, e, f], q, q, n)
 
 
 def test_watson_whipple_contract():
@@ -653,8 +649,8 @@ def test_watson_whipple_repeated_parameter_cancellation():
         a, b, c, e = (rand_scalar(rng) for _ in range(4))
         d = a
         try:
-            f = pow_int(q.q, 1 - n) * a * b * c / (d * e)
-            spec = SeriesSpec([a, b, c], [d, e, f], q.q, q, n)
+            f = pow_int(q, 1 - n) * a * b * c / (d * e)
+            spec = SeriesSpec([a, b, c], [d, e, f], q, q, n)
             pref, w = watson_whipple(spec)
         except (DenominatorPole, BEqualsOne, ZeroParameter, ZeroDivisionError):
             continue
@@ -666,10 +662,10 @@ def test_watson_whipple_shape_and_balance_errors():
     rng = random.Random(41)
     q = rand_qbase(rng)
     with pytest.raises(ShapeMismatch):
-        watson_whipple(SeriesSpec([G(2), G(3)], [G(5), G(7)], q.q, q, 2))
+        watson_whipple(SeriesSpec([G(2), G(3)], [G(5), G(7)], q, q, 2))
     with pytest.raises(NotBalanced):
         watson_whipple(SeriesSpec([G(2), G(3), G(5)], [G(7), G(11), G(13)],
-                                  q.q, q, 2))
+                                  q, q, 2))
     spec = _balanced_43(random.Random(43), n=2)
     with pytest.raises(NotBalanced):
         watson_whipple(SeriesSpec(spec.num, spec.den, spec.z * G(2),
@@ -735,16 +731,17 @@ def test_qinvert_f_contract_and_round_trip():
             spec2 = qinvert_f(spec)
         except (DenominatorPole, ZeroParameter, ZeroDivisionError):
             continue
-        assert spec2.q.q == G(1) / spec.q.q
+        assert spec2.q == G(1) / spec.q
         assert eval_phi(spec)[0] == eval_phi(spec2)[0]
         spec3 = qinvert_f(spec2)
         assert spec3.num == spec.num and spec3.den == spec.den
-        assert spec3.z == spec.z and spec3.q.q == spec.q.q
+        assert spec3.z == spec.z and spec3.q == spec.q
+        assert spec3 == spec
         checked += 1
 
 
 def test_trace_scale_is_term_magnitude_sum():
-    spec = SeriesSpec([0.5 + 0.1j], [0.25 + 0j], 0.7 + 0j, QBase(0.4 + 0j), 5)
+    spec = SeriesSpec([0.5 + 0.1j], [0.25 + 0j], 0.7 + 0j, 0.4 + 0j, 5)
     value, trace = eval_phi(spec)
     assert len(trace.terms) == 6
     total = trace.terms[0]
@@ -755,7 +752,7 @@ def test_trace_scale_is_term_magnitude_sum():
     # scaled() records its factor; the terms and abs_scale are scaled
     # when read
     exact_spec = SeriesSpec([G(Fraction(1, 2), Fraction(1, 10))], [G(Fraction(1, 4))],
-                            G(Fraction(7, 10)), QBase(G(Fraction(2, 5))), 5)
+                            G(Fraction(7, 10)), G(Fraction(2, 5)), 5)
     cases = [(trace, 1.7 - 0.3j, -0.45 + 2.1j),
              (eval_phi(exact_spec)[1], G(Fraction(17, 10), Fraction(-3, 10)),
               G(Fraction(-9, 20), Fraction(21, 10)))]
@@ -800,7 +797,7 @@ def test_exact_abs_scale_is_formed_when_read_and_equals_the_eager_float():
         _, dtrace = direct(spec)
         assert dtrace.scaled(f).scaled(g).abs_scale == twice.abs_scale
     # a float trace: the sum over its terms, then abs(f) * s
-    spec = SeriesSpec([0.5 + 0.1j], [0.25 + 0j], 0.7 + 0j, QBase(0.4 + 0j), 5)
+    spec = SeriesSpec([0.5 + 0.1j], [0.25 + 0j], 0.7 + 0j, 0.4 + 0j, 5)
     _, ftrace = eval_phi(spec)
     assert ftrace.abs_scale == sum(map(abs, ftrace.terms))
     assert ftrace.scaled(1.5 - 2j).abs_scale == abs(1.5 - 2j) * ftrace.abs_scale

@@ -22,7 +22,7 @@ from qaskey import (
 from qaskey import askey_wilson as aw
 from qaskey import qseries, sampler_verifier
 from qaskey import arithmetic
-from qaskey.arithmetic import GuardViolation, QBase, parts, pow_int
+from qaskey.arithmetic import GuardViolation, parts, pow_int
 from qaskey.identity_catalog import CheckOutcome, Verdict, judge, settle
 from qaskey.sampler_verifier import (
     Target,
@@ -110,18 +110,18 @@ def _ref_rand_exact(rng) -> GaussianRational:
     return GaussianRational(re)
 
 
-def _ref_rand_q(rng, cfg) -> QBase:
+def _ref_rand_q(rng, cfg) -> GaussianRational:
     # the reference base: a Fraction tested against the float window ends
     lo, hi = sampler_verifier.Q_RANGE
     while True:
         q = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         if lo < q < hi:
-            return QBase(GaussianRational(1 / q if cfg.q_big else q))
+            return GaussianRational(1 / q if cfg.q_big else q)
 
 
 def _draw_all(draw_q, draw_scalar, rng, cfg):
     # a catalogue draw's exact scalars: q, then five slots
-    q = parts(draw_q(rng, cfg).q)
+    q = parts(draw_q(rng, cfg))
     return q, [parts(draw_scalar(rng)) for _ in range(5)], rng.getstate()
 
 
@@ -150,7 +150,7 @@ def test_exact_q_lies_in_the_window_or_its_mirror():
     seen = set()
     for cfg in (DrawConfig(), DrawConfig(q_big=True)):
         for i in range(2000):
-            a, b, d = parts(_rand_q(random.Random(f"window:{i}"), cfg, True).q)
+            a, b, d = parts(_rand_q(random.Random(f"window:{i}"), cfg, True))
             q = Fraction(a, d)
             assert b == 0 and a > 0
             assert lo < (1 / q if cfg.q_big else q) < hi, (i, q)
@@ -175,16 +175,15 @@ def test_watson_draws_solve_balance_exactly():
         spec = draw_params(cfg, "ops/watson-whipple", i)
         a, b, c = spec.num
         d, e, f = spec.den
-        assert not pow_int(spec.q.q, 1 - spec.n) * a * b * c - d * e * f
-        assert spec.z == spec.q.q
+        assert not pow_int(spec.q, 1 - spec.n) * a * b * c - d * e * f
+        assert spec.z == spec.q
 
 
 def test_q_guard_on_draws():
     cfg = DrawConfig(seed=6, q_big=True)
     for i in range(10):
         d = draw_params(cfg, "cor3.10/r2", i)
-        q = d.q.q
-        assert q.abs2() > 1
+        assert d.q.abs2() > 1
 
 
 def test_sampler_exhausted_on_impossible_target():
@@ -414,7 +413,7 @@ def test_float_base_inverted_value_does_not_underflow_to_zero():
     (target,) = resolve_targets(["aw/qinv-scaling"])
     cfg = DrawConfig(seed=20260808, backend="float", q_big=True, n_range=(0, 40))
     params, _ = _admissible(cfg, target, "float", 36)
-    assert params.n == 38 and abs(params.q.q) == pytest.approx(1.443, abs=1e-3)
+    assert params.n == 38 and abs(params.q) == pytest.approx(1.443, abs=1e-3)
     value, trace = aw.eval_qinv_rep(params, aw.RepTag.PHI_STD)
     assert value and trace.abs_scale == pytest.approx(1.48e94, rel=1e-2)
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qaskey import AWParams, GaussianRational, QBase, SeriesSpec, VwpSpec
-from qaskey.arithmetic import as_scalar, from_parts, pow_int
+from qaskey import AWParams, GaussianRational, SeriesSpec, VwpSpec
+from qaskey.arithmetic import as_scalar, from_parts, is_exact, pow_int
 from qaskey.identity_catalog import Draw
 
 
@@ -22,7 +22,7 @@ def rand_scalar(rng, gaussian=0.3) -> GaussianRational:
     return GaussianRational(re)
 
 
-def rand_qbase(rng, big=False) -> QBase:
+def rand_qbase(rng, big=False) -> GaussianRational:
     """A base with 0 < |q| < 1, or |q| > 1 when ``big``: a positive p/d,
     or with probability 1/2 a non-real (a + b i)/d.  Only a non-real q
     gives its powers an imaginary part, so only such draws reach the
@@ -36,9 +36,7 @@ def rand_qbase(rng, big=False) -> QBase:
             q = GaussianRational(Fraction(rng.randint(1, 20), rng.randint(1, 20)))
         if 0 < q.abs2() < 1:
             break
-    if big:
-        q = 1 / q
-    return QBase(q)
+    return 1 / q if big else q
 
 
 def rand_aw_params(rng, n_max=6, big=False) -> AWParams:
@@ -53,8 +51,8 @@ def vwp_as_phi(spec: VwpSpec, sqrt_b) -> SeriesSpec:
     Needs an explicit square root of b, so it exists in the exact backend
     only when b is a perfect square; used for cross-checks.
     """
-    q = spec.q.q
-    sb = as_scalar(sqrt_b, spec.q.exact)
+    q = spec.q
+    sb = as_scalar(sqrt_b, is_exact(q))
     if sb * sb - spec.b:
         raise ValueError("sqrt_b is not a square root of the special parameter")
     num = [spec.b, q * sb, -(q * sb)] + list(spec.lower)
@@ -82,8 +80,6 @@ def lifted(x):
     floats are: ``Fraction(float)`` of every part, the degree kept."""
     if isinstance(x, Draw):
         return Draw(lifted(x.q), x.n, {k: lifted(v) for k, v in x.slots.items()})
-    if isinstance(x, QBase):
-        return QBase(lifted(x.q))
     if isinstance(x, SeriesSpec):
         return SeriesSpec([lifted(v) for v in x.num], [lifted(v) for v in x.den],
                           lifted(x.z), lifted(x.q), x.n)
